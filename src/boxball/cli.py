@@ -37,7 +37,7 @@ from .solutions import (
     verify_tau_solution,
 )
 from .toda import CapacityViolation, DegenerateState, TodaState, enutoda_step, from_euler, to_euler
-from .xint import XInt, decode_xint
+from .xint import FiniteOverflow, XInt, decode_xint
 
 
 def _emit(line: str) -> None:
@@ -295,8 +295,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_sol.add_argument("--type", choices=["euler", "tau"], required=True)
     p_sol.add_argument("--verify", action="store_true",
                        help="check the update rules instead of printing slices")
-    p_sol.add_argument("--t-range", default=None, help="A:B (default 0:10 / 0:15)")
-    p_sol.add_argument("--n-range", default=None, help="A:B box window (euler type)")
+    p_sol.add_argument(
+        "--t-range", default=None,
+        help="A:B (default 0:10 / 0:15); write a negative A as --t-range=-3:4",
+    )
+    p_sol.add_argument(
+        "--n-range", default=None,
+        help="A:B box window (euler type); write a negative A as --n-range=-20:40",
+    )
     p_sol.set_defaults(func=cmd_solution)
     return parser
 
@@ -308,6 +314,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except ConfigError as exc:
         _diag(f"error: {exc}")
+        return 2
+    except FiniteOverflow as exc:
+        _diag(f"error: {type(exc).__name__}: {exc}")
         return 2
     except (CapacityViolation, DegenerateState) as exc:
         _diag(f"error: {type(exc).__name__}: {exc}")

@@ -15,7 +15,7 @@ from .euler import EulerState, EulerStepTrace
 from .geometry import CapacityProfile, CarrierSchedule
 from .solutions import EulerSolitonParams, TauParams
 from .toda import TodaState, TodaStepTrace
-from .xint import decode_xint, encode_xint
+from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, decode_xint, encode_xint
 
 
 class ConfigError(ValueError):
@@ -36,6 +36,8 @@ def _check_keys(obj: dict, where: str, allowed: set, required: set) -> None:
 def _int(obj, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ConfigError(f"{where} must be an integer, got {obj!r}")
+    if not INT64_MIN <= obj <= INT64_MAX:
+        raise ConfigError(f"{where} must lie in the signed 64-bit range, got {obj}")
     return obj
 
 
@@ -78,12 +80,12 @@ def parse_schedule(obj, where: str = "schedule") -> CarrierSchedule:
             raise ConfigError(f"{where}.entries key {key!r} is not an integer") from None
         try:
             parsed[t] = decode_xint(val)
-        except ValueError as exc:
+        except (ValueError, FiniteOverflow) as exc:
             raise ConfigError(f"{where}.entries[{key}]: {exc}") from exc
     try:
         default = decode_xint(obj.get("default", "inf"))
         return CarrierSchedule(entries=parsed, default=default)
-    except ValueError as exc:
+    except (ValueError, FiniteOverflow) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
 
@@ -225,7 +227,6 @@ class RunConfig:
     representation: str  # euler | toda | both
     steps: int
     render: str  # ascii | json | none
-    seed: Optional[int]
     profile: CapacityProfile
     schedule: CarrierSchedule
     initial_euler: Optional[EulerState] = None
@@ -237,7 +238,6 @@ _TOP_KEYS = {
     "representation",
     "steps",
     "render",
-    "seed",
     "profile",
     "schedule",
     "initial",
@@ -255,9 +255,6 @@ def parse_config_dict(data: dict) -> RunConfig:
     render = data.get("render", "ascii")
     if render not in ("ascii", "json", "none"):
         raise ConfigError(f"render must be ascii|json|none, got {render!r}")
-    seed = data.get("seed")
-    if seed is not None:
-        seed = _int(seed, "seed")
 
     initial = data["initial"]
     _check_keys(initial, "initial", {"euler", "toda", "solution"}, set())
@@ -285,7 +282,6 @@ def parse_config_dict(data: dict) -> RunConfig:
             representation=rep,
             steps=steps,
             render=render,
-            seed=seed,
             profile=profile,
             schedule=schedule,
             initial_solution=spec,
@@ -299,7 +295,6 @@ def parse_config_dict(data: dict) -> RunConfig:
             representation=rep,
             steps=steps,
             render=render,
-            seed=seed,
             profile=profile,
             schedule=schedule,
             initial_euler=state,
@@ -309,7 +304,6 @@ def parse_config_dict(data: dict) -> RunConfig:
         representation=rep,
         steps=steps,
         render=render,
-        seed=seed,
         profile=profile,
         schedule=schedule,
         initial_toda=tstate,

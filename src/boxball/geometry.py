@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .xint import POS_INF, XInt, XIntLike, as_xint
+from .xint import INT64_MAX, POS_INF, XInt, XIntLike, as_xint
 
 
 @dataclass(frozen=True)
@@ -35,10 +35,10 @@ class CapacityProfile:
         object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
         if self.window_start < 0:
             raise ValueError("window_start must be >= 0")
-        if self.default_capacity < 1:
-            raise ValueError("default_capacity must be >= 1")
-        if any(c < 1 for c in self.capacities):
-            raise ValueError("every box capacity must be >= 1")
+        if not 1 <= self.default_capacity <= INT64_MAX:
+            raise ValueError("default_capacity must be in 1 .. 2**63 - 1")
+        if any(not 1 <= c <= INT64_MAX for c in self.capacities):
+            raise ValueError("every box capacity must be in 1 .. 2**63 - 1")
         caps = np.array(self.capacities, dtype=np.int64)
         caps.setflags(write=False)
         # s_n for n = window_start .. window_start + len(capacities)
@@ -96,10 +96,6 @@ class CapacityProfile:
                 + (segment - b[-1]) // self.default_capacity
             )
         return self.window_start + bisect.bisect_right(b, segment) - 1
-
-    @property
-    def max_capacity(self) -> int:
-        return max(self.default_capacity, max(self.capacities, default=1))
 
 
 def unit_profile() -> CapacityProfile:

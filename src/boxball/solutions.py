@@ -17,14 +17,14 @@ these functions are oracles, and N stays desk-scale.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 from itertools import combinations
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import POS_INF, XInt, tmin
+from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_xint
 
 MAX_SOLITONS = 15  # 2^N subset enumeration stays trivial below this
 
@@ -68,75 +68,103 @@ class EulerFieldSlice:
     Zbar: np.ndarray
 
 
-def _subset_tables(params: EulerSolitonParams) -> Tuple[np.ndarray, np.ndarray]:
-    """All nonempty subsets as 0/1 masks plus their interaction weights
-    sum over unordered pairs {i,j} in J of W_ij = 2*min(P_i, P_j).
-
-    Each pair contributes once: that is the convention under which the
-    underlying subset-sum ansatz solves the bilinear lattice (checked
-    exactly in rational arithmetic in the test suite).
-    """
-    n = params.N
-    p = params.P
-    masks = np.zeros((2**n - 1, n), dtype=np.int64)
-    pairw = np.zeros(2**n - 1, dtype=np.int64)
-    for s in range(1, 2**n):
-        idx = [i for i in range(n) if s >> i & 1]
-        masks[s - 1, idx] = 1
-        w = 0
-        for a in range(len(idx)):
-            for b in range(a + 1, len(idx)):
-                w += 2 * min(p[idx[a]], p[idx[b]])
-        pairw[s - 1] = w
-    return masks, pairw
+def _require_headroom(bound: int) -> None:
+    """Raise FiniteOverflow unless eight values of magnitude <= bound add up
+    inside int64: each field is a sum of four potentials and each residual
+    a difference of two such sums."""
+    if 8 * bound > INT64_MAX:
+        raise FiniteOverflow(f"potentials up to {bound} in magnitude can leave int64")
 
 
-def _prefix_caps(params: EulerSolitonParams, n_lo: int, n_hi: int) -> np.ndarray:
-    """S[i, n-n_lo] = sum_{j=0}^{n-1} min(P_i, cap_j) for n in [n_lo, n_hi],
-    where sums with a negative upper index follow the signed convention
-    (difference of prefix sums makes that automatic)."""
-    j_lo = min(n_lo, 0)
-    caps = params.profile.caps_array(j_lo, max(n_hi, 0) - j_lo)
-    p = np.asarray(params.P, dtype=np.int64)
-    terms = np.minimum(p[:, None], caps[None, :])
-    pref = np.zeros((params.N, terms.shape[1] + 1), dtype=np.int64)
-    np.cumsum(terms, axis=1, out=pref[:, 1:])
-    zero_col = pref[:, 0 - j_lo]
-    return pref[:, n_lo - j_lo : n_hi - j_lo + 1] - zero_col[:, None]
+def _carrier_array(schedule: CarrierSchedule, start: int, count: int) -> np.ndarray:
+    """M_start .. M_{start+count-1} as int64, with +inf stored as INT64_MAX
+    (min(P, M) is P for both)."""
+    ms = (schedule.at(t) for t in range(start, start + count))
+    return np.array([INT64_MAX if m.is_pos_inf else m.finite for m in ms], dtype=np.int64)
 
 
-def _prefix_carrier(params: EulerSolitonParams, t_lo: int, t_hi: int) -> np.ndarray:
-    """Same prefix construction in time: sum_{j=0}^{t-1} min(P_i, M_j)."""
-    j_lo = min(t_lo, 0)
-    ms = [params.schedule.at(j) for j in range(j_lo, max(t_hi, 0))]
-    p = params.P
-    terms = np.array(
-        [[tmin(pi, m).finite for m in ms] for pi in p], dtype=np.int64
-    ).reshape(params.N, len(ms))
-    pref = np.zeros((params.N, len(ms) + 1), dtype=np.int64)
-    np.cumsum(terms, axis=1, out=pref[:, 1:])
-    zero_col = pref[:, 0 - j_lo]
-    return pref[:, t_lo - j_lo : t_hi - j_lo + 1] - zero_col[:, None]
-
-
-def _soliton_potential(
-    params: EulerSolitonParams, k: int, t: int, n_lo: int, n_hi: int
+def _signed_prefix(
+    p: Tuple[int, ...], values: Callable[[int, int], np.ndarray], lo: int, hi: int
 ) -> np.ndarray:
-    """F^{k,t}_n = min(0, min over nonempty J of pair weight + sum of
-    H^{k,t}_{i,n}) over n in [n_lo, n_hi] inclusive, where
+    """S[i, x-lo] = sum_{j=0}^{x-1} min(P_i, v_j) for x in [lo, hi], where
+    values(start, count) gives v_start .. v_{start+count-1}; for x < 0 the
+    signed convention S(x) = -sum_{j=x}^{-1} min(P_i, v_j) holds (a
+    difference of prefix sums makes that automatic).
 
+    Serves the capacities in space (values = profile.caps_array) and the
+    carrier in time (values = _carrier_array) for both families.
+    """
+    j_lo = min(lo, 0)
+    count = max(hi, 0) - j_lo
+    if max(p) * max(count, 1) > INT64_MAX:
+        raise FiniteOverflow(f"sums of {count} terms up to {max(p)} leave int64")
+    terms = np.minimum(np.asarray(p, dtype=np.int64)[:, None], values(j_lo, count)[None, :])
+    pref = np.zeros((len(p), count + 1), dtype=np.int64)
+    np.cumsum(terms, axis=1, out=pref[:, 1:])
+    return pref[:, lo - j_lo : hi - j_lo + 1] - pref[:, -j_lo, None]
+
+
+def _euler_slices(
+    params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
+) -> Iterator[EulerFieldSlice]:
+    """The fields at t = t_lo .. t_hi over boxes [n_lo, n_hi], from the
+    potentials, over n in [n_lo, n_hi+1],
+
+        F^{k,t}_n = min(0, min over nonempty J of pair weight of J
+                           + sum_{i in J} H^{k,t}_{i,n}),
         H^{0,t}_{i,n} = Xi_i - sum_{j<n} min(P_i, cap_j)
                              + sum_{j<t} min(P_i, M_j),
         H^{1,t}_{i,n} = H^{0,t}_{i,n} - P_i.
+
+    The pair weight of J's 0/1 mask m is m^T W m / 2 with W_ij =
+    2*min(P_i, P_j), W_ii = 0: each unordered pair contributes once, the
+    convention under which the underlying subset-sum ansatz solves the
+    bilinear lattice (checked exactly in rational arithmetic in the test
+    suite).
+
+    The subset totals split into a t-independent matrix plus one carrier
+    column per time, so each F^{k,t} is evaluated once and only two time
+    slices are alive.
     """
-    masks, pairw = _subset_tables(params)
-    s_caps = _prefix_caps(params, n_lo, n_hi)
-    s_car = _prefix_carrier(params, t, t)[:, 0]
-    p = np.asarray(params.P, dtype=np.int64)
-    xi = np.asarray(params.Xi, dtype=np.int64)
-    h = (xi + s_car - k * p)[:, None] - s_caps
-    totals = pairw[:, None] + masks @ h
-    return np.minimum(0, totals.min(axis=0))
+    big_n, p = params.N, params.P
+    # |sum_{j<x} min(P_i, .)| <= P_i |x|
+    reach = 1 + max(abs(n_lo), abs(n_hi + 1)) + max(abs(t_lo), abs(t_hi + 1))
+    _require_headroom(
+        big_n * big_n * max(p) + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, p))
+    )
+    s_caps = _signed_prefix(p, params.profile.caps_array, n_lo, n_hi + 1)
+    s_car = _signed_prefix(p, partial(_carrier_array, params.schedule), t_lo, t_hi + 1)
+
+    pv = np.asarray(p, dtype=np.int64)
+    masks = (np.arange(1, 2**big_n)[:, None] >> np.arange(big_n)) & 1
+    w = 2 * np.minimum.outer(pv, pv)
+    np.fill_diagonal(w, 0)
+    base = masks @ (np.asarray(params.Xi, dtype=np.int64)[:, None] - s_caps)
+    base += (((masks @ w) * masks).sum(axis=1) // 2)[:, None]
+    car = masks @ s_car
+    mp = (masks @ pv)[:, None]
+
+    # one buffer for every t: a fresh (2^N - 1) x W matrix per t cost about
+    # 2 MB more peak RSS on the closed_form benchmark (allocator churn)
+    totals = np.empty_like(base)
+
+    def potentials(t: int) -> Tuple[np.ndarray, np.ndarray]:
+        np.add(base, car[:, t - t_lo, None], out=totals)
+        f0 = np.minimum(0, totals.min(axis=0))
+        np.subtract(totals, mp, out=totals)
+        return f0, np.minimum(0, totals.min(axis=0))
+
+    f0, f1 = potentials(t_lo)
+    for t in range(t_lo, t_hi + 1):
+        f0p, f1p = potentials(t + 1)
+        yield EulerFieldSlice(
+            time=t,
+            n_start=n_lo,
+            U=f0p[1:] - f0p[:-1] + f1p[:-1] - f1p[1:],
+            Ubar=f0[:-1] - f0[1:] + f0p[1:] - f0p[:-1],
+            Zbar=f0[:-1] - f0p[:-1] + f1p[:-1] - f1[:-1],
+        )
+        f0, f1 = f0p, f1p
 
 
 def euler_nsoliton(
@@ -149,15 +177,9 @@ def euler_nsoliton(
         Zbar_n = F0_n - F0'_n + F1'_n - F1_n,
 
     with F0 = F^{0,t}, F0' = F^{0,t+1}, F1 = F^{1,t}, F1' = F^{1,t+1}.
+    Raises FiniteOverflow if a potential can leave int64.
     """
-    f0 = _soliton_potential(params, 0, t, n_lo, n_hi + 1)
-    f0p = _soliton_potential(params, 0, t + 1, n_lo, n_hi + 1)
-    f1 = _soliton_potential(params, 1, t, n_lo, n_hi + 1)
-    f1p = _soliton_potential(params, 1, t + 1, n_lo, n_hi + 1)
-    u = f0p[1:] - f0p[:-1] + f1p[:-1] - f1p[1:]
-    ubar = f0[:-1] - f0[1:] + f0p[1:] - f0p[:-1]
-    zbar = f0[:-1] - f0p[:-1] + f1p[:-1] - f1[:-1]
-    return EulerFieldSlice(time=t, n_start=n_lo, U=u, Ubar=ubar, Zbar=zbar)
+    return next(_euler_slices(params, n_lo, n_hi, t, t))
 
 
 @dataclass(frozen=True)
@@ -165,10 +187,6 @@ class EulerVerifyReport:
     """Max absolute residual of each update rule over the checked window."""
 
     residuals: Dict[str, int]
-    n_lo: int
-    n_hi: int
-    t_lo: int
-    t_hi: int
 
     @property
     def max_residual(self) -> int:
@@ -190,39 +208,24 @@ def verify_euler_solution(
     needed.
     """
     caps = params.profile.caps_array(n_lo, n_hi - n_lo + 1)
-    r_limit = 0
-    r_load = 0
-    r_recover = 0
-    cur = euler_nsoliton(params, n_lo, n_hi, t_lo)
-    for t in range(t_lo, t_hi):
-        nxt = euler_nsoliton(params, n_lo, n_hi, t + 1)
+    res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
+
+    def bump(key, diff):
+        res[key] = max(res[key], int(np.max(np.abs(diff), initial=0)))
+
+    slices = _euler_slices(params, n_lo, n_hi, t_lo, t_hi)
+    cur = next(slices)
+    for nxt in slices:
         u, u1 = cur.U, nxt.U
         ub, zb = nxt.Ubar, nxt.Zbar
-        m = params.schedule.at(t + 1)
-
-        limit = np.minimum(caps - u, zb)
-        r_limit = max(r_limit, int(np.max(np.abs(ub - limit), initial=0)))
-
+        m = params.schedule.at(nxt.time)
+        bump("size_limit", ub - np.minimum(caps - u, zb))
         held = zb[:-1] + u[:-1]
         capped = held if m.is_pos_inf else np.minimum(held, m.finite)
-        r_load = max(r_load, int(np.max(np.abs(zb[1:] - (capped - ub[:-1])), initial=0)))
-
-        recover = u[:-1] + zb[:-1] - zb[1:]
-        r_recover = max(
-            r_recover, int(np.max(np.abs(u1[:-1] - recover), initial=0))
-        )
+        bump("carrier_load", zb[1:] - (capped - ub[:-1]))
+        bump("recovery", u1[:-1] - (u[:-1] + zb[:-1] - zb[1:]))
         cur = nxt
-    return EulerVerifyReport(
-        residuals={
-            "size_limit": r_limit,
-            "carrier_load": r_load,
-            "recovery": r_recover,
-        },
-        n_lo=n_lo,
-        n_hi=n_hi,
-        t_lo=t_lo,
-        t_hi=t_hi,
-    )
+    return EulerVerifyReport(residuals=res)
 
 
 @dataclass(frozen=True)
@@ -254,37 +257,54 @@ class TauParams:
         return len(self.P)
 
 
-@lru_cache(maxsize=65536)
-def _carrier_prefix(p: int, upper: int, schedule: CarrierSchedule) -> int:
-    """sum_{j=0}^{upper} min(p, M_j), with the signed convention
-    sum_{j=0}^{u} := -sum_{j=u+1}^{-1} for u < -1 (empty at u = -1)."""
-    if upper >= 0:
-        return sum(tmin(p, schedule.at(j)).finite for j in range(0, upper + 1))
-    return -sum(tmin(p, schedule.at(j)).finite for j in range(upper + 1, 0))
-
-
-def _tau_min(params: TauParams, k: int, t: int, n: int, barred: bool) -> XInt:
-    big_n = params.N
-    if n == -1 or n == big_n + 1:
-        return POS_INF
-    if not -1 <= n <= big_n + 1:
-        raise ValueError(f"index n={n} outside [-1, {big_n + 1}]")
-    if n == 0:
-        return XInt(0)
-    p, w = params.P, params.W
+def _tau_row(params: TauParams, k: int, t: int, barred: bool, car: List[int]) -> list:
+    """[X_0, ..., X_N, +inf] for X = olT^{k,t} if barred else T^{k,t},
+    car[r] being the carrier sum of P_r that X reads.  Indexing with n = -1
+    and n = N+1 both lands on the +inf, so the row covers n = -1 .. N+1.
+    Raises FiniteOverflow if a potential leaves int64 headroom."""
+    p, big_n = params.P, params.N
     m_delta = [min(pi, params.Delta) for pi in p]
-    upper = t - 1 if barred else t
-    car = [_carrier_prefix(pi, upper, params.schedule) for pi in p]
-    d = 2 * (n - 1) + t + k
-    best: Optional[int] = None
-    for subset in combinations(range(big_n), n):
-        tot = 0
-        for i, r in enumerate(subset):
-            coeff = 2 * (n - 1 - i) - (0 if barred else 1)
-            tot += w[r] + coeff * p[r] - d * m_delta[r] + car[r]
-        if best is None or tot < best:
-            best = tot
-    return XInt(best)
+    row = [0]
+    for n in range(1, big_n + 1):
+        d = 2 * (n - 1) + t + k
+        base = [
+            w + c - d * md - (0 if barred else pi)
+            for w, c, md, pi in zip(params.W, car, m_delta, p)
+        ]
+        # the tuple entry of rank i weighs its P by 2(n-1-i)
+        by_rank = [[b + 2 * (n - 1 - i) * pi for b, pi in zip(base, p)] for i in range(n)]
+        row.append(
+            min(
+                sum(map(list.__getitem__, by_rank, tup))
+                for tup in combinations(range(big_n), n)
+            )
+        )
+    _require_headroom(max(map(abs, row)))
+    row.append(POS_INF)
+    return row
+
+
+# (k, barred) -> the times, relative to the fields' time t, at which the
+# fields (and the boundary gaps) read that potential
+_TAU_READS = {(0, False): (0, 0), (1, False): (-1, 0), (0, True): (0, 1), (1, True): (0, 1)}
+
+
+def _tau_rows(params: TauParams, t_lo: int, t_hi: int) -> Dict[Tuple[int, int, bool], list]:
+    """Every potential row (k, t, barred) the fields at t_lo .. t_hi read."""
+    # column x - t_lo is sum_{j=0}^{x-1} min(P_r, M_j): T^{k,t} reads
+    # x = t + 1, olT^{k,t} reads x = t
+    car = _signed_prefix(params.P, partial(_carrier_array, params.schedule), t_lo, t_hi + 1)
+    return {
+        (k, t, barred): _tau_row(params, k, t, barred, car[:, t + (not barred) - t_lo].tolist())
+        for (k, barred), (before, after) in _TAU_READS.items()
+        for t in range(t_lo + before, t_hi + after + 1)
+    }
+
+
+def _tau_potential(params: TauParams, k: int, t: int, n: int, barred: bool) -> XInt:
+    if not -1 <= n <= params.N + 1:
+        raise ValueError(f"index n={n} outside [-1, {params.N + 1}]")
+    return as_xint(_tau_rows(params, t, t)[k, t, barred][n])
 
 
 def tau_T(params: TauParams, k: int, t: int, n: int) -> XInt:
@@ -297,13 +317,13 @@ def tau_T(params: TauParams, k: int, t: int, n: int) -> XInt:
 
     with T_0 = 0 and T_{-1} = T_{N+1} = +inf.
     """
-    return _tau_min(params, k, t, n, barred=False)
+    return _tau_potential(params, k, t, n, barred=False)
 
 
 def tau_olT(params: TauParams, k: int, t: int, n: int) -> XInt:
     """Companion potential: P coefficient 2(n-1-i) and carrier sum up to
     t-1; same boundaries."""
-    return _tau_min(params, k, t, n, barred=True)
+    return _tau_potential(params, k, t, n, barred=True)
 
 
 @dataclass(frozen=True)
@@ -320,6 +340,29 @@ class TauState:
     Dbar: Tuple[int, ...]
 
 
+def _gap(row0: list, olt1_next: list, n: int, delta: int):
+    """E_n (row0 = T^{0,t}) or Ebar_n (row0 = olT^{0,t}), olt1_next being
+    olT^{1,t+1}."""
+    return row0[n + 1] - row0[n] + olt1_next[n - 1] - olt1_next[n] + 2 * delta
+
+
+def _tau_state(params: TauParams, rows: dict, t: int) -> TauState:
+    big_n = params.N
+    dd = params.Delta
+    t0, t1, t1_prev = rows[0, t, False], rows[1, t, False], rows[1, t - 1, False]
+    o0, o1 = rows[0, t, True], rows[1, t, True]
+    o0_next, o1_next = rows[0, t + 1, True], rows[1, t + 1, True]
+    return TauState(
+        time=t,
+        Q=tuple(o0_next[n + 1] - o0_next[n] + t1[n] - t1[n + 1] for n in range(big_n)),
+        E=tuple(_gap(t0, o1_next, n, dd) for n in range(1, big_n)),
+        Qbar=tuple(o0_next[n + 1] - o0_next[n] + o1[n] - o1[n + 1] for n in range(big_n)),
+        Ebar=tuple(_gap(o0, o1_next, n, dd) for n in range(1, big_n)),
+        Cbar=tuple(o0[n] - o0_next[n] + t1[n] - t1_prev[n] + dd for n in range(big_n + 1)),
+        Dbar=tuple(t0[n + 1] - o0_next[n] + o1[n] - t1_prev[n + 1] for n in range(big_n)),
+    )
+
+
 def tau_toda_state(params: TauParams, t: int) -> TauState:
     """Evaluate the derived variables at time t via potential differences:
 
@@ -330,76 +373,25 @@ def tau_toda_state(params: TauParams, t: int) -> TauState:
         Cbar_n = olT^{0,t}_n - olT^{0,t+1}_n + T^{1,t}_n - T^{1,t-1}_n + D
         Dbar_n = T^{0,t}_{n+1} - olT^{0,t+1}_n + olT^{1,t}_n - T^{1,t-1}_{n+1}
 
-    Raises IndeterminateForm if a difference hits inf - inf, which signals
-    evaluation outside the valid index range.
+    Every index read lies in 0 .. N, so every value is finite.  Raises
+    FiniteOverflow if a potential leaves int64 headroom.
     """
-    big_n = params.N
-    dd = params.Delta
+    return _tau_state(params, _tau_rows(params, t, t), t)
 
-    def T(k, tt, n):
-        return tau_T(params, k, tt, n)
 
-    def oT(k, tt, n):
-        return tau_olT(params, k, tt, n)
-
-    q = tuple(
-        (oT(0, t + 1, n + 1) - oT(0, t + 1, n) + T(1, t, n) - T(1, t, n + 1)).finite
-        for n in range(big_n)
+def _boundary_gaps(params: TauParams, rows: dict, t: int) -> Tuple[XInt, ...]:
+    o1_next = rows[1, t + 1, True]
+    return tuple(
+        _gap(row0, o1_next, n, params.Delta)
+        for row0 in (rows[0, t, False], rows[0, t, True])
+        for n in (0, params.N)
     )
-    qbar = tuple(
-        (oT(0, t + 1, n + 1) - oT(0, t + 1, n) + oT(1, t, n) - oT(1, t, n + 1)).finite
-        for n in range(big_n)
-    )
-    e = tuple(
-        (
-            T(0, t, n + 1) - T(0, t, n) + oT(1, t + 1, n - 1) - oT(1, t + 1, n)
-        ).finite
-        + 2 * dd
-        for n in range(1, big_n)
-    )
-    ebar = tuple(
-        (
-            oT(0, t, n + 1) - oT(0, t, n) + oT(1, t + 1, n - 1) - oT(1, t + 1, n)
-        ).finite
-        + 2 * dd
-        for n in range(1, big_n)
-    )
-    cbar = tuple(
-        (oT(0, t, n) - oT(0, t + 1, n) + T(1, t, n) - T(1, t - 1, n)).finite + dd
-        for n in range(big_n + 1)
-    )
-    dbar = tuple(
-        (T(0, t, n + 1) - oT(0, t + 1, n) + oT(1, t, n) - T(1, t - 1, n + 1)).finite
-        for n in range(big_n)
-    )
-    return TauState(time=t, Q=q, E=e, Qbar=qbar, Ebar=ebar, Cbar=cbar, Dbar=dbar)
 
 
 def tau_boundary_gaps(params: TauParams, t: int) -> Tuple[XInt, XInt, XInt, XInt]:
     """(E_0, E_N, Ebar_0, Ebar_N) straight from the difference formulas;
     all four must come out +inf."""
-    big_n = params.N
-    dd = XInt(2 * params.Delta)
-
-    def e_at(n):
-        return (
-            tau_T(params, 0, t, n + 1)
-            - tau_T(params, 0, t, n)
-            + tau_olT(params, 1, t + 1, n - 1)
-            - tau_olT(params, 1, t + 1, n)
-            + dd
-        )
-
-    def ebar_at(n):
-        return (
-            tau_olT(params, 0, t, n + 1)
-            - tau_olT(params, 0, t, n)
-            + tau_olT(params, 1, t + 1, n - 1)
-            - tau_olT(params, 1, t + 1, n)
-            + dd
-        )
-
-    return e_at(0), e_at(big_n), ebar_at(0), ebar_at(big_n)
+    return _boundary_gaps(params, _tau_rows(params, t, t), t)
 
 
 @dataclass(frozen=True)
@@ -410,8 +402,6 @@ class TauVerifyReport:
     boundary_failures: int
     min_q: int
     min_interior_e: Optional[int]
-    t_lo: int
-    t_hi: int
 
     @property
     def max_residual(self) -> int:
@@ -448,7 +438,8 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
     def bump(key, lhs, rhs):
         res[key] = max(res[key], abs(lhs - rhs))
 
-    cur = tau_toda_state(params, t_lo)
+    rows = _tau_rows(params, t_lo, t_hi)
+    cur = _tau_state(params, rows, t_lo)
     for t in range(t_lo, t_hi):
         m = params.schedule.at(t + 1)
         if m < dd:
@@ -457,7 +448,7 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
         def cap(x: int) -> int:
             return x if m.is_pos_inf else min(x, m.finite)
 
-        nxt = tau_toda_state(params, t + 1)
+        nxt = _tau_state(params, rows, t + 1)
         q, e = cur.Q, cur.E
         qb, eb, cb, db = nxt.Qbar, nxt.Ebar, nxt.Cbar, nxt.Dbar
 
@@ -489,7 +480,7 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
                 nxt.E[i],
                 eb[i] + qb[i] - q[i + 1] - db[i] + db[i + 1],
             )
-        for v in tau_boundary_gaps(params, t):
+        for v in _boundary_gaps(params, rows, t):
             if not v.is_pos_inf:
                 boundary_failures += 1
         cur = nxt
@@ -499,6 +490,4 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
         boundary_failures=boundary_failures,
         min_q=min_q if min_q is not None else 0,
         min_interior_e=min_e,
-        t_lo=t_lo,
-        t_hi=t_hi,
     )

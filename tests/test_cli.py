@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -212,3 +213,60 @@ def test_solution_cli_needs_n_range(tmp_path, capsys):
     params = write_json(tmp_path / "p2.json", {"P": [1], "Xi": [0]})
     assert main(["solution", "--params", params, "--type", "euler", "--verify"]) == 2
     assert "n-range" in capsys.readouterr().err
+
+
+def test_solution_cli_negative_ranges_with_equals_form(capsys):
+    # argparse takes "-20:40" after a space for an option, so the ranges
+    # are written with "="
+    params = str(Path(__file__).parents[1] / "configs" / "soliton_pair.json")
+    args = ["solution", "--params", params, "--type", "euler",
+            "--n-range=-20:40", "--t-range=-3:4"]
+    assert main(args) == 0
+    lines = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["t"] for r in lines] == list(range(-3, 5))
+    assert all(r["n_start"] == -20 and len(r["U"]) == 61 for r in lines)
+    assert main(args + ["--verify"]) == 0
+    assert json.loads(capsys.readouterr().out)["ok"]
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("euler", {"P": [1, 2], "Xi": [2**63 - 1, 0], "n_range": [0, 5]}),
+        ("tau", {"P": [1], "W": [2**63 - 1], "Delta": 1}),
+    ],
+)
+def test_solution_cli_overflow_exit_code(tmp_path, capsys, kind, params):
+    path = write_json(tmp_path / "big.json", params)
+    assert main(["solution", "--params", path, "--type", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FiniteOverflow" in captured.err
+
+
+@pytest.mark.parametrize(
+    "changes, named",
+    [
+        ({"profile": {"capacities": [2**63, 1]}}, "profile.capacities[0]"),
+        ({"schedule": {"entries": {"1": 2**63}}}, "schedule.entries[1]"),
+        ({"initial": {"euler": {"counts": [1, -(2**63) - 1]}}}, "initial.euler.counts[1]"),
+        ({"representation": "toda", "initial": {"solution": {
+            "type": "tau", "params": {"P": [1], "W": [0], "Delta": 2**63}}}},
+         "initial.solution.params.Delta"),
+    ],
+)
+def test_simulate_int64_out_of_range_exit_code(tmp_path, capsys, changes, named):
+    config = {"representation": "euler", "steps": 1,
+              "initial": {"euler": {"counts": [1, 0]}}}
+    cfg = write_json(tmp_path / "big.json", {**config, **changes})
+    assert main(["simulate", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert named in err and "Traceback" not in err
+
+
+def test_seed_key_rejected(tmp_path, capsys):
+    cfg = write_json(tmp_path / "seeded.json", {"representation": "euler", "steps": 1,
+                                                "initial": {"euler": {"counts": [1]}},
+                                                "seed": 3})
+    assert main(["simulate", "--config", cfg]) == 2
+    assert "seed" in capsys.readouterr().err

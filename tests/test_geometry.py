@@ -17,7 +17,6 @@ def test_profile_lookup():
     assert [p.capacity(n) for n in range(-1, 6)] == [4, 4, 4, 3, 5, 4, 4]
     assert p.caps_array(0, 6).tolist() == [4, 4, 3, 5, 4, 4]
     assert p.caps_array(-2, 3).tolist() == [4, 4, 4]
-    assert p.max_capacity == 5
 
 
 def test_profile_validation():
@@ -27,6 +26,10 @@ def test_profile_validation():
         CapacityProfile(default_capacity=0)
     with pytest.raises(ValueError):
         CapacityProfile(window_start=-1)
+    with pytest.raises(ValueError):
+        CapacityProfile(capacities=(2**63,))
+    with pytest.raises(ValueError):
+        CapacityProfile(default_capacity=2**63)
 
 
 def test_schedule_lookup_and_validation():

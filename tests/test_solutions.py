@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boxball import (
     POS_INF,
@@ -7,6 +11,7 @@ from boxball import (
     CarrierSchedule,
     EulerSolitonParams,
     EulerState,
+    FiniteOverflow,
     TauParams,
     TodaState,
     XInt,
@@ -249,3 +254,173 @@ def test_tau_slices_match_size_coordinate_evolution():
         assert trace.Ebar == nxt.Ebar
         assert trace.Cbar == nxt.Cbar
         assert trace.Dbar == nxt.Dbar
+
+
+# --- literal enumeration oracle -------------------------------------------
+
+
+def signed_sum(term, x):
+    """sum_{j=0}^{x-1} term(j), and -sum_{j=x}^{-1} term(j) for x < 0."""
+    if x >= 0:
+        return sum(term(j) for j in range(x))
+    return -sum(term(j) for j in range(x, 0))
+
+
+def carrier_min(p, schedule, j):
+    m = schedule.at(j)
+    return p if m.is_pos_inf else min(p, m.finite)
+
+
+def literal_f(params, k, t, n):
+    """F^{k,t}_n as a plain minimum over itertools.combinations."""
+    p, big_n = params.P, params.N
+
+    def h(i):
+        return (
+            params.Xi[i]
+            - k * p[i]
+            - signed_sum(lambda j: min(p[i], params.profile.capacity(j)), n)
+            + signed_sum(lambda j: carrier_min(p[i], params.schedule, j), t)
+        )
+
+    best = 0
+    for size in range(1, big_n + 1):
+        for sub in combinations(range(big_n), size):
+            pairs = sum(2 * min(p[a], p[b]) for a, b in combinations(sub, 2))
+            best = min(best, pairs + sum(h(i) for i in sub))
+    return best
+
+
+def literal_tau(params, k, t, n, barred):
+    """T^{k,t}_n (olT if barred) as a plain minimum over itertools.combinations."""
+    p, big_n = params.P, params.N
+    if n in (-1, big_n + 1):
+        return POS_INF
+    upper = t - 1 if barred else t
+    best = None
+    for tup in combinations(range(big_n), n):
+        tot = 0
+        for i, r in enumerate(tup):
+            coeff = 2 * (n - 1 - i) - (0 if barred else 1)
+            tot += (
+                params.W[r]
+                + coeff * p[r]
+                - (2 * (n - 1) + t + k) * min(p[r], params.Delta)
+                + signed_sum(lambda j: carrier_min(p[r], params.schedule, j), upper + 1)
+            )
+        best = tot if best is None else min(best, tot)
+    return XInt(best)
+
+
+carrier_values = st.one_of(st.just(POS_INF), st.integers(0, 8).map(XInt))
+schedules = st.builds(
+    CarrierSchedule,
+    entries=st.dictionaries(st.integers(-6, 8), carrier_values, max_size=8),
+    default=carrier_values,
+)
+speeds = st.integers(0, 6)  # ties and P = 0 included
+
+
+@settings(max_examples=60)
+@given(
+    p=st.lists(speeds, min_size=1, max_size=4),
+    data=st.data(),
+    caps=st.lists(st.integers(1, 4), max_size=6),
+    window_start=st.integers(0, 3),
+    default_capacity=st.integers(1, 4),
+    schedule=schedules,
+    t=st.integers(-4, 4),
+    n_lo=st.integers(-8, 2),
+    width=st.integers(0, 10),
+)
+def test_euler_fields_match_literal_enumeration(
+    p, data, caps, window_start, default_capacity, schedule, t, n_lo, width
+):
+    xi = data.draw(st.lists(st.integers(-10, 10), min_size=len(p), max_size=len(p)))
+    profile = CapacityProfile(caps, window_start, default_capacity)
+    params = EulerSolitonParams(P=p, Xi=xi, profile=profile, schedule=schedule)
+    n_hi = n_lo + width
+    f = {
+        (k, tt): [literal_f(params, k, tt, n) for n in range(n_lo, n_hi + 2)]
+        for k in (0, 1)
+        for tt in (t, t + 1)
+    }
+    f0, f1, f0p, f1p = f[0, t], f[1, t], f[0, t + 1], f[1, t + 1]
+    idx = range(width + 1)
+    sl = euler_nsoliton(params, n_lo, n_hi, t)
+    assert sl.n_start == n_lo and sl.time == t
+    assert sl.U.tolist() == [f0p[i + 1] - f0p[i] + f1p[i] - f1p[i + 1] for i in idx]
+    assert sl.Ubar.tolist() == [f0[i] - f0[i + 1] + f0p[i + 1] - f0p[i] for i in idx]
+    assert sl.Zbar.tolist() == [f0[i] - f0p[i] + f1p[i] - f1[i] for i in idx]
+
+
+@settings(max_examples=60)
+@given(
+    p=st.lists(speeds, min_size=1, max_size=5).map(sorted),
+    data=st.data(),
+    delta=st.integers(1, 4),
+    schedule=schedules,
+    k=st.integers(0, 1),
+    t=st.integers(-4, 4),
+)
+def test_tau_potentials_match_literal_enumeration(p, data, delta, schedule, k, t):
+    w = data.draw(st.lists(st.integers(-6, 6), min_size=len(p), max_size=len(p)))
+    params = TauParams(P=p, W=w, Delta=delta, schedule=schedule)
+    for n in range(-1, params.N + 2):
+        assert tau_T(params, k, t, n) == literal_tau(params, k, t, n, barred=False)
+        assert tau_olT(params, k, t, n) == literal_tau(params, k, t, n, barred=True)
+
+
+# --- golden values ----------------------------------------------------------
+# Residuals are blind to a wrong phase (shifting every Xi by one keeps them
+# at zero), so these pin the evaluated fields themselves.
+
+
+def test_euler_golden_fields():
+    params = EulerSolitonParams(
+        P=(1, 3, 5),
+        Xi=(6, -2, -9),
+        profile=CapacityProfile(capacities=(3, 1, 4, 2, 2, 3), window_start=2, default_capacity=2),
+        schedule=CarrierSchedule(entries={t: 2 + t % 4 for t in range(1, 12)}),
+    )
+    sl = euler_nsoliton(params, 0, 16, 4)
+    assert sl.U.tolist() == [0, 0, 2, 1, 2, 0, 0, 3, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert sl.Ubar.tolist() == [0, 0, 0, 0, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+    assert sl.Zbar.tolist() == [0, 0, 1, 2, 2, 0, 0, 2, 0, 0, 0, 0, 0, 0, 1, 0, 0]
+
+
+def test_tau_golden_families():
+    params = TauParams(
+        P=(1, 3, 4, 7), W=(2, -5, 0, 3), Delta=2,
+        schedule=CarrierSchedule(entries={t: 3 + t % 4 for t in range(1, 12)}),
+    )
+    st3 = tau_toda_state(params, 3)
+    assert (st3.Q, st3.E) == ((3, 1, 4, 7), (5, 7, 10))
+    assert (st3.Qbar, st3.Ebar) == ((3, 1, 4, 6), (5, 7, 11))
+    assert (st3.Cbar, st3.Dbar) == ((2, 2, 2, 2, 2), (3, 1, 4, 6))
+    st_neg = tau_toda_state(params, -1)
+    assert (st_neg.Q, st_neg.E) == ((3, 4, 1, 7), (7, 2, 3))
+    assert (st_neg.Qbar, st_neg.Ebar) == ((3, 4, 1, 7), (7, 2, 3))
+    assert (st_neg.Cbar, st_neg.Dbar) == ((2, 2, 5, 6, 2), (3, 7, 5, 7))
+    assert [tau_T(params, 1, 2, n) for n in range(-1, 6)] == [
+        POS_INF, 0, -5, -8, -12, -12, POS_INF
+    ]
+    assert [tau_olT(params, 0, 2, n) for n in range(-1, 6)] == [
+        POS_INF, 0, -3, -5, -7, -3, POS_INF
+    ]
+
+
+def test_closed_forms_refuse_to_wrap_int64():
+    big = EulerSolitonParams(P=(1, 2), Xi=(2**63 - 1, 0), profile=UNIT, schedule=FREE)
+    with pytest.raises(FiniteOverflow):
+        euler_nsoliton(big, 0, 5, 0)
+    with pytest.raises(FiniteOverflow):
+        verify_euler_solution(big, 0, 5, 0, 2)
+    fast = EulerSolitonParams(P=(2**62,), Xi=(0,), profile=UNIT, schedule=FREE)
+    with pytest.raises(FiniteOverflow):
+        euler_nsoliton(fast, -3, 3, 0)
+    heavy = TauParams(P=(1,), W=(2**63 - 1,), Delta=1, schedule=FREE)
+    with pytest.raises(FiniteOverflow):
+        tau_toda_state(heavy, 0)
+    with pytest.raises(FiniteOverflow):
+        tau_T(heavy, 0, 0, 1)
