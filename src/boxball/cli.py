@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import Optional, Tuple
 
@@ -221,7 +220,10 @@ def cmd_solution(args) -> int:
 
     params = spec.params
     if args.verify:
-        report = verify_tau_solution(params, t_lo, t_hi)
+        try:
+            report = verify_tau_solution(params, t_lo, t_hi)
+        except ValueError as exc:  # the schedule drops below Delta in the range
+            raise ConfigError(str(exc)) from exc
         _emit(
             _dump(
                 {
@@ -271,11 +273,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sim.set_defaults(func=cmd_simulate)
 
-    default_seed = int(os.environ.get("BBS_SEED", "0"))
     p_diff = sub.add_parser("difftest", help="seeded differential test of all pictures")
     p_diff.add_argument("--cases", type=int, required=True)
-    p_diff.add_argument("--seed", type=int, default=default_seed,
-                        help="default from BBS_SEED, else 0")
+    p_diff.add_argument("--seed", type=int, default=0)
     p_diff.add_argument("--steps", type=int, default=20)
     p_diff.add_argument("--window", type=int, default=32)
     p_diff.add_argument("--max-delta", type=int, default=5)

@@ -227,7 +227,6 @@ class RunConfig:
     representation: str  # euler | toda | both
     steps: int
     render: str  # ascii | json | none
-    profile: CapacityProfile
     schedule: CarrierSchedule
     initial_euler: Optional[EulerState] = None
     initial_toda: Optional[TodaState] = None
@@ -273,17 +272,11 @@ def parse_config_dict(data: dict) -> RunConfig:
                 "with a solution initial, profile and schedule come from the "
                 "solution params; remove the top-level keys"
             )
-        if spec.kind == "euler":
-            profile = spec.params.profile
-        else:
-            profile = CapacityProfile(default_capacity=spec.params.Delta)
-        schedule = spec.params.schedule
         return RunConfig(
             representation=rep,
             steps=steps,
             render=render,
-            profile=profile,
-            schedule=schedule,
+            schedule=spec.params.schedule,
             initial_solution=spec,
         )
 
@@ -295,7 +288,6 @@ def parse_config_dict(data: dict) -> RunConfig:
             representation=rep,
             steps=steps,
             render=render,
-            profile=profile,
             schedule=schedule,
             initial_euler=state,
         )
@@ -304,25 +296,22 @@ def parse_config_dict(data: dict) -> RunConfig:
         representation=rep,
         steps=steps,
         render=render,
-        profile=profile,
         schedule=schedule,
         initial_toda=tstate,
     )
 
 
-def parse_config(path: str) -> RunConfig:
+def _load_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            data = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_config_dict(data)
+
+
+def parse_config(path: str) -> RunConfig:
+    return parse_config_dict(_load_json(path))
 
 
 def parse_solution_file(path: str, kind: str) -> SolutionSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
-    return parse_solution_params(data, kind, where="params")
+    return parse_solution_params(_load_json(path), kind, where="params")

@@ -31,7 +31,7 @@ from .euler import (
 )
 from .expansion import bits_from_positions, expand
 from .geometry import CapacityProfile, CarrierSchedule
-from .toda import DegenerateState, enutoda_step, from_euler, to_euler
+from .toda import DegenerateState, enutoda_step, from_euler, to_euler, toda_to_lagrange
 from .xint import POS_INF, XInt, encode_xint
 
 
@@ -194,20 +194,22 @@ def _run_case(
             if not m_ok or any(q > d for q, d in zip(ttrace.Qbar, ttrace.Dbar)):
                 record(step, "trace_bounds", f"Qbar={ttrace.Qbar} Dbar={ttrace.Dbar} Cbar={ttrace.Cbar}")
                 return
-            if not same_occupancy(to_euler(ts_next), ea_next):
+            back = to_euler(ts_next)
+            if not same_occupancy(back, ea_next):
+                # the two windows start at different boxes; name both
                 record(
                     step,
                     "toda_counts",
-                    f"euler={_counts_list(ea_next)} toda={_counts_list(to_euler(ts_next))}",
+                    f"euler[{ea_next.window_start}:]={_counts_list(ea_next)} "
+                    f"toda[{back.window_start}:]={_counts_list(back)}",
                 )
                 return
             # anchored decomposition check: runs laid at (X0, Q, E) must
             # reproduce the expansion bits exactly, not just the counts
             seq = expand(ea_next)
             try:
-                raw = bits_from_positions(
-                    ts_next.Q, ts_next.E, ts_next.X0, seq.segment_start, len(seq.bits)
-                )
+                x, y = toda_to_lagrange(ts_next.Q, ts_next.E, ts_next.X0)
+                raw = bits_from_positions(x, y, seq.segment_start, len(seq.bits))
             except ValueError:
                 raw = None
             if raw is None or not np.array_equal(seq.bits, raw):

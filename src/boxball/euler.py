@@ -81,21 +81,20 @@ class EulerState:
         )
 
 
+def _occupied(state: EulerState) -> Tuple[int, np.ndarray]:
+    # (absolute first occupied box, counts from there to the last occupied
+    # box); an all-zero state is (0, empty)
+    nz = np.flatnonzero(state.counts)
+    if not len(nz):
+        return 0, state.counts[:0]
+    return state.window_start + int(nz[0]), state.counts[nz[0] : nz[-1] + 1]
+
+
 def same_occupancy(a: EulerState, b: EulerState) -> bool:
     """True when both windows describe the same infinite zero-padded line."""
-    if a.window_start == b.window_start:
-        n = min(len(a.counts), len(b.counts))
-        if not np.array_equal(a.counts[:n], b.counts[:n]):
-            return False
-        tail = a.counts[n:] if len(a.counts) > n else b.counts[n:]
-        return not tail.any()
-    lo = min(a.window_start, b.window_start)
-    hi = max(a.window_start + len(a.counts), b.window_start + len(b.counts))
-    da = np.zeros(hi - lo, dtype=np.int64)
-    db = np.zeros(hi - lo, dtype=np.int64)
-    da[a.window_start - lo : a.window_start - lo + len(a.counts)] = a.counts
-    db[b.window_start - lo : b.window_start - lo + len(b.counts)] = b.counts
-    return bool(np.array_equal(da, db))
+    start_a, occ_a = _occupied(a)
+    start_b, occ_b = _occupied(b)
+    return start_a == start_b and np.array_equal(occ_a, occ_b)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,6 @@ every time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
 
 import numpy as np
 
@@ -63,39 +62,15 @@ def expand(state: EulerState) -> BinarySeq:
     )
 
 
-def _run_layout(q, e, x0) -> Tuple[np.ndarray, np.ndarray]:
-    starts = np.empty(len(q), dtype=np.int64)
-    pos = x0
-    for i, qi in enumerate(q):
-        starts[i] = pos
-        if i < len(q) - 1:
-            pos += qi + e[i]
-    return starts, np.asarray(q, dtype=np.int64)
-
-
-def counts_from_positions(
-    q, e, x0: int, profile: CapacityProfile, time: int = 0, window_start: int = 0
-) -> EulerState:
-    """Per-box bit sums of runs of sizes q, interior gaps e, first run at
-    segment x0."""
-    starts, lengths = _run_layout(q, e, x0)
-    if int(starts[0]) < profile.boundary(window_start):
-        raise ValueError("runs start left of the requested window")
-    last_seg = int(starts[-1] + lengths[-1] - 1)
-    last_box = profile.segment_to_box(last_seg)
-    bounds = profile.bounds_array(window_start, last_box + 1 - window_start)
-    counts = _kernels.counts_from_runs(starts, lengths, bounds)
-    return EulerState._trusted(counts, profile, time, window_start)
-
-
-def bits_from_positions(q, e, x0: int, segment_start: int, length: int) -> np.ndarray:
-    """Raw 0/1 placement of the runs on segments
-    [segment_start, segment_start+length); raises if a run falls outside."""
-    starts, lengths = _run_layout(q, e, x0)
+def bits_from_positions(x, y, segment_start: int, length: int) -> np.ndarray:
+    """Raw 0/1 placement of the runs [x[n], y[n]) (the run and gap starts
+    of toda.toda_to_lagrange) on segments [segment_start,
+    segment_start+length); raises if a run falls outside."""
     bits = np.zeros(length, dtype=np.int64)
-    for s, l in zip(starts, lengths):
-        a = int(s) - segment_start
-        if a < 0 or a + int(l) > length:
+    for a, b in zip(x, y):
+        a -= segment_start
+        b -= segment_start
+        if a < 0 or b > length:
             raise ValueError("run outside the segment window")
-        bits[a : a + int(l)] = 1
+        bits[a:b] = 1
     return bits

@@ -1,5 +1,5 @@
-"""ASCII rendering: one character per box ('.' when empty), and segment
-sequences with '|' separators at box boundaries."""
+"""ASCII rendering: one character per box from box 0 ('.' when empty), and
+segment sequences with '|' separators at box boundaries."""
 
 from __future__ import annotations
 
@@ -8,7 +8,9 @@ from .expansion import BinarySeq
 
 
 def render_counts(state: EulerState) -> str:
-    out = []
+    """One character per box from box 0, so rows of windows that start
+    at different boxes line up."""
+    out = ["."] * state.window_start
     for c in state.counts:
         c = int(c)
         if c == 0:

@@ -16,9 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
+import numpy as np
+
 from . import _kernels
 from .euler import EulerState, _capacity_args
-from .expansion import counts_from_positions, expand
+from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
 
 
@@ -190,16 +192,10 @@ def capacities_for_state(state: TodaState) -> Tuple[Tuple[int, ...], Tuple[int, 
     """Box capacities at each run start (K) and gap start (Lam), sampled
     from the segment geometry at the state's current positions."""
     profile = state.profile
-    k = []
-    lam = []
-    pos = state.X0
-    for n in range(state.N):
-        k.append(profile.capacity(profile.segment_to_box(pos)))
-        gap_start = pos + state.Q[n]
-        lam.append(profile.capacity(profile.segment_to_box(gap_start)))
-        if n < state.N - 1:
-            pos = gap_start + state.E[n]
-    return tuple(k), tuple(lam)
+    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+    k = tuple(profile.capacity(profile.segment_to_box(s)) for s in x)
+    lam = tuple(profile.capacity(profile.segment_to_box(s)) for s in y)
+    return k, lam
 
 
 def enutoda_step(
@@ -360,17 +356,20 @@ def extoda_step(state: TodaState) -> Tuple[TodaState, TodaStepTrace]:
     return new_state, trace
 
 
-def to_euler(state: TodaState, window_start: int = 0) -> EulerState:
-    """Counts-level view of a Toda state (runs laid at their positions);
-    to_euler(from_euler(u)) reproduces the counts of u."""
-    return counts_from_positions(
-        state.Q,
-        state.E,
-        state.X0,
-        state.profile,
-        time=state.time,
-        window_start=window_start,
+def to_euler(state: TodaState) -> EulerState:
+    """Counts-level view of a Toda state: the per-box bit sums of its runs,
+    over exactly the boxes the runs touch (first to last ball's box);
+    to_euler(from_euler(u)) has the occupancy of u."""
+    profile = state.profile
+    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+    first = profile.segment_to_box(x[0])
+    last = profile.segment_to_box(y[-1] - 1)
+    counts = _kernels.counts_from_runs(
+        np.asarray(x, dtype=np.int64),
+        np.asarray(state.Q, dtype=np.int64),
+        profile.bounds_array(first, last + 1 - first),
     )
+    return EulerState._trusted(counts, profile, state.time, first)
 
 
 def from_euler(state: EulerState) -> TodaState:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -86,6 +87,33 @@ def test_simulate_toda_only(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines() == ["t=  1 ...111"]
 
 
+def test_simulate_far_toda_anchor_is_bounded(tmp_path, capsys):
+    # the Euler picture derived from a Toda initial starts at the first
+    # ball's box, so neither memory nor output grows with X0
+    cfg = write_json(
+        tmp_path / "far.json",
+        {
+            "representation": "both",
+            "steps": 3,
+            "render": "json",
+            "schedule": {"default": 2},
+            "initial": {"toda": {"Q": [3, 1, 2], "E": [2, 4], "X0": 10**6}},
+        },
+    )
+    tracemalloc.start()
+    try:
+        assert main(["simulate", "--config", cfg]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out = capsys.readouterr().out
+    recs = [json.loads(l) for l in out.splitlines()]
+    assert len(recs) == 3 and all(r["verdict"] == "equal" for r in recs)
+    assert recs[0]["euler"]["window_start"] == 10**6
+    assert peak < 1_000_000
+    assert len(out) < 10_000
+
+
 def test_simulate_from_solution_initial(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "sol.json",
@@ -163,14 +191,6 @@ def test_difftest_deterministic_report(capsys):
     assert "elapsed" not in report
 
 
-def test_difftest_seed_from_env(capsys, monkeypatch):
-    monkeypatch.setenv("BBS_SEED", "77")
-    from boxball.cli import build_parser
-
-    args = build_parser().parse_args(["difftest", "--cases", "1"])
-    assert args.seed == 77
-
-
 def test_difftest_euler_only_allows_small_m(capsys):
     args = ["difftest", "--cases", "30", "--seed", "5", "--steps", "4",
             "--max-delta", "5", "--m-choices", "1,2,inf", "--euler-only"]
@@ -207,6 +227,17 @@ def test_solution_cli_tau_verify_and_slices(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3
     assert json.loads(lines[0])["Q"] == [2, 5]
+
+
+def test_solution_cli_tau_verify_carrier_below_delta_exit_code(tmp_path, capsys):
+    params = write_json(
+        tmp_path / "low.json",
+        {"P": [2], "W": [0], "Delta": 3, "schedule": {"entries": {"1": 2}}},
+    )
+    assert main(["solution", "--params", params, "--type", "tau", "--verify"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "below Delta at t=1" in captured.err and "Traceback" not in captured.err
 
 
 def test_solution_cli_needs_n_range(tmp_path, capsys):

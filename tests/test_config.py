@@ -87,7 +87,6 @@ def test_solution_initial_owns_profile_and_schedule():
         parse_config_dict(cfg)
     del cfg["profile"]
     parsed = parse_config_dict(cfg)
-    assert parsed.profile.default_capacity == 2
     assert parsed.initial_solution.kind == "tau"
 
 

@@ -212,6 +212,43 @@ def test_same_occupancy_alignment():
     assert not same_occupancy(a, c)
 
 
+@st.composite
+def padded_windows(draw):
+    """Two windows over one zero-padded line: each draws its own nonzero
+    core (or shares the first one) and its own leading/trailing zeros, so
+    equal and unequal lines both occur, with any window_start and length."""
+    cap = 3
+    profile = CapacityProfile(default_capacity=cap)
+    core_a = draw(st.lists(st.integers(0, cap), max_size=6))
+    at_a = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        core_b, at_b = core_a, at_a
+    else:
+        core_b = draw(st.lists(st.integers(0, cap), max_size=6))
+        at_b = draw(st.integers(0, 6))
+    states = []
+    for core, at in ((core_a, at_a), (core_b, at_b)):
+        start = draw(st.integers(0, at))
+        trail = draw(st.integers(0, 3))
+        counts = [0] * (at - start) + core + [0] * trail
+        states.append(EulerState(counts=counts, profile=profile, window_start=start))
+    return states
+
+
+def occupancy_oracle(state):
+    return {
+        state.window_start + i: int(c) for i, c in enumerate(state.counts) if c
+    }
+
+
+@given(padded_windows())
+def test_same_occupancy_matches_box_oracle(pair):
+    a, b = pair
+    expected = occupancy_oracle(a) == occupancy_oracle(b)
+    assert same_occupancy(a, b) == expected
+    assert same_occupancy(b, a) == expected
+
+
 def test_schedule_entry_applies_to_arriving_time():
     # stepping from t=0 uses the capacity labelled t=1
     st = unit_state([1, 1, 1, 0, 0, 1, 0])

@@ -13,6 +13,7 @@ from boxball import (
     from_euler,
     same_occupancy,
     to_euler,
+    toda_to_lagrange,
     unit_profile,
 )
 from boxball.difftest import DiffBounds, random_case
@@ -118,10 +119,14 @@ def test_block_decomposition_validation():
 
 
 def test_bits_from_positions():
-    bits = bits_from_positions((2, 1), (2,), 1, 0, 8)
+    x, y = toda_to_lagrange((2, 1), (2,), 1)
+    bits = bits_from_positions(x, y, 0, 8)
     assert bits.tolist() == [0, 1, 1, 0, 0, 1, 0, 0]
+    assert bits_from_positions(x, y, 1, 5).tolist() == [1, 1, 0, 0, 1]
     with pytest.raises(ValueError):
-        bits_from_positions((2,), (), 7, 0, 8)
+        bits_from_positions((7,), (9,), 0, 8)
+    with pytest.raises(ValueError):
+        bits_from_positions(x, y, 2, 6)
 
 
 def test_binary_seq_validation():

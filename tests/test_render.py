@@ -16,6 +16,12 @@ def test_render_multi_capacity_counts():
     assert render_ascii(st) == "2."
 
 
+def test_render_counts_start_at_box_zero():
+    p = CapacityProfile(capacities=(2, 2), window_start=3)
+    st = EulerState(counts=[0, 2], profile=p, window_start=3)
+    assert render_ascii(st) == "....2"
+
+
 def test_render_wide_counts_bracketed():
     p = CapacityProfile(capacities=(12, 3))
     st = EulerState(counts=[12, 0], profile=p)

@@ -222,14 +222,14 @@ def test_far_anchor_matches_shifted_near_anchor():
     tracemalloc.start()
     try:
         far_next, far_trace = enutoda_step(far, sched)
-        far_counts = to_euler(far_next, window_start=near_box + k)
+        far_counts = to_euler(far_next)
         far_back = from_euler(far_counts)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
 
     near_next, near_trace = enutoda_step(near, sched)
-    near_counts = to_euler(near_next, window_start=near_box)
+    near_counts = to_euler(near_next)
     assert far_next == replace(near_next, X0=near_next.X0 + k * d)
     assert far_trace == replace(near_trace, Xbar0=near_trace.Xbar0 + k * d)
     assert far_counts.window_start == near_counts.window_start + k
