@@ -1,13 +1,21 @@
 """Hot inner loops: carrier sweeps and segment scans over int64 arrays.
 
-Every kernel is a plain sequential scan (each box depends on the carrier
-state left of it), interpreted over numpy arrays.
+Every kernel is a left-to-right scan (each box depends on the carrier state
+left of it), interpreted over numpy arrays.  An empty box met by an empty
+carrier is an exact no-op of the carrier rules and of the expansion map, so
+carrier_sweep, free_flow_sweep and expand_sweep visit only the occupied
+boxes and the boxes a loaded carrier passes: their cost follows the balls
+and the carried span, not the window length.  The skip is exact for valid
+input (0 <= counts <= caps, carrier capacity >= 0).  ball_queue_sweep, the
+independent oracle, still walks every box.
 
 Carrier capacity enters as (m_val, m_capped); +inf is m_capped=False, never
 a sentinel integer.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left
 
 import numpy as np
 
@@ -26,19 +34,32 @@ def carrier_sweep(counts, caps, m_val, m_capped):
     limited = np.zeros(w, np.int64)
     loads = np.zeros(w + 1, np.int64)
     removed = np.zeros(w, np.int64)
+    occupied = np.flatnonzero(counts).tolist()
+    counts = counts.tolist()
+    caps = caps.tolist()
     load = 0
-    for n in range(w):
+    n = 0
+    while n < w:
+        if load == 0:  # an empty carrier passes empty boxes unchanged
+            i = bisect_left(occupied, n)
+            if i == len(occupied):
+                break
+            n = occupied[i]
         loads[n] = load
-        put = caps[n] - counts[n]
+        u = counts[n]
+        put = caps[n] - u
         if put > load:
             put = load
-        held = load + counts[n]
+        held = load + u
+        trimmed = 0
         if m_capped and held > m_val:
-            removed[n] = held - m_val
+            trimmed = held - m_val
+            removed[n] = trimmed
             held = m_val
         load = held - put
         limited[n] = put
-        new_counts[n] = put + removed[n]
+        new_counts[n] = put + trimmed
+        n += 1
     loads[w] = load
     return new_counts, limited, loads, removed
 
@@ -82,13 +103,24 @@ def free_flow_sweep(counts, caps):
     """Carrier sweep without a capacity bound (no trimming, no recovery)."""
     w = counts.shape[0]
     new_counts = np.zeros(w, np.int64)
+    occupied = np.flatnonzero(counts).tolist()
+    counts = counts.tolist()
+    caps = caps.tolist()
     load = 0
-    for n in range(w):
-        put = caps[n] - counts[n]
+    n = 0
+    while n < w:
+        if load == 0:  # an empty carrier passes empty boxes unchanged
+            i = bisect_left(occupied, n)
+            if i == len(occupied):
+                break
+            n = occupied[i]
+        u = counts[n]
+        put = caps[n] - u
         if put > load:
             put = load
         new_counts[n] = put
-        load += counts[n] - put
+        load += u - put
+        n += 1
     return new_counts, load
 
 
@@ -97,22 +129,27 @@ def expand_sweep(counts, caps, total):
 
     Within box n the ones are left-justified when the segment just before
     the box is a 1, right-justified otherwise; the segment left of the
-    window counts as 0.
+    window counts as 0.  Empty boxes stay all zero, so only occupied boxes
+    are written, in order: the segment before box n is a 1 exactly when
+    box n-1 is occupied and its last segment is a 1, i.e. when the last
+    one written ends where box n starts.
     """
     bits = np.zeros(total, np.int64)
-    s = 0
-    prev = 0
-    for n in range(counts.shape[0]):
-        d = caps[n]
+    occupied = np.flatnonzero(counts).tolist()
+    ends = np.cumsum(caps).tolist()
+    counts = counts.tolist()
+    caps = caps.tolist()
+    ones_end = -1  # segment just past the last one written
+    for n in occupied:
         u = counts[n]
-        if prev == 1:
-            for j in range(u):
-                bits[s + j] = 1
+        end = ends[n]
+        start = end - caps[n]
+        if start == ones_end:
+            bits[start : start + u] = 1
+            ones_end = start + u
         else:
-            for j in range(d - u, d):
-                bits[s + j] = 1
-        s += d
-        prev = bits[s - 1]
+            bits[end - u : end] = 1
+            ones_end = end
     return bits
 
 
