@@ -107,6 +107,10 @@ def cmd_simulate(args) -> int:
         raise ConfigError("steps must be >= 1")
     render = args.render if args.render is not None else cfg.render
     euler, toda = _initial_states(cfg)
+    if render == "ascii":
+        # rows start at the initial state's first box, not at box 0, so a
+        # state far to the right draws no long run of leading dots
+        origin = (euler if euler is not None else to_euler(toda)).window_start
 
     all_equal = True
     for _ in range(steps):
@@ -129,7 +133,7 @@ def cmd_simulate(args) -> int:
             _emit(_dump(record))
         elif render == "ascii":
             shown = euler if euler is not None else to_euler(toda)
-            line = f"t={record['t']:>3} {render_counts(shown)}"
+            line = f"t={record['t']:>3} {render_counts(shown, origin)}"
             if "verdict" in record:
                 line += f"  [{record['verdict']}]"
             _emit(line)

@@ -1,5 +1,5 @@
-"""ASCII rendering: one character per box from box 0 ('.' when empty), and
-segment sequences with '|' separators at box boundaries."""
+"""ASCII rendering: one character per box from an origin box ('.' when
+empty), and segment sequences with '|' separators at box boundaries."""
 
 from __future__ import annotations
 
@@ -7,10 +7,11 @@ from .euler import EulerState
 from .expansion import BinarySeq
 
 
-def render_counts(state: EulerState) -> str:
-    """One character per box from box 0, so rows of windows that start
-    at different boxes line up."""
-    out = ["."] * state.window_start
+def render_counts(state: EulerState, origin: int = 0) -> str:
+    """One character per box from box `origin` (at most the state's
+    window_start), so rows of windows that start at different boxes line
+    up."""
+    out = ["."] * (state.window_start - origin)
     for c in state.counts:
         c = int(c)
         if c == 0:

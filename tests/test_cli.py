@@ -114,6 +114,28 @@ def test_simulate_far_toda_anchor_is_bounded(tmp_path, capsys):
     assert len(out) < 10_000
 
 
+def test_simulate_far_toda_anchor_ascii_is_bounded(tmp_path, capsys):
+    # ASCII rows start at the initial state's first box, so on a unit
+    # profile a run anchored at X0 = 10^6 draws the same rows as at X0 = 0
+    rows = []
+    for x0 in (10**6, 0):
+        cfg = write_json(
+            tmp_path / f"far_{x0}.json",
+            {
+                "representation": "toda",
+                "steps": 3,
+                "render": "ascii",
+                "schedule": {"default": 2},
+                "initial": {"toda": {"Q": [3, 1, 2], "E": [2, 4], "X0": x0}},
+            },
+        )
+        assert main(["simulate", "--config", cfg]) == 0
+        rows.append(capsys.readouterr().out)
+    assert len(rows[0]) < 10_000
+    assert rows[0] == rows[1]
+    assert rows[1].splitlines()[0].startswith("t=  1 ..")
+
+
 def test_simulate_from_solution_initial(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "sol.json",
