@@ -3,11 +3,12 @@
 Every kernel is a left-to-right scan (each box depends on the carrier state
 left of it), interpreted over numpy arrays.  An empty box met by an empty
 carrier is an exact no-op of the carrier rules and of the expansion map, so
-carrier_sweep, free_flow_sweep and expand_sweep visit only the occupied
-boxes and the boxes a loaded carrier passes: their cost follows the balls
-and the carried span, not the window length.  The skip is exact for valid
-input (0 <= counts <= caps, carrier capacity >= 0).  ball_queue_sweep, the
-independent oracle, still walks every box.
+carrier_sweep and expand_sweep visit only the occupied boxes and the boxes
+a loaded carrier passes: their cost follows the balls and the carried span,
+not the window length.  The skip is exact for valid input
+(0 <= counts <= caps, carrier capacity >= 0).  ball_queue_sweep, the
+independent oracle, and free_flow_sweep, the M = +inf cross-check of
+carrier_sweep through nukdv_step, still walk every box.
 
 Carrier capacity enters as (m_val, m_capped); +inf is m_capped=False, never
 a sentinel integer.
@@ -103,24 +104,13 @@ def free_flow_sweep(counts, caps):
     """Carrier sweep without a capacity bound (no trimming, no recovery)."""
     w = counts.shape[0]
     new_counts = np.zeros(w, np.int64)
-    occupied = np.flatnonzero(counts).tolist()
-    counts = counts.tolist()
-    caps = caps.tolist()
     load = 0
-    n = 0
-    while n < w:
-        if load == 0:  # an empty carrier passes empty boxes unchanged
-            i = bisect_left(occupied, n)
-            if i == len(occupied):
-                break
-            n = occupied[i]
-        u = counts[n]
-        put = caps[n] - u
+    for n in range(w):
+        put = caps[n] - counts[n]
         if put > load:
             put = load
         new_counts[n] = put
-        load += u - put
-        n += 1
+        load += counts[n] - put
     return new_counts, load
 
 

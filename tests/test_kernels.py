@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxball import CapacityProfile
-from boxball._kernels import carrier_sweep, expand_sweep, free_flow_sweep
+from boxball._kernels import carrier_sweep, expand_sweep
 
 
 def dense_carrier_sweep(counts, caps, m_val, m_capped):
@@ -33,19 +33,6 @@ def dense_carrier_sweep(counts, caps, m_val, m_capped):
         new_counts[n] = put + removed[n]
     loads[w] = load
     return new_counts, limited, loads, removed
-
-
-def dense_free_flow_sweep(counts, caps):
-    w = counts.shape[0]
-    new_counts = np.zeros(w, np.int64)
-    load = 0
-    for n in range(w):
-        put = caps[n] - counts[n]
-        if put > load:
-            put = load
-        new_counts[n] = put
-        load += counts[n] - put
-    return new_counts, load
 
 
 def dense_expand_sweep(counts, caps, total):
@@ -124,16 +111,6 @@ def test_carrier_sweep_reports_load_leaving_window():
     assert new_counts.tolist() == [0, 0, 0, 2, 0, 2]
     assert removed.tolist() == [0, 0, 0, 0, 0, 2]
     assert limited.tolist() == [0, 0, 0, 2, 0, 0]
-
-
-@settings(max_examples=300)
-@given(windows())
-@example(EMPTY)
-@example(ALL_ZERO)
-@example(LAST_OCCUPIED)
-def test_free_flow_sweep_matches_dense_loop(win):
-    counts, caps = win
-    assert_same(free_flow_sweep(counts, caps), dense_free_flow_sweep(counts, caps))
 
 
 @settings(max_examples=300)
