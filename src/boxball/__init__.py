@@ -56,17 +56,7 @@ from .toda import (
     utoda_step,
     utoda_step_sumform,
 )
-from .xint import (
-    NEG_INF,
-    POS_INF,
-    FiniteOverflow,
-    IndeterminateForm,
-    XInt,
-    tadd,
-    tmax,
-    tmin,
-    tsub,
-)
+from .xint import POS_INF, FiniteOverflow, XInt
 
 __version__ = "0.1.0"
 
@@ -82,8 +72,6 @@ __all__ = [
     "EulerStepTrace",
     "FiniteOverflow",
     "InconsistentPositions",
-    "IndeterminateForm",
-    "NEG_INF",
     "POS_INF",
     "ResidualReport",
     "TauParams",
@@ -104,15 +92,11 @@ __all__ = [
     "lagrange_to_toda",
     "nukdv_step",
     "same_occupancy",
-    "tadd",
     "tau_T",
     "tau_olT",
     "tau_toda_state",
-    "tmax",
-    "tmin",
     "to_euler",
     "toda_to_lagrange",
-    "tsub",
     "umkdv_residual",
     "unbounded_schedule",
     "unit_profile",

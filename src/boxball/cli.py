@@ -25,7 +25,7 @@ from .config import (
 )
 from .difftest import DiffBounds, run_difftest
 from .euler import EulerState, euler_step, same_occupancy
-from .geometry import CapacityProfile
+from .geometry import CapacityProfile, _require_capacity
 from .render import render_counts
 from .solutions import (
     EulerSolitonParams,
@@ -72,13 +72,16 @@ def _toda_initial_from_solution(spec: SolutionSpec) -> TodaState:
     params = spec.params
     assert isinstance(params, TauParams)
     ts = tau_toda_state(params, 0)
-    return TodaState(
-        Q=ts.Q,
-        E=ts.E,
-        X0=spec.x0,
-        profile=CapacityProfile(default_capacity=params.Delta),
-        time=0,
-    )
+    try:
+        return TodaState(
+            Q=ts.Q,
+            E=ts.E,
+            X0=spec.x0,
+            profile=CapacityProfile(default_capacity=params.Delta),
+            time=0,
+        )
+    except ValueError as exc:  # e.g. a speed P_i = 0 gives a size Q_n = 0
+        raise ConfigError(f"solution at t=0 is not a valid size-coordinate state: {exc}") from exc
 
 
 def _initial_states(cfg: RunConfig) -> Tuple[Optional[EulerState], Optional[TodaState]]:
@@ -149,13 +152,29 @@ def _parse_m_choices(text: str) -> Tuple[XInt, ...]:
         part = part.strip()
         if not part:
             continue
-        out.append(decode_xint(part if part == "inf" else int(part)))
+        try:
+            m = decode_xint(part if part == "inf" else int(part))
+            _require_capacity(m)
+        except (ValueError, FiniteOverflow):
+            raise ConfigError(
+                f"--m-choices takes integers >= 0 or inf, got {part!r}"
+            ) from None
+        out.append(m)
     if not out:
-        raise ConfigError("m-choices must name at least one capacity")
+        raise ConfigError("--m-choices must name at least one capacity")
     return tuple(out)
 
 
 def cmd_difftest(args) -> int:
+    for flag, value, least in (
+        ("--cases", args.cases, 1),
+        ("--steps", args.steps, 1),
+        ("--window", args.window, 1),
+        ("--max-delta", args.max_delta, 1),
+        ("--seed", args.seed, 0),
+    ):
+        if value < least:
+            raise ConfigError(f"{flag} must be >= {least}, got {value}")
     bounds = DiffBounds(
         window=args.window,
         max_delta=args.max_delta,
@@ -233,7 +252,6 @@ def cmd_solution(args) -> int:
                 {
                     "type": "tau",
                     "residuals": report.residuals,
-                    "boundary_failures": report.boundary_failures,
                     "max_residual": report.max_residual,
                     "min_q": report.min_q,
                     "min_interior_e": report.min_interior_e,

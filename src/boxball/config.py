@@ -1,8 +1,8 @@
 """Strict JSON configuration and state (de)serialization.
 
 Unknown keys are rejected everywhere so a typo never silently changes a
-run.  Integers encode as JSON numbers; the two infinities encode as the
-strings "inf" and "-inf".
+run.  Integers encode as JSON numbers; an unbounded carrier capacity
+encodes as the string "inf".
 """
 
 from __future__ import annotations
@@ -12,10 +12,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .euler import EulerState, EulerStepTrace
-from .geometry import CapacityProfile, CarrierSchedule
+from .geometry import CapacityProfile, CarrierSchedule, _require_capacity
 from .solutions import EulerSolitonParams, TauParams
 from .toda import TodaState, TodaStepTrace
-from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, decode_xint, encode_xint
+from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, XInt, decode_xint, encode_xint
 
 
 class ConfigError(ValueError):
@@ -67,6 +67,15 @@ def profile_json(profile: CapacityProfile) -> dict:
     }
 
 
+def _capacity(obj, where: str) -> XInt:
+    try:
+        m = decode_xint(obj)
+        _require_capacity(m)
+    except (ValueError, FiniteOverflow) as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    return m
+
+
 def parse_schedule(obj, where: str = "schedule") -> CarrierSchedule:
     _check_keys(obj, where, {"entries", "default"}, set())
     entries = obj.get("entries", {})
@@ -78,15 +87,9 @@ def parse_schedule(obj, where: str = "schedule") -> CarrierSchedule:
             t = int(key)
         except ValueError:
             raise ConfigError(f"{where}.entries key {key!r} is not an integer") from None
-        try:
-            parsed[t] = decode_xint(val)
-        except (ValueError, FiniteOverflow) as exc:
-            raise ConfigError(f"{where}.entries[{key}]: {exc}") from exc
-    try:
-        default = decode_xint(obj.get("default", "inf"))
-        return CarrierSchedule(entries=parsed, default=default)
-    except (ValueError, FiniteOverflow) as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+        parsed[t] = _capacity(val, f"{where}.entries[{key}]")
+    default = _capacity(obj.get("default", "inf"), f"{where}.default")
+    return CarrierSchedule(entries=parsed, default=default)
 
 
 def schedule_json(schedule: CarrierSchedule) -> dict:

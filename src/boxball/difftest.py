@@ -175,7 +175,7 @@ def _run_case(
             record(step, "carrier_identity", f"max={res.carrier_identity_max}")
             return
         loads = trace.carrier_loads
-        if loads.min() < 0 or (m.is_finite and loads.max() > m.finite):
+        if loads.min() < 0 or (not m.is_pos_inf and loads.max() > m.finite):
             record(step, "carrier_bound", f"loads in [{loads.min()}, {loads.max()}], M={m}")
             return
 
@@ -188,7 +188,7 @@ def _run_case(
             if sum(ts_next.Q) != sum(ts.Q):
                 record(step, "soliton_conservation", f"{sum(ts.Q)} -> {sum(ts_next.Q)}")
                 return
-            m_ok = not m.is_finite or (
+            m_ok = m.is_pos_inf or (
                 max(ttrace.Dbar) <= m.finite and max(ttrace.Cbar) <= m.finite
             )
             if not m_ok or any(q > d for q, d in zip(ttrace.Qbar, ttrace.Dbar)):

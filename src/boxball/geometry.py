@@ -131,7 +131,7 @@ class CarrierSchedule:
 
 
 def _require_capacity(m: XInt) -> None:
-    if m.is_neg_inf or (m.is_finite and m.finite < 0):
+    if m < 0:
         raise ValueError(f"carrier capacity must be >= 0 or +inf, got {m}")
 
 

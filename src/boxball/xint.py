@@ -1,9 +1,10 @@
-"""Exact extended integers: the min-plus carrier set {finite ints} U {+inf, -inf}.
+"""Carrier capacities: a finite signed 64-bit integer or +inf.
 
-Every quantity in this package is an exact integer or an explicit infinity;
-there is no floating point anywhere.  Infinities are distinct objects, not
-sentinel integers, so that indeterminate forms (inf - inf) are detected
-instead of silently producing a value.
+The carrier capacity M_t ranges over the nonnegative integers and +inf,
+and +inf is the only infinity the package needs.  It is a distinct
+object, not a sentinel integer, so it cannot leak into integer
+arithmetic: callers test `is_pos_inf` and read `finite`.  There is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -14,90 +15,53 @@ INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
 
 
-class IndeterminateForm(ArithmeticError):
-    """(+inf) + (-inf) or inf - inf of the same sign.
-
-    Hitting this means an update rule was evaluated outside the boundary
-    convention it was written for.
-    """
-
-
 class FiniteOverflow(OverflowError):
-    """A finite result left the signed 64-bit range.
+    """A finite value left the signed 64-bit range.
 
     Desk-scale runs never get close; wrapping silently would corrupt the
-    differential tests, so the bound is checked on every operation.
+    differential tests, so the bound is checked wherever a value enters.
     """
-
-
-def _check64(v: int) -> int:
-    if not (INT64_MIN <= v <= INT64_MAX):
-        raise FiniteOverflow(f"finite value {v} outside signed 64-bit range")
-    return v
 
 
 class XInt:
-    """An immutable exact integer, +inf, or -inf, totally ordered as
-    -inf < finite < +inf."""
+    """An immutable int64 or +inf, totally ordered as finite < +inf."""
 
-    __slots__ = ("_kind", "_v")
-
-    # _kind: -1 neg-inf, 0 finite, +1 pos-inf; _v is 0 unless finite.
+    __slots__ = ("_v",)  # the int, or None for +inf
 
     def __init__(self, value: int):
-        if isinstance(value, XInt):
-            self._kind = value._kind
-            self._v = value._v
-            return
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"XInt requires an int, got {type(value).__name__}")
-        self._kind = 0
-        self._v = _check64(value)
-
-    @property
-    def is_finite(self) -> bool:
-        return self._kind == 0
+        if not INT64_MIN <= value <= INT64_MAX:
+            raise FiniteOverflow(f"finite value {value} outside signed 64-bit range")
+        self._v = value
 
     @property
     def is_pos_inf(self) -> bool:
-        return self._kind > 0
-
-    @property
-    def is_neg_inf(self) -> bool:
-        return self._kind < 0
+        return self._v is None
 
     @property
     def finite(self) -> int:
-        """The integer value; raises on an infinity."""
-        if self._kind != 0:
+        """The integer value; raises on +inf."""
+        if self._v is None:
             raise ValueError(f"{self} is not finite")
         return self._v
 
-    def __int__(self) -> int:
-        return self.finite
-
     def __repr__(self) -> str:
-        if self._kind > 0:
-            return "XInt(+inf)"
-        if self._kind < 0:
-            return "XInt(-inf)"
-        return f"XInt({self._v})"
+        return "XInt(+inf)" if self._v is None else f"XInt({self._v})"
 
     def __eq__(self, other) -> bool:
+        if isinstance(other, XInt):
+            return self._v == other._v
         if isinstance(other, int) and not isinstance(other, bool):
-            other = XInt(other)
-        if not isinstance(other, XInt):
-            return NotImplemented
-        return self._kind == other._kind and self._v == other._v
+            return self._v == other
+        return NotImplemented
 
     def __hash__(self) -> int:
-        # finite XInt compares equal to the plain int, so hash like one
-        if self._kind == 0:
-            return hash(self._v)
-        return hash(("xint", self._kind))
+        # a finite XInt compares equal to the plain int, so hash like one
+        return hash(self._v)
 
     def _key(self):
-        return (self._kind, self._v)
+        return (1, 0) if self._v is None else (0, self._v)
 
     def __lt__(self, other) -> bool:
         return self._key() < as_xint(other)._key()
@@ -111,39 +75,9 @@ class XInt:
     def __ge__(self, other) -> bool:
         return self._key() >= as_xint(other)._key()
 
-    def __neg__(self) -> "XInt":
-        if self._kind > 0:
-            return NEG_INF
-        if self._kind < 0:
-            return POS_INF
-        return XInt(-self._v)
 
-    def __add__(self, other) -> "XInt":
-        other = as_xint(other)
-        if self._kind == 0 and other._kind == 0:
-            return XInt(_check64(self._v + other._v))
-        if self._kind != 0 and other._kind != 0 and self._kind != other._kind:
-            raise IndeterminateForm(f"{self} + {other}")
-        return self if self._kind != 0 else other
-
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "XInt":
-        return self + (-as_xint(other))
-
-    def __rsub__(self, other) -> "XInt":
-        return as_xint(other) + (-self)
-
-
-def _make_inf(kind: int) -> XInt:
-    x = object.__new__(XInt)
-    x._kind = kind
-    x._v = 0
-    return x
-
-
-POS_INF = _make_inf(+1)
-NEG_INF = _make_inf(-1)
+POS_INF = object.__new__(XInt)
+POS_INF._v = None
 
 XIntLike = Union[XInt, int]
 
@@ -157,47 +91,16 @@ def as_xint(v: XIntLike) -> XInt:
     return XInt(v)
 
 
-def tmin(a: XIntLike, b: XIntLike) -> XInt:
-    """Minimum under -inf < finite < +inf (+inf is the identity)."""
-    a, b = as_xint(a), as_xint(b)
-    return a if a <= b else b
-
-
-def tmax(a: XIntLike, b: XIntLike) -> XInt:
-    """Maximum; -inf is the identity.  Equals -tmin(-a, -b)."""
-    a, b = as_xint(a), as_xint(b)
-    return a if a >= b else b
-
-
-def tadd(a: XIntLike, b: XIntLike) -> XInt:
-    """Exact sum; an infinity absorbs finite operands.
-
-    Raises IndeterminateForm on (+inf) + (-inf).
-    """
-    return as_xint(a) + as_xint(b)
-
-
-def tsub(a: XIntLike, b: XIntLike) -> XInt:
-    """Exact difference; raises IndeterminateForm on inf - inf of equal sign."""
-    return as_xint(a) - as_xint(b)
-
-
 def encode_xint(x: XIntLike) -> Union[int, str]:
-    """JSON encoding: finite as a number, infinities as "inf" / "-inf"."""
+    """JSON encoding: finite as a number, +inf as "inf"."""
     x = as_xint(x)
-    if x.is_pos_inf:
-        return "inf"
-    if x.is_neg_inf:
-        return "-inf"
-    return x.finite
+    return "inf" if x.is_pos_inf else x.finite
 
 
 def decode_xint(obj) -> XInt:
     """Inverse of encode_xint; rejects anything else."""
     if obj == "inf":
         return POS_INF
-    if obj == "-inf":
-        return NEG_INF
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ValueError(f"expected an integer, \"inf\" or \"-inf\", got {obj!r}")
+        raise ValueError(f"expected an integer or \"inf\", got {obj!r}")
     return XInt(obj)

@@ -184,6 +184,25 @@ def test_simulate_from_tau_solution_initial(tmp_path, capsys):
     assert recs[0]["toda"]["profile"]["default"] == 2
 
 
+def test_simulate_from_zero_size_tau_solution_exit_code(tmp_path, capsys):
+    # a speed P_i = 0 gives Q_0 = 0, which no size-coordinate state allows
+    cfg = write_json(
+        tmp_path / "zero.json",
+        {
+            "representation": "toda",
+            "steps": 1,
+            "render": "json",
+            "initial": {"solution": {"type": "tau", "params": {
+                "P": [0, 2], "W": [0, 0], "Delta": 2}}},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "sizes and gaps must be >= 1" in captured.err
+    assert "Traceback" not in captured.err
+
+
 def test_simulate_bad_config_exit_code(tmp_path, capsys):
     cfg = write_json(tmp_path / "bad.json", {"representation": "euler", "steps": 0,
                                              "initial": {"euler": {"counts": [1]}}})
@@ -220,6 +239,27 @@ def test_difftest_euler_only_allows_small_m(capsys):
     assert json.loads(capsys.readouterr().out)["failures"] == []
 
 
+@pytest.mark.parametrize(
+    "extra, flag",
+    [
+        (["--m-choices", "5,x"], "--m-choices"),
+        (["--m-choices=-inf"], "--m-choices"),
+        (["--m-choices=-1"], "--m-choices"),
+        (["--m-choices", ","], "--m-choices"),
+        (["--window", "0"], "--window"),
+        (["--max-delta", "0"], "--max-delta"),
+        (["--steps", "0"], "--steps"),
+        (["--cases", "-3"], "--cases"),
+        (["--seed", "-1"], "--seed"),
+    ],
+)
+def test_difftest_bad_arguments_exit_code(capsys, extra, flag):
+    assert main(["difftest", "--cases", "2"] + extra) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err and "Traceback" not in captured.err
+
+
 def test_solution_cli_euler_verify(tmp_path, capsys):
     params = write_json(
         tmp_path / "p.json",
@@ -243,6 +283,7 @@ def test_solution_cli_tau_verify_and_slices(tmp_path, capsys):
     assert main(["solution", "--params", params, "--type", "tau", "--verify"]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["ok"] and rep["max_residual"] == 0
+    assert "boundary_failures" not in rep
 
     assert main(["solution", "--params", params, "--type", "tau",
                  "--t-range", "0:2"]) == 0

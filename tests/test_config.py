@@ -1,8 +1,10 @@
 import json
+import re
 
 import pytest
 
 from boxball import POS_INF, CapacityProfile, EulerState, XInt, unit_profile
+from boxball.cli import main
 from boxball.config import (
     ConfigError,
     euler_state_json,
@@ -41,6 +43,24 @@ def test_inf_in_schedule():
     assert s.at(1) == XInt(6)
     assert s.at(2) == POS_INF
     assert s.at(5) == POS_INF
+
+
+@pytest.mark.parametrize(
+    "schedule, named",
+    [
+        ({"entries": {"3": "-inf"}}, "schedule.entries[3]"),
+        ({"entries": {"3": -1}}, "schedule.entries[3]"),
+        ({"default": "-inf"}, "schedule.default"),
+        ({"default": -1}, "schedule.default"),
+    ],
+)
+def test_negative_carrier_capacity_is_named(tmp_path, capsys, schedule, named):
+    with pytest.raises(ConfigError, match=re.escape(named)):
+        parse_schedule(schedule)
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps({**minimal_config(), "schedule": schedule}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert named in capsys.readouterr().err
 
 
 def test_unknown_key_is_named():

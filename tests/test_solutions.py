@@ -26,7 +26,6 @@ from boxball import (
     verify_euler_solution,
     verify_tau_solution,
 )
-from boxball.solutions import tau_boundary_gaps
 
 UNIT = unit_profile()
 FREE = unbounded_schedule()
@@ -206,13 +205,6 @@ def test_tau_permutation_invariance_for_ties():
             for n in range(0, 4):
                 assert tau_T(a, k, t, n) == tau_T(b, k, t, n)
                 assert tau_olT(a, k, t, n) == tau_olT(b, k, t, n)
-
-
-def test_tau_boundary_gaps_are_infinite():
-    params = TauParams(P=(1, 4, 7), W=(2, 0, -5), Delta=3,
-                       schedule=CarrierSchedule(entries={t: 6 for t in range(1, 20)}))
-    for t in (0, 5):
-        assert all(v.is_pos_inf for v in tau_boundary_gaps(params, t))
 
 
 def test_verify_tau_solution_cases():
