@@ -71,13 +71,16 @@ def ball_queue_sweep(counts, caps, m_val, m_capped, total):
 
     Balls are deposited oldest-first into the space not occupied by the
     box's own departing balls; excess over capacity is trimmed newest-first
-    and returned to its origin box afterwards.
+    and returned to its origin box afterwards.  The walk runs on Python
+    lists (numpy scalar access costs more than the walk itself).
     """
-    w = counts.shape[0]
-    out = np.zeros(w, np.int64)
-    removed = np.zeros(w, np.int64)
+    counts = counts.tolist()
+    caps = caps.tolist()
+    w = len(counts)
+    out = [0] * w
+    removed = [0] * w
     cap = total if total > 0 else 1
-    origin = np.zeros(cap, np.int64)
+    origin = [0] * cap
     head = 0
     size = 0
     for n in range(w):
@@ -95,9 +98,7 @@ def ball_queue_sweep(counts, caps, m_val, m_capped, total):
         head = (head + put) % cap
         size -= put
         out[n] = put
-    for n in range(w):
-        out[n] += removed[n]
-    return out, size
+    return np.array([o + r for o, r in zip(out, removed)], np.int64), size
 
 
 def free_flow_sweep(counts, caps):
