@@ -50,16 +50,16 @@ def expand(state: EulerState) -> BinarySeq:
     the segment just before the box is a 1, right-justified otherwise.
 
     Per-box bit sums always equal the counts; with all capacities 1 the map
-    is the identity.
+    is the identity.  Raises FiniteOverflow when the window's last segment
+    boundary is past the int64 range.
     """
     profile = state.profile
-    caps = profile.caps_array(state.window_start, len(state.counts))
-    bits = _kernels.expand_sweep(state.counts, caps, int(caps.sum()))
-    return BinarySeq(
-        bits=bits,
-        segment_start=profile.boundary(state.window_start),
-        profile=profile,
-    )
+    w = len(state.counts)
+    start = profile.boundary(state.window_start)
+    total = profile.boundary(state.window_start + w) - start
+    caps = profile.caps_array(state.window_start, w)
+    bits = _kernels.expand_sweep(state.counts, caps, total)
+    return BinarySeq(bits=bits, segment_start=start, profile=profile)
 
 
 def bits_from_positions(x, y, segment_start: int, length: int) -> np.ndarray:

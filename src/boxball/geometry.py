@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .xint import INT64_MAX, POS_INF, XInt, XIntLike, as_xint
+from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, XIntLike, as_xint
 
 
 @dataclass(frozen=True)
@@ -65,19 +65,26 @@ class CapacityProfile:
         return out
 
     def boundary(self, n: int) -> int:
-        """s_n, the first segment of box n."""
+        """s_n, the first segment of box n; raises FiniteOverflow when s_n
+        is past the signed 64-bit range, where segment arrays would wrap."""
         if n < 0:
             raise ValueError("boxes are indexed from 0")
         i = n - self.window_start
-        if i <= 0:
-            return n * self.default_capacity
         b = self._bounds
-        if i < len(b):
-            return b[i]
-        return b[-1] + (i - len(b) + 1) * self.default_capacity
+        if i <= 0:
+            s = n * self.default_capacity
+        elif i < len(b):
+            s = b[i]
+        else:
+            s = b[-1] + (i - len(b) + 1) * self.default_capacity
+        if s > INT64_MAX:
+            raise FiniteOverflow(f"segment boundary s_{n} = {s} is past the int64 range")
+        return s
 
     def bounds_array(self, start: int, count: int) -> np.ndarray:
-        """s_start .. s_{start+count} as int64 (length count+1)."""
+        """s_start .. s_{start+count} as int64 (length count+1); raises
+        FiniteOverflow when the last one leaves int64."""
+        self.boundary(start + count)
         out = np.empty(count + 1, dtype=np.int64)
         out[0] = self.boundary(start)
         out[1:] = self.caps_array(start, count)

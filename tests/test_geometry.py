@@ -7,7 +7,10 @@ from boxball import (
     POS_INF,
     CapacityProfile,
     CarrierSchedule,
+    EulerState,
+    FiniteOverflow,
     XInt,
+    expand,
     unit_profile,
 )
 
@@ -30,6 +33,19 @@ def test_profile_validation():
         CapacityProfile(capacities=(2**63,))
     with pytest.raises(ValueError):
         CapacityProfile(default_capacity=2**63)
+
+
+def test_boundaries_past_int64_raise():
+    # four boxes of 2^62 segments end at segment 2^64, which int64 wraps to 0
+    p = CapacityProfile(default_capacity=2**62)
+    assert p.boundary(1) == 2**62
+    assert p.bounds_array(0, 1).tolist() == [0, 2**62]
+    with pytest.raises(FiniteOverflow):
+        p.boundary(2)
+    with pytest.raises(FiniteOverflow):
+        p.bounds_array(0, 4)
+    with pytest.raises(FiniteOverflow):
+        expand(EulerState(counts=[1, 1, 0, 1], profile=p))
 
 
 def test_schedule_lookup_and_validation():
