@@ -13,6 +13,7 @@ from .euler import (
     WindowOverflow,
     carrier_oracle_step,
     euler_step,
+    first_difference,
     nukdv_step,
     same_occupancy,
     umkdv_residual,
@@ -87,6 +88,7 @@ __all__ = [
     "euler_step",
     "expand",
     "extoda_step",
+    "first_difference",
     "from_euler",
     "lagrange_step",
     "lagrange_to_toda",

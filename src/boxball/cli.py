@@ -24,7 +24,7 @@ from .config import (
     toda_trace_json,
 )
 from .difftest import DiffBounds, run_difftest
-from .euler import EulerState, euler_step, same_occupancy
+from .euler import EulerState, euler_step, first_difference, same_occupancy
 from .geometry import CapacityProfile, _require_capacity
 from .render import render_counts
 from .solutions import (
@@ -115,23 +115,35 @@ def cmd_simulate(args) -> int:
         # state far to the right draws no long run of leading dots
         origin = (euler if euler is not None else to_euler(toda)).window_start
 
-    all_equal = True
-    for _ in range(steps):
+    divergence = None  # stderr line naming the first mismatch
+    for step in range(steps):
+        # the profile and schedule do not change along a run, so only the
+        # first record carries them
+        first = step == 0
         record = {}
         if euler is not None:
             euler, etrace = euler_step(euler, cfg.schedule)
             record["t"] = euler.time
-            record["euler"] = euler_state_json(euler, cfg.schedule)
-            record["trace"] = euler_trace_json(etrace)
+            record["euler"] = euler_state_json(
+                euler, cfg.schedule if first else None, profile=first
+            )
+            record["trace"] = euler_trace_json(etrace, euler.window_start)
         if toda is not None:
             toda, ttrace = enutoda_step(toda, cfg.schedule)
             record["t"] = toda.time
-            record["toda"] = toda_state_json(toda)
+            record["toda"] = toda_state_json(toda, profile=first)
             record["toda_trace"] = toda_trace_json(ttrace)
         if euler is not None and toda is not None:
-            equal = same_occupancy(euler, to_euler(toda))
+            from_toda = to_euler(toda)
+            equal = same_occupancy(euler, from_toda)
             record["verdict"] = "equal" if equal else "mismatch"
-            all_equal = all_equal and equal
+            if not equal and divergence is None:
+                box, in_euler, in_toda = first_difference(euler, from_toda)
+                divergence = (
+                    f"simulate: representations diverged at t={record['t']}: "
+                    f"box {box} holds {in_euler} (euler) vs {in_toda} (toda); "
+                    f"toda (Q, E, X0) = ({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
+                )
         if render == "json":
             _emit(_dump(record))
         elif render == "ascii":
@@ -140,8 +152,8 @@ def cmd_simulate(args) -> int:
             if "verdict" in record:
                 line += f"  [{record['verdict']}]"
             _emit(line)
-    if not all_equal:
-        _diag("simulate: representations diverged")
+    if divergence is not None:
+        _diag(divergence)
         return 1
     return 0
 

@@ -11,6 +11,8 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
+import numpy as np
+
 from .euler import EulerState, EulerStepTrace
 from .geometry import CapacityProfile, CarrierSchedule, _require_capacity
 from .solutions import EulerSolitonParams, TauParams
@@ -112,23 +114,36 @@ def parse_euler_state(obj, profile: CapacityProfile, where: str = "initial.euler
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def euler_state_json(state: EulerState, schedule: Optional[CarrierSchedule] = None) -> dict:
+def euler_state_json(
+    state: EulerState, schedule: Optional[CarrierSchedule] = None, profile: bool = True
+) -> dict:
+    """Counts dense from window_start; the profile when `profile`, the
+    schedule when given."""
     out = {
         "time": state.time,
         "window_start": state.window_start,
         "counts": state.counts.tolist(),
-        "profile": profile_json(state.profile),
     }
+    if profile:
+        out["profile"] = profile_json(state.profile)
     if schedule is not None:
         out["schedule"] = schedule_json(schedule)
     return out
 
 
-def euler_trace_json(trace: EulerStepTrace) -> dict:
+def _box_pairs(values: np.ndarray, start: int) -> list:
+    # [absolute box, value] of the nonzero entries, ascending by box
+    nz = np.flatnonzero(values)
+    return np.column_stack((nz + start, values[nz])).tolist()
+
+
+def euler_trace_json(trace: EulerStepTrace, window_start: int) -> dict:
+    """The trace arrays, which start at box window_start, as [box, value]
+    pairs of their nonzero entries."""
     return {
-        "limited_counts": trace.limited_counts.tolist(),
-        "carrier_loads": trace.carrier_loads.tolist(),
-        "removed": trace.removed.tolist(),
+        "limited_counts": _box_pairs(trace.limited_counts, window_start),
+        "carrier_loads": _box_pairs(trace.carrier_loads, window_start),
+        "removed": _box_pairs(trace.removed, window_start),
     }
 
 
@@ -150,15 +165,17 @@ def parse_toda_state(obj, profile: CapacityProfile, where: str = "initial.toda")
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def toda_state_json(state: TodaState) -> dict:
-    return {
+def toda_state_json(state: TodaState, profile: bool = True) -> dict:
+    out = {
         "time": state.time,
         "N": state.N,
         "Q": list(state.Q),
         "E": list(state.E),
         "X0": state.X0,
-        "profile": profile_json(state.profile),
     }
+    if profile:
+        out["profile"] = profile_json(state.profile)
+    return out
 
 
 def toda_trace_json(trace: TodaStepTrace) -> dict:

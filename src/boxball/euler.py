@@ -10,7 +10,7 @@ is restored to the box it was taken from.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -117,41 +117,52 @@ def _capacity_args(m: XInt) -> Tuple[int, bool]:
     return m.finite, True
 
 
-def _extended_arrays(state: EulerState) -> Tuple[np.ndarray, np.ndarray]:
-    """Window extended rightward by the total ball count, so the carrier
-    provably empties before the right edge."""
-    w = len(state.counts)
+def _extended_arrays(state: EulerState) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The sweep's window as (start, counts, caps).
+
+    It starts at the first ball: every box left of it is empty and meets an
+    empty carrier, so the step leaves it empty.  It ends past the incoming
+    window by the total ball count, so the carrier provably empties before
+    the right edge.
+    """
+    nz = np.flatnonzero(state.counts)
+    skip = int(nz[0]) if len(nz) else 0  # an all-zero state keeps its start
+    start = state.window_start + skip
+    w = len(state.counts) - skip
     ext = w + state.total_balls
     c = np.zeros(ext, dtype=np.int64)
-    c[:w] = state.counts
-    caps = state.profile.caps_array(state.window_start, ext)
-    return c, caps
+    c[:w] = state.counts[skip:]
+    caps = state.profile.caps_array(start, ext)
+    return start, c, caps
 
 
-def _trimmed_length(new_counts: np.ndarray, w: int) -> int:
-    # trim only the extension: the window never shrinks below its incoming
-    # length, so an all-zero state keeps its shape
+def _next_state(state: EulerState, start: int, new_counts: np.ndarray) -> EulerState:
+    # trim only the extension: the right edge never moves left, so an
+    # all-zero state keeps its shape
     nz = np.flatnonzero(new_counts)
     last = int(nz[-1]) + 1 if len(nz) else 0
-    return max(w, last)
+    w = max(state.window_start + len(state.counts) - start, last)
+    return EulerState._trusted(new_counts[:w], state.profile, state.time + 1, start)
 
 
 def euler_step(
     state: EulerState, schedule: CarrierSchedule
 ) -> Tuple[EulerState, EulerStepTrace]:
-    """Advance one step via the three coupled min-plus update rules."""
+    """Advance one step via the three coupled min-plus update rules.
+
+    The new state's window starts at the incoming state's first ball, so
+    its length follows the balls, not the distance they have travelled.
+    """
     m = schedule.at(state.time + 1)
     m_val, m_capped = _capacity_args(m)
-    c, caps = _extended_arrays(state)
+    start, c, caps = _extended_arrays(state)
     new_counts, limited, loads, removed = _kernels.carrier_sweep(
         c, caps, m_val, m_capped
     )
     if loads[-1] != 0:
         raise WindowOverflow(f"load {loads[-1]} at right edge, t={state.time}")
-    w = _trimmed_length(new_counts, len(state.counts))
-    new_state = EulerState._trusted(
-        new_counts[:w], state.profile, state.time + 1, state.window_start
-    )
+    new_state = _next_state(state, start, new_counts)
+    w = len(new_state.counts)
     trace = EulerStepTrace(
         limited_counts=limited[:w],
         carrier_loads=loads[: w + 1],
@@ -168,16 +179,13 @@ def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerSt
     """
     m = schedule.at(state.time + 1)
     m_val, m_capped = _capacity_args(m)
-    c, caps = _extended_arrays(state)
+    start, c, caps = _extended_arrays(state)
     out, leftover = _kernels.ball_queue_sweep(
         c, caps, m_val, m_capped, state.total_balls
     )
     if leftover != 0:
         raise WindowOverflow(f"{leftover} balls left in carrier, t={state.time}")
-    w = _trimmed_length(out, len(state.counts))
-    return EulerState._trusted(
-        out[:w], state.profile, state.time + 1, state.window_start
-    )
+    return _next_state(state, start, out)
 
 
 def nukdv_step(state: EulerState) -> EulerState:
@@ -186,14 +194,11 @@ def nukdv_step(state: EulerState) -> EulerState:
 
     Coincides with euler_step under an infinite carrier capacity.
     """
-    c, caps = _extended_arrays(state)
+    start, c, caps = _extended_arrays(state)
     out, leftover = _kernels.free_flow_sweep(c, caps)
     if leftover != 0:
         raise WindowOverflow(f"load {leftover} at right edge, t={state.time}")
-    w = _trimmed_length(out, len(state.counts))
-    return EulerState._trusted(
-        out[:w], state.profile, state.time + 1, state.window_start
-    )
+    return _next_state(state, start, out)
 
 
 @dataclass(frozen=True)
@@ -209,6 +214,33 @@ class ResidualReport:
         return self.max_violation == 0 and self.carrier_identity_max == 0
 
 
+def _on_boxes(values: np.ndarray, start: int, lo: int, length: int) -> np.ndarray:
+    # values (from box `start`) on boxes lo .. lo+length-1, zero elsewhere
+    out = np.zeros(length, dtype=np.int64)
+    out[start - lo : start - lo + len(values)] = values
+    return out
+
+
+def _union(a: EulerState, b: EulerState) -> Tuple[int, int]:
+    # (first box, length) of the smallest window holding both windows
+    lo = min(a.window_start, b.window_start)
+    hi = max(a.window_start + len(a.counts), b.window_start + len(b.counts))
+    return lo, hi - lo
+
+
+def first_difference(a: EulerState, b: EulerState) -> Optional[Tuple[int, int, int]]:
+    """(absolute box, count in a, count in b) at the first box where the two
+    zero-padded lines differ, or None when they are the same line."""
+    lo, w = _union(a, b)
+    ua = _on_boxes(a.counts, a.window_start, lo, w)
+    ub = _on_boxes(b.counts, b.window_start, lo, w)
+    diff = np.flatnonzero(ua != ub)
+    if not len(diff):
+        return None
+    i = int(diff[0])
+    return lo + i, int(ua[i]), int(ub[i])
+
+
 def umkdv_residual(
     before: EulerState,
     after: EulerState,
@@ -220,15 +252,14 @@ def umkdv_residual(
         U'_n = min(cap_n - U_n, S_n) + max(0, S_n + U_n - m),
 
     with S_n = sum_{j<n}(U_j - U'_j), plus the carrier-load identity
-    loads_n = S_n.  Violations are reported, never raised.
+    loads_n = S_n.  Both states are read by absolute box over the union of
+    their windows, and the trace (aligned with after's window) reads as 0
+    outside it.  Violations are reported, never raised.
     """
-    if before.window_start != after.window_start:
-        raise ValueError("windows must share window_start")
-    w = len(after.counts)
-    u = np.zeros(w, dtype=np.int64)
-    u[: len(before.counts)] = before.counts
-    up = after.counts
-    caps = before.profile.caps_array(before.window_start, w)
+    lo, w = _union(before, after)
+    u = _on_boxes(before.counts, before.window_start, lo, w)
+    up = _on_boxes(after.counts, after.window_start, lo, w)
+    caps = before.profile.caps_array(lo, w)
 
     s_full = np.zeros(w + 1, dtype=np.int64)
     np.cumsum(u - up, out=s_full[1:])
@@ -242,7 +273,9 @@ def umkdv_residual(
         excess = np.maximum(0, s + u - m.finite)
     max_violation = int(np.max(np.abs(up - (base + excess)), initial=0))
 
-    loads = trace.carrier_loads[: w + 1]
+    loads = _on_boxes(
+        trace.carrier_loads[: len(after.counts) + 1], after.window_start, lo, w + 1
+    )
     carrier_identity_max = int(np.max(np.abs(loads - s_full), initial=0))
     return ResidualReport(
         max_violation=max_violation,

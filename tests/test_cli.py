@@ -1,15 +1,28 @@
 import json
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from boxball import cli, euler_step, first_difference, to_euler
 from boxball.cli import main
+from boxball.config import parse_config
+
+SHOWCASE = str(Path(__file__).resolve().parents[1] / "configs" / "showcase.json")
 
 
 def write_json(path, data):
     path.write_text(json.dumps(data))
     return str(path)
+
+
+def euler_boxes(rec):
+    """A record's Euler counts by absolute box (nonzero boxes only)."""
+    euler = rec["euler"]
+    start = euler["window_start"]
+    return {start + i: c for i, c in enumerate(euler["counts"]) if c}
 
 
 @pytest.fixture
@@ -37,8 +50,88 @@ def test_simulate_json_records(sim_config, capsys):
     assert len(lines) == 2
     rec = json.loads(lines[0])
     assert rec["t"] == 1
+    assert rec["euler"]["window_start"] == 0
     assert rec["euler"]["counts"] == [0, 0, 1, 0, 1, 1]
-    assert rec["trace"]["carrier_loads"][0] == 0
+    # trace entries are [box, value] pairs of the nonzero entries
+    assert dict(rec["trace"]["carrier_loads"]).get(0, 0) == 0
+
+
+def test_simulate_records_sparse_trace_and_profile_once(capsys):
+    steps = 30
+    assert main(["simulate", "--config", SHOWCASE, "--steps", str(steps), "--render", "json"]) == 0
+    recs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert len(recs) == steps
+    # profile and schedule do not change along a run: first record only
+    assert {"profile", "schedule"} <= set(recs[0]["euler"])
+    assert "profile" in recs[0]["toda"]
+    for rec in recs[1:]:
+        assert not {"profile", "schedule"} & set(rec["euler"])
+        assert "profile" not in rec["toda"]
+
+    cfg = parse_config(SHOWCASE)
+    state = cfg.initial_euler
+    for rec in recs:
+        state, trace = euler_step(state, cfg.schedule)
+        euler = rec["euler"]
+        assert euler["window_start"] == state.window_start
+        assert euler["counts"] == state.counts.tolist()
+        w = len(state.counts)
+        for key, length in (("limited_counts", w), ("carrier_loads", w + 1), ("removed", w)):
+            pairs = rec["trace"][key]
+            boxes = [box for box, _ in pairs]
+            assert boxes == sorted(set(boxes))
+            assert all(value != 0 for _, value in pairs)
+            dense = np.zeros(length, dtype=np.int64)
+            for box, value in pairs:
+                dense[box - state.window_start] = value
+            assert dense.tolist() == getattr(trace, key).tolist()
+
+
+def test_simulate_mismatch_names_first_box_and_toda_state(monkeypatch, capsys):
+    real_step = cli.enutoda_step
+    shifted = []
+
+    def step(state, schedule):
+        nxt, trace = real_step(state, schedule)
+        nxt = replace(nxt, X0=nxt.X0 + 1)
+        shifted.append(nxt)
+        return nxt, trace
+
+    monkeypatch.setattr(cli, "enutoda_step", step)
+    assert main(["simulate", "--config", SHOWCASE, "--render", "json", "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    recs = [json.loads(l) for l in captured.out.splitlines()]
+    first = next(r for r in recs if r["verdict"] == "mismatch")
+    t = first["t"]
+    cfg = parse_config(SHOWCASE)
+    state = cfg.initial_euler
+    for _ in range(t):
+        state, _ = euler_step(state, cfg.schedule)
+    toda = shifted[t - 1]
+    box, in_euler, in_toda = first_difference(state, to_euler(toda))
+    err = captured.err.strip().splitlines()
+    assert err == [
+        f"simulate: representations diverged at t={t}: box {box} holds {in_euler} "
+        f"(euler) vs {in_toda} (toda); toda (Q, E, X0) = "
+        f"({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
+    ]
+
+
+def test_simulate_segment_boundary_past_int64_exit_code(tmp_path, capsys):
+    # four boxes of 2^62 segments end at segment 2^64, which int64 wraps to 0
+    cfg = write_json(
+        tmp_path / "wide.json",
+        {
+            "representation": "both",
+            "steps": 1,
+            "profile": {"default": 2**62},
+            "initial": {"euler": {"counts": [1, 1, 0, 1]}},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "FiniteOverflow" in captured.err and "Traceback" not in captured.err
 
 
 def test_simulate_both_mode_verdicts(tmp_path, capsys):
@@ -155,7 +248,8 @@ def test_simulate_from_solution_initial(tmp_path, capsys):
     recs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
     assert len(recs) == 3 and all(r["verdict"] == "equal" for r in recs)
     # free soliton of size two moves two boxes per step
-    assert recs[0]["euler"]["counts"][4:6] == [1, 1]
+    boxes = euler_boxes(recs[0])
+    assert [boxes.get(n, 0) for n in (4, 5)] == [1, 1]
 
 
 def test_simulate_from_tau_solution_initial(tmp_path, capsys):

@@ -3,6 +3,8 @@ right failure label."""
 
 from dataclasses import replace
 
+import numpy as np
+
 from boxball import CapacityProfile, EulerState, euler_step, expand, unbounded_schedule
 from boxball import difftest
 from boxball.difftest import DiffBounds, run_difftest
@@ -27,10 +29,15 @@ def test_toda_state_moved_one_box_reports_toda_counts(monkeypatch):
         return state.X0 + p.capacity(p.segment_to_box(state.X0))
 
     patch_toda_anchor(monkeypatch, next_box)
-    report = run_difftest(40, 11, DiffBounds(window=12, max_delta=4, steps=3))
+    bounds = DiffBounds(window=12, max_delta=4, steps=3)
+    report = run_difftest(40, 11, bounds)
     assert len(report.failures) == 40
     assert {(f.step, f.quantity) for f in report.failures} == {(0, "toda_counts")}
-    assert all(f.detail.startswith("euler[0:]=") for f in report.failures)
+    # the Euler window of step 0 starts at the case's first ball
+    for f in report.failures:
+        state, _ = difftest.random_case(np.random.default_rng([11, f.case]), bounds)
+        first = state.window_start + int(np.flatnonzero(state.counts)[0])
+        assert f.detail.startswith(f"euler[{first}:]=")
 
 
 def test_run_moved_inside_its_box_reports_anchor(monkeypatch):

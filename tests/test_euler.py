@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from boxball import (
+    EulerStepTrace,
     POS_INF,
     CapacityProfile,
     CarrierSchedule,
@@ -12,6 +13,7 @@ from boxball import (
     carrier_oracle_step,
     constant_schedule,
     euler_step,
+    first_difference,
     nukdv_step,
     same_occupancy,
     umkdv_residual,
@@ -25,6 +27,19 @@ UNIT = unit_profile()
 
 def unit_state(counts, time=0):
     return EulerState(counts=counts, profile=UNIT, time=time)
+
+
+def by_box(state):
+    """Nonzero counts by absolute box."""
+    return {
+        state.window_start + i: int(c) for i, c in enumerate(state.counts) if c
+    }
+
+
+def line(state, stop):
+    """Counts on absolute boxes 0 .. stop-1, zero outside the window."""
+    boxes = by_box(state)
+    return [boxes.get(n, 0) for n in range(stop)]
 
 
 def test_free_carrier_step():
@@ -76,14 +91,14 @@ def test_single_ball_advances_one_box(m):
     for k in range(4):
         st = unit_state([0] * k + [1])
         nxt = carrier_oracle_step(st, sched)
-        assert nxt.counts.tolist()[: k + 2] == [0] * (k + 1) + [1]
+        assert line(nxt, k + 2) == [0] * (k + 1) + [1]
 
 
 def test_nukdv_examples():
     assert nukdv_step(unit_state([1, 0, 1, 1, 0, 0])).counts.tolist() == [0, 1, 0, 0, 1, 1]
     # single ball moves right regardless of position
     st = nukdv_step(unit_state([0, 0, 1]))
-    assert st.counts.tolist()[:4] == [0, 0, 0, 1]
+    assert line(st, 4) == [0, 0, 0, 1]
 
 
 def test_nukdv_equals_unbounded_euler_on_random_states():
@@ -104,9 +119,9 @@ def test_ball_conservation_and_bounds_on_random_states():
         cur = st
         for _ in range(6):
             m = sched.at(cur.time + 1)
-            ext = len(cur.counts) + cur.total_balls
-            caps = cur.profile.caps_array(cur.window_start, ext)
             cur, tr = euler_step(cur, sched)
+            # the trace is aligned with the new state's window
+            caps = cur.profile.caps_array(cur.window_start, len(tr.limited_counts))
             assert cur.total_balls == st.total_balls
             assert tr.carrier_loads.min() >= 0
             if not m.is_pos_inf:
@@ -195,6 +210,126 @@ def test_window_start_offsets_are_respected():
     assert nxt.total_balls == 3
 
 
+def test_window_follows_a_lone_soliton():
+    # a size-3 soliton moves 3 boxes a step; its window stays short while
+    # the distance travelled grows
+    st = unit_state([1, 1, 1])
+    free = unbounded_schedule()
+    for _ in range(10**4):
+        st, _ = euler_step(st, free)
+        assert len(st.counts) <= 10
+    assert st.window_start >= 3 * (10**4 - 1)
+    assert by_box(st) == {3 * 10**4 + i: 1 for i in range(3)}
+
+
+def test_window_starts_at_the_first_ball():
+    p = CapacityProfile(default_capacity=2)
+    st = EulerState(counts=[0, 0, 2, 1, 0], profile=p, window_start=4)
+    sched = constant_schedule(2)
+    nxt, tr = euler_step(st, sched)
+    assert nxt.window_start == 6
+    # the right edge stays where it was unless a ball passes it
+    assert nxt.window_start + len(nxt.counts) == 9
+    assert len(tr.limited_counts) == len(tr.removed) == len(nxt.counts)
+    assert len(tr.carrier_loads) == len(nxt.counts) + 1
+    assert carrier_oracle_step(st, sched) == nxt
+    assert carrier_oracle_step(st, sched).window_start == 6
+    assert nukdv_step(st).window_start == 6
+    assert umkdv_residual(st, nxt, tr, XInt(2)).ok
+    # an all-zero state keeps its window
+    zero = EulerState(counts=[0, 0], profile=p, window_start=4)
+    assert euler_step(zero, sched)[0].window_start == 4
+
+
+def _on_window(values, start, lo, length):
+    out = np.zeros(length, dtype=np.int64)
+    out[start - lo : start - lo + len(values)] = values
+    return out
+
+
+@st.composite
+def residual_cases(draw):
+    """A step from a state with a random window start and leading zeros;
+    `after` is the true step or, half the time, a random state on its own
+    random window."""
+    caps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=10))
+    profile = CapacityProfile(capacities=caps, window_start=2)
+    lead = draw(st.integers(0, 4))
+    start = draw(st.integers(0, 4))
+    counts = [0] * lead + [
+        draw(st.integers(0, profile.capacity(start + lead + i))) for i in range(len(caps))
+    ]
+    before = EulerState(counts=counts, profile=profile, window_start=start)
+    m = draw(st.one_of(st.integers(0, 6).map(XInt), st.just(POS_INF)))
+    after, trace = euler_step(before, CarrierSchedule(default=m))
+    if draw(st.booleans()):
+        a_start = draw(st.integers(0, 12))
+        a_counts = [
+            draw(st.integers(0, profile.capacity(a_start + i)))
+            for i in range(draw(st.integers(1, 12)))
+        ]
+        after = EulerState(counts=a_counts, profile=profile, window_start=a_start)
+        w = len(a_counts)
+        trace = EulerStepTrace(
+            limited_counts=np.array(draw(st.lists(st.integers(0, 4), min_size=w, max_size=w))),
+            carrier_loads=np.array(draw(st.lists(st.integers(0, 4), min_size=w + 1, max_size=w + 1))),
+            removed=np.zeros(w, dtype=np.int64),
+        )
+    return before, after, trace, m
+
+
+@given(residual_cases())
+def test_residual_on_different_windows_matches_one_common_window(case):
+    before, after, trace, m = case
+    lo = min(before.window_start, after.window_start)
+    hi = max(
+        before.window_start + len(before.counts), after.window_start + len(after.counts)
+    )
+    w = hi - lo
+
+    def common(state):
+        counts = _on_window(state.counts, state.window_start, lo, w)
+        return EulerState(counts=counts, profile=state.profile, window_start=lo)
+
+    a = after.window_start
+    common_trace = EulerStepTrace(
+        limited_counts=_on_window(trace.limited_counts, a, lo, w),
+        carrier_loads=_on_window(trace.carrier_loads, a, lo, w + 1),
+        removed=_on_window(trace.removed, a, lo, w),
+    )
+    assert umkdv_residual(before, after, trace, m) == umkdv_residual(
+        common(before), common(after), common_trace, m
+    )
+
+
+def test_residual_flags_a_ball_missing_left_of_the_window():
+    st = unit_state([0, 1, 1, 0, 0, 0])
+    nxt, tr = euler_step(st, constant_schedule(1))
+    # M = 1 trims the second ball, and recovery puts it back at box 2
+    assert nxt.window_start == 1 and by_box(nxt) == {2: 1, 3: 1}
+    assert umkdv_residual(st, nxt, tr, XInt(1)).ok
+    # drop box 2 from the window: the ball there is missing, and it lies
+    # left of the new window
+    k = 2 - nxt.window_start + 1
+    short = EulerState(counts=nxt.counts[k:], profile=UNIT, time=1, window_start=3)
+    short_tr = EulerStepTrace(
+        limited_counts=tr.limited_counts[k:],
+        carrier_loads=tr.carrier_loads[k:],
+        removed=tr.removed[k:],
+    )
+    assert by_box(short) == {3: 1}
+    assert not umkdv_residual(st, short, short_tr, XInt(1)).ok
+
+
+def test_first_difference_reads_absolute_boxes():
+    a = EulerState(counts=[0, 1, 0, 2], profile=CapacityProfile(default_capacity=2))
+    b = EulerState(counts=[1, 0, 1], profile=a.profile, window_start=1)
+    assert first_difference(a, b) == (3, 2, 1)
+    assert first_difference(b, a) == (3, 1, 2)
+    c = EulerState(counts=[1, 0, 2, 0], profile=a.profile, window_start=1)
+    assert first_difference(a, c) is None
+
+
 def test_state_validation():
     with pytest.raises(ValueError):
         EulerState(counts=[2], profile=UNIT)  # above capacity
@@ -235,16 +370,10 @@ def padded_windows(draw):
     return states
 
 
-def occupancy_oracle(state):
-    return {
-        state.window_start + i: int(c) for i, c in enumerate(state.counts) if c
-    }
-
-
 @given(padded_windows())
 def test_same_occupancy_matches_box_oracle(pair):
     a, b = pair
-    expected = occupancy_oracle(a) == occupancy_oracle(b)
+    expected = by_box(a) == by_box(b)
     assert same_occupancy(a, b) == expected
     assert same_occupancy(b, a) == expected
 

@@ -1,10 +1,12 @@
-"""Golden digests of full outputs, pinned from the dense-sweep kernels.
+"""Golden digests of full outputs.
 
 A kernel rewrite must reproduce these bit for bit; re-pin only when an
 output is meant to change, and say why.  The raw digests pin the window
-and its zero padding too; the window-invariant digests read every state
-and trace by absolute box, so they must survive any change of window or
-record layout unchanged.
+and its zero padding too; they were last re-pinned when the Euler window
+began to start at the first ball and the JSON trace became [box, value]
+pairs.  The window-invariant digests read every state and trace by
+absolute box, so they must survive any change of window or record layout
+unchanged.
 """
 
 import hashlib
@@ -24,7 +26,7 @@ def test_showcase_simulate_json_digest(capsys):
     assert main(["simulate", "--config", str(SHOWCASE), "--steps", "500", "--render", "json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == (
-        "cd536d7658289fa0d1d462efd482c32390a41b2006c88833c8204cedf6e51fc4"
+        "4fdc2e160250668af676823e5c91750cc840e1b9f50a3fee869c5aa788c080c7"
     )
 
 
@@ -50,7 +52,7 @@ def test_euler_step_and_expansion_digest():
                 trace.removed,
                 expand(state).bits,
             )
-    assert digest.hexdigest() == "82ba3e0847978d445d0a30ee2350bd023a938f42fce0044b2f129b7076f2faaa"
+    assert digest.hexdigest() == "510a69eaa2f488eb2b84965d923a1261365905d9564de9e4cb0a750ef1ee7909"
 
 
 def _by_box(values, start):

@@ -58,8 +58,10 @@ def test_verify_two_solitons_and_step_agreement():
     assert sl0.U[0] == 0 and sl0.U[-1] == 0
     st = EulerState(counts=sl0.U, profile=UNIT, time=2)
     nxt, _ = euler_step(st, FREE)
-    assert nxt.counts.tolist() == sl1.U.tolist()[: len(nxt.counts)]
-    assert not sl1.U[len(nxt.counts) :].any()
+    # both slices start at box 0, so a box is its index in sl1.U
+    lo, hi = nxt.window_start, nxt.window_start + len(nxt.counts)
+    assert nxt.counts.tolist() == sl1.U.tolist()[lo:hi]
+    assert not sl1.U[:lo].any() and not sl1.U[hi:].any()
 
 
 def test_verify_with_capacities_and_bounded_carrier():
