@@ -81,20 +81,36 @@ class EulerState:
         )
 
 
-def _occupied(state: EulerState) -> Tuple[int, np.ndarray]:
-    # (absolute first occupied box, counts from there to the last occupied
-    # box); an all-zero state is (0, empty)
-    nz = np.flatnonzero(state.counts)
-    if not len(nz):
-        return 0, state.counts[:0]
-    return state.window_start + int(nz[0]), state.counts[nz[0] : nz[-1] + 1]
+def _on_boxes(values: np.ndarray, start: int, lo: int, length: int) -> np.ndarray:
+    # values (from box `start`) on boxes lo .. lo+length-1, zero elsewhere
+    out = np.zeros(length, dtype=np.int64)
+    out[start - lo : start - lo + len(values)] = values
+    return out
+
+
+def _union(a: EulerState, b: EulerState) -> Tuple[int, int]:
+    # (first box, length) of the smallest window holding both windows
+    lo = min(a.window_start, b.window_start)
+    hi = max(a.window_start + len(a.counts), b.window_start + len(b.counts))
+    return lo, hi - lo
+
+
+def first_difference(a: EulerState, b: EulerState) -> Optional[Tuple[int, int, int]]:
+    """(absolute box, count in a, count in b) at the first box where the two
+    zero-padded lines differ, or None when they are the same line."""
+    lo, w = _union(a, b)
+    ua = _on_boxes(a.counts, a.window_start, lo, w)
+    ub = _on_boxes(b.counts, b.window_start, lo, w)
+    diff = np.flatnonzero(ua != ub)
+    if not len(diff):
+        return None
+    i = int(diff[0])
+    return lo + i, int(ua[i]), int(ub[i])
 
 
 def same_occupancy(a: EulerState, b: EulerState) -> bool:
     """True when both windows describe the same infinite zero-padded line."""
-    start_a, occ_a = _occupied(a)
-    start_b, occ_b = _occupied(b)
-    return start_a == start_b and np.array_equal(occ_a, occ_b)
+    return first_difference(a, b) is None
 
 
 @dataclass(frozen=True)
@@ -212,33 +228,6 @@ class ResidualReport:
     @property
     def ok(self) -> bool:
         return self.max_violation == 0 and self.carrier_identity_max == 0
-
-
-def _on_boxes(values: np.ndarray, start: int, lo: int, length: int) -> np.ndarray:
-    # values (from box `start`) on boxes lo .. lo+length-1, zero elsewhere
-    out = np.zeros(length, dtype=np.int64)
-    out[start - lo : start - lo + len(values)] = values
-    return out
-
-
-def _union(a: EulerState, b: EulerState) -> Tuple[int, int]:
-    # (first box, length) of the smallest window holding both windows
-    lo = min(a.window_start, b.window_start)
-    hi = max(a.window_start + len(a.counts), b.window_start + len(b.counts))
-    return lo, hi - lo
-
-
-def first_difference(a: EulerState, b: EulerState) -> Optional[Tuple[int, int, int]]:
-    """(absolute box, count in a, count in b) at the first box where the two
-    zero-padded lines differ, or None when they are the same line."""
-    lo, w = _union(a, b)
-    ua = _on_boxes(a.counts, a.window_start, lo, w)
-    ub = _on_boxes(b.counts, b.window_start, lo, w)
-    diff = np.flatnonzero(ua != ub)
-    if not len(diff):
-        return None
-    i = int(diff[0])
-    return lo + i, int(ua[i]), int(ub[i])
 
 
 def umkdv_residual(
