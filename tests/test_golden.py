@@ -14,10 +14,11 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-from boxball import euler_step, expand
+from boxball import POS_INF, XInt, euler_step, expand
 from boxball.cli import main
-from boxball.difftest import DiffBounds, random_case
+from boxball.difftest import DiffBounds, random_case, run_difftest
 
 SHOWCASE = Path(__file__).resolve().parents[1] / "configs" / "showcase.json"
 
@@ -119,3 +120,30 @@ def test_euler_step_window_invariant_digest():
     assert digest.hexdigest() == (
         "12f357921029d661190c9ca21c2b4f502dc37a719da09a6f56715adc4adeae8f"
     )
+
+
+DIFFTEST_SETTINGS = {
+    "capacity": DiffBounds(window=32, max_delta=5, steps=20),
+    "unit": DiffBounds(window=32, max_delta=1, steps=20),
+    "euler_only": DiffBounds(
+        m_choices=(XInt(1), XInt(2), XInt(3), POS_INF), include_toda=False
+    ),
+}
+
+DIFFTEST_DIGESTS = {
+    ("capacity", 0): "3ff3d19135de15e600463d3a3feea038c370ed7168465b282183c68a7c2d17a5",
+    ("capacity", 1): "313d505c3fae72f7620cdcfc0833747082d689e675ec68aefd3e0c061ecf4d0e",
+    ("unit", 0): "469b3ac9eac4eac165b096f4c408cab585ac2e6ac70719bbf3b33995a0c0c370",
+    ("unit", 1): "8bacd2bb45abdf3305b9e6b85073aec9d6d0492882e2a7f81a4bb96db45199f7",
+    ("euler_only", 0): "44e4441476f2869c1fedd21db515ef09fc975e3188bffba42c0d565f6ca14979",
+    ("euler_only", 1): "c3d1195a5fb5b21d6b4faef4dddb9c0faf36f1e65188f6951fc629152876063e",
+}
+
+
+@pytest.mark.parametrize("setting, seed", sorted(DIFFTEST_DIGESTS))
+def test_difftest_report_digest(setting, seed):
+    # 100 cases of the criterion-3, unit-capacity and Euler-only mixes,
+    # serialized as `boxball difftest` prints them
+    report = run_difftest(100, seed, DIFFTEST_SETTINGS[setting]).to_json_dict()
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == DIFFTEST_DIGESTS[(setting, seed)]
