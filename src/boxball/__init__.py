@@ -18,10 +18,7 @@ from .euler import (
     same_occupancy,
     umkdv_residual,
 )
-from .expansion import (
-    BinarySeq,
-    expand,
-)
+from .expansion import expand
 from .geometry import (
     CapacityProfile,
     CarrierSchedule,
@@ -65,7 +62,6 @@ __all__ = [
     "CapacityProfile",
     "CapacityViolation",
     "CarrierSchedule",
-    "BinarySeq",
     "DegenerateState",
     "EmptySequence",
     "EulerSolitonParams",

@@ -1,14 +1,15 @@
-"""Hot inner loops: carrier sweeps and segment scans over int64 arrays.
+"""Hot inner loops: carrier sweeps and run counting over int64 arrays.
 
-Every kernel is a left-to-right scan (each box depends on the carrier state
-left of it), interpreted over numpy arrays.  An empty box met by an empty
-carrier is an exact no-op of the carrier rules and of the expansion map, so
-carrier_sweep and expand_sweep visit only the occupied boxes and the boxes
-a loaded carrier passes: their cost follows the balls and the carried span,
-not the window length.  The skip is exact for valid input
-(0 <= counts <= caps, carrier capacity >= 0).  ball_queue_sweep, the
-independent oracle, and free_flow_sweep, the M = +inf cross-check of
-carrier_sweep through nukdv_step, still walk every box.
+Every carrier kernel is a left-to-right scan (each box depends on the
+carrier state left of it), interpreted over numpy arrays.  An empty box met
+by an empty carrier is an exact no-op of the carrier rules, so
+carrier_sweep visits only the occupied boxes and the boxes a loaded carrier
+passes: its cost follows the balls and the carried span, not the window
+length.  The skip is exact for valid input (0 <= counts <= caps, carrier
+capacity >= 0).  ball_queue_sweep, the independent oracle, and
+free_flow_sweep, the M = +inf cross-check of carrier_sweep through
+nukdv_step, still walk every box.  counts_from_runs lays runs of ones back
+onto boxes (the inverse of the expansion map).
 
 Carrier capacity enters as (m_val, m_capped); +inf is m_capped=False, never
 a sentinel integer.
@@ -113,57 +114,6 @@ def free_flow_sweep(counts, caps):
         new_counts[n] = put
         load += counts[n] - put
     return new_counts, load
-
-
-def expand_sweep(counts, caps, total):
-    """Rewrite box counts as a 0/1 segment sequence.
-
-    Within box n the ones are left-justified when the segment just before
-    the box is a 1, right-justified otherwise; the segment left of the
-    window counts as 0.  Empty boxes stay all zero, so only occupied boxes
-    are written, in order: the segment before box n is a 1 exactly when
-    box n-1 is occupied and its last segment is a 1, i.e. when the last
-    one written ends where box n starts.
-    """
-    bits = np.zeros(total, np.int64)
-    occupied = np.flatnonzero(counts).tolist()
-    ends = np.cumsum(caps).tolist()
-    counts = counts.tolist()
-    caps = caps.tolist()
-    ones_end = -1  # segment just past the last one written
-    for n in occupied:
-        u = counts[n]
-        end = ends[n]
-        start = end - caps[n]
-        if start == ones_end:
-            bits[start : start + u] = 1
-            ones_end = start + u
-        else:
-            bits[end - u : end] = 1
-            ones_end = end
-    return bits
-
-
-def run_scan(bits):
-    """Maximal runs of ones: (starts, lengths), left to right."""
-    n = bits.shape[0]
-    cap = n // 2 + 1
-    starts = np.zeros(cap, np.int64)
-    lengths = np.zeros(cap, np.int64)
-    k = 0
-    i = 0
-    while i < n:
-        if bits[i] == 1:
-            j = i + 1
-            while j < n and bits[j] == 1:
-                j += 1
-            starts[k] = i
-            lengths[k] = j - i
-            k += 1
-            i = j
-        else:
-            i += 1
-    return starts[:k].copy(), lengths[:k].copy()
 
 
 def counts_from_runs(starts, lengths, bounds):

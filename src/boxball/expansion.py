@@ -1,76 +1,43 @@
-"""Expansion map: box counts -> 0/1 segment sequence, and back.
+"""Expansion map: box counts -> runs of ones on the segment line.
 
 During interactions the per-box counts do not show where one soliton ends
 and the next begins; on the expanded segment line solitons are plain
 maximal runs of ones, so sizes, gaps and positions are well defined at
-every time.
+every time.  toda.to_euler maps runs back to counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from . import _kernels
 from .euler import EulerState
-from .geometry import CapacityProfile
 
 
-@dataclass(frozen=True, eq=False)
-class BinarySeq:
-    """Segment values over a window starting at segment_start; zero outside."""
+def expand(state: EulerState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """Runs of ones of the expanded state as (X, Y): run n covers absolute
+    segments X[n] .. Y[n]-1, the start positions of toda.toda_to_lagrange.
 
-    bits: np.ndarray
-    segment_start: int
-    profile: CapacityProfile
-
-    def __post_init__(self):
-        b = np.asarray(self.bits, dtype=np.int64).copy()
-        if b.ndim != 1 or np.any((b != 0) & (b != 1)):
-            raise ValueError("bits must be a one-dimensional 0/1 sequence")
-        b.setflags(write=False)
-        object.__setattr__(self, "bits", b)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BinarySeq):
-            return NotImplemented
-        return (
-            self.segment_start == other.segment_start
-            and self.profile == other.profile
-            and np.array_equal(self.bits, other.bits)
-        )
-
-    def __repr__(self) -> str:
-        return f"BinarySeq(start={self.segment_start}, bits={self.bits.tolist()})"
-
-
-def expand(state: EulerState) -> BinarySeq:
-    """Rewrite a state as segments: box n gets U_n ones, left-justified when
-    the segment just before the box is a 1, right-justified otherwise.
-
-    Per-box bit sums always equal the counts; with all capacities 1 the map
-    is the identity.  Raises FiniteOverflow when the window's last segment
-    boundary is past the int64 range.
+    Box n gets U_n ones, left-justified (extending the last run) when that
+    run ends where the box starts, right-justified (opening a new run)
+    otherwise.  Empty boxes hold no ones, so only the occupied boxes are
+    read.  Per-box sums of the runs equal the counts; with all capacities 1
+    the map is the identity.  Raises FiniteOverflow when an occupied box's
+    segment boundary is past the int64 range.
     """
     profile = state.profile
-    w = len(state.counts)
-    start = profile.boundary(state.window_start)
-    total = profile.boundary(state.window_start + w) - start
-    caps = profile.caps_array(state.window_start, w)
-    bits = _kernels.expand_sweep(state.counts, caps, total)
-    return BinarySeq(bits=bits, segment_start=start, profile=profile)
-
-
-def bits_from_positions(x, y, segment_start: int, length: int) -> np.ndarray:
-    """Raw 0/1 placement of the runs [x[n], y[n]) (the run and gap starts
-    of toda.toda_to_lagrange) on segments [segment_start,
-    segment_start+length); raises if a run falls outside."""
-    bits = np.zeros(length, dtype=np.int64)
-    for a, b in zip(x, y):
-        a -= segment_start
-        b -= segment_start
-        if a < 0 or b > length:
-            raise ValueError("run outside the segment window")
-        bits[a:b] = 1
-    return bits
+    counts = state.counts
+    x: list = []
+    y: list = []
+    for i in np.flatnonzero(counts).tolist():
+        n = state.window_start + i
+        u = int(counts[i])
+        start = profile.boundary(n)
+        end = profile.boundary(n + 1)
+        if y and y[-1] == start:
+            y[-1] = start + u
+        else:
+            x.append(end - u)
+            y.append(end)
+    return tuple(x), tuple(y)

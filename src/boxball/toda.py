@@ -375,15 +375,8 @@ def to_euler(state: TodaState) -> EulerState:
 def from_euler(state: EulerState) -> TodaState:
     """Read sizes, gaps and the anchor off the runs of ones of the
     expanded state; raises EmptySequence when there are no balls."""
-    seq = expand(state)
-    starts, lengths = _kernels.run_scan(seq.bits)
-    if len(starts) == 0:
+    x, y = expand(state)
+    if not x:
         raise EmptySequence("all segments are 0")
-    gaps = starts[1:] - (starts[:-1] + lengths[:-1])
-    return TodaState(
-        Q=lengths.tolist(),
-        E=gaps.tolist(),
-        X0=seq.segment_start + int(starts[0]),
-        profile=state.profile,
-        time=state.time,
-    )
+    q, e, x0 = lagrange_to_toda(x, y)
+    return TodaState(Q=q, E=e, X0=x0, profile=state.profile, time=state.time)

@@ -134,6 +134,25 @@ def test_simulate_segment_boundary_past_int64_exit_code(tmp_path, capsys):
     assert "FiniteOverflow" in captured.err and "Traceback" not in captured.err
 
 
+def test_simulate_huge_box_capacity_both_mode(tmp_path, capsys):
+    # one ball in a box of 2^62 segments: the expansion reads the box's two
+    # boundaries, it lays out none of its segments
+    cfg = write_json(
+        tmp_path / "huge.json",
+        {
+            "representation": "both",
+            "steps": 3,
+            "render": "json",
+            "profile": {"capacities": [2**62]},
+            "initial": {"euler": {"counts": [1]}},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 0
+    recs = [json.loads(l) for l in capsys.readouterr().out.splitlines()]
+    assert [r["verdict"] for r in recs] == ["equal"] * 3
+    assert [r["toda"]["X0"] for r in recs] == [2**62, 2**62 + 1, 2**62 + 2]
+
+
 def test_simulate_both_mode_verdicts(tmp_path, capsys):
     cfg = write_json(
         tmp_path / "both.json",
@@ -450,6 +469,24 @@ def test_simulate_int64_out_of_range_exit_code(tmp_path, capsys, changes, named)
     assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["simulate", "solution"])
+@pytest.mark.parametrize("problem", ["missing", "directory", "not_utf8"])
+def test_unreadable_input_file_exit_code(tmp_path, capsys, command, problem):
+    path = tmp_path / "input.json"
+    if problem == "directory":
+        path.mkdir()
+    elif problem == "not_utf8":
+        path.write_bytes(b'{"P": [1], "Xi": [0], "n_range": [0, 5], "x": "\xff"}')
+    if command == "simulate":
+        argv = ["simulate", "--config", str(path)]
+    else:
+        argv = ["solution", "--params", str(path), "--type", "euler"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert str(path) in captured.err and "Traceback" not in captured.err
 
 
 def test_seed_key_rejected(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -13,42 +15,38 @@ from boxball import (
     from_euler,
     same_occupancy,
     to_euler,
-    toda_to_lagrange,
     unit_profile,
 )
 from boxball.difftest import DiffBounds, random_case
-from boxball.expansion import BinarySeq, bits_from_positions
 
 UNIT = unit_profile()
 
 
 def test_expand_right_then_left_justified():
     p = CapacityProfile(capacities=(2, 3))
-    seq = expand(EulerState(counts=[1, 2], profile=p))
-    assert seq.bits.tolist() == [0, 1, 1, 1, 0]
-    assert seq.segment_start == 0
+    # 0 1 | 1 1 0
+    assert expand(EulerState(counts=[1, 2], profile=p)) == ((1,), (4,))
 
 
 def test_expand_merges_across_boxes():
     p = CapacityProfile(capacities=(3, 5))
-    seq = expand(EulerState(counts=[3, 2], profile=p))
-    assert seq.bits.tolist() == [1, 1, 1, 1, 1, 0, 0, 0]
+    # 1 1 1 | 1 1 0 0 0
+    assert expand(EulerState(counts=[3, 2], profile=p)) == ((0,), (5,))
 
 
 def test_expand_identity_on_unit_capacities():
     st = EulerState(counts=[1, 0, 1, 1, 0, 1], profile=UNIT)
-    assert expand(st).bits.tolist() == [1, 0, 1, 1, 0, 1]
+    assert expand(st) == ((0, 2, 5), (1, 4, 6))
 
 
 def test_expand_preserves_per_box_sums():
     for i in range(300):
         rng = np.random.default_rng([31337, i])
         st, _ = random_case(rng, DiffBounds(window=20, max_delta=5, steps=1))
-        seq = expand(st)
-        bounds = st.profile.bounds_array(st.window_start, len(st.counts))
-        start = bounds[0]
+        runs = list(zip(*expand(st)))
+        bounds = st.profile.bounds_array(st.window_start, len(st.counts)).tolist()
         sums = [
-            int(seq.bits[a - start : b - start].sum())
+            sum(max(0, min(b, y) - max(a, x)) for x, y in runs)
             for a, b in zip(bounds[:-1], bounds[1:])
         ]
         assert sums == st.counts.tolist()
@@ -69,6 +67,21 @@ def test_from_euler_capacities_examples():
 def test_from_euler_empty():
     with pytest.raises(EmptySequence):
         from_euler(EulerState(counts=[0, 0, 0], profile=UNIT))
+
+
+@pytest.mark.parametrize("capacity", [10**6, 2**62])
+def test_from_euler_memory_follows_the_balls(capacity):
+    # 0 1 | 1 0 .. 0 | 0 0 1: the runs come from the occupied boxes'
+    # boundaries, not from a segment array as long as the big box
+    state = EulerState(counts=[1, 1, 1], profile=CapacityProfile(capacities=(2, capacity, 3)))
+    tracemalloc.start()
+    try:
+        ts = from_euler(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (ts.Q, ts.E, ts.X0) == ((2, 1), (capacity + 1,), 1)
+    assert peak < 1_000_000
 
 
 def test_segment_to_box_examples():
@@ -117,18 +130,3 @@ def test_block_decomposition_validation():
     with pytest.raises(ValueError):
         TodaState(Q=(1,), E=(1,), X0=0, profile=UNIT)
 
-
-def test_bits_from_positions():
-    x, y = toda_to_lagrange((2, 1), (2,), 1)
-    bits = bits_from_positions(x, y, 0, 8)
-    assert bits.tolist() == [0, 1, 1, 0, 0, 1, 0, 0]
-    assert bits_from_positions(x, y, 1, 5).tolist() == [1, 1, 0, 0, 1]
-    with pytest.raises(ValueError):
-        bits_from_positions((7,), (9,), 0, 8)
-    with pytest.raises(ValueError):
-        bits_from_positions(x, y, 2, 6)
-
-
-def test_binary_seq_validation():
-    with pytest.raises(ValueError):
-        BinarySeq(bits=[0, 2], segment_start=0, profile=UNIT)

@@ -1,15 +1,16 @@
-"""The sparse kernels against the literal dense loops they replace.
+"""The sparse walks against the literal dense loops they replace.
 
-Each dense_* function below walks every box of the window, exactly as the
-kernels did before they learnt to skip empty boxes under an empty carrier.
+Each dense_* function below walks every box of the window: the carrier
+sweep as it was before it learnt to skip empty boxes under an empty
+carrier, and the expansion as the 0/1 segment array it used to be.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boxball import CapacityProfile
-from boxball._kernels import carrier_sweep, expand_sweep
+from boxball import CapacityProfile, EulerState, expand
+from boxball._kernels import carrier_sweep
 
 
 def dense_carrier_sweep(counts, caps, m_val, m_capped):
@@ -51,6 +52,12 @@ def dense_expand_sweep(counts, caps, total):
         s += d
         prev = bits[s - 1]
     return bits
+
+
+def runs_of(bits):
+    """(X, Y) of the maximal runs of ones in a 0/1 array from segment 0."""
+    edges = np.flatnonzero(np.diff(np.concatenate(([0], bits, [0]))))
+    return tuple(edges[0::2].tolist()), tuple(edges[1::2].tolist())
 
 
 @st.composite
@@ -119,7 +126,7 @@ def test_carrier_sweep_reports_load_leaving_window():
 @example(ALL_ZERO)
 @example(LAST_OCCUPIED)
 @example(window([2, 3, 1, 0, 5], [2, 3, 4, 1, 5]))  # full boxes chain left-justification
-def test_expand_sweep_matches_dense_loop(win):
+def test_expand_matches_dense_loop(win):
     counts, caps = win
-    total = int(caps.sum())
-    assert_same([expand_sweep(counts, caps, total)], [dense_expand_sweep(counts, caps, total)])
+    state = EulerState(counts=counts, profile=CapacityProfile(capacities=tuple(caps.tolist())))
+    assert expand(state) == runs_of(dense_expand_sweep(counts, caps, int(caps.sum())))
