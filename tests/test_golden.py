@@ -16,7 +16,18 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from boxball import POS_INF, XInt, euler_step, expand
+from boxball import (
+    POS_INF,
+    CapacityProfile,
+    CarrierSchedule,
+    EulerSolitonParams,
+    TauParams,
+    XInt,
+    euler_nsoliton,
+    euler_step,
+    expand,
+    tau_toda_state,
+)
 from boxball.cli import main
 from boxball.difftest import DiffBounds, random_case, run_difftest
 
@@ -157,3 +168,87 @@ def test_difftest_report_digest(setting, seed):
     report = run_difftest(100, seed, DIFFTEST_SETTINGS[setting]).to_json_dict()
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == DIFFTEST_DIGESTS[(setting, seed)]
+
+
+# --- closed forms -------------------------------------------------------------
+# Pinned before the potentials moved from subset enumeration to dynamic
+# programs; an evaluation strategy must reproduce them byte for byte.
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+SOLUTION_DIGESTS = {
+    ("soliton_pair.json", "euler", False): "d3147d2a5b2e6e9d02502de0247dcfff8822d99163c41df9bed0b1eb1b6cb912",
+    ("soliton_pair.json", "euler", True): "09a390495a745598125cd40d7f1a9bc1d5667be4937875f8e045c6fff84004d4",
+    ("tau_pair.json", "tau", False): "b3f1f7b3c43ee305bfc32c5b7665851138c404634678852dc89442ff386bbd15",
+    ("tau_pair.json", "tau", True): "9f1469e1f46483817e39250ead5a704aaff188d548f6d173c122a99480a06b04",
+}
+
+
+@pytest.mark.parametrize("config, kind, verify", sorted(SOLUTION_DIGESTS))
+def test_solution_cli_digest(capsys, config, kind, verify):
+    argv = ["solution", "--params", str(CONFIGS / config), "--type", kind]
+    assert main(argv + ["--verify"] * verify) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SOLUTION_DIGESTS[config, kind, verify]
+
+
+def seeded_euler_params(n, seed):
+    """N solitons with distinct speeds, a random capacity profile and a
+    carrier schedule mixing finite capacities with +inf."""
+    rng = np.random.default_rng(seed)
+    p = rng.choice(np.arange(1, 13), size=n, replace=False).tolist()
+    caps = rng.integers(1, 5, size=10).tolist()
+    return EulerSolitonParams(
+        P=p,
+        Xi=rng.integers(-15, 16, size=n).tolist(),
+        profile=CapacityProfile(capacities=caps, default_capacity=int(rng.integers(1, 5))),
+        schedule=CarrierSchedule(
+            entries={
+                t: POS_INF if rng.random() < 0.25 else XInt(int(rng.integers(1, 11)))
+                for t in range(1, 12)
+            }
+        ),
+    )
+
+
+def seeded_tau_params(n, seed):
+    """N sorted distinct speeds, random weights, and a carrier schedule at
+    or above Delta."""
+    rng = np.random.default_rng(seed)
+    p = sorted(rng.choice(np.arange(1, 11), size=n, replace=False).tolist())
+    w = rng.integers(-10, 11, size=n).tolist()
+    delta = int(rng.integers(1, 5))
+    return TauParams(
+        P=p,
+        W=w,
+        Delta=delta,
+        schedule=CarrierSchedule(
+            entries={
+                t: POS_INF if rng.random() < 0.25 else XInt(delta + int(rng.integers(0, 7)))
+                for t in range(1, 17)
+            }
+        ),
+    )
+
+
+def test_euler_nsoliton_n10_digest():
+    params = seeded_euler_params(10, 10)
+    digest = hashlib.sha256()
+    for t in range(-2, 11):
+        sl = euler_nsoliton(params, -60, 360, t)
+        digest.update(json.dumps([sl.n_start, sl.U.tolist(), sl.Ubar.tolist(),
+                                  sl.Zbar.tolist()]).encode())
+    assert digest.hexdigest() == (
+        "1fec4d9edc3fc686ede278fa1d237f9209b6c8f5c959eae7f4d635594bc5cdc1"
+    )
+
+
+def test_tau_toda_state_n8_digest():
+    params = seeded_tau_params(8, 8)
+    digest = hashlib.sha256()
+    for t in range(-2, 16):
+        st = tau_toda_state(params, t)
+        digest.update(json.dumps([st.Q, st.E, st.Qbar, st.Ebar, st.Cbar, st.Dbar]).encode())
+    assert digest.hexdigest() == (
+        "148ab0e374eb5f6375e4251cbbefab23abaa77dbdda4b1a118c4929dbed8241e"
+    )
