@@ -30,8 +30,10 @@ from .solutions import (
     EulerSolitonParams,
     TauParams,
     euler_nsoliton,
+    euler_slices,
     tau_T,
     tau_olT,
+    tau_states,
     tau_toda_state,
     verify_euler_solution,
     verify_tau_solution,
@@ -81,6 +83,7 @@ __all__ = [
     "constant_schedule",
     "enutoda_step",
     "euler_nsoliton",
+    "euler_slices",
     "euler_step",
     "expand",
     "extoda_step",
@@ -92,6 +95,7 @@ __all__ = [
     "same_occupancy",
     "tau_T",
     "tau_olT",
+    "tau_states",
     "tau_toda_state",
     "to_euler",
     "toda_to_lagrange",

@@ -31,6 +31,8 @@ from .solutions import (
     EulerSolitonParams,
     TauParams,
     euler_nsoliton,
+    euler_slices,
+    tau_states,
     tau_toda_state,
     verify_euler_solution,
     verify_tau_solution,
@@ -238,12 +240,11 @@ def cmd_solution(args) -> int:
                 )
             )
             return 0 if report.ok else 1
-        for t in range(t_lo, t_hi + 1):
-            sl = euler_nsoliton(params, lo, hi, t)
+        for sl in euler_slices(params, lo, hi, t_lo, t_hi):
             _emit(
                 _dump(
                     {
-                        "t": t,
+                        "t": sl.time,
                         "n_start": sl.n_start,
                         "U": sl.U.tolist(),
                         "Ubar": sl.Ubar.tolist(),
@@ -273,12 +274,11 @@ def cmd_solution(args) -> int:
             )
         )
         return 0 if report.ok else 1
-    for t in range(t_lo, t_hi + 1):
-        ts = tau_toda_state(params, t)
+    for ts in tau_states(params, t_lo, t_hi):
         _emit(
             _dump(
                 {
-                    "t": t,
+                    "t": ts.time,
                     "Q": list(ts.Q),
                     "E": list(ts.E),
                     "Qbar": list(ts.Qbar),

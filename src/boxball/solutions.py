@@ -3,30 +3,37 @@
 Two families:
 
 * a multi-soliton solution of the counts-level carrier system, built from
-  potentials F that minimize over index subsets (exhaustive enumeration,
-  2^N - 1 subsets);
+  potentials F that minimize over index subsets;
 * a particular solution of the fixed-box-capacity size-coordinate system,
   built from potentials T / Tbar that minimize over increasing index
-  tuples (all C(N, n) of them).
+  tuples.
+
+Both minima are exact dynamic programs (`_count_dp`): taken in the right
+order, an index's weight depends only on how many chosen indices precede
+it, so a sweep over (index, count) replaces the 2^N subsets and C(N, n)
+tuples, and N is no longer desk-scale.  The literal enumerations live in
+the test suite as the independent oracle.
 
 Everything is exact integer arithmetic; verification is equality, not
-tolerance.  Enumeration is deliberately the only evaluation strategy here:
-these functions are oracles, and N stays desk-scale.
+tolerance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
-from typing import Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .geometry import CapacityProfile, CarrierSchedule
 from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_xint
 
-MAX_SOLITONS = 15  # 2^N subset enumeration stays trivial below this
+# The potentials are dynamic programs, O(N^2 W) per Euler time slice over W
+# boxes and O(N^3) per tau row: at N = 64 a 401-box Euler slice takes about
+# 12 ms and a tau state about 3 ms on a 2-core Xeon.  The cap turns a
+# runaway soliton count into a named error instead of a long computation.
+MAX_SOLITONS = 64
 
 
 @dataclass(frozen=True)
@@ -104,7 +111,34 @@ def _signed_prefix(
     return pref[:, lo - j_lo : hi - j_lo + 1] - pref[:, -j_lo, None]
 
 
-def _euler_slices(
+def _count_dp(h: np.ndarray, p: Sequence[int]) -> np.ndarray:
+    """best[c] = min over c-element subsets J of 0 .. N-1 of
+
+        sum_{i in J} (h[i] + 2 P_i * #{j in J : j < i}),
+
+    elementwise over the trailing axes of h, for c = 0 .. N (best[0] = 0).
+
+    Adding element i to a subset of c earlier ones costs h[i] + 2 P_i c
+    whichever they are, so the minimum for each size is a sweep over
+    (element, count): O(N^2) array operations instead of 2^N subsets.
+    Every partial is the total of some subset.
+    """
+    big_n = len(p)
+    best = np.empty((big_n + 1,) + h.shape[1:], dtype=np.int64)
+    # one buffer for every step: a fresh array per step took twice as long
+    steps = np.empty((big_n,) + h.shape[1:], dtype=np.int64)
+    best[0] = 0
+    counts = np.arange(big_n).reshape((-1,) + (1,) * (h.ndim - 1))
+    for i, pi in enumerate(p):
+        step = steps[: i + 1]
+        np.add(best[: i + 1], h[i], out=step)
+        step += 2 * pi * counts[: i + 1]
+        best[i + 1] = step[i]
+        np.minimum(best[1 : i + 1], step[:i], out=best[1 : i + 1])
+    return best
+
+
+def euler_slices(
     params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
 ) -> Iterator[EulerFieldSlice]:
     """The fields at t = t_lo .. t_hi over boxes [n_lo, n_hi], from the
@@ -116,43 +150,38 @@ def _euler_slices(
                              + sum_{j<t} min(P_i, M_j),
         H^{1,t}_{i,n} = H^{0,t}_{i,n} - P_i.
 
-    The pair weight of J's 0/1 mask m is m^T W m / 2 with W_ij =
-    2*min(P_i, P_j), W_ii = 0: each unordered pair contributes once, the
-    convention under which the underlying subset-sum ansatz solves the
+    The pair weight of J is sum over its unordered pairs of 2*min(P_i, P_j),
+    the convention under which the underlying subset-sum ansatz solves the
     bilinear lattice (checked exactly in rational arithmetic in the test
-    suite).
+    suite).  With the solitons sorted by P, largest first, each of a
+    soliton's pairs with earlier chosen ones weighs 2 P_i, so F is the
+    minimum over sizes of `_count_dp` (size 0 is the empty set, the 0).
 
-    The subset totals split into a t-independent matrix plus one carrier
-    column per time, so each F^{k,t} is evaluated once and only two time
-    slices are alive.
+    Each F^{k,t} is evaluated once and only two time slices are alive.
+    Raises FiniteOverflow if a potential can leave int64.
     """
-    big_n, p = params.N, params.P
+    big_n = params.N
     # |sum_{j<x} min(P_i, .)| <= P_i |x|
     reach = 1 + max(abs(n_lo), abs(n_hi + 1)) + max(abs(t_lo), abs(t_hi + 1))
     _require_headroom(
-        big_n * big_n * max(p) + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, p))
+        big_n * big_n * max(params.P)
+        + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, params.P))
     )
+    # tied speeds may come in either order: their pair weighs 2 P both ways
+    order = sorted(range(big_n), key=lambda i: -params.P[i])
+    p = tuple(params.P[i] for i in order)
+    xi = np.array([params.Xi[i] for i in order], dtype=np.int64)
     s_caps = _signed_prefix(p, params.profile.caps_array, n_lo, n_hi + 1)
     s_car = _signed_prefix(p, partial(_carrier_array, params.schedule), t_lo, t_hi + 1)
 
-    pv = np.asarray(p, dtype=np.int64)
-    masks = (np.arange(1, 2**big_n)[:, None] >> np.arange(big_n)) & 1
-    w = 2 * np.minimum.outer(pv, pv)
-    np.fill_diagonal(w, 0)
-    base = masks @ (np.asarray(params.Xi, dtype=np.int64)[:, None] - s_caps)
-    base += (((masks @ w) * masks).sum(axis=1) // 2)[:, None]
-    car = masks @ s_car
-    mp = (masks @ pv)[:, None]
-
-    # one buffer for every t: a fresh (2^N - 1) x W matrix per t cost about
-    # 2 MB more peak RSS on the closed_form benchmark (allocator churn)
-    totals = np.empty_like(base)
+    # H^{0,t} and H^{1,t} side by side, less the carrier column
+    h0 = xi[:, None] - s_caps
+    base = np.concatenate([h0, h0 - np.asarray(p, dtype=np.int64)[:, None]], axis=1)
+    width = h0.shape[1]
 
     def potentials(t: int) -> Tuple[np.ndarray, np.ndarray]:
-        np.add(base, car[:, t - t_lo, None], out=totals)
-        f0 = np.minimum(0, totals.min(axis=0))
-        np.subtract(totals, mp, out=totals)
-        return f0, np.minimum(0, totals.min(axis=0))
+        f = _count_dp(base + s_car[:, t - t_lo, None], p).min(axis=0)
+        return f[:width], f[width:]
 
     f0, f1 = potentials(t_lo)
     for t in range(t_lo, t_hi + 1):
@@ -179,7 +208,7 @@ def euler_nsoliton(
     with F0 = F^{0,t}, F0' = F^{0,t+1}, F1 = F^{1,t}, F1' = F^{1,t+1}.
     Raises FiniteOverflow if a potential can leave int64.
     """
-    return next(_euler_slices(params, n_lo, n_hi, t, t))
+    return next(euler_slices(params, n_lo, n_hi, t, t))
 
 
 @dataclass(frozen=True)
@@ -213,7 +242,7 @@ def verify_euler_solution(
     def bump(key, diff):
         res[key] = max(res[key], int(np.max(np.abs(diff), initial=0)))
 
-    slices = _euler_slices(params, n_lo, n_hi, t_lo, t_hi)
+    slices = euler_slices(params, n_lo, n_hi, t_lo, t_hi)
     cur = next(slices)
     for nxt in slices:
         u, u1 = cur.U, nxt.U
@@ -257,48 +286,54 @@ class TauParams:
         return len(self.P)
 
 
-def _tau_row(params: TauParams, k: int, t: int, barred: bool, car: List[int]) -> list:
-    """[X_0, ..., X_N, +inf] for X = olT^{k,t} if barred else T^{k,t},
-    car[r] being the carrier sum of P_r that X reads.  Indexing with n = -1
-    and n = N+1 both lands on the +inf, so the row covers n = -1 .. N+1.
-    Raises FiniteOverflow if a potential leaves int64 headroom."""
-    p, big_n = params.P, params.N
-    m_delta = [min(pi, params.Delta) for pi in p]
-    row = [0]
-    for n in range(1, big_n + 1):
-        d = 2 * (n - 1) + t + k
-        base = [
-            w + c - d * md - (0 if barred else pi)
-            for w, c, md, pi in zip(params.W, car, m_delta, p)
-        ]
-        # the tuple entry of rank i weighs its P by 2(n-1-i)
-        by_rank = [[b + 2 * (n - 1 - i) * pi for b, pi in zip(base, p)] for i in range(n)]
-        row.append(
-            min(
-                sum(map(list.__getitem__, by_rank, tup))
-                for tup in combinations(range(big_n), n)
-            )
-        )
-    _require_headroom(max(map(abs, row)))
-    row.append(POS_INF)
-    return row
-
-
 # (k, barred) -> the times, relative to the fields' time t, at which the
 # fields read that potential
 _TAU_READS = {(0, False): (0, 0), (1, False): (-1, 0), (0, True): (0, 1), (1, True): (0, 1)}
 
 
 def _tau_rows(params: TauParams, t_lo: int, t_hi: int) -> Dict[Tuple[int, int, bool], list]:
-    """Every potential row (k, t, barred) the fields at t_lo .. t_hi read."""
-    # column x - t_lo is sum_{j=0}^{x-1} min(P_r, M_j): T^{k,t} reads
-    # x = t + 1, olT^{k,t} reads x = t
-    car = _signed_prefix(params.P, partial(_carrier_array, params.schedule), t_lo, t_hi + 1)
-    return {
-        (k, t, barred): _tau_row(params, k, t, barred, car[:, t + (not barred) - t_lo].tolist())
+    """Every potential row (k, t, barred) the fields at t_lo .. t_hi read,
+    as [X_0, ..., X_N, +inf] for X = olT^{k,t} if barred else T^{k,t}.
+    Indexing with n = -1 and n = N+1 both lands on the +inf, so a row
+    covers n = -1 .. N+1.
+
+    Walking the indices down from N-1, a tuple entry with c entries after
+    it has rank n-1-c and weighs its P by 2c, so X_n is entry n of
+    `_count_dp` run once per n (the entries' weights depend on n through
+    d = 2(n-1)+t+k), all rows and all n at once.  Raises FiniteOverflow,
+    before any int64 arithmetic, if a partial sum can leave int64 headroom.
+    """
+    p, big_n = params.P, params.N
+    keys = [
+        (k, t, barred)
         for (k, barred), (before, after) in _TAU_READS.items()
         for t in range(t_lo + before, t_hi + after + 1)
-    }
+    ]
+    m_delta = [min(pi, params.Delta) for pi in p]
+    # column x - t_lo is sum_{j=0}^{x-1} min(P_r, M_j): T^{k,t} reads
+    # x = t + 1, olT^{k,t} reads x = t
+    car = _signed_prefix(p, partial(_carrier_array, params.schedule), t_lo, t_hi + 1)
+    # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P
+    d_max = 2 * (big_n - 1) + max(abs(k + t) for k, t, _ in keys)
+    _require_headroom(
+        sum(
+            abs(w) + c + d_max * md + (2 * big_n - 1) * pi
+            for w, c, md, pi in zip(params.W, np.abs(car).max(axis=1).tolist(), m_delta, p)
+        )
+    )
+
+    # entry[r, row, n-1] is all of it but the rank weight 2c P
+    per_row = (
+        np.asarray(params.W, dtype=np.int64)[:, None]
+        + car[:, [t + (not barred) - t_lo for _, t, barred in keys]]
+        - np.outer(p, [not barred for _, _, barred in keys])
+    )
+    d = np.array([k + t for k, t, _ in keys])[:, None] + 2 * np.arange(big_n)
+    entry = per_row[:, :, None] - np.asarray(m_delta, dtype=np.int64)[:, None, None] * d
+    best = _count_dp(entry[::-1], p[::-1])
+    rows = np.zeros((len(keys), big_n + 1), dtype=np.int64)
+    rows[:, 1:] = best[np.arange(1, big_n + 1), :, np.arange(big_n)].T
+    return {key: row + [POS_INF] for key, row in zip(keys, rows.tolist())}
 
 
 def _tau_potential(params: TauParams, k: int, t: int, n: int, barred: bool) -> XInt:
@@ -363,8 +398,8 @@ def _tau_state(params: TauParams, rows: dict, t: int) -> TauState:
     )
 
 
-def tau_toda_state(params: TauParams, t: int) -> TauState:
-    """Evaluate the derived variables at time t via potential differences:
+def tau_states(params: TauParams, t_lo: int, t_hi: int) -> Iterator[TauState]:
+    """The derived variables at t = t_lo .. t_hi via potential differences:
 
         Q_n    = olT^{0,t+1}_{n+1} - olT^{0,t+1}_n + T^{1,t}_n - T^{1,t}_{n+1}
         Qbar_n = olT^{0,t+1}_{n+1} - olT^{0,t+1}_n + olT^{1,t}_n - olT^{1,t}_{n+1}
@@ -373,10 +408,17 @@ def tau_toda_state(params: TauParams, t: int) -> TauState:
         Cbar_n = olT^{0,t}_n - olT^{0,t+1}_n + T^{1,t}_n - T^{1,t-1}_n + D
         Dbar_n = T^{0,t}_{n+1} - olT^{0,t+1}_n + olT^{1,t}_n - T^{1,t-1}_{n+1}
 
-    Every index read lies in 0 .. N, so every value is finite.  Raises
-    FiniteOverflow if a potential leaves int64 headroom.
+    Every index read lies in 0 .. N, so every value is finite.  Each
+    potential row is evaluated once for the whole range, and FiniteOverflow
+    is raised up front if one can leave int64 headroom.
     """
-    return _tau_state(params, _tau_rows(params, t, t), t)
+    rows = _tau_rows(params, t_lo, t_hi)
+    return (_tau_state(params, rows, t) for t in range(t_lo, t_hi + 1))
+
+
+def tau_toda_state(params: TauParams, t: int) -> TauState:
+    """The derived variables at time t: the one-state case of tau_states."""
+    return next(tau_states(params, t, t))
 
 
 @dataclass(frozen=True)
@@ -425,17 +467,16 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
     def bump(key, lhs, rhs):
         res[key] = max(res[key], abs(lhs - rhs))
 
-    rows = _tau_rows(params, t_lo, t_hi)
-    cur = _tau_state(params, rows, t_lo)
-    for t in range(t_lo, t_hi):
-        m = params.schedule.at(t + 1)
+    states = tau_states(params, t_lo, t_hi)
+    cur = next(states)
+    for nxt in states:
+        m = params.schedule.at(nxt.time)
         if m < dd:
-            raise ValueError(f"carrier capacity {m} below Delta at t={t + 1}")
+            raise ValueError(f"carrier capacity {m} below Delta at t={nxt.time}")
 
         def cap(x: int) -> int:
             return x if m.is_pos_inf else min(x, m.finite)
 
-        nxt = _tau_state(params, rows, t + 1)
         q, e = cur.Q, cur.E
         qb, eb, cb, db = nxt.Qbar, nxt.Ebar, nxt.Cbar, nxt.Dbar
 

@@ -9,6 +9,7 @@ import pytest
 from boxball import cli, euler_step, first_difference, to_euler
 from boxball.cli import main
 from boxball.config import parse_config
+from boxball.solutions import MAX_SOLITONS
 
 SHOWCASE = str(Path(__file__).resolve().parents[1] / "configs" / "showcase.json")
 
@@ -449,6 +450,25 @@ def test_solution_cli_overflow_exit_code(tmp_path, capsys, kind, params):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "FiniteOverflow" in captured.err
+
+
+@pytest.mark.parametrize("command", ["simulate", "solution"])
+def test_too_many_solitons_exit_code(tmp_path, capsys, command):
+    n = MAX_SOLITONS + 1
+    params = {"P": list(range(1, n + 1)), "Xi": [0] * n, "n_range": [0, 5]}
+    if command == "simulate":
+        cfg = write_json(tmp_path / "many.json", {
+            "representation": "euler", "steps": 1,
+            "initial": {"solution": {"type": "euler", "params": params}}})
+        argv = ["simulate", "--config", cfg]
+    else:
+        argv = ["solution", "--params", write_json(tmp_path / "many.json", params),
+                "--type", "euler"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "params" in captured.err and f"1..{MAX_SOLITONS}" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -17,6 +17,7 @@ from boxball import (
     XInt,
     enutoda_step,
     euler_nsoliton,
+    euler_slices,
     euler_step,
     tau_T,
     tau_olT,
@@ -269,19 +270,18 @@ def literal_f(params, k, t, n):
     """F^{k,t}_n as a plain minimum over itertools.combinations."""
     p, big_n = params.P, params.N
 
-    def h(i):
-        return (
-            params.Xi[i]
-            - k * p[i]
-            - signed_sum(lambda j: min(p[i], params.profile.capacity(j)), n)
-            + signed_sum(lambda j: carrier_min(p[i], params.schedule, j), t)
-        )
-
+    h = [
+        params.Xi[i]
+        - k * p[i]
+        - signed_sum(lambda j: min(p[i], params.profile.capacity(j)), n)
+        + signed_sum(lambda j: carrier_min(p[i], params.schedule, j), t)
+        for i in range(big_n)
+    ]
     best = 0
     for size in range(1, big_n + 1):
         for sub in combinations(range(big_n), size):
             pairs = sum(2 * min(p[a], p[b]) for a, b in combinations(sub, 2))
-            best = min(best, pairs + sum(h(i) for i in sub))
+            best = min(best, pairs + sum(h[i] for i in sub))
     return best
 
 
@@ -291,6 +291,7 @@ def literal_tau(params, k, t, n, barred):
     if n in (-1, big_n + 1):
         return POS_INF
     upper = t - 1 if barred else t
+    car = [signed_sum(lambda j: carrier_min(pr, params.schedule, j), upper + 1) for pr in p]
     best = None
     for tup in combinations(range(big_n), n):
         tot = 0
@@ -300,7 +301,7 @@ def literal_tau(params, k, t, n, barred):
                 params.W[r]
                 + coeff * p[r]
                 - (2 * (n - 1) + t + k) * min(p[r], params.Delta)
-                + signed_sum(lambda j: carrier_min(p[r], params.schedule, j), upper + 1)
+                + car[r]
             )
         best = tot if best is None else min(best, tot)
     return XInt(best)
@@ -317,7 +318,7 @@ speeds = st.integers(0, 6)  # ties and P = 0 included
 
 @settings(max_examples=60)
 @given(
-    p=st.lists(speeds, min_size=1, max_size=4),
+    p=st.lists(speeds, min_size=1, max_size=6),
     data=st.data(),
     caps=st.lists(st.integers(1, 4), max_size=6),
     window_start=st.integers(0, 3),
@@ -350,7 +351,7 @@ def test_euler_fields_match_literal_enumeration(
 
 @settings(max_examples=60)
 @given(
-    p=st.lists(speeds, min_size=1, max_size=5).map(sorted),
+    p=st.lists(speeds, min_size=1, max_size=7).map(sorted),
     data=st.data(),
     delta=st.integers(1, 4),
     schedule=schedules,
@@ -363,6 +364,86 @@ def test_tau_potentials_match_literal_enumeration(p, data, delta, schedule, k, t
     for n in range(-1, params.N + 2):
         assert tau_T(params, k, t, n) == literal_tau(params, k, t, n, barred=False)
         assert tau_olT(params, k, t, n) == literal_tau(params, k, t, n, barred=True)
+
+
+def test_nine_solitons_with_ties_and_zero_speed_match_literal_enumeration():
+    # the dynamic programs sort by speed; ties (three 3s, two 5s) and a
+    # P = 0 soliton are where an ordering fault would show
+    rng = np.random.default_rng(9)
+    p = [3, 5, 0, 3, 7, 1, 5, 3, 2]
+    profile = CapacityProfile(rng.integers(1, 5, size=8).tolist(), 1, 2)
+    schedule = CarrierSchedule(
+        entries={t: POS_INF if t % 4 == 0 else XInt(int(rng.integers(0, 8))) for t in range(-3, 6)}
+    )
+    params = EulerSolitonParams(
+        P=p, Xi=rng.integers(-12, 13, size=9).tolist(), profile=profile, schedule=schedule
+    )
+    n_lo, n_hi = -4, 9
+    for t in (-2, 1, 3):
+        f = {
+            (k, tt): [literal_f(params, k, tt, n) for n in range(n_lo, n_hi + 2)]
+            for k in (0, 1)
+            for tt in (t, t + 1)
+        }
+        f0, f1, f0p, f1p = f[0, t], f[1, t], f[0, t + 1], f[1, t + 1]
+        idx = range(n_hi - n_lo + 1)
+        sl = euler_nsoliton(params, n_lo, n_hi, t)
+        assert sl.U.tolist() == [f0p[i + 1] - f0p[i] + f1p[i] - f1p[i + 1] for i in idx]
+        assert sl.Ubar.tolist() == [f0[i] - f0[i + 1] + f0p[i + 1] - f0p[i] for i in idx]
+        assert sl.Zbar.tolist() == [f0[i] - f0p[i] + f1p[i] - f1[i] for i in idx]
+
+    tau = TauParams(
+        P=sorted(p), W=rng.integers(-6, 7, size=9).tolist(), Delta=3, schedule=schedule
+    )
+    for k in (0, 1):
+        for t in (-2, 0, 3):
+            for n in range(-1, tau.N + 2):
+                assert tau_T(tau, k, t, n) == literal_tau(tau, k, t, n, barred=False)
+                assert tau_olT(tau, k, t, n) == literal_tau(tau, k, t, n, barred=True)
+
+
+# --- closed forms beyond enumeration ------------------------------------------
+
+
+def _capacity_profile():
+    rng = np.random.default_rng(4)
+    return CapacityProfile(rng.integers(1, 5, size=300).tolist(), default_capacity=3)
+
+
+def _carrier_schedule():
+    rng = np.random.default_rng(5)
+    return CarrierSchedule(entries={t: XInt(int(rng.integers(4, 16))) for t in range(1, 101)})
+
+
+@pytest.mark.parametrize(
+    "profile, schedule, n_hi",
+    [
+        (UNIT, FREE, 2600),
+        (_capacity_profile(), FREE, 1400),
+        (_capacity_profile(), _carrier_schedule(), 1400),
+    ],
+    ids=["unit-free", "capacities-free", "capacities-carrier"],
+)
+def test_twenty_solitons_follow_euler_step_for_100_steps(profile, schedule, n_hi):
+    # N = 20 is beyond subset enumeration (2^20 subsets per potential).
+    # Phases Xi_i = xi_i + 60 (P_max - P_i) start every soliton at a box
+    # >= 0 with the fastest at the back, so they all meet near t = 60.
+    rng = np.random.default_rng(20)
+    p = rng.choice(np.arange(1, 21), size=20, replace=False).tolist()
+    xi = [int(x) + 60 * (20 - pi) for x, pi in zip(rng.integers(0, 30, size=20), p)]
+    params = EulerSolitonParams(P=p, Xi=xi, profile=profile, schedule=schedule)
+    slices = euler_slices(params, 0, n_hi, 0, 100)
+    first = next(slices)
+    assert first.U.sum() == sum(p) and first.U[0] == 0
+    state = EulerState(counts=first.U, profile=profile)
+    mismatches = []
+    for sl in slices:
+        state, _ = euler_step(state, schedule)
+        assert sl.U.sum() == sum(p) and sl.U[-1] == 0  # the window holds every ball
+        lo, hi = state.window_start, state.window_start + len(state.counts)
+        if sl.U[lo:hi].tolist() != state.counts.tolist() or sl.U[:lo].any() or sl.U[hi:].any():
+            mismatches.append(sl.time)
+    assert mismatches == []
 
 
 # --- golden values ----------------------------------------------------------
