@@ -307,6 +307,29 @@ def literal_tau(params, k, t, n, barred):
     return XInt(best)
 
 
+def assert_fields_match_literal(params, n_lo, n_hi, t):
+    """euler_nsoliton over [n_lo, n_hi] at t against differences of literal_f."""
+    f = {
+        (k, tt): [literal_f(params, k, tt, n) for n in range(n_lo, n_hi + 2)]
+        for k in (0, 1)
+        for tt in (t, t + 1)
+    }
+    f0, f1, f0p, f1p = f[0, t], f[1, t], f[0, t + 1], f[1, t + 1]
+    idx = range(n_hi - n_lo + 1)
+    sl = euler_nsoliton(params, n_lo, n_hi, t)
+    assert sl.n_start == n_lo and sl.time == t
+    assert sl.U.tolist() == [f0p[i + 1] - f0p[i] + f1p[i] - f1p[i + 1] for i in idx]
+    assert sl.Ubar.tolist() == [f0[i] - f0[i + 1] + f0p[i + 1] - f0p[i] for i in idx]
+    assert sl.Zbar.tolist() == [f0[i] - f0p[i] + f1p[i] - f1[i] for i in idx]
+
+
+def assert_potentials_match_literal(params, k, t):
+    """tau_T and tau_olT at every n in -1 .. N+1 against literal_tau."""
+    for n in range(-1, params.N + 2):
+        assert tau_T(params, k, t, n) == literal_tau(params, k, t, n, barred=False)
+        assert tau_olT(params, k, t, n) == literal_tau(params, k, t, n, barred=True)
+
+
 carrier_values = st.one_of(st.just(POS_INF), st.integers(0, 8).map(XInt))
 schedules = st.builds(
     CarrierSchedule,
@@ -334,19 +357,7 @@ def test_euler_fields_match_literal_enumeration(
     xi = data.draw(st.lists(st.integers(-10, 10), min_size=len(p), max_size=len(p)))
     profile = CapacityProfile(caps, window_start, default_capacity)
     params = EulerSolitonParams(P=p, Xi=xi, profile=profile, schedule=schedule)
-    n_hi = n_lo + width
-    f = {
-        (k, tt): [literal_f(params, k, tt, n) for n in range(n_lo, n_hi + 2)]
-        for k in (0, 1)
-        for tt in (t, t + 1)
-    }
-    f0, f1, f0p, f1p = f[0, t], f[1, t], f[0, t + 1], f[1, t + 1]
-    idx = range(width + 1)
-    sl = euler_nsoliton(params, n_lo, n_hi, t)
-    assert sl.n_start == n_lo and sl.time == t
-    assert sl.U.tolist() == [f0p[i + 1] - f0p[i] + f1p[i] - f1p[i + 1] for i in idx]
-    assert sl.Ubar.tolist() == [f0[i] - f0[i + 1] + f0p[i + 1] - f0p[i] for i in idx]
-    assert sl.Zbar.tolist() == [f0[i] - f0p[i] + f1p[i] - f1[i] for i in idx]
+    assert_fields_match_literal(params, n_lo, n_lo + width, t)
 
 
 @settings(max_examples=60)
@@ -360,10 +371,7 @@ def test_euler_fields_match_literal_enumeration(
 )
 def test_tau_potentials_match_literal_enumeration(p, data, delta, schedule, k, t):
     w = data.draw(st.lists(st.integers(-6, 6), min_size=len(p), max_size=len(p)))
-    params = TauParams(P=p, W=w, Delta=delta, schedule=schedule)
-    for n in range(-1, params.N + 2):
-        assert tau_T(params, k, t, n) == literal_tau(params, k, t, n, barred=False)
-        assert tau_olT(params, k, t, n) == literal_tau(params, k, t, n, barred=True)
+    assert_potentials_match_literal(TauParams(P=p, W=w, Delta=delta, schedule=schedule), k, t)
 
 
 def test_nine_solitons_with_ties_and_zero_speed_match_literal_enumeration():
@@ -378,28 +386,14 @@ def test_nine_solitons_with_ties_and_zero_speed_match_literal_enumeration():
     params = EulerSolitonParams(
         P=p, Xi=rng.integers(-12, 13, size=9).tolist(), profile=profile, schedule=schedule
     )
-    n_lo, n_hi = -4, 9
     for t in (-2, 1, 3):
-        f = {
-            (k, tt): [literal_f(params, k, tt, n) for n in range(n_lo, n_hi + 2)]
-            for k in (0, 1)
-            for tt in (t, t + 1)
-        }
-        f0, f1, f0p, f1p = f[0, t], f[1, t], f[0, t + 1], f[1, t + 1]
-        idx = range(n_hi - n_lo + 1)
-        sl = euler_nsoliton(params, n_lo, n_hi, t)
-        assert sl.U.tolist() == [f0p[i + 1] - f0p[i] + f1p[i] - f1p[i + 1] for i in idx]
-        assert sl.Ubar.tolist() == [f0[i] - f0[i + 1] + f0p[i + 1] - f0p[i] for i in idx]
-        assert sl.Zbar.tolist() == [f0[i] - f0p[i] + f1p[i] - f1[i] for i in idx]
-
+        assert_fields_match_literal(params, -4, 9, t)
     tau = TauParams(
         P=sorted(p), W=rng.integers(-6, 7, size=9).tolist(), Delta=3, schedule=schedule
     )
     for k in (0, 1):
         for t in (-2, 0, 3):
-            for n in range(-1, tau.N + 2):
-                assert tau_T(tau, k, t, n) == literal_tau(tau, k, t, n, barred=False)
-                assert tau_olT(tau, k, t, n) == literal_tau(tau, k, t, n, barred=True)
+            assert_potentials_match_literal(tau, k, t)
 
 
 # --- closed forms beyond enumeration ------------------------------------------
