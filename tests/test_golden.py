@@ -22,11 +22,15 @@ from boxball import (
     CarrierSchedule,
     EulerSolitonParams,
     TauParams,
+    TodaState,
     XInt,
+    enutoda_step,
     euler_nsoliton,
     euler_step,
     expand,
+    from_euler,
     tau_toda_state,
+    to_euler,
 )
 from boxball.cli import main
 from boxball.difftest import DiffBounds, random_case, run_difftest
@@ -168,6 +172,33 @@ def test_difftest_report_digest(setting, seed):
     report = run_difftest(100, seed, DIFFTEST_SETTINGS[setting]).to_json_dict()
     text = json.dumps(report, sort_keys=True, separators=(",", ":"))
     assert hashlib.sha256(text.encode()).hexdigest() == DIFFTEST_DIGESTS[(setting, seed)]
+
+
+def _pin_to_euler(digest, state):
+    back = to_euler(state)
+    digest.update(json.dumps([back.window_start, back.counts.tolist()]).encode())
+
+
+def test_to_euler_digest():
+    # every Toda state of 100 criterion-3 cases x 20 enutoda_steps for
+    # seeds 0 and 1, a far anchor, and a state on a capacity-2^62 box
+    bounds = DiffBounds(window=32, max_delta=5, steps=20)
+    digest = hashlib.sha256()
+    for seed in (0, 1):
+        for i in range(100):
+            state, schedule = random_case(np.random.default_rng([seed, i]), bounds)
+            ts = from_euler(state)
+            _pin_to_euler(digest, ts)
+            for _ in range(bounds.steps):
+                ts, _ = enutoda_step(ts, schedule)
+                _pin_to_euler(digest, ts)
+    _pin_to_euler(digest, TodaState(Q=(2, 5, 1), E=(4, 2), X0=10**6,
+                                    profile=CapacityProfile(default_capacity=3)))
+    _pin_to_euler(digest, TodaState(Q=(2, 1), E=(2**62 + 1,), X0=1,
+                                    profile=CapacityProfile(capacities=(2, 2**62, 3))))
+    assert digest.hexdigest() == (
+        "5d88a7342b71f54b7ed647d8f6c115dfd7750c72919c9cefab2954554a689e87"
+    )
 
 
 # --- closed forms -------------------------------------------------------------
