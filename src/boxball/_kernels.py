@@ -1,4 +1,4 @@
-"""Hot inner loops: carrier sweeps and run counting over int64 arrays.
+"""Hot inner loops: the carrier rule's sweeps over int64 arrays.
 
 Every carrier kernel is a left-to-right scan (each box depends on the
 carrier state left of it), interpreted over numpy arrays.  An empty box met
@@ -8,8 +8,7 @@ passes: its cost follows the balls and the carried span, not the window
 length.  The skip is exact for valid input (0 <= counts <= caps, carrier
 capacity >= 0).  ball_queue_sweep, the independent oracle, and
 free_flow_sweep, the M = +inf cross-check of carrier_sweep through
-nukdv_step, still walk every box.  counts_from_runs lays runs of ones back
-onto boxes (the inverse of the expansion map).
+nukdv_step, still walk every box.
 
 Carrier capacity enters as (m_val, m_capped); +inf is m_capped=False, never
 a sentinel integer.
@@ -115,23 +114,3 @@ def free_flow_sweep(counts, caps):
         load += counts[n] - put
     return new_counts, load
 
-
-def counts_from_runs(starts, lengths, bounds):
-    """Per-box bit sums of runs laid on the segment line.
-
-    bounds are cumulative boundaries s_0..s_w covering every run.
-    """
-    w = bounds.shape[0] - 1
-    counts = np.zeros(w, np.int64)
-    for r in range(starts.shape[0]):
-        a = starts[r]
-        b = a + lengths[r]
-        n = np.searchsorted(bounds, a, side="right") - 1
-        while a < b:
-            end = bounds[n + 1]
-            if end > b:
-                end = b
-            counts[n] += end - a
-            a = end
-            n += 1
-    return counts

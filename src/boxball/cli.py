@@ -2,13 +2,15 @@
 
 stdout carries records (line-delimited JSON or ASCII rows); stderr carries
 diagnostics.  Exit code 0 iff every requested check passed, 2 for bad
-configuration or arguments.
+configuration or arguments, 1 also when the stdout reader goes away before
+the run ends.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Tuple
 
@@ -354,6 +356,13 @@ def main(argv=None) -> int:
         return 2
     except (CapacityViolation, DegenerateState) as exc:
         _diag(f"error: {type(exc).__name__}: {exc}")
+        return 1
+    except BrokenPipeError:
+        # the reader closed stdout: the run is cut short, and the
+        # interpreter's final flush goes to devnull instead of raising again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 1
 
 

@@ -81,15 +81,6 @@ class CapacityProfile:
             raise FiniteOverflow(f"segment boundary s_{n} = {s} is past the int64 range")
         return s
 
-    def bounds_array(self, start: int, count: int) -> np.ndarray:
-        """s_start .. s_{start+count} as int64 (length count+1); raises
-        FiniteOverflow when the last one leaves int64."""
-        self.boundary(start + count)
-        out = np.empty(count + 1, dtype=np.int64)
-        out[0] = self.boundary(start)
-        out[1:] = self.caps_array(start, count)
-        return np.cumsum(out, out=out)
-
     def segment_to_box(self, segment: int) -> int:
         """The box n with s_n <= segment < s_{n+1}."""
         if segment < 0:

@@ -291,9 +291,11 @@ class TauParams:
 _TAU_READS = {(0, False): (0, 0), (1, False): (-1, 0), (0, True): (0, 1), (1, True): (0, 1)}
 
 
-def _tau_rows(params: TauParams, t_lo: int, t_hi: int) -> Dict[Tuple[int, int, bool], list]:
-    """Every potential row (k, t, barred) the fields at t_lo .. t_hi read,
-    as [X_0, ..., X_N, +inf] for X = olT^{k,t} if barred else T^{k,t}.
+def _tau_rows(
+    params: TauParams, keys: Sequence[Tuple[int, int, bool]]
+) -> Dict[Tuple[int, int, bool], list]:
+    """The potential rows named by keys, each (k, t, barred), as
+    [X_0, ..., X_N, +inf] for X = olT^{k,t} if barred else T^{k,t}.
     Indexing with n = -1 and n = N+1 both lands on the +inf, so a row
     covers n = -1 .. N+1.
 
@@ -304,15 +306,12 @@ def _tau_rows(params: TauParams, t_lo: int, t_hi: int) -> Dict[Tuple[int, int, b
     before any int64 arithmetic, if a partial sum can leave int64 headroom.
     """
     p, big_n = params.P, params.N
-    keys = [
-        (k, t, barred)
-        for (k, barred), (before, after) in _TAU_READS.items()
-        for t in range(t_lo + before, t_hi + after + 1)
-    ]
     m_delta = [min(pi, params.Delta) for pi in p]
-    # column x - t_lo is sum_{j=0}^{x-1} min(P_r, M_j): T^{k,t} reads
+    # column x - x_lo is sum_{j=0}^{x-1} min(P_r, M_j): T^{k,t} reads
     # x = t + 1, olT^{k,t} reads x = t
-    car = _signed_prefix(p, partial(_carrier_array, params.schedule), t_lo, t_hi + 1)
+    xs = [t + (not barred) for _, t, barred in keys]
+    x_lo = min(xs)
+    car = _signed_prefix(p, partial(_carrier_array, params.schedule), x_lo, max(xs))
     # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P
     d_max = 2 * (big_n - 1) + max(abs(k + t) for k, t, _ in keys)
     _require_headroom(
@@ -325,7 +324,7 @@ def _tau_rows(params: TauParams, t_lo: int, t_hi: int) -> Dict[Tuple[int, int, b
     # entry[r, row, n-1] is all of it but the rank weight 2c P
     per_row = (
         np.asarray(params.W, dtype=np.int64)[:, None]
-        + car[:, [t + (not barred) - t_lo for _, t, barred in keys]]
+        + car[:, [x - x_lo for x in xs]]
         - np.outer(p, [not barred for _, _, barred in keys])
     )
     d = np.array([k + t for k, t, _ in keys])[:, None] + 2 * np.arange(big_n)
@@ -339,7 +338,7 @@ def _tau_rows(params: TauParams, t_lo: int, t_hi: int) -> Dict[Tuple[int, int, b
 def _tau_potential(params: TauParams, k: int, t: int, n: int, barred: bool) -> XInt:
     if not -1 <= n <= params.N + 1:
         raise ValueError(f"index n={n} outside [-1, {params.N + 1}]")
-    return as_xint(_tau_rows(params, t, t)[k, t, barred][n])
+    return as_xint(_tau_rows(params, [(k, t, barred)])[k, t, barred][n])
 
 
 def tau_T(params: TauParams, k: int, t: int, n: int) -> XInt:
@@ -412,7 +411,11 @@ def tau_states(params: TauParams, t_lo: int, t_hi: int) -> Iterator[TauState]:
     potential row is evaluated once for the whole range, and FiniteOverflow
     is raised up front if one can leave int64 headroom.
     """
-    rows = _tau_rows(params, t_lo, t_hi)
+    rows = _tau_rows(params, [
+        (k, t, barred)
+        for (k, barred), (before, after) in _TAU_READS.items()
+        for t in range(t_lo + before, t_hi + after + 1)
+    ])
     return (_tau_state(params, rows, t) for t in range(t_lo, t_hi + 1))
 
 

@@ -18,7 +18,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from . import _kernels
 from .euler import EulerState, _capacity_args
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
@@ -359,16 +358,20 @@ def extoda_step(state: TodaState) -> Tuple[TodaState, TodaStepTrace]:
 def to_euler(state: TodaState) -> EulerState:
     """Counts-level view of a Toda state: the per-box bit sums of its runs,
     over exactly the boxes the runs touch (first to last ball's box);
-    to_euler(from_euler(u)) has the occupancy of u."""
+    to_euler(from_euler(u)) has the occupancy of u.  Each run is walked box
+    by box from its start, the inverse of expansion.expand; raises
+    FiniteOverflow when a run ends past the int64 segment range."""
     profile = state.profile
     x, y = toda_to_lagrange(state.Q, state.E, state.X0)
     first = profile.segment_to_box(x[0])
-    last = profile.segment_to_box(y[-1] - 1)
-    counts = _kernels.counts_from_runs(
-        np.asarray(x, dtype=np.int64),
-        np.asarray(state.Q, dtype=np.int64),
-        profile.bounds_array(first, last + 1 - first),
-    )
+    counts = np.zeros(profile.segment_to_box(y[-1] - 1) + 1 - first, np.int64)
+    for a, b in zip(x, y):
+        n = profile.segment_to_box(a)
+        while a < b:
+            end = min(profile.boundary(n + 1), b)
+            counts[n - first] += end - a
+            a = end
+            n += 1
     return EulerState._trusted(counts, profile, state.time, first)
 
 

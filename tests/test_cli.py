@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -11,7 +14,8 @@ from boxball.cli import main
 from boxball.config import parse_config
 from boxball.solutions import MAX_SOLITONS
 
-SHOWCASE = str(Path(__file__).resolve().parents[1] / "configs" / "showcase.json")
+ROOT = Path(__file__).resolve().parents[1]
+SHOWCASE = str(ROOT / "configs" / "showcase.json")
 
 
 def write_json(path, data):
@@ -227,6 +231,23 @@ def test_simulate_far_toda_anchor_is_bounded(tmp_path, capsys):
     assert len(out) < 10_000
 
 
+def test_simulate_toda_anchor_past_int64_exit_code(tmp_path, capsys):
+    # the second run starts at segment 2^63 + 10, so laying it onto boxes
+    # needs a boundary past the int64 range
+    cfg = write_json(
+        tmp_path / "far.json",
+        {
+            "representation": "both",
+            "steps": 1,
+            "initial": {"toda": {"Q": [1, 1], "E": [20], "X0": 2**63 - 11}},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FiniteOverflow: segment boundary")
+    assert "Traceback" not in captured.err
+
 def test_simulate_far_toda_anchor_ascii_is_bounded(tmp_path, capsys):
     # ASCII rows start at the initial state's first box, so on a unit
     # profile a run anchored at X0 = 10^6 draws the same rows as at X0 = 0
@@ -316,6 +337,19 @@ def test_simulate_from_zero_size_tau_solution_exit_code(tmp_path, capsys):
     assert "sizes and gaps must be >= 1" in captured.err
     assert "Traceback" not in captured.err
 
+
+def test_simulate_stdout_closed_early_exits_quietly():
+    # a reader that stops after 10 bytes: the run ends with exit 1 and no
+    # traceback, also from the interpreter's final flush
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "boxball.cli", "simulate", "--config", SHOWCASE,
+            "--steps", "300", "--render", "json"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
 
 def test_simulate_bad_config_exit_code(tmp_path, capsys):
     cfg = write_json(tmp_path / "bad.json", {"representation": "euler", "steps": 0,

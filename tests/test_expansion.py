@@ -44,7 +44,8 @@ def test_expand_preserves_per_box_sums():
         rng = np.random.default_rng([31337, i])
         st, _ = random_case(rng, DiffBounds(window=20, max_delta=5, steps=1))
         runs = list(zip(*expand(st)))
-        bounds = st.profile.bounds_array(st.window_start, len(st.counts)).tolist()
+        boxes = range(st.window_start, st.window_start + len(st.counts) + 1)
+        bounds = [st.profile.boundary(n) for n in boxes]
         sums = [
             sum(max(0, min(b, y) - max(a, x)) for x, y in runs)
             for a, b in zip(bounds[:-1], bounds[1:])

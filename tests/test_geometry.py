@@ -9,8 +9,10 @@ from boxball import (
     CarrierSchedule,
     EulerState,
     FiniteOverflow,
+    TodaState,
     XInt,
     expand,
+    to_euler,
     unit_profile,
 )
 
@@ -38,12 +40,12 @@ def test_profile_validation():
 def test_boundaries_past_int64_raise():
     # four boxes of 2^62 segments end at segment 2^64, which int64 wraps to 0
     p = CapacityProfile(default_capacity=2**62)
-    assert p.boundary(1) == 2**62
-    assert p.bounds_array(0, 1).tolist() == [0, 2**62]
+    assert [p.boundary(0), p.boundary(1)] == [0, 2**62]
     with pytest.raises(FiniteOverflow):
         p.boundary(2)
     with pytest.raises(FiniteOverflow):
-        p.bounds_array(0, 4)
+        # the last run covers segments 2^63 - 1 and 2^63: box 1's end and past it
+        to_euler(TodaState(Q=(1, 2), E=(2**63 - 2,), X0=0, profile=p))
     with pytest.raises(FiniteOverflow):
         expand(EulerState(counts=[1, 1, 0, 1], profile=p))
 
@@ -86,7 +88,7 @@ def test_geometry_extends_with_default():
     assert p.segment_to_box(1) == 0
     assert p.segment_to_box(2) == 1
     assert p.segment_to_box(2 + 3 * 10) == 11
-    assert p.bounds_array(0, 3).tolist() == [0, 2, 5, 8]
+    assert [p.boundary(n) for n in range(4)] == [0, 2, 5, 8]
 
 
 def test_caps_array_returns_a_copy():
@@ -130,7 +132,7 @@ def test_closed_form_geometry_matches_running_sum(profile, start, count):
         for s in range(ref[n], ref[n + 1]):
             assert profile.segment_to_box(s) == n
     window = ref[start : start + count + 1]
-    assert profile.bounds_array(start, count).tolist() == window
+    assert [profile.boundary(n) for n in range(start, start + count + 1)] == window
     assert profile.caps_array(start, count).tolist() == [
         b - a for a, b in zip(window, window[1:])
     ]

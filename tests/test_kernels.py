@@ -2,14 +2,15 @@
 
 Each dense_* function below walks every box of the window: the carrier
 sweep as it was before it learnt to skip empty boxes under an empty
-carrier, and the expansion as the 0/1 segment array it used to be.
+carrier, the expansion as the 0/1 segment array it used to be, and the
+way back as the per-run binary search over a whole-span boundary array.
 """
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from boxball import CapacityProfile, EulerState, expand
+from boxball import CapacityProfile, EulerState, TodaState, expand, to_euler, toda_to_lagrange
 from boxball._kernels import carrier_sweep
 
 
@@ -52,6 +53,23 @@ def dense_expand_sweep(counts, caps, total):
         s += d
         prev = bits[s - 1]
     return bits
+
+
+def dense_counts_from_runs(starts, lengths, bounds):
+    w = bounds.shape[0] - 1
+    counts = np.zeros(w, np.int64)
+    for r in range(starts.shape[0]):
+        a = starts[r]
+        b = a + lengths[r]
+        n = np.searchsorted(bounds, a, side="right") - 1
+        while a < b:
+            end = bounds[n + 1]
+            if end > b:
+                end = b
+            counts[n] += end - a
+            a = end
+            n += 1
+    return counts
 
 
 def runs_of(bits):
@@ -130,3 +148,50 @@ def test_expand_matches_dense_loop(win):
     counts, caps = win
     state = EulerState(counts=counts, profile=CapacityProfile(capacities=tuple(caps.tolist())))
     assert expand(state) == runs_of(dense_expand_sweep(counts, caps, int(caps.sum())))
+
+
+@st.composite
+def toda_states(draw):
+    """Toda states over 0..8 listed capacities (1..5, or one of 2^40)
+    placed at box 0..6, a default of 1..5 elsewhere, anchored at 0..40."""
+    listed = draw(st.lists(st.integers(1, 5), max_size=8))
+    n_runs = draw(st.integers(1, 6))
+    return TodaState(
+        Q=draw(st.lists(st.integers(1, 9), min_size=n_runs, max_size=n_runs)),
+        E=draw(st.lists(st.integers(1, 12), min_size=n_runs - 1, max_size=n_runs - 1)),
+        X0=draw(st.integers(0, 40)),
+        profile=CapacityProfile(
+            capacities=tuple(listed),
+            window_start=draw(st.integers(0, 6)),
+            default_capacity=draw(st.integers(1, 5)),
+        ),
+    )
+
+
+# two runs sharing box 2, the second spilling into box 3
+SHARED_BOX = CapacityProfile(capacities=(2, 5), window_start=1, default_capacity=3)
+# 0 1 | 1 0 .. 0 | 0 0 1 on a capacity-2^40 middle box
+HUGE_BOX = CapacityProfile(capacities=(2, 2**40, 3))
+
+
+@settings(max_examples=300)
+@given(toda_states())
+@example(TodaState(Q=(1,), E=(), X0=0, profile=CapacityProfile()))
+@example(TodaState(Q=(1, 4), E=(1,), X0=5, profile=SHARED_BOX))
+@example(TodaState(Q=(2, 1), E=(2**40 + 1,), X0=1, profile=HUGE_BOX))
+def test_to_euler_matches_dense_loop(state):
+    # boundaries s_0 .. s_w by a running sum of capacities, from box 0 past
+    # the last run's end
+    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+    bounds = [0]
+    while bounds[-1] < y[-1]:
+        bounds.append(bounds[-1] + state.profile.capacity(len(bounds) - 1))
+    want = dense_counts_from_runs(
+        np.array(x, np.int64), np.array(state.Q, np.int64), np.array(bounds, np.int64)
+    )
+    got = to_euler(state)
+    start = got.window_start
+    assert got.counts.dtype == np.int64
+    assert got.counts[0] > 0 and got.counts[-1] > 0
+    assert not want[:start].any()
+    assert np.array_equal(got.counts, want[start:])

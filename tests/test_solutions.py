@@ -479,6 +479,23 @@ def test_tau_golden_families():
     ]
 
 
+def test_tau_T_evaluates_only_its_own_row(monkeypatch):
+    # one potential entry runs the dynamic program over one row, not over
+    # every row that the fields at t read
+    from boxball import solutions as solutions_mod
+
+    params = TauParams(P=(1, 3, 4, 7), W=(2, -5, 0, 3), Delta=2, schedule=FREE)
+    shapes = []
+    real = solutions_mod._count_dp
+
+    def recording(h, p):
+        shapes.append(h.shape)
+        return real(h, p)
+
+    monkeypatch.setattr(solutions_mod, "_count_dp", recording)
+    assert tau_T(params, 1, 2, 3) == literal_tau(params, 1, 2, 3, barred=False)
+    assert shapes == [(4, 1, 4)]
+
 def test_closed_forms_refuse_to_wrap_int64():
     big = EulerSolitonParams(P=(1, 2), Xi=(2**63 - 1, 0), profile=UNIT, schedule=FREE)
     with pytest.raises(FiniteOverflow):
