@@ -12,10 +12,21 @@ Every step also re-checks ball conservation, the single-equation residual,
 the carrier-load identity and bounds, and on route (c) the anchor and the
 soliton count.  Cases are generated from (seed, case_index), so a report
 is byte-identical across runs with the same arguments.
+
+The cases are independent, so run_difftest splits their indices into one
+contiguous block per CPU the process may run on (os.sched_getaffinity):
+the calling process runs the first block and a forked child each other
+one, and the children's failures and step counts are merged in case
+order.  The report does not depend on the split; with one usable CPU, or
+fewer than two cases, the run stays serial and in-process (`taskset -c 0`
+gives a serial run).  A case that raises re-raises in the caller, the
+lowest raising case index first, as in a serial run.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import time as _time
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -219,14 +230,112 @@ def _run_case(
         ea, eb = ea_next, eb_next
 
 
-def run_difftest(cases: int, seed: int, bounds: Optional[DiffBounds] = None) -> DiffReport:
-    """Run `cases` independent cases; deterministic in (cases, seed, bounds)."""
-    bounds = bounds or DiffBounds()
-    report = DiffReport(cases=cases, seed=seed, bounds=bounds)
-    start = _time.perf_counter()
-    for i in range(cases):
+def _run_cases(seed: int, bounds: DiffBounds, lo: int, hi: int, report: DiffReport) -> None:
+    for i in range(lo, hi):
         rng = np.random.default_rng([seed, i])
         state, schedule = random_case(rng, bounds)
         _run_case(i, state, schedule, bounds, report)
+
+
+class WorkerLost(RuntimeError):
+    """A forked block of difftest cases ended without sending its result."""
+
+
+class _Worker:
+    """One block of cases run in a forked child, which sends back its
+    (failures, steps_checked), or the exception its first raising case
+    raised, pickled through a pipe."""
+
+    def __init__(self, seed: int, bounds: DiffBounds, lo: int, hi: int):
+        self.lo, self.hi = lo, hi
+        read_fd, write_fd = os.pipe()
+        try:
+            self.pid = os.fork()
+        except OSError:
+            os.close(read_fd)
+            os.close(write_fd)
+            raise
+        if self.pid == 0:
+            os.close(read_fd)
+            self._serve(seed, bounds, write_fd)
+        os.close(write_fd)
+        self.pipe = open(read_fd, "rb")
+
+    def _serve(self, seed: int, bounds: DiffBounds, write_fd: int) -> None:
+        # the child never returns into the caller's stack, and os._exit
+        # skips the atexit handlers and buffers it inherited
+        status = 1
+        try:
+            part = DiffReport(cases=self.hi - self.lo, seed=seed, bounds=bounds)
+            try:
+                _run_cases(seed, bounds, self.lo, self.hi, part)
+                payload = (part.failures, part.steps_checked)
+            except Exception as exc:
+                import traceback
+
+                exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+                payload = exc
+            data = pickle.dumps(payload)
+            with open(write_fd, "wb") as fh:
+                fh.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+
+    def result(self) -> Tuple[List[DiffFailure], int]:
+        """Wait for the child; re-raise what its block raised."""
+        data = self.pipe.read()
+        self.pipe.close()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        # exit code 0 only follows a complete write
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise WorkerLost(
+                f"the worker for cases {self.lo}..{self.hi - 1} sent no result "
+                f"(exit code {code})"
+            )
+        payload = pickle.loads(data)
+        if isinstance(payload, BaseException):
+            raise payload
+        return payload
+
+    def close(self) -> None:
+        """Stop and reap the child if result() has not."""
+        self.pipe.close()
+        if self.pid:
+            import signal  # only this error path needs it, and it takes 1 ms to import
+
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+
+
+def _usable_cpus() -> int:
+    if not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def run_difftest(cases: int, seed: int, bounds: Optional[DiffBounds] = None) -> DiffReport:
+    """Run `cases` independent cases; deterministic in (cases, seed, bounds),
+    whatever number of CPUs shares the work."""
+    bounds = bounds or DiffBounds()
+    report = DiffReport(cases=cases, seed=seed, bounds=bounds)
+    start = _time.perf_counter()
+    blocks = max(1, min(_usable_cpus(), cases))
+    edges = [cases * k // blocks for k in range(blocks + 1)]
+    workers: List[_Worker] = []
+    try:
+        for lo, hi in zip(edges[1:-1], edges[2:]):
+            workers.append(_Worker(seed, bounds, lo, hi))
+        _run_cases(seed, bounds, 0, edges[1], report)
+        for worker in workers:
+            failures, steps = worker.result()
+            report.failures += failures
+            report.steps_checked += steps
+    finally:
+        for worker in workers:
+            worker.close()
     report.elapsed = _time.perf_counter() - start
     return report

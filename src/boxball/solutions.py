@@ -21,8 +21,7 @@ tolerance.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
-from typing import Callable, Dict, Iterator, Optional, Sequence, Tuple
+from typing import Dict, Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -83,32 +82,64 @@ def _require_headroom(bound: int) -> None:
         raise FiniteOverflow(f"potentials up to {bound} in magnitude can leave int64")
 
 
-def _carrier_array(schedule: CarrierSchedule, start: int, count: int) -> np.ndarray:
-    """M_start .. M_{start+count-1} as int64, with +inf stored as INT64_MAX
-    (min(P, M) is P for both)."""
-    ms = (schedule.at(t) for t in range(start, start + count))
-    return np.array([INT64_MAX if m.is_pos_inf else m.finite for m in ms], dtype=np.int64)
+def _profile_terms(profile: CapacityProfile) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The boxes of the profile's window, their capacities, and the default."""
+    ws, caps = profile.window_start, profile.capacities
+    return (
+        np.arange(ws, ws + len(caps), dtype=np.int64),
+        np.asarray(caps, dtype=np.int64),
+        profile.default_capacity,
+    )
+
+
+def _carrier_terms(schedule: CarrierSchedule) -> Tuple[np.ndarray, np.ndarray, int]:
+    """The schedule's listed times, their values, and the default, with +inf
+    stored as INT64_MAX (min(P, M) is P for both)."""
+
+    def value(m: XInt) -> int:
+        return INT64_MAX if m.is_pos_inf else m.finite
+
+    return (
+        np.array([t for t, _ in schedule.entries], dtype=np.int64),
+        np.array([value(m) for _, m in schedule.entries], dtype=np.int64),
+        value(schedule.default),
+    )
 
 
 def _signed_prefix(
-    p: Tuple[int, ...], values: Callable[[int, int], np.ndarray], lo: int, hi: int
+    p: Tuple[int, ...], at: np.ndarray, values: np.ndarray, default: int, lo: int, hi: int
 ) -> np.ndarray:
     """S[i, x-lo] = sum_{j=0}^{x-1} min(P_i, v_j) for x in [lo, hi], where
-    values(start, count) gives v_start .. v_{start+count-1}; for x < 0 the
-    signed convention S(x) = -sum_{j=x}^{-1} min(P_i, v_j) holds (a
-    difference of prefix sums makes that automatic).
+    v_j = values[k] at j = at[k] (at increasing) and v_j = default at every
+    other j; for x < 0 the signed convention S(x) = -sum_{j=x}^{-1}
+    min(P_i, v_j) holds.
 
-    Serves the capacities in space (values = profile.caps_array) and the
-    carrier in time (values = _carrier_array) for both families.
+    With c_{i,j} = min(P_i, v_j) - min(P_i, default), both signs read
+
+        S(x) = x min(P_i, default) + sum_{listed j < x} c_{i,j}
+                                   - sum_{listed j < 0} c_{i,j},
+
+    so only the listed terms are summed, and no box or time between 0 and
+    lo is visited.  Serves the capacities in space (`_profile_terms`) and
+    the carrier in time (`_carrier_terms`) for both families.
     """
-    j_lo = min(lo, 0)
-    count = max(hi, 0) - j_lo
+    j_lo, j_hi = min(lo, 0), max(hi, 0)
+    count = j_hi - j_lo
     if max(p) * max(count, 1) > INT64_MAX:
         raise FiniteOverflow(f"sums of {count} terms up to {max(p)} leave int64")
-    terms = np.minimum(np.asarray(p, dtype=np.int64)[:, None], values(j_lo, count)[None, :])
-    pref = np.zeros((len(p), count + 1), dtype=np.int64)
-    np.cumsum(terms, axis=1, out=pref[:, 1:])
-    return pref[:, lo - j_lo : hi - j_lo + 1] - pref[:, -j_lo, None]
+    # a listed term outside [j_lo, j_hi) lies beyond every x read
+    keep = (at >= j_lo) & (at < j_hi)
+    at = at[keep]
+    pcol = np.asarray(p, dtype=np.int64)[:, None]
+    base = np.minimum(pcol, default)
+    corr = np.zeros((len(p), len(at) + 1), dtype=np.int64)
+    np.cumsum(np.minimum(pcol, values[keep]) - base, axis=1, out=corr[:, 1:])
+    xs = np.arange(lo, hi + 1, dtype=np.int64)
+    return (
+        xs * base
+        + corr[:, np.searchsorted(at, xs)]
+        - corr[:, np.searchsorted(at, 0), None]
+    )
 
 
 def _count_dp(h: np.ndarray, p: Sequence[int]) -> np.ndarray:
@@ -171,8 +202,8 @@ def euler_slices(
     order = sorted(range(big_n), key=lambda i: -params.P[i])
     p = tuple(params.P[i] for i in order)
     xi = np.array([params.Xi[i] for i in order], dtype=np.int64)
-    s_caps = _signed_prefix(p, params.profile.caps_array, n_lo, n_hi + 1)
-    s_car = _signed_prefix(p, partial(_carrier_array, params.schedule), t_lo, t_hi + 1)
+    s_caps = _signed_prefix(p, *_profile_terms(params.profile), n_lo, n_hi + 1)
+    s_car = _signed_prefix(p, *_carrier_terms(params.schedule), t_lo, t_hi + 1)
 
     # H^{0,t} and H^{1,t} side by side, less the carrier column
     h0 = xi[:, None] - s_caps
@@ -311,7 +342,7 @@ def _tau_rows(
     # x = t + 1, olT^{k,t} reads x = t
     xs = [t + (not barred) for _, t, barred in keys]
     x_lo = min(xs)
-    car = _signed_prefix(p, partial(_carrier_array, params.schedule), x_lo, max(xs))
+    car = _signed_prefix(p, *_carrier_terms(params.schedule), x_lo, max(xs))
     # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P
     d_max = 2 * (big_n - 1) + max(abs(k + t) for k, t, _ in keys)
     _require_headroom(

@@ -1,15 +1,32 @@
 """Fault injection: a Toda route that goes wrong must be reported under the
-right failure label."""
+right failure label, and a run split over forked workers must report
+exactly what a serial run reports."""
 
+import os
+import signal
 from dataclasses import replace
 
 import numpy as np
+import pytest
 
 from boxball import CapacityProfile, EulerState, euler_step, expand, unbounded_schedule
 from boxball import difftest
 from boxball.difftest import DiffBounds, run_difftest
+from boxball.xint import POS_INF
 
 REAL_STEP = difftest.enutoda_step
+REAL_ORACLE = difftest.carrier_oracle_step
+REAL_CASE = difftest._run_case
+
+
+def use_cpus(monkeypatch, n):
+    """run_difftest splits its cases into one block per usable CPU."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def patch_toda_anchor(monkeypatch, move):
@@ -30,8 +47,13 @@ def test_toda_state_moved_one_box_reports_toda_counts(monkeypatch):
 
     patch_toda_anchor(monkeypatch, next_box)
     bounds = DiffBounds(window=12, max_delta=4, steps=3)
+    use_cpus(monkeypatch, 1)
+    serial = run_difftest(40, 11, bounds)
+    # the failures of both blocks (cases 0..19 and 20..39) come back in order
+    use_cpus(monkeypatch, 2)
     report = run_difftest(40, 11, bounds)
-    assert len(report.failures) == 40
+    assert report.to_json_dict() == serial.to_json_dict()
+    assert [f.case for f in report.failures] == list(range(40))
     assert {(f.step, f.quantity) for f in report.failures} == {(0, "toda_counts")}
     # the Euler window of step 0 starts at the case's first ball
     for f in report.failures:
@@ -58,8 +80,87 @@ def test_run_moved_inside_its_box_reports_anchor(monkeypatch):
         return p.boundary(p.segment_to_box(st.X0))
 
     patch_toda_anchor(monkeypatch, box_start)
+    use_cpus(monkeypatch, 2)
     report = run_difftest(1, 0, DiffBounds(steps=1))
     assert [(f.step, f.quantity) for f in report.failures] == [(0, "anchor")]
 
     monkeypatch.setattr(difftest, "enutoda_step", REAL_STEP)
     assert run_difftest(1, 0, DiffBounds(steps=1)).ok
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        DiffBounds(window=32, max_delta=5, steps=20),
+        DiffBounds(window=32, max_delta=1, m_choices=(POS_INF,), steps=20),
+    ],
+    ids=["capacity", "unit"],
+)
+def test_parallel_report_equals_serial(monkeypatch, bounds):
+    reports = {}
+    for cpus in (1, 2, 3):
+        use_cpus(monkeypatch, cpus)
+        reports[cpus] = run_difftest(200, 7, bounds).to_json_dict()
+    assert reports[2] == reports[1]
+    assert reports[3] == reports[1]
+    assert_no_child_left()
+
+
+def test_one_cpu_or_one_case_runs_in_process(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    use_cpus(monkeypatch, 1)
+    assert run_difftest(30, 3, DiffBounds(steps=2)).ok
+    use_cpus(monkeypatch, 2)
+    assert run_difftest(1, 3, DiffBounds(steps=2)).ok
+
+
+def test_a_route_raising_in_a_worker_reraises_in_the_caller(monkeypatch):
+    caller = os.getpid()
+
+    def oracle(state, schedule):
+        if os.getpid() != caller:
+            raise ZeroDivisionError("worker route")
+        return REAL_ORACLE(state, schedule)
+
+    monkeypatch.setattr(difftest, "carrier_oracle_step", oracle)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(ZeroDivisionError, match="worker route") as info:
+        run_difftest(40, 0, DiffBounds(steps=2))
+    # the worker's traceback travels as a note
+    assert "carrier_oracle_step" in "".join(info.value.__notes__)
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("raising, first", [({25, 35}, 25), ({5, 30}, 5), ({12, 3}, 3)])
+def test_the_lowest_raising_case_wins(monkeypatch, raising, first):
+    # blocks are cases 0..12, 13..25 and 26..39; a serial run would stop at
+    # the lowest raising case
+    def run_case(i, *args):
+        if i in raising:
+            raise LookupError(i)
+        REAL_CASE(i, *args)
+
+    monkeypatch.setattr(difftest, "_run_case", run_case)
+    use_cpus(monkeypatch, 3)
+    with pytest.raises(LookupError) as info:
+        run_difftest(40, 0, DiffBounds(steps=2))
+    assert info.value.args == (first,)
+    assert_no_child_left()
+
+
+def test_a_killed_worker_gives_a_named_error(monkeypatch):
+    caller = os.getpid()
+
+    def oracle(state, schedule):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return REAL_ORACLE(state, schedule)
+
+    monkeypatch.setattr(difftest, "carrier_oracle_step", oracle)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(difftest.WorkerLost, match=r"cases 20\.\.39 .*exit code -9"):
+        run_difftest(40, 0, DiffBounds(steps=2))
+    assert_no_child_left()

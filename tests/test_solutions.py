@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -477,6 +478,33 @@ def test_tau_golden_families():
     assert [tau_olT(params, 0, 2, n) for n in range(-1, 6)] == [
         POS_INF, 0, -3, -5, -7, -3, POS_INF
     ]
+
+
+def test_late_closed_forms_visit_only_the_listed_terms():
+    # pinned from the version that summed the carrier and the capacities
+    # over every time and box from 0 (1.2 s and 48 MB for the tau state);
+    # the prefix sums are now arithmetic outside the listed entries
+    params = TauParams(
+        P=(1, 2, 4), W=(3, -2, 5), Delta=2,
+        schedule=CarrierSchedule(entries={3: 4, 7: 9, 10**6 - 1: 5}, default=6),
+    )
+    tracemalloc.start()
+    try:
+        st = tau_toda_state(params, 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert (st.Q, st.E, st.Qbar, st.Ebar) == ((2, 1, 4), (7, 2000003), (2, 1, 4), (7, 2000003))
+    assert (st.Cbar, st.Dbar) == ((2, 2, 2, 2), (2, 1, 4))
+
+    euler = EulerSolitonParams(
+        P=(3, 1, 2), Xi=(0, 5, 9), profile=CapacityProfile((2, 3, 1, 4), 2, 3),
+        schedule=CarrierSchedule(entries={2: 2, 50: POS_INF}, default=5),
+    )
+    sl = euler_nsoliton(euler, 2 * 10**4 - 12, 2 * 10**4 + 12, 2 * 10**4)
+    field = [0] * 12 + [1, 2, 0, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0]
+    assert sl.U.tolist() == sl.Ubar.tolist() == sl.Zbar.tolist() == field
 
 
 def test_tau_T_evaluates_only_its_own_row(monkeypatch):
