@@ -249,6 +249,10 @@ class _Worker:
     def __init__(self, seed: int, bounds: DiffBounds, lo: int, hi: int):
         self.lo, self.hi = lo, hi
         read_fd, write_fd = os.pipe()
+        # a raw fork (4-6 ms on a 2-core Xeon guest), not a multiprocessing
+        # pool (13-34 ms there, and spawned workers re-import numpy): a
+        # 25-case run takes about 200 ms.  The child runs only the case
+        # loop and leaves by os._exit.
         try:
             self.pid = os.fork()
         except OSError:
