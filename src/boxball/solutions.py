@@ -28,10 +28,11 @@ import numpy as np
 from .geometry import CapacityProfile, CarrierSchedule
 from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_xint
 
-# The potentials are dynamic programs, O(N^2 W) per Euler time slice over W
-# boxes and O(N^3) per tau row: at N = 64 a 401-box Euler slice takes about
-# 12 ms and a tau state about 3 ms on a 2-core Xeon.  The cap turns a
-# runaway soliton count into a named error instead of a long computation.
+# The potentials are dynamic programs, O(N^2) per Euler potential that a
+# live box reads and O(N^3) per tau row: at N = 64 a 401-box Euler slice
+# with about half its boxes live takes about 4.5 ms and a tau state about
+# 2-3 ms on a 2-core Xeon.  The cap turns a runaway soliton count into a
+# named error instead of a long computation.
 MAX_SOLITONS = 64
 
 
@@ -92,25 +93,27 @@ def _profile_terms(profile: CapacityProfile) -> Tuple[np.ndarray, np.ndarray, in
     )
 
 
+def _capacity_value(m: XInt) -> int:
+    """A carrier capacity as int64, +inf as INT64_MAX: min(x, M) is x for
+    both wherever x fits."""
+    return INT64_MAX if m.is_pos_inf else m.finite
+
+
 def _carrier_terms(schedule: CarrierSchedule) -> Tuple[np.ndarray, np.ndarray, int]:
     """The schedule's listed times, their values, and the default, with +inf
     stored as INT64_MAX (min(P, M) is P for both)."""
-
-    def value(m: XInt) -> int:
-        return INT64_MAX if m.is_pos_inf else m.finite
-
     return (
         np.array([t for t, _ in schedule.entries], dtype=np.int64),
-        np.array([value(m) for _, m in schedule.entries], dtype=np.int64),
-        value(schedule.default),
+        np.array([_capacity_value(m) for _, m in schedule.entries], dtype=np.int64),
+        _capacity_value(schedule.default),
     )
 
 
 def _signed_prefix(
-    p: Tuple[int, ...], at: np.ndarray, values: np.ndarray, default: int, lo: int, hi: int
+    p: Tuple[int, ...], at: np.ndarray, values: np.ndarray, default: int, xs: np.ndarray
 ) -> np.ndarray:
-    """S[i, x-lo] = sum_{j=0}^{x-1} min(P_i, v_j) for x in [lo, hi], where
-    v_j = values[k] at j = at[k] (at increasing) and v_j = default at every
+    """S[i, k] = sum_{j=0}^{x-1} min(P_i, v_j) at x = xs[k], where
+    v_j = values[m] at j = at[m] (at increasing) and v_j = default at every
     other j; for x < 0 the signed convention S(x) = -sum_{j=x}^{-1}
     min(P_i, v_j) holds.
 
@@ -120,10 +123,12 @@ def _signed_prefix(
                                    - sum_{listed j < 0} c_{i,j},
 
     so only the listed terms are summed, and no box or time between 0 and
-    lo is visited.  Serves the capacities in space (`_profile_terms`) and
-    the carrier in time (`_carrier_terms`) for both families.
+    the points is visited.  Serves the capacities in space
+    (`_profile_terms`) and the carrier in time (`_carrier_terms`) for both
+    families.
     """
-    j_lo, j_hi = min(lo, 0), max(hi, 0)
+    xs = np.asarray(xs, dtype=np.int64)
+    j_lo, j_hi = min(int(xs.min(initial=0)), 0), max(int(xs.max(initial=0)), 0)
     count = j_hi - j_lo
     if max(p) * max(count, 1) > INT64_MAX:
         raise FiniteOverflow(f"sums of {count} terms up to {max(p)} leave int64")
@@ -134,7 +139,6 @@ def _signed_prefix(
     base = np.minimum(pcol, default)
     corr = np.zeros((len(p), len(at) + 1), dtype=np.int64)
     np.cumsum(np.minimum(pcol, values[keep]) - base, axis=1, out=corr[:, 1:])
-    xs = np.arange(lo, hi + 1, dtype=np.int64)
     return (
         xs * base
         + corr[:, np.searchsorted(at, xs)]
@@ -169,17 +173,60 @@ def _count_dp(h: np.ndarray, p: Sequence[int]) -> np.ndarray:
     return best
 
 
+def _first_above(
+    p: Tuple[int, ...], profile: CapacityProfile, v: np.ndarray, r0: int, r1: int
+) -> np.ndarray:
+    """x[i, k] = the smallest x with S_i(x) > v[i, k], clipped to [r0, r1],
+    for S_i the capacity prefix sum of `_signed_prefix` and every P_i >= 1.
+
+    S_i rises by min(P_i, cap_j) >= 1 at box j, so it is strictly
+    increasing; outside the profile's listed boxes it rises by the constant
+    min(P_i, default).  It is read at the listed boxes inside [r0, r1] and
+    searched there; beyond them the answer is a floor division.  Past
+    [r0, r1] that straight continuation may differ from S_i, but it stays
+    on the same side of [r0, r1] as the exact answer, which the clip keeps.
+    """
+    ws = profile.window_start
+    k0, k1 = (min(max(x, r0), r1) for x in (ws, ws + len(profile.capacities)))
+    knots = _signed_prefix(p, *_profile_terms(profile), np.arange(k0, k1 + 1))
+    slope = np.minimum(np.asarray(p, dtype=np.int64), profile.default_capacity)[:, None]
+    found = np.stack([np.searchsorted(row, vals, side="right") for row, vals in zip(knots, v)])
+    x = np.where(found == 0, k0 + (v - knots[:, :1]) // slope + 1, k0 + found)
+    x = np.where(found == knots.shape[1], k1 + (v - knots[:, -1:]) // slope + 1, x)
+    return np.clip(x, r0, r1)
+
+
+def _merge(lo: np.ndarray, hi: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """The union of the integer intervals [lo_k, hi_k] (empty ones dropped)
+    as sorted, disjoint, non-adjacent intervals."""
+    keep = lo <= hi
+    order = np.argsort(lo[keep])
+    lo, hi = lo[keep][order], hi[keep][order]
+    if not len(lo):
+        return lo, hi
+    reach = np.maximum.accumulate(hi)
+    # interval k opens a new run unless an earlier one reaches lo_k - 1
+    opens = np.ones(len(lo) + 1, dtype=bool)
+    opens[1:-1] = lo[1:] > reach[:-1] + 1
+    return lo[opens[:-1]], reach[opens[1:]]
+
+
+def _columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers of the disjoint sorted intervals [lo_k, hi_k], in order."""
+    lengths = hi - lo + 1
+    return np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
+
+
 def euler_slices(
     params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
 ) -> Iterator[EulerFieldSlice]:
     """The fields at t = t_lo .. t_hi over boxes [n_lo, n_hi], from the
-    potentials, over n in [n_lo, n_hi+1],
+    potentials
 
         F^{k,t}_n = min(0, min over nonempty J of pair weight of J
                            + sum_{i in J} H^{k,t}_{i,n}),
-        H^{0,t}_{i,n} = Xi_i - sum_{j<n} min(P_i, cap_j)
-                             + sum_{j<t} min(P_i, M_j),
-        H^{1,t}_{i,n} = H^{0,t}_{i,n} - P_i.
+        H^{k,t}_{i,n} = Xi_i - sum_{j<n} min(P_i, cap_j)
+                             + sum_{j<t} min(P_i, M_j) - k P_i.
 
     The pair weight of J is sum over its unordered pairs of 2*min(P_i, P_j),
     the convention under which the underlying subset-sum ansatz solves the
@@ -188,7 +235,31 @@ def euler_slices(
     soliton's pairs with earlier chosen ones weighs 2 P_i, so F is the
     minimum over sizes of `_count_dp` (size 0 is the empty set, the 0).
 
-    Each F^{k,t} is evaluated once and only two time slices are alive.
+    Only the boxes near a soliton's phase crossing are evaluated.  Adding
+    soliton i to a set that lacks it adds H_i + 2 sum_{j in J} min(P_i, P_j),
+    which lies in [H_i, H_i + B_i] with B_i = 2 sum_{j != i} min(P_i, P_j).
+    So if H_i + B_i <= 0 the minimum is taken by a set holding i, and if
+    H_i >= 0 by one lacking it; the two restrictions commute, so if every
+    soliton passes one test, a single set A (those with H_i + B_i <= 0)
+    minimizes.  The slice at t reads F^{k,s}_m for k in {0, 1},
+    s in {t, t+1} and m in {n, n+1}.  H_i falls with k and m and rises
+    with s, so it is least at (1, t, n+1) and greatest at (0, t+1, n), and
+    box n is *quiet* when every soliton has
+
+        H^{0,t}_{i,n+1} - P_i >= 0   or   H^{0,t+1}_{i,n} + B_i <= 0.
+
+    Then A minimizes all eight potentials.  H^{k,s}_{i,m} is a sum of one
+    term per index and each field is a mixed difference in two of them
+    (U in k and m, Ubar in s and m, Zbar in k and s), so the H terms of A
+    cancel, its pair weight cancels, and U = Ubar = Zbar = 0.  A soliton
+    with P_i = 0 has a constant H_i and B_i = 0, so it passes everywhere.
+    As H_i is monotone in n, the boxes where soliton i fails both tests
+    form one interval per t, whose ends invert the capacity prefix sum
+    (`_first_above`).  `_count_dp` runs once per call, over the potentials
+    that the live boxes of every slice read; quiet boxes stay 0.  The cost
+    is O(N^2) per live (box, time) column and O(W) per slice for the
+    output, so a late slice costs what its solitons do.
+
     Raises FiniteOverflow if a potential can leave int64.
     """
     big_n = params.N
@@ -201,30 +272,65 @@ def euler_slices(
     # tied speeds may come in either order: their pair weighs 2 P both ways
     order = sorted(range(big_n), key=lambda i: -params.P[i])
     p = tuple(params.P[i] for i in order)
+    pa = np.asarray(p, dtype=np.int64)
     xi = np.array([params.Xi[i] for i in order], dtype=np.int64)
-    s_caps = _signed_prefix(p, *_profile_terms(params.profile), n_lo, n_hi + 1)
-    s_car = _signed_prefix(p, *_carrier_terms(params.schedule), t_lo, t_hi + 1)
+    width = max(n_hi - n_lo + 1, 0)
+    rows = max(t_hi - t_lo + 1, 0)
+    s_car = _signed_prefix(p, *_carrier_terms(params.schedule), np.arange(t_lo, t_hi + 2))
 
-    # H^{0,t} and H^{1,t} side by side, less the carrier column
-    h0 = xi[:, None] - s_caps
-    base = np.concatenate([h0, h0 - np.asarray(p, dtype=np.int64)[:, None]], axis=1)
-    width = h0.shape[1]
-
-    def potentials(t: int) -> Tuple[np.ndarray, np.ndarray]:
-        f = _count_dp(base + s_car[:, t - t_lo, None], p).min(axis=0)
-        return f[:width], f[width:]
-
-    f0, f1 = potentials(t_lo)
-    for t in range(t_lo, t_hi + 1):
-        f0p, f1p = potentials(t + 1)
-        yield EulerFieldSlice(
-            time=t,
-            n_start=n_lo,
-            U=f0p[1:] - f0p[:-1] + f1p[:-1] - f1p[1:],
-            Ubar=f0[:-1] - f0[1:] + f0p[1:] - f0p[:-1],
-            Zbar=f0[:-1] - f0p[:-1] + f1p[:-1] - f1[:-1],
+    # box n of slice t is column (t - t_lo) * stride + n - n_lo, and the
+    # potential F^{k,t}_n the same; the gap keeps two rows from merging
+    stride = width + 2
+    moving = sum(pi > 0 for pi in p)  # P sorted, largest first
+    live_lo = live_hi = np.empty(0, dtype=np.int64)
+    if moving and width:
+        pair_bound = 2 * (np.minimum.outer(pa, pa).sum(axis=1) - pa)
+        g = xi[:moving, None] + s_car[:moving]
+        x = _first_above(
+            p[:moving],
+            params.profile,
+            np.concatenate([
+                g[:, :-1] - pa[:moving, None],  # the first test fails from x - 1 on
+                g[:, 1:] + pair_bound[:moving, None] - 1,  # the second up to x - 1
+            ], axis=1),
+            n_lo,
+            n_hi + 2,
         )
-        f0, f1 = f0p, f1p
+        offset = np.arange(rows) * stride - n_lo
+        live_lo, live_hi = _merge(
+            np.maximum(x[:, :rows] - 1, n_lo) + offset,
+            np.minimum(x[:, rows:] - 1, n_hi) + offset,
+        )
+    live = _columns(live_lo, live_hi)
+    fields = np.zeros((3, len(live)), dtype=np.int64)
+    if len(live):
+        pot = _columns(*_merge(
+            np.concatenate([live_lo, live_lo + stride]),
+            np.concatenate([live_hi, live_hi + stride]) + 1,
+        ))
+        t_of, n_of = np.divmod(pot, stride)
+        h0 = (
+            xi[:, None]
+            - _signed_prefix(p, *_profile_terms(params.profile), n_of + n_lo)
+            + s_car[:, t_of]
+        )
+        f = _count_dp(np.concatenate([h0, h0 - pa[:, None]], axis=1), p).min(axis=0)
+        f0, f1 = f[: len(pot)], f[len(pot) :]
+        # F at (t, n) and (t + 1, n); n + 1 is the next column of each
+        now = np.searchsorted(pot, live)
+        nxt = np.searchsorted(pot, live + stride)
+        fields[0] = f0[nxt + 1] - f0[nxt] + f1[nxt] - f1[nxt + 1]
+        fields[1] = f0[now] - f0[now + 1] + f0[nxt + 1] - f0[nxt]
+        fields[2] = f0[now] - f0[nxt] + f1[nxt] - f1[now]
+    cuts = np.searchsorted(live, np.arange(rows + 1) * stride).tolist()
+    for r in range(rows):
+        at = slice(cuts[r], cuts[r + 1])
+        boxes = live[at] - r * stride
+        dense = np.zeros((3, width), dtype=np.int64)
+        dense[:, boxes] = fields[:, at]
+        yield EulerFieldSlice(
+            time=t_lo + r, n_start=n_lo, U=dense[0], Ubar=dense[1], Zbar=dense[2]
+        )
 
 
 def euler_nsoliton(
@@ -257,34 +363,38 @@ class EulerVerifyReport:
         return self.max_residual == 0
 
 
+# transitions per `euler_slices` call of verify_euler_solution: its arrays
+# hold (block + 1) x W entries
+_VERIFY_BLOCK = 64
+
+
 def verify_euler_solution(
     params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
 ) -> EulerVerifyReport:
     """Check the three coupled update rules between consecutive slices for
-    every transition t -> t+1, t in [t_lo, t_hi).
+    every transition t -> t+1, t in [t_lo, t_hi), a block of transitions
+    at a time as (transition, box) arrays.
 
     The rules are local in n, so they are checked pointwise wherever all
-    referenced neighbours lie inside the window; no support assumption is
-    needed.
+    referenced neighbours lie inside the window, quiet boxes included; no
+    support assumption is needed.
     """
     caps = params.profile.caps_array(n_lo, n_hi - n_lo + 1)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
-
-    def bump(key, diff):
-        res[key] = max(res[key], int(np.max(np.abs(diff), initial=0)))
-
-    slices = euler_slices(params, n_lo, n_hi, t_lo, t_hi)
-    cur = next(slices)
-    for nxt in slices:
-        u, u1 = cur.U, nxt.U
-        ub, zb = nxt.Ubar, nxt.Zbar
-        m = params.schedule.at(nxt.time)
-        bump("size_limit", ub - np.minimum(caps - u, zb))
-        held = zb[:-1] + u[:-1]
-        capped = held if m.is_pos_inf else np.minimum(held, m.finite)
-        bump("carrier_load", zb[1:] - (capped - ub[:-1]))
-        bump("recovery", u1[:-1] - (u[:-1] + zb[:-1] - zb[1:]))
-        cur = nxt
+    for b_lo in range(t_lo, t_hi, _VERIFY_BLOCK):
+        slices = list(euler_slices(params, n_lo, n_hi, b_lo, min(b_lo + _VERIFY_BLOCK, t_hi)))
+        u = np.stack([sl.U for sl in slices])
+        u0, u1 = u[:-1], u[1:]
+        ub = np.stack([sl.Ubar for sl in slices[1:]])
+        zb = np.stack([sl.Zbar for sl in slices[1:]])
+        m = np.array([[_capacity_value(params.schedule.at(sl.time))] for sl in slices[1:]])
+        held = np.minimum(zb[:, :-1] + u0[:, :-1], m)
+        for key, diff in (
+            ("size_limit", ub - np.minimum(caps - u0, zb)),
+            ("carrier_load", zb[:, 1:] - (held - ub[:, :-1])),
+            ("recovery", u1[:, :-1] - (u0[:, :-1] + zb[:, :-1] - zb[:, 1:])),
+        ):
+            res[key] = max(res[key], int(np.abs(diff).max(initial=0)))
     return EulerVerifyReport(residuals=res)
 
 
@@ -338,11 +448,10 @@ def _tau_rows(
     """
     p, big_n = params.P, params.N
     m_delta = [min(pi, params.Delta) for pi in p]
-    # column x - x_lo is sum_{j=0}^{x-1} min(P_r, M_j): T^{k,t} reads
+    # column c is sum_{j=0}^{x-1} min(P_r, M_j) for row c: T^{k,t} reads
     # x = t + 1, olT^{k,t} reads x = t
     xs = [t + (not barred) for _, t, barred in keys]
-    x_lo = min(xs)
-    car = _signed_prefix(p, *_carrier_terms(params.schedule), x_lo, max(xs))
+    car = _signed_prefix(p, *_carrier_terms(params.schedule), xs)
     # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P
     d_max = 2 * (big_n - 1) + max(abs(k + t) for k, t, _ in keys)
     _require_headroom(
@@ -355,7 +464,7 @@ def _tau_rows(
     # entry[r, row, n-1] is all of it but the rank weight 2c P
     per_row = (
         np.asarray(params.W, dtype=np.int64)[:, None]
-        + car[:, [x - x_lo for x in xs]]
+        + car
         - np.outer(p, [not barred for _, _, barred in keys])
     )
     d = np.array([k + t for k, t, _ in keys])[:, None] + 2 * np.arange(big_n)
@@ -479,73 +588,53 @@ class TauVerifyReport:
 def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyReport:
     """Check every equation of the capacity-Delta system (K = Lam = Delta)
     between consecutive evaluated slices, transitions t -> t+1 for
-    t in [t_lo, t_hi), plus Cbar_0 = Delta.
+    t in [t_lo, t_hi), plus Cbar_0 = Delta, all transitions at once as
+    (transition, index) arrays.
 
     Requires Delta <= M_{t+1} on the range (the system's validity
-    condition).
+    condition).  Raises FiniteOverflow if a residual can leave int64.
     """
-    big_n = params.N
     dd = params.Delta
-    res = {
-        "qbar": 0,
-        "ebar": 0,
-        "cbar": 0,
-        "dbar": 0,
-        "cbar0_boundary": 0,
-        "q_recovery": 0,
-        "e_recovery": 0,
-    }
-    min_q = None
-    min_e = None
-
-    def bump(key, lhs, rhs):
-        res[key] = max(res[key], abs(lhs - rhs))
-
-    states = tau_states(params, t_lo, t_hi)
-    cur = next(states)
-    for nxt in states:
-        m = params.schedule.at(nxt.time)
+    states = list(tau_states(params, t_lo, t_hi))
+    res = dict.fromkeys(
+        ("qbar", "ebar", "cbar", "dbar", "cbar0_boundary", "q_recovery", "e_recovery"), 0
+    )
+    if len(states) < 2:
+        return TauVerifyReport(residuals=res, min_q=0, min_interior_e=None)
+    for st in states[1:]:
+        m = params.schedule.at(st.time)
         if m < dd:
-            raise ValueError(f"carrier capacity {m} below Delta at t={nxt.time}")
+            raise ValueError(f"carrier capacity {m} below Delta at t={st.time}")
 
-        def cap(x: int) -> int:
-            return x if m.is_pos_inf else min(x, m.finite)
+    def stack(name: str, sts: Sequence[TauState]) -> np.ndarray:
+        return np.array([getattr(st, name) for st in sts], dtype=np.int64)
 
-        q, e = cur.Q, cur.E
-        qb, eb, cb, db = nxt.Qbar, nxt.Ebar, nxt.Cbar, nxt.Dbar
-
-        min_q = min(q) if min_q is None else min(min_q, *q)
-        if e:
-            min_e = min(e) if min_e is None else min(min_e, *e)
-
-        bump("cbar0_boundary", cb[0], dd)
-        for n in range(big_n):
-            bump("dbar", db[n], cap(cb[n] + q[n] - dd))
-            if n == big_n - 1:
-                bump("qbar", qb[n], db[n])  # E_N = +inf
-            else:
-                bump("qbar", qb[n], min(e[n] - max(0, dd - db[n]), db[n]))
-            bump("cbar", cb[n + 1], cap(db[n] - qb[n] + dd))
-            bump("q_recovery", nxt.Q[n], q[n] + cb[n] - cb[n + 1])
-        for i in range(big_n - 1):
-            bump(
-                "ebar",
-                eb[i],
-                e[i]
-                - qb[i]
-                + q[i + 1]
-                - max(0, dd - db[i])
-                + max(0, dd - db[i + 1]),
-            )
-            bump(
-                "e_recovery",
-                nxt.E[i],
-                eb[i] + qb[i] - q[i + 1] - db[i] + db[i + 1],
-            )
-        cur = nxt
-
+    cur, nxt = states[:-1], states[1:]
+    q, e = stack("Q", cur), stack("E", cur)
+    q1, e1 = stack("Q", nxt), stack("E", nxt)
+    qb, eb, cb, db = (stack(name, nxt) for name in ("Qbar", "Ebar", "Cbar", "Dbar"))
+    # a residual adds at most eight terms no larger than a field or Delta
+    _require_headroom(
+        max(dd, *(int(np.abs(a).max(initial=0)) for a in (q, e, q1, e1, qb, eb, cb, db)))
+    )
+    m = np.array([[_capacity_value(params.schedule.at(st.time))] for st in nxt])
+    short = np.maximum(0, dd - db)
+    # E_N = +inf leaves Qbar_{N-1} = Dbar_{N-1}
+    qbar = db.copy()
+    qbar[:, :-1] = np.minimum(e - short[:, :-1], db[:, :-1])
+    diffs = {
+        "qbar": qb - qbar,
+        "ebar": eb - (e - qb[:, :-1] + q[:, 1:] - short[:, :-1] + short[:, 1:]),
+        "cbar": cb[:, 1:] - np.minimum(db - qb + dd, m),
+        "dbar": db - np.minimum(cb[:, :-1] + q - dd, m),
+        "cbar0_boundary": cb[:, 0] - dd,
+        "q_recovery": q1 - (q + cb[:, :-1] - cb[:, 1:]),
+        "e_recovery": e1 - (eb + qb[:, :-1] - q[:, 1:] - db[:, :-1] + db[:, 1:]),
+    }
+    for key, diff in diffs.items():
+        res[key] = int(np.abs(diff).max(initial=0))
     return TauVerifyReport(
         residuals=res,
-        min_q=min_q if min_q is not None else 0,
-        min_interior_e=min_e,
+        min_q=int(q.min()),
+        min_interior_e=int(e.min()) if e.size else None,
     )

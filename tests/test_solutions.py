@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 from itertools import combinations
 
@@ -340,22 +341,28 @@ schedules = st.builds(
 speeds = st.integers(0, 6)  # ties and P = 0 included
 
 
-@settings(max_examples=60)
+@settings(max_examples=60, deadline=None)
 @given(
     p=st.lists(speeds, min_size=1, max_size=6),
     data=st.data(),
-    caps=st.lists(st.integers(1, 4), max_size=6),
-    window_start=st.integers(0, 3),
+    caps=st.lists(st.integers(1, 4), max_size=12),
+    window_start=st.integers(0, 6),
     default_capacity=st.integers(1, 4),
-    schedule=schedules,
-    t=st.integers(-4, 4),
-    n_lo=st.integers(-8, 2),
-    width=st.integers(0, 10),
+    schedule=st.builds(
+        CarrierSchedule,
+        entries=st.dictionaries(st.integers(-31, 31), carrier_values, max_size=12),
+        default=carrier_values,
+    ),
+    t=st.integers(-30, 30),
+    width=st.integers(0, 80),
 )
 def test_euler_fields_match_literal_enumeration(
-    p, data, caps, window_start, default_capacity, schedule, t, n_lo, width
+    p, data, caps, window_start, default_capacity, schedule, t, width
 ):
+    # wide windows around where the solitons are at t, so that quiet boxes
+    # lie on both sides of the phase crossings
     xi = data.draw(st.lists(st.integers(-10, 10), min_size=len(p), max_size=len(p)))
+    n_lo = data.draw(st.integers(min(0, 3 * t) - 50, max(0, 3 * t) + 10))
     profile = CapacityProfile(caps, window_start, default_capacity)
     params = EulerSolitonParams(P=p, Xi=xi, profile=profile, schedule=schedule)
     assert_fields_match_literal(params, n_lo, n_lo + width, t)
@@ -523,6 +530,278 @@ def test_tau_T_evaluates_only_its_own_row(monkeypatch):
     monkeypatch.setattr(solutions_mod, "_count_dp", recording)
     assert tau_T(params, 1, 2, 3) == literal_tau(params, 1, 2, 3, barred=False)
     assert shapes == [(4, 1, 4)]
+
+def test_late_slice_is_bounded_by_its_solitons():
+    # pinned from the version that ran the dynamic program over every box
+    # (106 ms and 104 MB); only the three dense output arrays (9.6 MB)
+    # still follow the window
+    params = EulerSolitonParams(
+        P=(3, 1, 2), Xi=(0, 5, 9), profile=CapacityProfile((2, 3, 1, 4), 2, 3),
+        schedule=CarrierSchedule(entries={2: 2, 50: POS_INF}, default=5),
+    )
+    tracemalloc.start()
+    try:
+        sl = euler_nsoliton(params, 0, 4 * 10**5, 10**5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 * 2**20
+    digest = hashlib.sha256()
+    for field in (sl.U, sl.Ubar, sl.Zbar):
+        digest.update(field.astype("<i8").tobytes())
+    assert digest.hexdigest() == (
+        "b8de1b2d88e7716ef390321e4c5e1ecd7dc48bff5315c374062685589690fac2"
+    )
+    assert np.flatnonzero(sl.U).tolist() == [10**5, 10**5 + 1, 10**5 + 7, 10**5 + 9]
+
+
+def _record_count_dp(monkeypatch):
+    from boxball import solutions as solutions_mod
+
+    calls = []
+    real = solutions_mod._count_dp
+
+    def recording(h, p):
+        calls.append(h.shape)
+        return real(h, p)
+
+    monkeypatch.setattr(solutions_mod, "_count_dp", recording)
+    return calls
+
+
+def test_euler_slices_run_the_dynamic_program_at_most_once(monkeypatch):
+    calls = _record_count_dp(monkeypatch)
+    # every soliton far behind its phase crossing: no live box, no call
+    flat = EulerSolitonParams(P=(2, 4), Xi=(10**6, 10**6), profile=UNIT, schedule=FREE)
+    assert not any(sl.U.any() for sl in euler_slices(flat, -5, 30, 0, 20))
+    assert calls == []
+
+    params = EulerSolitonParams(
+        P=(1, 3, 0, 3), Xi=(6, -1, -2, 4),
+        profile=CapacityProfile((3, 1, 2), 4, 2),
+        schedule=CarrierSchedule(entries={1: 0, 3: 2, 5: POS_INF}, default=4),
+    )
+    for n_lo, n_hi, t_lo, t_hi, dp_calls in [
+        (0, 3, 0, 0, 1), (0, 0, 3, 3, 0), (-20, 45, 0, 10, 1), (-300, 300, -40, 60, 1),
+    ]:
+        calls.clear()
+        slices = list(euler_slices(params, n_lo, n_hi, t_lo, t_hi))
+        assert len(slices) == t_hi - t_lo + 1
+        assert len(calls) == dp_calls
+    # the columns are the potentials that the live boxes read, for k = 0
+    # and 1: under 5 % of the 102 x 602 (time, box) potentials
+    assert calls[0][1] < 0.05 * 2 * 102 * 602
+
+
+def _injecting_euler(monkeypatch, field, time, box):
+    from boxball import solutions as solutions_mod
+
+    real = solutions_mod.euler_slices
+
+    def slices(params, n_lo, n_hi, t_lo, t_hi):
+        for sl in real(params, n_lo, n_hi, t_lo, t_hi):
+            if sl.time == time:
+                getattr(sl, field)[box - sl.n_start] += 1
+            yield sl
+
+    monkeypatch.setattr(solutions_mod, "euler_slices", slices)
+
+
+@pytest.mark.parametrize("field, key", [
+    ("U", "recovery"), ("Ubar", "size_limit"), ("Zbar", "carrier_load"),
+])
+@pytest.mark.parametrize("where", ["live", "quiet-left", "quiet-right"])
+def test_euler_verifier_catches_a_field_fault(monkeypatch, field, key, where):
+    params = EulerSolitonParams(
+        P=(2, 5), Xi=(3, -4),
+        profile=CapacityProfile(capacities=(3, 1, 4, 2) * 6, default_capacity=2),
+        schedule=CarrierSchedule(entries={t: 3 + t % 3 for t in range(1, 12)}),
+    )
+    assert verify_euler_solution(params, -25, 70, 0, 10).ok
+    sl = euler_nsoliton(params, -25, 70, 4)
+    box = {
+        "live": -25 + int(np.flatnonzero(getattr(sl, field))[0]),
+        "quiet-left": -22,
+        "quiet-right": 69,
+    }[where]
+    assert (getattr(sl, field)[box + 25] != 0) == (where == "live")
+    _injecting_euler(monkeypatch, field, 4, box)
+    assert verify_euler_solution(params, -25, 70, 0, 10).residuals[key] > 0
+
+
+def test_euler_verifier_checks_every_block(monkeypatch):
+    # a fault in the last of several blocks of transitions is still seen
+    params = EulerSolitonParams(P=(1, 2), Xi=(0, 3), profile=UNIT, schedule=FREE)
+    assert verify_euler_solution(params, -10, 400, 0, 150).ok
+    _injecting_euler(monkeypatch, "U", 149, 0)
+    assert verify_euler_solution(params, -10, 400, 0, 150).residuals["recovery"] > 0
+
+
+@pytest.mark.parametrize("field, index, key", [
+    ("Q", 0, "q_recovery"), ("Q", 2, "q_recovery"),
+    ("E", 0, "e_recovery"), ("E", 1, "e_recovery"),
+    ("Cbar", 0, "cbar0_boundary"), ("Cbar", 1, "cbar"), ("Cbar", 3, "cbar"),
+    ("Dbar", 0, "dbar"), ("Dbar", 2, "dbar"),
+])
+def test_tau_verifier_catches_a_field_fault(monkeypatch, field, index, key):
+    from dataclasses import replace
+
+    from boxball import solutions as solutions_mod
+
+    params = TauParams(
+        P=(1, 3, 6), W=(-4, 2, 7), Delta=3,
+        schedule=CarrierSchedule(entries={t: 3 + t % 4 for t in range(1, 20)}),
+    )
+    assert verify_tau_solution(params, 0, 15).ok
+    real = solutions_mod.tau_states
+
+    def states(params, t_lo, t_hi):
+        for st in real(params, t_lo, t_hi):
+            if st.time == 7:
+                values = list(getattr(st, field))
+                values[index] += 1
+                st = replace(st, **{field: tuple(values)})
+            yield st
+
+    monkeypatch.setattr(solutions_mod, "tau_states", states)
+    assert verify_tau_solution(params, 0, 15).residuals[key] > 0
+
+
+def loop_euler_residuals(params, slices):
+    """The update-rule residuals of consecutive slices, one transition and
+    one box at a time, in Python integers."""
+    res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
+    n_lo = slices[0].n_start
+    for cur, nxt in zip(slices, slices[1:]):
+        u, u1 = cur.U.tolist(), nxt.U.tolist()
+        ub, zb = nxt.Ubar.tolist(), nxt.Zbar.tolist()
+        m = params.schedule.at(nxt.time)
+        for i in range(len(u)):
+            cap = params.profile.capacity(n_lo + i)
+            res["size_limit"] = max(res["size_limit"], abs(ub[i] - min(cap - u[i], zb[i])))
+            if i + 1 < len(u):
+                held = zb[i] + u[i]
+                capped = held if m.is_pos_inf else min(held, m.finite)
+                res["carrier_load"] = max(res["carrier_load"], abs(zb[i + 1] - (capped - ub[i])))
+                res["recovery"] = max(
+                    res["recovery"], abs(u1[i] - (u[i] + zb[i] - zb[i + 1]))
+                )
+    return res
+
+
+def loop_tau_report(params, states):
+    """(residuals, min_q, min_interior_e) of consecutive states, one
+    transition and one index at a time, in Python integers."""
+    dd, big_n = params.Delta, params.N
+    res = dict.fromkeys(
+        ("qbar", "ebar", "cbar", "dbar", "cbar0_boundary", "q_recovery", "e_recovery"), 0
+    )
+
+    def bump(key, lhs, rhs):
+        res[key] = max(res[key], abs(lhs - rhs))
+
+    min_q = min_e = None
+    for cur, nxt in zip(states, states[1:]):
+        m = params.schedule.at(nxt.time)
+
+        def cap(x):
+            return x if m.is_pos_inf else min(x, m.finite)
+
+        q, e = cur.Q, cur.E
+        qb, eb, cb, db = nxt.Qbar, nxt.Ebar, nxt.Cbar, nxt.Dbar
+        min_q = min(q) if min_q is None else min(min_q, *q)
+        if e:
+            min_e = min(e) if min_e is None else min(min_e, *e)
+        bump("cbar0_boundary", cb[0], dd)
+        for n in range(big_n):
+            bump("dbar", db[n], cap(cb[n] + q[n] - dd))
+            lim = db[n] if n == big_n - 1 else min(e[n] - max(0, dd - db[n]), db[n])
+            bump("qbar", qb[n], lim)
+            bump("cbar", cb[n + 1], cap(db[n] - qb[n] + dd))
+            bump("q_recovery", nxt.Q[n], q[n] + cb[n] - cb[n + 1])
+        for i in range(big_n - 1):
+            short_i, short_j = max(0, dd - db[i]), max(0, dd - db[i + 1])
+            bump("ebar", eb[i], e[i] - qb[i] + q[i + 1] - short_i + short_j)
+            bump("e_recovery", nxt.E[i], eb[i] + qb[i] - q[i + 1] - db[i] + db[i + 1])
+    return res, (0 if min_q is None else min_q), min_e
+
+
+def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
+    # random faults of random size in random fields, slices and boxes: the
+    # batched residuals must equal those of a transition-by-transition loop
+    from dataclasses import replace
+
+    from boxball import solutions as solutions_mod
+
+    rng = np.random.default_rng(12)
+    real_slices, real_states = solutions_mod.euler_slices, solutions_mod.tau_states
+    for case in range(24):
+        n = int(rng.integers(1, 4))
+        params = EulerSolitonParams(
+            P=rng.choice(np.arange(0, 7), size=n).tolist(),
+            Xi=rng.integers(-10, 11, size=n).tolist(),
+            profile=CapacityProfile(rng.integers(1, 5, size=6).tolist(), 2, 2),
+            schedule=CarrierSchedule(
+                entries={t: POS_INF if t % 5 == 0 else int(rng.integers(0, 6)) for t in range(70)}
+            ),
+        )
+        t_hi = 70 if case % 3 == 0 else 9  # several verify blocks, or one
+        slices = list(real_slices(params, -15, 40, 0, t_hi))
+        for _ in range(int(rng.integers(0, 6))):
+            sl = slices[int(rng.choice([0, -1, rng.integers(0, len(slices))]))]
+            field = getattr(sl, str(rng.choice(["U", "Ubar", "Zbar"])))
+            field[int(rng.choice([0, -1, rng.integers(0, len(field))]))] += int(rng.integers(-3, 4))
+        monkeypatch.setattr(
+            solutions_mod, "euler_slices",
+            lambda params, n_lo, n_hi, t_lo, t_hi: (sl for sl in slices if t_lo <= sl.time <= t_hi),
+        )
+        rep = verify_euler_solution(params, -15, 40, 0, t_hi)
+        assert rep.residuals == loop_euler_residuals(params, slices)
+
+        p = sorted(rng.choice(np.arange(1, 9), size=n + 1, replace=False).tolist())
+        delta = int(rng.integers(1, 4))
+        tau = TauParams(
+            P=p, W=rng.integers(-6, 7, size=n + 1).tolist(), Delta=delta,
+            schedule=CarrierSchedule(entries={t: delta + t % 3 for t in range(1, 12)}),
+        )
+        states = list(real_states(tau, 0, 10))
+        for _ in range(int(rng.integers(0, 6))):
+            k = int(rng.choice([0, -1, rng.integers(0, len(states))]))
+            name = str(rng.choice(["Q", "E", "Qbar", "Ebar", "Cbar", "Dbar"]))
+            values = list(getattr(states[k], name))
+            if values:
+                values[int(rng.choice([0, -1, rng.integers(0, len(values))]))] += int(
+                    rng.integers(-3, 4)
+                )
+                states[k] = replace(states[k], **{name: tuple(values)})
+        monkeypatch.setattr(solutions_mod, "tau_states", lambda params, t_lo, t_hi: iter(states))
+        rep = verify_tau_solution(tau, 0, 10)
+        assert (rep.residuals, rep.min_q, rep.min_interior_e) == loop_tau_report(tau, states)
+
+
+def test_tau_verifier_extremes_and_capacity_error():
+    # pinned from the verifier that checked one entry at a time
+    # the last two are least at their first transitions only
+    cases = [
+        (TauParams(P=(4,), W=(3,), Delta=2,
+                   schedule=CarrierSchedule(entries={1: 5, 2: POS_INF}, default=3)),
+         -2, 4, None),
+        (TauParams(P=(1, 3, 6), W=(-4, 2, 7), Delta=3,
+                   schedule=CarrierSchedule(entries={t: 3 + t % 4 for t in range(1, 20)})),
+         -4, 1, 1),
+        (TauParams(P=(2, 2, 5, 9), W=(1, -3, 0, 4), Delta=2,
+                   schedule=CarrierSchedule(entries={4: 2, 6: 7}, default=4)),
+         1, 2, 2),
+    ]
+    for params, t_lo, min_q, min_e in cases:
+        rep = verify_tau_solution(params, t_lo, 9)
+        assert rep.ok, rep.residuals
+        assert (rep.min_q, rep.min_interior_e) == (min_q, min_e)
+    bad = TauParams(P=(2, 5), W=(0, 1), Delta=3,
+                    schedule=CarrierSchedule(entries={4: 2, 6: 0}, default=5))
+    with pytest.raises(ValueError, match=r"^carrier capacity XInt\(2\) below Delta at t=4$"):
+        verify_tau_solution(bad, 0, 9)
+
 
 def test_closed_forms_refuse_to_wrap_int64():
     big = EulerSolitonParams(P=(1, 2), Xi=(2**63 - 1, 0), profile=UNIT, schedule=FREE)
