@@ -30,8 +30,8 @@ from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_xint
 
 # The potentials are dynamic programs, O(N^2) per Euler potential that a
 # live box reads and O(N^3) per tau row: at N = 64 a 401-box Euler slice
-# with about half its boxes live takes about 4.5 ms and a tau state about
-# 2-3 ms on a 2-core Xeon.  The cap turns a runaway soliton count into a
+# with about half its boxes live takes about 4 ms and a tau state about
+# 2 ms on a 2-core Xeon.  The cap turns a runaway soliton count into a
 # named error instead of a long computation.
 MAX_SOLITONS = 64
 
@@ -285,13 +285,14 @@ def euler_slices(
     live_lo = live_hi = np.empty(0, dtype=np.int64)
     if moving and width:
         pair_bound = 2 * (np.minimum.outer(pa, pa).sum(axis=1) - pa)
-        g = xi[:moving, None] + s_car[:moving]
+        # H^{0,t}_{i,n} = shift[i, t - t_lo] - (capacity prefix sum at n)
+        shift = xi[:moving, None] + s_car[:moving]
         x = _first_above(
             p[:moving],
             params.profile,
             np.concatenate([
-                g[:, :-1] - pa[:moving, None],  # the first test fails from x - 1 on
-                g[:, 1:] + pair_bound[:moving, None] - 1,  # the second up to x - 1
+                shift[:, :-1] - pa[:moving, None],  # the first test fails from x - 1 on
+                shift[:, 1:] + pair_bound[:moving, None] - 1,  # the second up to x - 1
             ], axis=1),
             n_lo,
             n_hi + 2,

@@ -533,7 +533,7 @@ def test_tau_T_evaluates_only_its_own_row(monkeypatch):
 
 def test_late_slice_is_bounded_by_its_solitons():
     # pinned from the version that ran the dynamic program over every box
-    # (106 ms and 104 MB); only the three dense output arrays (9.6 MB)
+    # (81-230 ms and 109 MB); only the three dense output arrays (9.6 MB)
     # still follow the window
     params = EulerSolitonParams(
         P=(3, 1, 2), Xi=(0, 5, 9), profile=CapacityProfile((2, 3, 1, 4), 2, 3),
@@ -627,14 +627,6 @@ def test_euler_verifier_catches_a_field_fault(monkeypatch, field, key, where):
     assert (getattr(sl, field)[box + 25] != 0) == (where == "live")
     _injecting_euler(monkeypatch, field, 4, box)
     assert verify_euler_solution(params, -25, 70, 0, 10).residuals[key] > 0
-
-
-def test_euler_verifier_checks_every_block(monkeypatch):
-    # a fault in the last of several blocks of transitions is still seen
-    params = EulerSolitonParams(P=(1, 2), Xi=(0, 3), profile=UNIT, schedule=FREE)
-    assert verify_euler_solution(params, -10, 400, 0, 150).ok
-    _injecting_euler(monkeypatch, "U", 149, 0)
-    assert verify_euler_solution(params, -10, 400, 0, 150).residuals["recovery"] > 0
 
 
 @pytest.mark.parametrize("field, index, key", [
@@ -747,6 +739,8 @@ def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
         )
         t_hi = 70 if case % 3 == 0 else 9  # several verify blocks, or one
         slices = list(real_slices(params, -15, 40, 0, t_hi))
+        if t_hi == 70:
+            slices[64].Ubar[5] += 1  # read only by the transition that ends a block
         for _ in range(int(rng.integers(0, 6))):
             sl = slices[int(rng.choice([0, -1, rng.integers(0, len(slices))]))]
             field = getattr(sl, str(rng.choice(["U", "Ubar", "Zbar"])))
