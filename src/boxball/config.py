@@ -89,6 +89,7 @@ def parse_schedule(obj, where: str = "schedule") -> CarrierSchedule:
             t = int(key)
         except ValueError:
             raise ConfigError(f"{where}.entries key {key!r} is not an integer") from None
+        t = _int(t, f"{where}.entries key {key!r}")
         parsed[t] = _capacity(val, f"{where}.entries[{key}]")
     default = _capacity(obj.get("default", "inf"), f"{where}.default")
     return CarrierSchedule(entries=parsed, default=default)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import XInt, as_xint
+from .xint import INT64_MAX, FiniteOverflow, XInt, as_xint
 
 
 class WindowOverflow(RuntimeError):
@@ -45,6 +45,10 @@ class EulerState:
         caps = self.profile.caps_array(self.window_start, len(c))
         if np.any(c < 0) or np.any(c > caps):
             raise ValueError("counts must satisfy 0 <= U_n <= capacity(n)")
+        # the int64 sum of `total_balls` would wrap
+        total = sum(c.tolist())
+        if total > INT64_MAX:
+            raise FiniteOverflow(f"ball total {total} is past the int64 range")
         c.setflags(write=False)
         object.__setattr__(self, "counts", c)
 

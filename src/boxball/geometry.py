@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, XIntLike, as_xint
+from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike, as_xint
 
 
 @dataclass(frozen=True)
@@ -119,7 +119,9 @@ class CarrierSchedule:
         norm = tuple(sorted((int(t), as_xint(m)) for t, m in raw))
         object.__setattr__(self, "entries", norm)
         object.__setattr__(self, "default", as_xint(self.default))
-        for _, m in norm:
+        for t, m in norm:
+            if not INT64_MIN <= t <= INT64_MAX:
+                raise FiniteOverflow(f"schedule time {t} outside the signed 64-bit range")
             _require_capacity(m)
         _require_capacity(self.default)
         object.__setattr__(self, "_map", dict(norm))

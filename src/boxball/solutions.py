@@ -217,11 +217,27 @@ def _columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.arange(lengths.sum()) + np.repeat(lo - np.cumsum(lengths) + lengths, lengths)
 
 
-def euler_slices(
+# slices per `_euler_fields` call of `euler_slices`, transitions per call
+# of `verify_euler_solution`: a call's dynamic program spans the live
+# columns of at most _BLOCK + 1 slices and its output holds 3 (_BLOCK + 1) W
+# entries, so memory follows the block, not the length of the time range
+_BLOCK = 64
+
+
+def _euler_headroom(params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int):
+    # |sum_{j<x} min(P_i, .)| <= P_i |x|
+    reach = 1 + max(abs(n_lo), abs(n_hi + 1)) + max(abs(t_lo), abs(t_hi + 1))
+    _require_headroom(
+        params.N * params.N * max(params.P)
+        + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, params.P))
+    )
+
+
+def _euler_fields(
     params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
-) -> Iterator[EulerFieldSlice]:
-    """The fields at t = t_lo .. t_hi over boxes [n_lo, n_hi], from the
-    potentials
+) -> np.ndarray:
+    """U, Ubar and Zbar at t = t_lo .. t_hi over boxes [n_lo, n_hi], as a
+    (3, time, box) int64 array, from the potentials
 
         F^{k,t}_n = min(0, min over nonempty J of pair weight of J
                            + sum_{i in J} H^{k,t}_{i,n}),
@@ -263,12 +279,7 @@ def euler_slices(
     Raises FiniteOverflow if a potential can leave int64.
     """
     big_n = params.N
-    # |sum_{j<x} min(P_i, .)| <= P_i |x|
-    reach = 1 + max(abs(n_lo), abs(n_hi + 1)) + max(abs(t_lo), abs(t_hi + 1))
-    _require_headroom(
-        big_n * big_n * max(params.P)
-        + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, params.P))
-    )
+    _euler_headroom(params, n_lo, n_hi, t_lo, t_hi)
     # tied speeds may come in either order: their pair weighs 2 P both ways
     order = sorted(range(big_n), key=lambda i: -params.P[i])
     p = tuple(params.P[i] for i in order)
@@ -303,7 +314,7 @@ def euler_slices(
             np.minimum(x[:, rows:] - 1, n_hi) + offset,
         )
     live = _columns(live_lo, live_hi)
-    fields = np.zeros((3, len(live)), dtype=np.int64)
+    out = np.zeros((3, rows, width), dtype=np.int64)
     if len(live):
         pot = _columns(*_merge(
             np.concatenate([live_lo, live_lo + stride]),
@@ -320,18 +331,25 @@ def euler_slices(
         # F at (t, n) and (t + 1, n); n + 1 is the next column of each
         now = np.searchsorted(pot, live)
         nxt = np.searchsorted(pot, live + stride)
-        fields[0] = f0[nxt + 1] - f0[nxt] + f1[nxt] - f1[nxt + 1]
-        fields[1] = f0[now] - f0[now + 1] + f0[nxt + 1] - f0[nxt]
-        fields[2] = f0[now] - f0[nxt] + f1[nxt] - f1[now]
-    cuts = np.searchsorted(live, np.arange(rows + 1) * stride).tolist()
-    for r in range(rows):
-        at = slice(cuts[r], cuts[r + 1])
-        boxes = live[at] - r * stride
-        dense = np.zeros((3, width), dtype=np.int64)
-        dense[:, boxes] = fields[:, at]
-        yield EulerFieldSlice(
-            time=t_lo + r, n_start=n_lo, U=dense[0], Ubar=dense[1], Zbar=dense[2]
-        )
+        r, n = np.divmod(live, stride)
+        out[0, r, n] = f0[nxt + 1] - f0[nxt] + f1[nxt] - f1[nxt + 1]
+        out[1, r, n] = f0[now] - f0[now + 1] + f0[nxt + 1] - f0[nxt]
+        out[2, r, n] = f0[now] - f0[nxt] + f1[nxt] - f1[now]
+    return out
+
+
+def euler_slices(
+    params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
+) -> Iterator[EulerFieldSlice]:
+    """The fields of `_euler_fields` at t = t_lo .. t_hi over boxes
+    [n_lo, n_hi], evaluated a block of at most _BLOCK slices at a time, as
+    row views of the block.  Raises FiniteOverflow before the first slice if
+    a potential of the range can leave int64."""
+    _euler_headroom(params, n_lo, n_hi, t_lo, t_hi)
+    for b_lo in range(t_lo, t_hi + 1, _BLOCK):
+        block = _euler_fields(params, n_lo, n_hi, b_lo, min(b_lo + _BLOCK - 1, t_hi))
+        for r, (u, ubar, zbar) in enumerate(block.swapaxes(0, 1)):
+            yield EulerFieldSlice(time=b_lo + r, n_start=n_lo, U=u, Ubar=ubar, Zbar=zbar)
 
 
 def euler_nsoliton(
@@ -364,11 +382,6 @@ class EulerVerifyReport:
         return self.max_residual == 0
 
 
-# transitions per `euler_slices` call of verify_euler_solution: its arrays
-# hold (block + 1) x W entries
-_VERIFY_BLOCK = 64
-
-
 def verify_euler_solution(
     params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
 ) -> EulerVerifyReport:
@@ -382,13 +395,11 @@ def verify_euler_solution(
     """
     caps = params.profile.caps_array(n_lo, n_hi - n_lo + 1)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
-    for b_lo in range(t_lo, t_hi, _VERIFY_BLOCK):
-        slices = list(euler_slices(params, n_lo, n_hi, b_lo, min(b_lo + _VERIFY_BLOCK, t_hi)))
-        u = np.stack([sl.U for sl in slices])
-        u0, u1 = u[:-1], u[1:]
-        ub = np.stack([sl.Ubar for sl in slices[1:]])
-        zb = np.stack([sl.Zbar for sl in slices[1:]])
-        m = np.array([[_capacity_value(params.schedule.at(sl.time))] for sl in slices[1:]])
+    for b_lo in range(t_lo, t_hi, _BLOCK):
+        b_hi = min(b_lo + _BLOCK, t_hi)
+        u, ub, zb = _euler_fields(params, n_lo, n_hi, b_lo, b_hi)
+        u0, u1, ub, zb = u[:-1], u[1:], ub[1:], zb[1:]
+        m = np.array([[_capacity_value(params.schedule.at(t))] for t in range(b_lo + 1, b_hi + 1)])
         held = np.minimum(zb[:, :-1] + u0[:, :-1], m)
         for key, diff in (
             ("size_limit", ub - np.minimum(caps - u0, zb)),
@@ -428,18 +439,9 @@ class TauParams:
         return len(self.P)
 
 
-# (k, barred) -> the times, relative to the fields' time t, at which the
-# fields read that potential
-_TAU_READS = {(0, False): (0, 0), (1, False): (-1, 0), (0, True): (0, 1), (1, True): (0, 1)}
-
-
-def _tau_rows(
-    params: TauParams, keys: Sequence[Tuple[int, int, bool]]
-) -> Dict[Tuple[int, int, bool], list]:
-    """The potential rows named by keys, each (k, t, barred), as
-    [X_0, ..., X_N, +inf] for X = olT^{k,t} if barred else T^{k,t}.
-    Indexing with n = -1 and n = N+1 both lands on the +inf, so a row
-    covers n = -1 .. N+1.
+def _tau_rows(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.ndarray:
+    """The potential rows named by keys, each (k, t, barred), as an int64
+    (key, n) array of X_0 .. X_N for X = olT^{k,t} if barred else T^{k,t}.
 
     Walking the indices down from N-1, a tuple entry with c entries after
     it has rank n-1-c and weighs its P by 2c, so X_n is entry n of
@@ -473,13 +475,15 @@ def _tau_rows(
     best = _count_dp(entry[::-1], p[::-1])
     rows = np.zeros((len(keys), big_n + 1), dtype=np.int64)
     rows[:, 1:] = best[np.arange(1, big_n + 1), :, np.arange(big_n)].T
-    return {key: row + [POS_INF] for key, row in zip(keys, rows.tolist())}
+    return rows
 
 
 def _tau_potential(params: TauParams, k: int, t: int, n: int, barred: bool) -> XInt:
     if not -1 <= n <= params.N + 1:
         raise ValueError(f"index n={n} outside [-1, {params.N + 1}]")
-    return as_xint(_tau_rows(params, [(k, t, barred)])[k, t, barred][n])
+    if n in (-1, params.N + 1):
+        return POS_INF
+    return as_xint(int(_tau_rows(params, [(k, t, barred)])[0, n]))
 
 
 def tau_T(params: TauParams, k: int, t: int, n: int) -> XInt:
@@ -515,27 +519,29 @@ class TauState:
     Dbar: Tuple[int, ...]
 
 
-def _gap(row0: list, olt1_next: list, n: int, delta: int):
-    """E_n (row0 = T^{0,t}) or Ebar_n (row0 = olT^{0,t}), olt1_next being
-    olT^{1,t+1}."""
-    return row0[n + 1] - row0[n] + olt1_next[n - 1] - olt1_next[n] + 2 * delta
-
-
-def _tau_state(params: TauParams, rows: dict, t: int) -> TauState:
-    big_n = params.N
+def _tau_fields(params: TauParams, t_lo: int, t_hi: int) -> Dict[str, np.ndarray]:
+    """The six families of `tau_states` at t = t_lo .. t_hi as (time, index)
+    int64 arrays, keyed Q, E, Qbar, Ebar, Cbar, Dbar.  The fields at t read
+    T^{k,s} at s = t-1, t and olT^{k,s} at s = t, t+1, so one `_tau_rows` call
+    evaluates T over t_lo-1 .. t_hi and olT over t_lo .. t_hi+1.  Raises
+    FiniteOverflow if a field can leave int64."""
     dd = params.Delta
-    t0, t1, t1_prev = rows[0, t, False], rows[1, t, False], rows[1, t - 1, False]
-    o0, o1 = rows[0, t, True], rows[1, t, True]
-    o0_next, o1_next = rows[0, t + 1, True], rows[1, t + 1, True]
-    return TauState(
-        time=t,
-        Q=tuple(o0_next[n + 1] - o0_next[n] + t1[n] - t1[n + 1] for n in range(big_n)),
-        E=tuple(_gap(t0, o1_next, n, dd) for n in range(1, big_n)),
-        Qbar=tuple(o0_next[n + 1] - o0_next[n] + o1[n] - o1[n + 1] for n in range(big_n)),
-        Ebar=tuple(_gap(o0, o1_next, n, dd) for n in range(1, big_n)),
-        Cbar=tuple(o0[n] - o0_next[n] + t1[n] - t1_prev[n] + dd for n in range(big_n + 1)),
-        Dbar=tuple(t0[n + 1] - o0_next[n] + o1[n] - t1_prev[n + 1] for n in range(big_n)),
-    )
+    _require_headroom(dd)
+    count = max(t_hi - t_lo + 1, 0) + 1
+    (t0, t1), (o0, o1) = _tau_rows(params, [
+        (k, t_lo - 1 + barred + r, barred)
+        for barred in (False, True) for k in (0, 1) for r in range(count)
+    ]).reshape(2, 2, count, params.N + 1)
+    t0, t1, t1_prev = t0[1:], t1[1:], t1[:-1]
+    o0, o0_next, o1, o1_next = o0[:-1], o0[1:], o1[:-1], o1[1:]
+    return {
+        "Q": o0_next[:, 1:] - o0_next[:, :-1] + t1[:, :-1] - t1[:, 1:],
+        "E": t0[:, 2:] - t0[:, 1:-1] + o1_next[:, :-2] - o1_next[:, 1:-1] + 2 * dd,
+        "Qbar": o0_next[:, 1:] - o0_next[:, :-1] + o1[:, :-1] - o1[:, 1:],
+        "Ebar": o0[:, 2:] - o0[:, 1:-1] + o1_next[:, :-2] - o1_next[:, 1:-1] + 2 * dd,
+        "Cbar": o0 - o0_next + t1 - t1_prev + dd,
+        "Dbar": t0[:, 1:] - o0_next[:, :-1] + o1[:, :-1] - t1_prev[:, 1:],
+    }
 
 
 def tau_states(params: TauParams, t_lo: int, t_hi: int) -> Iterator[TauState]:
@@ -552,12 +558,11 @@ def tau_states(params: TauParams, t_lo: int, t_hi: int) -> Iterator[TauState]:
     potential row is evaluated once for the whole range, and FiniteOverflow
     is raised up front if one can leave int64 headroom.
     """
-    rows = _tau_rows(params, [
-        (k, t, barred)
-        for (k, barred), (before, after) in _TAU_READS.items()
-        for t in range(t_lo + before, t_hi + after + 1)
-    ])
-    return (_tau_state(params, rows, t) for t in range(t_lo, t_hi + 1))
+    fields = {name: a.tolist() for name, a in _tau_fields(params, t_lo, t_hi).items()}
+    return (
+        TauState(time=t_lo + r, **{name: tuple(rows[r]) for name, rows in fields.items()})
+        for r in range(t_hi - t_lo + 1)
+    )
 
 
 def tau_toda_state(params: TauParams, t: int) -> TauState:
@@ -596,29 +601,23 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
     condition).  Raises FiniteOverflow if a residual can leave int64.
     """
     dd = params.Delta
-    states = list(tau_states(params, t_lo, t_hi))
+    f = _tau_fields(params, t_lo, t_hi)
     res = dict.fromkeys(
         ("qbar", "ebar", "cbar", "dbar", "cbar0_boundary", "q_recovery", "e_recovery"), 0
     )
-    if len(states) < 2:
+    if t_hi <= t_lo:
         return TauVerifyReport(residuals=res, min_q=0, min_interior_e=None)
-    for st in states[1:]:
-        m = params.schedule.at(st.time)
-        if m < dd:
-            raise ValueError(f"carrier capacity {m} below Delta at t={st.time}")
-
-    def stack(name: str, sts: Sequence[TauState]) -> np.ndarray:
-        return np.array([getattr(st, name) for st in sts], dtype=np.int64)
-
-    cur, nxt = states[:-1], states[1:]
-    q, e = stack("Q", cur), stack("E", cur)
-    q1, e1 = stack("Q", nxt), stack("E", nxt)
-    qb, eb, cb, db = (stack(name, nxt) for name in ("Qbar", "Ebar", "Cbar", "Dbar"))
+    for t in range(t_lo + 1, t_hi + 1):
+        if params.schedule.at(t) < dd:
+            raise ValueError(f"carrier capacity {params.schedule.at(t)} below Delta at t={t}")
+    q, e = f["Q"][:-1], f["E"][:-1]
+    q1, e1 = f["Q"][1:], f["E"][1:]
+    qb, eb, cb, db = (f[name][1:] for name in ("Qbar", "Ebar", "Cbar", "Dbar"))
     # a residual adds at most eight terms no larger than a field or Delta
     _require_headroom(
         max(dd, *(int(np.abs(a).max(initial=0)) for a in (q, e, q1, e1, qb, eb, cb, db)))
     )
-    m = np.array([[_capacity_value(params.schedule.at(st.time))] for st in nxt])
+    m = np.array([[_capacity_value(params.schedule.at(t))] for t in range(t_lo + 1, t_hi + 1)])
     short = np.maximum(0, dd - db)
     # E_N = +inf leaves Qbar_{N-1} = Dbar_{N-1}
     qbar = db.copy()

@@ -51,6 +51,8 @@ def test_wheel_holds_the_package_and_its_metadata(backend, tmp_path):
     info = "boxball-0.1.0.dist-info"
     metadata = files[f"{info}/METADATA"].decode()
     assert "Name: boxball\n" in metadata and "Requires-Dist: numpy>=1.24\n" in metadata
+    # tomllib (the backend) and BaseException.add_note (difftest) need 3.11
+    assert "Requires-Python: >=3.11\n" in metadata
     assert 'Requires-Dist: pytest; extra == "dev"\n' in metadata
     assert files[f"{info}/entry_points.txt"].decode() == (
         "[console_scripts]\nboxball = boxball.cli:main\n"

@@ -514,6 +514,11 @@ def test_too_many_solitons_exit_code(tmp_path, capsys, command):
         ({"representation": "toda", "initial": {"solution": {
             "type": "tau", "params": {"P": [1], "W": [0], "Delta": 2**63}}}},
          "initial.solution.params.Delta"),
+        ({"schedule": {"entries": {str(2**64): 1}}}, "schedule.entries key '18446744073709551616'"),
+        # each count fits in int64, their total does not
+        ({"profile": {"capacities": [2**62, 2**62]},
+          "initial": {"euler": {"counts": [2**62, 2**62]}}},
+         "FiniteOverflow: ball total 9223372036854775808"),
     ],
 )
 def test_simulate_int64_out_of_range_exit_code(tmp_path, capsys, changes, named):
@@ -523,6 +528,18 @@ def test_simulate_int64_out_of_range_exit_code(tmp_path, capsys, changes, named)
     assert main(["simulate", "--config", cfg]) == 2
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind, name", [("euler", "soliton_pair"), ("tau", "tau_pair")])
+def test_solution_cli_schedule_time_past_int64_exit_code(tmp_path, capsys, kind, name):
+    data = json.loads((ROOT / "configs" / f"{name}.json").read_text())
+    data["schedule"].setdefault("entries", {})[str(2**64)] = 5
+    path = write_json(tmp_path / "late.json", data)
+    assert main(["solution", "--params", path, "--type", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "params.schedule.entries key '18446744073709551616'" in captured.err
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command", ["simulate", "solution"])

@@ -9,6 +9,7 @@ from boxball import (
     CapacityProfile,
     CarrierSchedule,
     EulerState,
+    FiniteOverflow,
     XInt,
     carrier_oracle_step,
     constant_schedule,
@@ -337,6 +338,14 @@ def test_state_validation():
         EulerState(counts=[-1], profile=UNIT)
     with pytest.raises(ValueError):
         EulerState(counts=[1], profile=UNIT, window_start=-2)
+
+
+def test_ball_total_past_int64_raises():
+    # every count fits, but their int64 sum wraps negative
+    big = CapacityProfile(capacities=(2**62, 2**62))
+    with pytest.raises(FiniteOverflow, match="ball total 9223372036854775808"):
+        EulerState(counts=[2**62, 2**62], profile=big)
+    assert EulerState(counts=[2**62, 2**62 - 1], profile=big).total_balls == 2**63 - 1
 
 
 def test_same_occupancy_alignment():

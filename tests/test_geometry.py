@@ -62,6 +62,15 @@ def test_schedule_lookup_and_validation():
         CarrierSchedule(default=XInt(-5))
 
 
+def test_schedule_times_past_int64_raise():
+    # the closed forms put schedule times into int64 arrays
+    for t in (2**63, -(2**63) - 1, 2**64):
+        with pytest.raises(FiniteOverflow, match="schedule time"):
+            CarrierSchedule(entries={t: 3})
+    s = CarrierSchedule(entries={2**63 - 1: 3, -(2**63): 4})
+    assert (s.at(2**63 - 1), s.at(-(2**63))) == (XInt(3), XInt(4))
+
+
 def test_segment_geometry_alternating():
     p = CapacityProfile(capacities=(3, 5, 3, 5))
     assert p.boundary(0) == 0

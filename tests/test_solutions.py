@@ -29,6 +29,7 @@ from boxball import (
     verify_euler_solution,
     verify_tau_solution,
 )
+from boxball.solutions import EulerFieldSlice, TauState
 
 UNIT = unit_profile()
 FREE = unbounded_schedule()
@@ -569,7 +570,7 @@ def _record_count_dp(monkeypatch):
     return calls
 
 
-def test_euler_slices_run_the_dynamic_program_at_most_once(monkeypatch):
+def test_euler_slices_run_the_dynamic_program_once_per_block(monkeypatch):
     calls = _record_count_dp(monkeypatch)
     # every soliton far behind its phase crossing: no live box, no call
     flat = EulerSolitonParams(P=(2, 4), Xi=(10**6, 10**6), profile=UNIT, schedule=FREE)
@@ -582,7 +583,7 @@ def test_euler_slices_run_the_dynamic_program_at_most_once(monkeypatch):
         schedule=CarrierSchedule(entries={1: 0, 3: 2, 5: POS_INF}, default=4),
     )
     for n_lo, n_hi, t_lo, t_hi, dp_calls in [
-        (0, 3, 0, 0, 1), (0, 0, 3, 3, 0), (-20, 45, 0, 10, 1), (-300, 300, -40, 60, 1),
+        (0, 3, 0, 0, 1), (0, 0, 3, 3, 0), (-20, 45, 0, 10, 1), (-300, 300, -40, 60, 2),
     ]:
         calls.clear()
         slices = list(euler_slices(params, n_lo, n_hi, t_lo, t_hi))
@@ -593,18 +594,38 @@ def test_euler_slices_run_the_dynamic_program_at_most_once(monkeypatch):
     assert calls[0][1] < 0.05 * 2 * 102 * 602
 
 
+def test_long_euler_slices_hold_one_block_at_a_time():
+    # the N = 20 unit-capacity parameters of
+    # test_twenty_solitons_follow_euler_step_for_100_steps over t = 0 .. 200,
+    # consumed slice by slice: one dynamic program over the whole range
+    # peaked at 228 MB (tracemalloc), one per block of slices peaks at 96 MB
+    rng = np.random.default_rng(20)
+    p = rng.choice(np.arange(1, 21), size=20, replace=False).tolist()
+    xi = [int(x) + 60 * (20 - pi) for x, pi in zip(rng.integers(0, 30, size=20), p)]
+    params = EulerSolitonParams(P=p, Xi=xi, profile=UNIT, schedule=FREE)
+    tracemalloc.start()
+    try:
+        balls = [int(sl.U.sum()) for sl in euler_slices(params, 0, 2600, 0, 200)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 128 * 2**20
+    # the fastest solitons leave the window after t = 100
+    assert len(balls) == 201 and balls[:101] == [sum(p)] * 101 and balls[-1] < sum(p)
+
+
 def _injecting_euler(monkeypatch, field, time, box):
     from boxball import solutions as solutions_mod
 
-    real = solutions_mod.euler_slices
+    real = solutions_mod._euler_fields
 
-    def slices(params, n_lo, n_hi, t_lo, t_hi):
-        for sl in real(params, n_lo, n_hi, t_lo, t_hi):
-            if sl.time == time:
-                getattr(sl, field)[box - sl.n_start] += 1
-            yield sl
+    def fields(params, n_lo, n_hi, t_lo, t_hi):
+        out = real(params, n_lo, n_hi, t_lo, t_hi)
+        if t_lo <= time <= t_hi:
+            out[("U", "Ubar", "Zbar").index(field), time - t_lo, box - n_lo] += 1
+        return out
 
-    monkeypatch.setattr(solutions_mod, "euler_slices", slices)
+    monkeypatch.setattr(solutions_mod, "_euler_fields", fields)
 
 
 @pytest.mark.parametrize("field, key", [
@@ -636,8 +657,6 @@ def test_euler_verifier_catches_a_field_fault(monkeypatch, field, key, where):
     ("Dbar", 0, "dbar"), ("Dbar", 2, "dbar"),
 ])
 def test_tau_verifier_catches_a_field_fault(monkeypatch, field, index, key):
-    from dataclasses import replace
-
     from boxball import solutions as solutions_mod
 
     params = TauParams(
@@ -645,17 +664,14 @@ def test_tau_verifier_catches_a_field_fault(monkeypatch, field, index, key):
         schedule=CarrierSchedule(entries={t: 3 + t % 4 for t in range(1, 20)}),
     )
     assert verify_tau_solution(params, 0, 15).ok
-    real = solutions_mod.tau_states
+    real = solutions_mod._tau_fields
 
-    def states(params, t_lo, t_hi):
-        for st in real(params, t_lo, t_hi):
-            if st.time == 7:
-                values = list(getattr(st, field))
-                values[index] += 1
-                st = replace(st, **{field: tuple(values)})
-            yield st
+    def fields(params, t_lo, t_hi):
+        out = real(params, t_lo, t_hi)
+        out[field][7 - t_lo, index] += 1
+        return out
 
-    monkeypatch.setattr(solutions_mod, "tau_states", states)
+    monkeypatch.setattr(solutions_mod, "_tau_fields", fields)
     assert verify_tau_solution(params, 0, 15).residuals[key] > 0
 
 
@@ -721,13 +737,15 @@ def loop_tau_report(params, states):
 def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
     # random faults of random size in random fields, slices and boxes: the
     # batched residuals must equal those of a transition-by-transition loop
-    from dataclasses import replace
-
     from boxball import solutions as solutions_mod
 
     rng = np.random.default_rng(12)
-    real_slices, real_states = solutions_mod.euler_slices, solutions_mod.tau_states
+    real_euler, real_tau = solutions_mod._euler_fields, solutions_mod._tau_fields
+    names = ["U", "Ubar", "Zbar"]
     for case in range(24):
+        # the public generators read the evaluators: no case may see the
+        # previous case's patched fields
+        monkeypatch.undo()
         n = int(rng.integers(1, 4))
         params = EulerSolitonParams(
             P=rng.choice(np.arange(0, 7), size=n).tolist(),
@@ -738,18 +756,22 @@ def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
             ),
         )
         t_hi = 70 if case % 3 == 0 else 9  # several verify blocks, or one
-        slices = list(real_slices(params, -15, 40, 0, t_hi))
+        fields = real_euler(params, -15, 40, 0, t_hi)
         if t_hi == 70:
-            slices[64].Ubar[5] += 1  # read only by the transition that ends a block
+            fields[1, 64, 5] += 1  # Ubar at t = 64, read only by the transition that ends a block
         for _ in range(int(rng.integers(0, 6))):
-            sl = slices[int(rng.choice([0, -1, rng.integers(0, len(slices))]))]
-            field = getattr(sl, str(rng.choice(["U", "Ubar", "Zbar"])))
+            row = fields[:, int(rng.choice([0, -1, rng.integers(0, fields.shape[1])]))]
+            field = row[names.index(str(rng.choice(names)))]
             field[int(rng.choice([0, -1, rng.integers(0, len(field))]))] += int(rng.integers(-3, 4))
         monkeypatch.setattr(
-            solutions_mod, "euler_slices",
-            lambda params, n_lo, n_hi, t_lo, t_hi: (sl for sl in slices if t_lo <= sl.time <= t_hi),
+            solutions_mod, "_euler_fields",
+            lambda params, n_lo, n_hi, t_lo, t_hi: fields[:, t_lo : t_hi + 1],
         )
         rep = verify_euler_solution(params, -15, 40, 0, t_hi)
+        slices = [
+            EulerFieldSlice(time=t, n_start=-15, U=u, Ubar=ub, Zbar=zb)
+            for t, (u, ub, zb) in enumerate(fields.swapaxes(0, 1))
+        ]
         assert rep.residuals == loop_euler_residuals(params, slices)
 
         p = sorted(rng.choice(np.arange(1, 9), size=n + 1, replace=False).tolist())
@@ -758,18 +780,20 @@ def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
             P=p, W=rng.integers(-6, 7, size=n + 1).tolist(), Delta=delta,
             schedule=CarrierSchedule(entries={t: delta + t % 3 for t in range(1, 12)}),
         )
-        states = list(real_states(tau, 0, 10))
+        families = real_tau(tau, 0, 10)
         for _ in range(int(rng.integers(0, 6))):
-            k = int(rng.choice([0, -1, rng.integers(0, len(states))]))
-            name = str(rng.choice(["Q", "E", "Qbar", "Ebar", "Cbar", "Dbar"]))
-            values = list(getattr(states[k], name))
-            if values:
+            k = int(rng.choice([0, -1, rng.integers(0, 11)]))
+            values = families[str(rng.choice(["Q", "E", "Qbar", "Ebar", "Cbar", "Dbar"]))][k]
+            if values.size:
                 values[int(rng.choice([0, -1, rng.integers(0, len(values))]))] += int(
                     rng.integers(-3, 4)
                 )
-                states[k] = replace(states[k], **{name: tuple(values)})
-        monkeypatch.setattr(solutions_mod, "tau_states", lambda params, t_lo, t_hi: iter(states))
+        monkeypatch.setattr(solutions_mod, "_tau_fields", lambda params, t_lo, t_hi: families)
         rep = verify_tau_solution(tau, 0, 10)
+        states = [
+            TauState(time=t, **{name: tuple(a[t].tolist()) for name, a in families.items()})
+            for t in range(11)
+        ]
         assert (rep.residuals, rep.min_q, rep.min_interior_e) == loop_tau_report(tau, states)
 
 
