@@ -1,14 +1,14 @@
-"""Hot inner loops: the carrier rule's sweeps over int64 arrays.
+"""Hot inner loops: the carrier rule's sweeps.
 
 Every carrier kernel is a left-to-right scan (each box depends on the
-carrier state left of it), interpreted over numpy arrays.  An empty box met
-by an empty carrier is an exact no-op of the carrier rules, so
-carrier_sweep visits only the occupied boxes and the boxes a loaded carrier
-passes: its cost follows the balls and the carried span, not the window
-length.  The skip is exact for valid input (0 <= counts <= caps, carrier
-capacity >= 0).  ball_queue_sweep, the independent oracle, and
-free_flow_sweep, the M = +inf cross-check of carrier_sweep through
-nukdv_step, still walk every box.
+carrier state left of it).  An empty box met by an empty carrier is an
+exact no-op of the carrier rules, so carrier_sweep reads only the occupied
+boxes, given as (box, count) pairs, and the boxes a loaded carrier passes:
+its cost follows the balls and the carried span, not the window length.
+The skip is exact for valid input (0 <= counts <= caps, carrier capacity
+>= 0).  ball_queue_sweep, the independent oracle, and free_flow_sweep, the
+M = +inf cross-check of carrier_sweep through nukdv_step, are literal walks
+over every box of a dense int64 window.
 
 Carrier capacity enters as (m_val, m_capped); +inf is m_capped=False, never
 a sentinel integer.
@@ -16,53 +16,74 @@ a sentinel integer.
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 import numpy as np
 
+from .xint import FiniteOverflow
 
-def carrier_sweep(counts, caps, m_val, m_capped):
+
+def carrier_sweep(occupied, profile, m_val, m_capped, edge):
     """One left-to-right sweep: drop into free space, pick up, trim to capacity.
 
-    Returns (new_counts, limited, loads, removed):
-      limited[n]  -- balls left in box n by the sweep itself
-      loads[n]    -- balls held on arrival at box n (loads has length w+1;
-                     loads[w] is the load just past the window and must be 0)
-      removed[n]  -- balls trimmed away at box n, restored into new_counts
+    `occupied` holds the ascending (box, count) pairs of the occupied
+    boxes; capacities are read from `profile` at the boxes visited.  The
+    sweep goes on past the last ball until the carrier is empty.  Returns
+    (new_occupied, limited, loads, removed), each ascending (box, value)
+    pairs of the nonzero entries:
+      new_occupied -- the new counts
+      limited      -- balls left in box n by the sweep itself
+      loads        -- balls held on arrival at box n
+      removed      -- balls trimmed away at box n, restored into the new counts
+    Raises FiniteOverflow, before walking on past the last ball, when the
+    carrier would still hold balls at box `edge`.
     """
-    w = counts.shape[0]
-    new_counts = np.zeros(w, np.int64)
-    limited = np.zeros(w, np.int64)
-    loads = np.zeros(w + 1, np.int64)
-    removed = np.zeros(w, np.int64)
-    occupied = np.flatnonzero(counts).tolist()
-    counts = counts.tolist()
-    caps = caps.tolist()
+    capacity = profile.capacity
+    new = []
+    limited = []
+    loads = []
+    removed = []
+    k = len(occupied)
+    i = 0
     load = 0
     n = 0
-    while n < w:
-        if load == 0:  # an empty carrier passes empty boxes unchanged
-            i = bisect_left(occupied, n)
-            if i == len(occupied):
-                break
-            n = occupied[i]
-        loads[n] = load
-        u = counts[n]
-        put = caps[n] - u
+    while True:
+        if i < k and (load == 0 or occupied[i][0] == n):
+            # an empty carrier passes empty boxes unchanged
+            n, u = occupied[i]
+            i += 1
+        elif load:
+            u = 0
+            if i == k and n + load > edge:  # it may cross `load` boxes
+                _require_reach(profile, n, load, edge)
+        else:
+            break
+        if load:
+            loads.append((n, load))
+        put = capacity(n) - u
         if put > load:
             put = load
         held = load + u
         trimmed = 0
         if m_capped and held > m_val:
             trimmed = held - m_val
-            removed[n] = trimmed
+            removed.append((n, trimmed))
             held = m_val
         load = held - put
-        limited[n] = put
-        new_counts[n] = put + trimmed
+        if put:
+            limited.append((n, put))
+        if put + trimmed:
+            new.append((n, put + trimmed))
         n += 1
-    loads[w] = load
-    return new_counts, limited, loads, removed
+    return tuple(new), tuple(limited), tuple(loads), tuple(removed)
+
+
+def _require_reach(profile, n, load, edge):
+    last = profile.last_box_filled(n, load)
+    if last >= edge:
+        raise FiniteOverflow(
+            f"the carrier reaches box {n} with {load} balls, which fill the "
+            f"empty boxes up to box {last}, past box {edge - 1}, the last one "
+            f"an int64 window from the first ball can hold"
+        )
 
 
 def ball_queue_sweep(counts, caps, m_val, m_capped, total):

@@ -121,40 +121,44 @@ def cmd_simulate(args) -> int:
 
     divergence = None  # stderr line naming the first mismatch
     for step in range(steps):
-        # the profile and schedule do not change along a run, so only the
-        # first record carries them
-        first = step == 0
-        record = {}
         if euler is not None:
             euler, etrace = euler_step(euler, cfg.schedule)
-            record["t"] = euler.time
-            record["euler"] = euler_state_json(
-                euler, cfg.schedule if first else None, profile=first
-            )
-            record["trace"] = euler_trace_json(etrace, euler.window_start)
+            t = euler.time
         if toda is not None:
             toda, ttrace = enutoda_step(toda, cfg.schedule)
-            record["t"] = toda.time
-            record["toda"] = toda_state_json(toda, profile=first)
-            record["toda_trace"] = toda_trace_json(ttrace)
+            t = toda.time
+        verdict = None
         if euler is not None and toda is not None:
             from_toda = to_euler(toda)
-            equal = same_occupancy(euler, from_toda)
-            record["verdict"] = "equal" if equal else "mismatch"
-            if not equal and divergence is None:
+            verdict = "equal" if same_occupancy(euler, from_toda) else "mismatch"
+            if verdict == "mismatch" and divergence is None:
                 box, in_euler, in_toda = first_difference(euler, from_toda)
                 divergence = (
-                    f"simulate: representations diverged at t={record['t']}: "
+                    f"simulate: representations diverged at t={t}: "
                     f"box {box} holds {in_euler} (euler) vs {in_toda} (toda); "
                     f"toda (Q, E, X0) = ({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
                 )
         if render == "json":
+            # the profile and schedule do not change along a run, so only
+            # the first record carries them
+            first = step == 0
+            record = {"t": t}
+            if euler is not None:
+                record["euler"] = euler_state_json(
+                    euler, cfg.schedule if first else None, profile=first
+                )
+                record["trace"] = euler_trace_json(etrace)
+            if toda is not None:
+                record["toda"] = toda_state_json(toda, profile=first)
+                record["toda_trace"] = toda_trace_json(ttrace)
+            if verdict is not None:
+                record["verdict"] = verdict
             _emit(_dump(record))
         elif render == "ascii":
             shown = euler if euler is not None else to_euler(toda)
-            line = f"t={record['t']:>3} {render_counts(shown, origin)}"
-            if "verdict" in record:
-                line += f"  [{record['verdict']}]"
+            line = f"t={t:>3} {render_counts(shown, origin)}"
+            if verdict is not None:
+                line += f"  [{verdict}]"
             _emit(line)
     if divergence is not None:
         _diag(divergence)

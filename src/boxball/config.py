@@ -11,8 +11,6 @@ import json
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
-import numpy as np
-
 from .euler import EulerState, EulerStepTrace
 from .geometry import CapacityProfile, CarrierSchedule, _require_capacity
 from .solutions import EulerSolitonParams, TauParams
@@ -132,19 +130,12 @@ def euler_state_json(
     return out
 
 
-def _box_pairs(values: np.ndarray, start: int) -> list:
-    # [absolute box, value] of the nonzero entries, ascending by box
-    nz = np.flatnonzero(values)
-    return np.column_stack((nz + start, values[nz])).tolist()
-
-
-def euler_trace_json(trace: EulerStepTrace, window_start: int) -> dict:
-    """The trace arrays, which start at box window_start, as [box, value]
-    pairs of their nonzero entries."""
+def euler_trace_json(trace: EulerStepTrace) -> dict:
+    """The trace's [box, value] pairs of its nonzero entries, as they are."""
     return {
-        "limited_counts": _box_pairs(trace.limited_counts, window_start),
-        "carrier_loads": _box_pairs(trace.carrier_loads, window_start),
-        "removed": _box_pairs(trace.removed, window_start),
+        "limited_counts": trace.limited_counts,
+        "carrier_loads": trace.carrier_loads,
+        "removed": trace.removed,
     }
 
 

@@ -185,9 +185,11 @@ def _run_case(
         if res.carrier_identity_max != 0:
             record(step, "carrier_identity", f"max={res.carrier_identity_max}")
             return
-        loads = trace.carrier_loads
-        if loads.min() < 0 or (not m.is_pos_inf and loads.max() > m.finite):
-            record(step, "carrier_bound", f"loads in [{loads.min()}, {loads.max()}], M={m}")
+        # the trace lists nonzero loads; every box it does not name has 0
+        loads = [v for _, v in trace.carrier_loads]
+        low, high = min(loads, default=0), max(loads, default=0)
+        if low < 0 or (not m.is_pos_inf and high > m.finite):
+            record(step, "carrier_bound", f"loads in [{min(low, 0)}, {max(high, 0)}], M={m}")
             return
 
         if ts is not None:

@@ -5,6 +5,9 @@ empties each box it passes and refills the freed space from what it was
 holding on arrival; whenever its load would exceed the step's carrier
 capacity the excess is trimmed away, and after the sweep every trimmed ball
 is restored to the box it was taken from.
+
+A state holds only its occupied boxes, so a step, its trace and its checks
+cost O(occupied and carried boxes), however far apart the balls are.
 """
 
 from __future__ import annotations
@@ -18,56 +21,83 @@ from . import _kernels
 from .geometry import CapacityProfile, CarrierSchedule
 from .xint import INT64_MAX, FiniteOverflow, XInt, as_xint
 
+# The most boxes a window may span: the longest int64 array numpy can
+# allocate, whose byte size must fit a signed 64-bit integer.
+MAX_SPAN = INT64_MAX // 8
+
+Pairs = Tuple[Tuple[int, int], ...]
+
 
 class WindowOverflow(RuntimeError):
-    """Carrier still loaded at the right edge of the extended window.
+    """Carrier still loaded at the right edge of an oracle's dense window.
 
-    The window is pre-extended by the total ball count, which provably
-    absorbs the sweep, so this is an internal bug guard.
+    The oracles' window is pre-extended by the total ball count, which
+    provably absorbs the sweep, so this is an internal bug guard.
     """
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False, repr=False)
 class EulerState:
-    """Ball counts over a finite window; zero everywhere outside."""
+    """Ball counts on boxes; zero everywhere else.
 
-    counts: np.ndarray
+    `occupied` lists the occupied boxes as ascending (box, count) pairs with
+    count > 0; nothing else is stored.  The window [window_start,
+    window_end) holds them all, spans at most MAX_SPAN boxes, and is what
+    the dense `counts` view covers.
+    """
+
+    occupied: Pairs
     profile: CapacityProfile
-    time: int = 0
-    window_start: int = 0
+    time: int
+    window_start: int
+    window_end: int
 
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=np.int64).copy()
+    def __init__(self, counts, profile: CapacityProfile, time: int = 0, window_start: int = 0):
+        """From counts dense from box window_start."""
+        c = np.asarray(counts, dtype=np.int64)
         if c.ndim != 1:
             raise ValueError("counts must be one-dimensional")
-        if self.window_start < 0:
+        if window_start < 0:
             raise ValueError("window_start must be >= 0")
-        caps = self.profile.caps_array(self.window_start, len(c))
-        if np.any(c < 0) or np.any(c > caps):
+        nz = np.flatnonzero(c).tolist()
+        values = c[nz].tolist()
+        boxes = [window_start + i for i in nz]
+        if any(not 0 < u <= profile.capacity(n) for n, u in zip(boxes, values)):
             raise ValueError("counts must satisfy 0 <= U_n <= capacity(n)")
-        # the int64 sum of `total_balls` would wrap
-        total = sum(c.tolist())
+        # the int64 sums over the dense counts would wrap
+        total = sum(values)
         if total > INT64_MAX:
             raise FiniteOverflow(f"ball total {total} is past the int64 range")
-        c.setflags(write=False)
-        object.__setattr__(self, "counts", c)
+        _fill(self, tuple(zip(boxes, values)), profile, time, window_start, window_start + len(c))
 
     @classmethod
     def _trusted(
-        cls, counts: np.ndarray, profile: CapacityProfile, time: int, window_start: int
+        cls, occupied: Pairs, profile: CapacityProfile, time: int, window_start: int,
+        window_end: int,
     ) -> "EulerState":
-        # for kernel outputs, whose invariants hold by construction
+        # for kernel outputs, whose other invariants hold by construction
+        if window_end - window_start > MAX_SPAN:
+            raise FiniteOverflow(
+                f"boxes {window_start} .. {window_end - 1} span "
+                f"{window_end - window_start} boxes, more than an int64 array "
+                f"can hold ({MAX_SPAN})"
+            )
         st = object.__new__(cls)
-        counts.setflags(write=False)
-        object.__setattr__(st, "counts", counts)
-        object.__setattr__(st, "profile", profile)
-        object.__setattr__(st, "time", time)
-        object.__setattr__(st, "window_start", window_start)
+        _fill(st, occupied, profile, time, window_start, window_end)
         return st
 
     @property
+    def counts(self) -> np.ndarray:
+        """Read-only int64 counts dense over the window, built on each read."""
+        c = np.zeros(self.window_end - self.window_start, dtype=np.int64)
+        for n, u in self.occupied:
+            c[n - self.window_start] = u
+        c.setflags(write=False)
+        return c
+
+    @property
     def total_balls(self) -> int:
-        return int(self.counts.sum())
+        return sum(u for _, u in self.occupied)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, EulerState):
@@ -85,50 +115,54 @@ class EulerState:
         )
 
 
-def _on_boxes(values: np.ndarray, start: int, lo: int, length: int) -> np.ndarray:
-    # values (from box `start`) on boxes lo .. lo+length-1, zero elsewhere
-    out = np.zeros(length, dtype=np.int64)
-    out[start - lo : start - lo + len(values)] = values
-    return out
-
-
-def _union(a: EulerState, b: EulerState) -> Tuple[int, int]:
-    # (first box, length) of the smallest window holding both windows
-    lo = min(a.window_start, b.window_start)
-    hi = max(a.window_start + len(a.counts), b.window_start + len(b.counts))
-    return lo, hi - lo
+def _fill(st, occupied, profile, time, window_start, window_end) -> None:
+    # past the frozen __setattr__, in one call
+    st.__dict__.update(
+        occupied=occupied, profile=profile, time=time,
+        window_start=window_start, window_end=window_end,
+    )
 
 
 def first_difference(a: EulerState, b: EulerState) -> Optional[Tuple[int, int, int]]:
     """(absolute box, count in a, count in b) at the first box where the two
     zero-padded lines differ, or None when they are the same line."""
-    lo, w = _union(a, b)
-    ua = _on_boxes(a.counts, a.window_start, lo, w)
-    ub = _on_boxes(b.counts, b.window_start, lo, w)
-    diff = np.flatnonzero(ua != ub)
-    if not len(diff):
-        return None
-    i = int(diff[0])
-    return lo + i, int(ua[i]), int(ub[i])
+    for (na, ua), (nb, ub) in zip(a.occupied, b.occupied):
+        if na == nb:
+            if ua != ub:
+                return na, ua, ub
+        elif na < nb:
+            return na, ua, 0
+        else:
+            return nb, 0, ub
+    k = min(len(a.occupied), len(b.occupied))
+    if len(a.occupied) > k:
+        n, u = a.occupied[k]
+        return n, u, 0
+    if len(b.occupied) > k:
+        n, u = b.occupied[k]
+        return n, 0, u
+    return None
 
 
 def same_occupancy(a: EulerState, b: EulerState) -> bool:
-    """True when both windows describe the same infinite zero-padded line."""
-    return first_difference(a, b) is None
+    """True when both states describe the same infinite zero-padded line."""
+    return a.occupied == b.occupied
 
 
 @dataclass(frozen=True)
 class EulerStepTrace:
-    """Per-box record of one sweep, aligned with the new state's window.
+    """One sweep, as ascending (box, value) pairs of its nonzero entries:
 
-    carrier_loads has one extra entry: loads[i] is the carrier's load
-    arriving at box window_start+i, and the final entry (just past the
-    window) is zero.
+    limited_counts -- balls the sweep itself left in box n;
+    carrier_loads  -- the carrier's load arriving at box n;
+    removed        -- balls trimmed away at box n, restored after the sweep.
+
+    Every box named lies in the new state's window.
     """
 
-    limited_counts: np.ndarray
-    carrier_loads: np.ndarray
-    removed: np.ndarray
+    limited_counts: Pairs
+    carrier_loads: Pairs
+    removed: Pairs
 
 
 def _capacity_args(m: XInt) -> Tuple[int, bool]:
@@ -137,32 +171,17 @@ def _capacity_args(m: XInt) -> Tuple[int, bool]:
     return m.finite, True
 
 
-def _extended_arrays(state: EulerState) -> Tuple[int, np.ndarray, np.ndarray]:
-    """The sweep's window as (start, counts, caps).
-
-    It starts at the first ball: every box left of it is empty and meets an
-    empty carrier, so the step leaves it empty.  It ends past the incoming
-    window by the total ball count, so the carrier provably empties before
-    the right edge.
-    """
-    nz = np.flatnonzero(state.counts)
-    skip = int(nz[0]) if len(nz) else 0  # an all-zero state keeps its start
-    start = state.window_start + skip
-    w = len(state.counts) - skip
-    ext = w + state.total_balls
-    c = np.zeros(ext, dtype=np.int64)
-    c[:w] = state.counts[skip:]
-    caps = state.profile.caps_array(start, ext)
-    return start, c, caps
+def _start(state: EulerState) -> int:
+    # a step's window starts at the first ball: every box left of it is
+    # empty and meets an empty carrier, so the step leaves it empty; an
+    # all-zero state keeps its start
+    return state.occupied[0][0] if state.occupied else state.window_start
 
 
-def _next_state(state: EulerState, start: int, new_counts: np.ndarray) -> EulerState:
-    # trim only the extension: the right edge never moves left, so an
-    # all-zero state keeps its shape
-    nz = np.flatnonzero(new_counts)
-    last = int(nz[-1]) + 1 if len(nz) else 0
-    w = max(state.window_start + len(state.counts) - start, last)
-    return EulerState._trusted(new_counts[:w], state.profile, state.time + 1, start)
+def _next_state(state: EulerState, start: int, occupied: Pairs) -> EulerState:
+    # the right edge never moves left, so an all-zero state keeps its shape
+    end = max(state.window_end, occupied[-1][0] + 1) if occupied else state.window_end
+    return EulerState._trusted(occupied, state.profile, state.time + 1, start, end)
 
 
 def euler_step(
@@ -172,23 +191,35 @@ def euler_step(
 
     The new state's window starts at the incoming state's first ball, so
     its length follows the balls, not the distance they have travelled.
+    Raises FiniteOverflow, before the carrier walks on past the last ball,
+    when it would carry balls so far that the new window spans more than
+    MAX_SPAN boxes.
     """
-    m = schedule.at(state.time + 1)
-    m_val, m_capped = _capacity_args(m)
-    start, c, caps = _extended_arrays(state)
-    new_counts, limited, loads, removed = _kernels.carrier_sweep(
-        c, caps, m_val, m_capped
+    m_val, m_capped = _capacity_args(schedule.at(state.time + 1))
+    start = _start(state)
+    occupied, limited, loads, removed = _kernels.carrier_sweep(
+        state.occupied, state.profile, m_val, m_capped, start + MAX_SPAN
     )
-    if loads[-1] != 0:
-        raise WindowOverflow(f"load {loads[-1]} at right edge, t={state.time}")
-    new_state = _next_state(state, start, new_counts)
-    w = len(new_state.counts)
-    trace = EulerStepTrace(
-        limited_counts=limited[:w],
-        carrier_loads=loads[: w + 1],
-        removed=removed[:w],
-    )
-    return new_state, trace
+    return _next_state(state, start, occupied), EulerStepTrace(limited, loads, removed)
+
+
+def _dense_window(state: EulerState) -> Tuple[int, np.ndarray, np.ndarray]:
+    """The oracles' own window as (start, counts, caps): from the first ball
+    past the last one by the total ball count, so the carrier provably
+    empties before the right edge."""
+    start = _start(state)
+    last = state.occupied[-1][0] + 1 if state.occupied else start
+    w = last - start + state.total_balls
+    c = np.zeros(w, dtype=np.int64)
+    for n, u in state.occupied:
+        c[n - start] = u
+    return start, c, state.profile.caps_array(start, w)
+
+
+def _from_dense(state: EulerState, start: int, new_counts: np.ndarray) -> EulerState:
+    nz = np.flatnonzero(new_counts).tolist()
+    occupied = tuple(zip([start + i for i in nz], new_counts[nz].tolist()))
+    return _next_state(state, start, occupied)
 
 
 def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerState:
@@ -197,15 +228,14 @@ def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerSt
     Independent re-walk of the transport rule; must agree with euler_step
     exactly on all valid inputs.
     """
-    m = schedule.at(state.time + 1)
-    m_val, m_capped = _capacity_args(m)
-    start, c, caps = _extended_arrays(state)
+    m_val, m_capped = _capacity_args(schedule.at(state.time + 1))
+    start, c, caps = _dense_window(state)
     out, leftover = _kernels.ball_queue_sweep(
         c, caps, m_val, m_capped, state.total_balls
     )
     if leftover != 0:
         raise WindowOverflow(f"{leftover} balls left in carrier, t={state.time}")
-    return _next_state(state, start, out)
+    return _from_dense(state, start, out)
 
 
 def nukdv_step(state: EulerState) -> EulerState:
@@ -214,11 +244,11 @@ def nukdv_step(state: EulerState) -> EulerState:
 
     Coincides with euler_step under an infinite carrier capacity.
     """
-    start, c, caps = _extended_arrays(state)
+    start, c, caps = _dense_window(state)
     out, leftover = _kernels.free_flow_sweep(c, caps)
     if leftover != 0:
         raise WindowOverflow(f"load {leftover} at right edge, t={state.time}")
-    return _next_state(state, start, out)
+    return _from_dense(state, start, out)
 
 
 @dataclass(frozen=True)
@@ -244,34 +274,59 @@ def umkdv_residual(
 
         U'_n = min(cap_n - U_n, S_n) + max(0, S_n + U_n - m),
 
-    with S_n = sum_{j<n}(U_j - U'_j), plus the carrier-load identity
-    loads_n = S_n.  Both states are read by absolute box over the union of
-    their windows, and the trace (aligned with after's window) reads as 0
-    outside it.  Violations are reported, never raised.
+    with S_n = sum_{j<n}(U_j - U'_j), on every box of [lo, hi), the union of
+    the two windows, plus the carrier-load identity loads_n = S_n on boxes
+    lo .. hi, where a box the trace does not name has load 0.  Violations
+    are reported, never raised.
+
+    Only the listed boxes are read.  Between them U = U' = loads = 0 and S
+    is constant, so a run of unlisted boxes violates the equation by |S|
+    when S <= 0, and at most by min(cap, S) + max(0, S - m) when S > 0, cap
+    the run's largest capacity; the identity by |S|.
     """
-    lo, w = _union(before, after)
-    u = _on_boxes(before.counts, before.window_start, lo, w)
-    up = _on_boxes(after.counts, after.window_start, lo, w)
-    caps = before.profile.caps_array(lo, w)
-
-    s_full = np.zeros(w + 1, dtype=np.int64)
-    np.cumsum(u - up, out=s_full[1:])
-    s = s_full[:-1]
-
-    base = np.minimum(caps - u, s)
+    lo = min(before.window_start, after.window_start)
+    hi = max(before.window_end, after.window_end)
+    profile = before.profile
     m = as_xint(m)
-    if m.is_pos_inf:
-        excess = np.zeros(w, dtype=np.int64)
-    else:
-        excess = np.maximum(0, s + u - m.finite)
-    max_violation = int(np.max(np.abs(up - (base + excess)), initial=0))
+    m_val = None if m.is_pos_inf else m.finite
+    u = dict(before.occupied)
+    up = dict(after.occupied)
+    loads = {n: v for n, v in trace.carrier_loads if lo <= n <= hi}
+    capacity = profile.capacity
 
-    loads = _on_boxes(
-        trace.carrier_loads[: len(after.counts) + 1], after.window_start, lo, w + 1
-    )
-    carrier_identity_max = int(np.max(np.abs(loads - s_full), initial=0))
+    worst = identity = 0
+    s = 0
+    n = lo  # the first box not read yet
+    for b in sorted(u.keys() | up.keys() | loads.keys()) + [hi + 1]:
+        if n < b and s:  # boxes n .. b-1 are not listed
+            identity = max(identity, abs(s))
+            g = min(b, hi)
+            if n < g:
+                gap = -s
+                if s > 0:
+                    gap = min(profile.max_capacity(n, g), s)
+                    if m_val is not None and s > m_val:
+                        gap += s - m_val
+                worst = max(worst, gap)
+        if b > hi:
+            break
+        ub = u.get(b, 0)
+        upb = up.get(b, 0)
+        d = loads.get(b, 0) - s
+        if d:
+            identity = max(identity, abs(d))
+        if b < hi:
+            e = capacity(b) - ub
+            if s < e:
+                e = s
+            if m_val is not None and s + ub > m_val:
+                e += s + ub - m_val
+            if upb != e:
+                worst = max(worst, abs(upb - e))
+        s += ub - upb
+        n = b + 1
     return ResidualReport(
-        max_violation=max_violation,
-        carrier_identity_max=carrier_identity_max,
-        boxes=w,
+        max_violation=worst,
+        carrier_identity_max=identity,
+        boxes=hi - lo,
     )

@@ -10,8 +10,6 @@ from __future__ import annotations
 
 from typing import Tuple
 
-import numpy as np
-
 from .euler import EulerState
 
 
@@ -27,12 +25,9 @@ def expand(state: EulerState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     segment boundary is past the int64 range.
     """
     profile = state.profile
-    counts = state.counts
     x: list = []
     y: list = []
-    for i in np.flatnonzero(counts).tolist():
-        n = state.window_start + i
-        u = int(counts[i])
+    for n, u in state.occupied:
         start = profile.boundary(n)
         end = profile.boundary(n + 1)
         if y and y[-1] == start:

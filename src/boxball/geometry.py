@@ -64,22 +64,40 @@ class CapacityProfile:
             out[lo - start : hi - start] = self._caps[lo - ws : hi - ws]
         return out
 
+    def max_capacity(self, lo: int, hi: int) -> int:
+        """The largest capacity of boxes lo .. hi-1 (lo < hi)."""
+        ws, caps = self.window_start, self.capacities
+        listed = caps[max(lo - ws, 0) : max(hi - ws, 0)]
+        best = max(listed, default=0)
+        if lo < ws or hi > ws + len(caps):
+            best = max(best, self.default_capacity)
+        return best
+
+    def _segment(self, n: int) -> int:
+        # s_n as a Python int, unchecked
+        i = n - self.window_start
+        b = self._bounds
+        if i <= 0:
+            return n * self.default_capacity
+        if i < len(b):
+            return b[i]
+        return b[-1] + (i - len(b) + 1) * self.default_capacity
+
     def boundary(self, n: int) -> int:
         """s_n, the first segment of box n; raises FiniteOverflow when s_n
         is past the signed 64-bit range, where segment arrays would wrap."""
         if n < 0:
             raise ValueError("boxes are indexed from 0")
-        i = n - self.window_start
-        b = self._bounds
-        if i <= 0:
-            s = n * self.default_capacity
-        elif i < len(b):
-            s = b[i]
-        else:
-            s = b[-1] + (i - len(b) + 1) * self.default_capacity
+        s = self._segment(n)
         if s > INT64_MAX:
             raise FiniteOverflow(f"segment boundary s_{n} = {s} is past the int64 range")
         return s
+
+    def last_box_filled(self, n: int, balls: int) -> int:
+        """The box where `balls` > 0 balls poured into empty boxes from box n
+        on, each filled to capacity, run out.  Exact at any size: the
+        segment arithmetic is not bounded to int64 here."""
+        return self.segment_to_box(self._segment(n) + balls - 1)
 
     def segment_to_box(self, segment: int) -> int:
         """The box n with s_n <= segment < s_{n+1}."""

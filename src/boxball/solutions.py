@@ -391,8 +391,11 @@ def verify_euler_solution(
 
     The rules are local in n, so they are checked pointwise wherever all
     referenced neighbours lie inside the window, quiet boxes included; no
-    support assumption is needed.
+    support assumption is needed.  Raises ValueError when n_hi < n_lo - 1,
+    where the inclusive range [n_lo, n_hi] would have a negative length.
     """
+    if n_hi < n_lo - 1:
+        raise ValueError(f"box range [n_lo, n_hi] = [{n_lo}, {n_hi}] is reversed")
     caps = params.profile.caps_array(n_lo, n_hi - n_lo + 1)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
     for b_lo in range(t_lo, t_hi, _BLOCK):

@@ -16,8 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-import numpy as np
-
 from .euler import EulerState, _capacity_args
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
@@ -357,22 +355,29 @@ def extoda_step(state: TodaState) -> Tuple[TodaState, TodaStepTrace]:
 
 def to_euler(state: TodaState) -> EulerState:
     """Counts-level view of a Toda state: the per-box bit sums of its runs,
-    over exactly the boxes the runs touch (first to last ball's box);
-    to_euler(from_euler(u)) has the occupancy of u.  Each run is walked box
-    by box from its start, the inverse of expansion.expand; raises
-    FiniteOverflow when a run ends past the int64 segment range."""
+    listed for exactly the boxes the runs touch, in a window from the first
+    to the last ball's box; to_euler(from_euler(u)) has the occupancy of u.
+    Each run is walked box by box from its start, the inverse of
+    expansion.expand; raises FiniteOverflow when a run ends past the int64
+    segment range or the window spans more than euler.MAX_SPAN boxes."""
     profile = state.profile
     x, y = toda_to_lagrange(state.Q, state.E, state.X0)
-    first = profile.segment_to_box(x[0])
-    counts = np.zeros(profile.segment_to_box(y[-1] - 1) + 1 - first, np.int64)
+    boxes: list = []
+    counts: list = []
     for a, b in zip(x, y):
         n = profile.segment_to_box(a)
         while a < b:
             end = min(profile.boundary(n + 1), b)
-            counts[n - first] += end - a
+            if boxes and boxes[-1] == n:  # two runs share box n
+                counts[-1] += end - a
+            else:
+                boxes.append(n)
+                counts.append(end - a)
             a = end
             n += 1
-    return EulerState._trusted(counts, profile, state.time, first)
+    return EulerState._trusted(
+        tuple(zip(boxes, counts)), profile, state.time, boxes[0], boxes[-1] + 1
+    )
 
 
 def from_euler(state: EulerState) -> TodaState:

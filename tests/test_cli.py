@@ -6,8 +6,8 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
-import numpy as np
 import pytest
+from dense_views import trace_arrays
 
 from boxball import cli, euler_step, first_difference, to_euler
 from boxball.cli import main
@@ -80,16 +80,15 @@ def test_simulate_records_sparse_trace_and_profile_once(capsys):
         euler = rec["euler"]
         assert euler["window_start"] == state.window_start
         assert euler["counts"] == state.counts.tolist()
-        w = len(state.counts)
-        for key, length in (("limited_counts", w), ("carrier_loads", w + 1), ("removed", w)):
+        for key, want in zip(("limited_counts", "carrier_loads", "removed"), trace_arrays(trace, state)):
             pairs = rec["trace"][key]
             boxes = [box for box, _ in pairs]
             assert boxes == sorted(set(boxes))
             assert all(value != 0 for _, value in pairs)
-            dense = np.zeros(length, dtype=np.int64)
+            got = [0] * len(want)
             for box, value in pairs:
-                dense[box - state.window_start] = value
-            assert dense.tolist() == getattr(trace, key).tolist()
+                got[box - state.window_start] = value
+            assert got == want.tolist()
 
 
 def test_simulate_mismatch_names_first_box_and_toda_state(monkeypatch, capsys):
@@ -120,6 +119,50 @@ def test_simulate_mismatch_names_first_box_and_toda_state(monkeypatch, capsys):
         f"(euler) vs {in_toda} (toda); toda (Q, E, X0) = "
         f"({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
     ]
+
+
+def test_simulate_render_none_builds_no_record_and_keeps_the_verdict(monkeypatch, capsys):
+    real_step = cli.enutoda_step
+
+    def step(state, schedule):
+        nxt, trace = real_step(state, schedule)
+        return replace(nxt, X0=nxt.X0 + 1), trace
+
+    def no_record(*args, **kwargs):
+        raise AssertionError("a JSON record was built")
+
+    monkeypatch.setattr(cli, "enutoda_step", step)
+    for name in ("euler_state_json", "euler_trace_json", "toda_state_json", "toda_trace_json"):
+        monkeypatch.setattr(cli, name, no_record)
+    assert main(["simulate", "--config", SHOWCASE, "--render", "none", "--steps", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("simulate: representations diverged at t=1: box ")
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("representation", ["euler", "both"])
+def test_simulate_carrier_past_an_int64_window_exit_code(tmp_path, representation):
+    # 2^62 balls leave a box of capacity 2^62 for unit boxes: the carrier
+    # would fill 2^62 of them, a window no int64 array can hold, so the
+    # step refuses before it walks
+    cfg = write_json(
+        tmp_path / "huge.json",
+        {
+            "representation": representation,
+            "steps": 1,
+            "render": "json",
+            "profile": {"capacities": [2**62]},
+            "initial": {"euler": {"counts": [2**62]}},
+        },
+    )
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = [sys.executable, "-m", "boxball.cli", "simulate", "--config", cfg]
+    proc = subprocess.run(argv, capture_output=True, env=env, timeout=10)
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    assert proc.stderr.startswith(b"error: FiniteOverflow: the carrier reaches box 1 with 4611686018427387904 balls")
+    assert b"Traceback" not in proc.stderr
 
 
 def test_simulate_segment_boundary_past_int64_exit_code(tmp_path, capsys):

@@ -1,5 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from dense_views import lay, trace_arrays
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -10,18 +13,22 @@ from boxball import (
     CarrierSchedule,
     EulerState,
     FiniteOverflow,
+    TodaState,
     XInt,
     carrier_oracle_step,
     constant_schedule,
     euler_step,
+    expand,
     first_difference,
     nukdv_step,
     same_occupancy,
+    to_euler,
     umkdv_residual,
     unbounded_schedule,
     unit_profile,
 )
 from boxball.difftest import DiffBounds, random_case
+from boxball.euler import MAX_SPAN, ResidualReport
 
 UNIT = unit_profile()
 
@@ -53,9 +60,10 @@ def test_all_zero_state_is_fixed():
     st = EulerState(counts=[0, 0, 0], profile=CapacityProfile(capacities=(2, 3, 1)))
     nxt, tr = euler_step(st, constant_schedule(2))
     assert nxt.counts.tolist() == [0, 0, 0]
-    assert tr.limited_counts.tolist() == [0, 0, 0]
-    assert tr.carrier_loads.tolist() == [0, 0, 0, 0]
-    assert tr.removed.tolist() == [0, 0, 0]
+    limited, loads, removed = trace_arrays(tr, nxt)
+    assert limited.tolist() == [0, 0, 0]
+    assert loads.tolist() == [0, 0, 0, 0]
+    assert removed.tolist() == [0, 0, 0]
     assert carrier_oracle_step(st, constant_schedule(2)).counts.tolist() == [0, 0, 0]
 
 
@@ -63,10 +71,11 @@ def test_capped_carrier_step_with_recovery():
     st = unit_state([1, 1, 1, 0, 0, 1, 0])
     nxt, tr = euler_step(st, constant_schedule(2))
     assert nxt.counts.tolist() == [0, 0, 1, 1, 1, 0, 1]
-    assert tr.limited_counts.tolist() == [0, 0, 0, 1, 1, 0, 1]
-    assert tr.removed.tolist() == [0, 0, 1, 0, 0, 0, 0]
+    limited, _, removed = trace_arrays(tr, nxt)
+    assert limited.tolist() == [0, 0, 0, 1, 1, 0, 1]
+    assert removed.tolist() == [0, 0, 1, 0, 0, 0, 0]
     # recovery puts back exactly what the size limit took, box by box
-    assert (tr.limited_counts + tr.removed).tolist() == nxt.counts.tolist()
+    assert (limited + removed).tolist() == nxt.counts.tolist()
     assert carrier_oracle_step(st, constant_schedule(2)) == nxt
 
 
@@ -81,7 +90,7 @@ def test_oracle_removal_tiny_case():
     st = unit_state([1, 1])
     sched = constant_schedule(1)
     nxt, tr = euler_step(st, sched)
-    assert tr.removed.tolist()[:2] == [0, 1]
+    assert trace_arrays(tr, nxt)[2].tolist()[:2] == [0, 1]
     assert carrier_oracle_step(st, sched) == nxt
     assert nxt.total_balls == 2
 
@@ -109,8 +118,9 @@ def test_nukdv_equals_unbounded_euler_on_random_states():
         nxt, tr = euler_step(st, unbounded_schedule())
         assert nukdv_step(st) == nxt
         # no capacity bound: nothing removed, new counts equal the limited ones
-        assert tr.removed.sum() == 0
-        assert np.array_equal(tr.limited_counts, nxt.counts)
+        limited, _, removed = trace_arrays(tr, nxt)
+        assert removed.sum() == 0
+        assert np.array_equal(limited, nxt.counts)
 
 
 def test_ball_conservation_and_bounds_on_random_states():
@@ -121,16 +131,16 @@ def test_ball_conservation_and_bounds_on_random_states():
         for _ in range(6):
             m = sched.at(cur.time + 1)
             cur, tr = euler_step(cur, sched)
-            # the trace is aligned with the new state's window
-            caps = cur.profile.caps_array(cur.window_start, len(tr.limited_counts))
+            # the trace lies inside the new state's window
+            lim, loads, removed = trace_arrays(tr, cur)
+            caps = cur.profile.caps_array(cur.window_start, len(lim))
             assert cur.total_balls == st.total_balls
-            assert tr.carrier_loads.min() >= 0
+            assert loads.min() >= 0
             if not m.is_pos_inf:
-                assert tr.carrier_loads.max() <= m.finite
-            lim = tr.limited_counts
+                assert loads.max() <= m.finite
             assert lim.min() >= 0
-            assert np.all(lim <= caps[: len(lim)])
-            assert tr.removed.min() >= 0
+            assert np.all(lim <= caps)
+            assert removed.min() >= 0
 
 
 def test_umkdv_residual_zero_and_detects_corruption():
@@ -188,19 +198,19 @@ def test_oracle_equivalence_property(case):
 
 
 def test_window_overflow_guard(monkeypatch):
+    # the sparse sweep walks until the carrier is empty; the ball-by-ball
+    # oracle walks its own dense window and guards its right edge
     from boxball import euler as euler_mod
 
-    real_sweep = euler_mod._kernels.carrier_sweep
+    real_walk = euler_mod._kernels.ball_queue_sweep
 
-    def broken_sweep(c, caps, m_val, m_capped):
-        new_counts, limited, loads, removed = real_sweep(c, caps, m_val, m_capped)
-        loads = loads.copy()
-        loads[-1] = 1  # pretend the carrier never emptied
-        return new_counts, limited, loads, removed
+    def broken_walk(*args):
+        out, _ = real_walk(*args)
+        return out, 1  # pretend the carrier never emptied
 
-    monkeypatch.setattr(euler_mod._kernels, "carrier_sweep", broken_sweep)
+    monkeypatch.setattr(euler_mod._kernels, "ball_queue_sweep", broken_walk)
     with pytest.raises(euler_mod.WindowOverflow):
-        euler_step(unit_state([1, 0]), unbounded_schedule())
+        carrier_oracle_step(unit_state([1, 0]), unbounded_schedule())
 
 
 def test_window_start_offsets_are_respected():
@@ -230,9 +240,9 @@ def test_window_starts_at_the_first_ball():
     nxt, tr = euler_step(st, sched)
     assert nxt.window_start == 6
     # the right edge stays where it was unless a ball passes it
-    assert nxt.window_start + len(nxt.counts) == 9
-    assert len(tr.limited_counts) == len(tr.removed) == len(nxt.counts)
-    assert len(tr.carrier_loads) == len(nxt.counts) + 1
+    assert nxt.window_start + len(nxt.counts) == nxt.window_end == 9
+    # every box the trace names lies in the new window
+    trace_arrays(tr, nxt)
     assert carrier_oracle_step(st, sched) == nxt
     assert carrier_oracle_step(st, sched).window_start == 6
     assert nukdv_step(st).window_start == 6
@@ -242,17 +252,69 @@ def test_window_starts_at_the_first_ball():
     assert euler_step(zero, sched)[0].window_start == 4
 
 
-def _on_window(values, start, lo, length):
+def _on_boxes(values, start, lo, length):
+    # values (from box `start`) on boxes lo .. lo+length-1, zero elsewhere
     out = np.zeros(length, dtype=np.int64)
     out[start - lo : start - lo + len(values)] = values
     return out
+
+
+def _union(a, b):
+    # (first box, length) of the smallest window holding both windows
+    lo = min(a.window_start, b.window_start)
+    hi = max(a.window_start + len(a.counts), b.window_start + len(b.counts))
+    return lo, hi - lo
+
+
+def dense_first_difference(a, b):
+    """first_difference over the two dense windows laid onto their union."""
+    lo, w = _union(a, b)
+    ua = _on_boxes(a.counts, a.window_start, lo, w)
+    ub = _on_boxes(b.counts, b.window_start, lo, w)
+    diff = np.flatnonzero(ua != ub)
+    if not len(diff):
+        return None
+    i = int(diff[0])
+    return lo + i, int(ua[i]), int(ub[i])
+
+
+def dense_umkdv_residual(before, after, trace, m):
+    """umkdv_residual as whole-array arithmetic over every box of the union
+    of the two windows, with the trace laid onto after's window."""
+    lo, w = _union(before, after)
+    u = _on_boxes(before.counts, before.window_start, lo, w)
+    up = _on_boxes(after.counts, after.window_start, lo, w)
+    caps = before.profile.caps_array(lo, w)
+
+    s_full = np.zeros(w + 1, dtype=np.int64)
+    np.cumsum(u - up, out=s_full[1:])
+    s = s_full[:-1]
+
+    base = np.minimum(caps - u, s)
+    if m.is_pos_inf:
+        excess = np.zeros(w, dtype=np.int64)
+    else:
+        excess = np.maximum(0, s + u - m.finite)
+    max_violation = int(np.max(np.abs(up - (base + excess)), initial=0))
+
+    loads = _on_boxes(trace_arrays(trace, after)[1], after.window_start, lo, w + 1)
+    carrier_identity_max = int(np.max(np.abs(loads - s_full), initial=0))
+    return ResidualReport(
+        max_violation=max_violation,
+        carrier_identity_max=carrier_identity_max,
+        boxes=w,
+    )
+
+
+def _pairs(values, start):
+    return tuple((start + i, v) for i, v in enumerate(values) if v)
 
 
 @st.composite
 def residual_cases(draw):
     """A step from a state with a random window start and leading zeros;
     `after` is the true step or, half the time, a random state on its own
-    random window."""
+    random window with a random trace inside that window."""
     caps = draw(st.lists(st.integers(1, 4), min_size=1, max_size=10))
     profile = CapacityProfile(capacities=caps, window_start=2)
     lead = draw(st.integers(0, 4))
@@ -272,34 +334,32 @@ def residual_cases(draw):
         after = EulerState(counts=a_counts, profile=profile, window_start=a_start)
         w = len(a_counts)
         trace = EulerStepTrace(
-            limited_counts=np.array(draw(st.lists(st.integers(0, 4), min_size=w, max_size=w))),
-            carrier_loads=np.array(draw(st.lists(st.integers(0, 4), min_size=w + 1, max_size=w + 1))),
-            removed=np.zeros(w, dtype=np.int64),
+            limited_counts=_pairs(draw(st.lists(st.integers(0, 4), min_size=w, max_size=w)), a_start),
+            carrier_loads=_pairs(draw(st.lists(st.integers(0, 4), min_size=w + 1, max_size=w + 1)), a_start),
+            removed=(),
         )
     return before, after, trace, m
+
+
+@given(residual_cases())
+def test_residual_matches_dense_reference(case):
+    before, after, trace, m = case
+    assert umkdv_residual(before, after, trace, m) == dense_umkdv_residual(before, after, trace, m)
 
 
 @given(residual_cases())
 def test_residual_on_different_windows_matches_one_common_window(case):
     before, after, trace, m = case
     lo = min(before.window_start, after.window_start)
-    hi = max(
-        before.window_start + len(before.counts), after.window_start + len(after.counts)
-    )
-    w = hi - lo
+    hi = max(before.window_end, after.window_end)
 
     def common(state):
-        counts = _on_window(state.counts, state.window_start, lo, w)
+        counts = lay(state.occupied, lo, hi - lo)
         return EulerState(counts=counts, profile=state.profile, window_start=lo)
 
-    a = after.window_start
-    common_trace = EulerStepTrace(
-        limited_counts=_on_window(trace.limited_counts, a, lo, w),
-        carrier_loads=_on_window(trace.carrier_loads, a, lo, w + 1),
-        removed=_on_window(trace.removed, a, lo, w),
-    )
+    # the trace names absolute boxes, so it needs no re-laying
     assert umkdv_residual(before, after, trace, m) == umkdv_residual(
-        common(before), common(after), common_trace, m
+        common(before), common(after), trace, m
     )
 
 
@@ -314,12 +374,62 @@ def test_residual_flags_a_ball_missing_left_of_the_window():
     k = 2 - nxt.window_start + 1
     short = EulerState(counts=nxt.counts[k:], profile=UNIT, time=1, window_start=3)
     short_tr = EulerStepTrace(
-        limited_counts=tr.limited_counts[k:],
-        carrier_loads=tr.carrier_loads[k:],
-        removed=tr.removed[k:],
+        *(tuple(p for p in pairs if p[0] >= 3) for pairs in (tr.limited_counts, tr.carrier_loads, tr.removed))
     )
     assert by_box(short) == {3: 1}
     assert not umkdv_residual(st, short, short_tr, XInt(1)).ok
+
+
+def test_residual_reads_a_gap_at_its_largest_capacity():
+    # the claimed step leaves every box empty: S = 3 over boxes 1 .. 5,
+    # whose largest capacity (4, at box 3) bounds the expected count there
+    profile = CapacityProfile(capacities=(3, 1, 2, 4, 1), default_capacity=1)
+    before = EulerState(counts=[3], profile=profile)
+    after = EulerState(counts=[0] * 6, profile=profile)
+    empty = EulerStepTrace((), (), ())
+    for m, worst in ((POS_INF, 3), (XInt(1), 3 + 2)):
+        rep = umkdv_residual(before, after, empty, m)
+        assert rep == dense_umkdv_residual(before, after, empty, m)
+        assert (rep.max_violation, rep.carrier_identity_max, rep.boxes) == (worst, 3, 6)
+
+
+def test_far_apart_balls_cost_no_memory_for_the_gap():
+    # two balls 10^7 boxes apart: one dense int64 array over the gap is 80 MB
+    state = to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=0, profile=UNIT))
+    tracemalloc.start()
+    try:
+        nxt, tr = euler_step(state, unbounded_schedule())
+        rep = umkdv_residual(state, nxt, tr, POS_INF)
+        same = same_occupancy(nxt, to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=1, profile=UNIT)))
+        runs = expand(nxt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert nxt.occupied == ((1, 1), (10**7 + 1, 1))
+    assert rep.ok and rep.boxes == 10**7 + 2
+    assert same
+    assert runs == ((1, 10**7 + 1), (2, 10**7 + 2))
+    assert peak < 1_000_000
+
+
+def test_window_past_an_int64_array_raises_before_the_walk():
+    # the second ball at box MAX_SPAN - 2 moves on to the window's last
+    # possible box; one box further, the window would not fit an int64 array
+    def pair(gap):
+        return to_euler(TodaState(Q=(1, 1), E=(gap,), X0=0, profile=UNIT))
+
+    nxt, _ = euler_step(pair(MAX_SPAN - 3), unbounded_schedule())
+    assert nxt.occupied == ((1, 1), (MAX_SPAN - 1, 1))
+    assert (nxt.window_start, nxt.window_end) == (0, MAX_SPAN)
+    with pytest.raises(FiniteOverflow, match="int64 window"):
+        euler_step(pair(MAX_SPAN - 2), unbounded_schedule())
+    with pytest.raises(FiniteOverflow, match="int64 array"):
+        pair(MAX_SPAN - 1)
+    # a carrier of 2^62 balls leaving a box of capacity 2^62 would fill the
+    # next 2^62 unit boxes
+    big = CapacityProfile(capacities=(2**62,))
+    with pytest.raises(FiniteOverflow, match="4611686018427387904 balls"):
+        euler_step(EulerState(counts=[2**62], profile=big), unbounded_schedule())
 
 
 def test_first_difference_reads_absolute_boxes():
@@ -380,6 +490,19 @@ def padded_windows(draw):
 
 
 @given(padded_windows())
+def test_first_difference_matches_dense_reference(pair):
+    a, b = pair
+    assert first_difference(a, b) == dense_first_difference(a, b)
+    assert first_difference(b, a) == dense_first_difference(b, a)
+
+
+@given(residual_cases())
+def test_first_difference_matches_dense_reference_after_a_step(case):
+    before, after, _, _ = case
+    assert first_difference(before, after) == dense_first_difference(before, after)
+
+
+@given(padded_windows())
 def test_same_occupancy_matches_box_oracle(pair):
     a, b = pair
     expected = by_box(a) == by_box(b)
@@ -395,4 +518,4 @@ def test_schedule_entry_applies_to_arriving_time():
     assert nxt.counts.tolist() == [0, 0, 1, 1, 1, 0, 1]
     # from t=1 the default (+inf) applies again
     nxt2, tr2 = euler_step(nxt, sched)
-    assert tr2.removed.sum() == 0
+    assert trace_arrays(tr2, nxt2)[2].sum() == 0

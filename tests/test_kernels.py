@@ -7,11 +7,13 @@ way back as the per-run binary search over a whole-span boundary array.
 """
 
 import numpy as np
+from dense_views import lay
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxball import CapacityProfile, EulerState, TodaState, expand, to_euler, toda_to_lagrange
 from boxball._kernels import carrier_sweep
+from boxball.euler import MAX_SPAN
 
 
 def dense_carrier_sweep(counts, caps, m_val, m_capped):
@@ -80,9 +82,9 @@ def runs_of(bits):
 
 @st.composite
 def windows(draw):
-    """(counts, caps) from box 0: clusters of boxes separated by zero gaps
-    of up to 60 boxes, capacities 1..5 listed, a default of 2..5 past
-    them."""
+    """(counts, profile), counts from box 0: clusters of boxes separated by
+    zero gaps of up to 60 boxes, capacities 1..5 listed, a default of 2..5
+    past them."""
     listed = draw(st.lists(st.integers(1, 5), max_size=12))
     profile = CapacityProfile(capacities=tuple(listed), default_capacity=draw(st.integers(2, 5)))
     counts = []
@@ -91,7 +93,7 @@ def windows(draw):
         for _ in range(draw(st.integers(1, 4))):
             counts.append(draw(st.integers(0, profile.capacity(len(counts)))))
     counts += [0] * draw(st.integers(0, 3))
-    return np.array(counts, dtype=np.int64), profile.caps_array(0, len(counts))
+    return np.array(counts, dtype=np.int64), profile
 
 
 # (m_val, m_capped): M = 0, finite M, or +inf
@@ -101,7 +103,7 @@ carrier_capacities = st.one_of(
 
 
 def window(counts, caps):
-    return np.array(counts, dtype=np.int64), np.array(caps, dtype=np.int64)
+    return np.array(counts, dtype=np.int64), CapacityProfile(capacities=tuple(caps))
 
 
 EMPTY = window([], [])
@@ -115,6 +117,10 @@ def assert_same(got, want):
         assert np.array_equal(g, w)
 
 
+def occupied(counts):
+    return tuple((n, u) for n, u in enumerate(counts.tolist()) if u)
+
+
 @settings(max_examples=300)
 @given(windows(), carrier_capacities)
 @example(EMPTY, (0, False))
@@ -123,19 +129,33 @@ def assert_same(got, want):
 @example(LAST_OCCUPIED, (4, True))
 @example(LAST_OCCUPIED, (0, True))
 def test_carrier_sweep_matches_dense_loop(win, m):
-    counts, caps = win
-    assert_same(carrier_sweep(counts, caps, *m), dense_carrier_sweep(counts, caps, *m))
+    counts, profile = win
+    got = carrier_sweep(occupied(counts), profile, *m, MAX_SPAN)
+    for pairs in got:
+        boxes = [box for box, _ in pairs]
+        assert boxes == sorted(set(boxes))
+        assert all(value != 0 for _, value in pairs)
+    # the dense loop runs over the window extended by the ball total, where
+    # the carrier provably empties
+    w = len(counts) + int(counts.sum())
+    padded = np.zeros(w, dtype=np.int64)
+    padded[: len(counts)] = counts
+    want = dense_carrier_sweep(padded, profile.caps_array(0, w), *m)
+    assert want[2][w] == 0
+    laid = [lay(pairs, 0, w) for pairs in got]
+    laid[2] = lay(got[2], 0, w + 1)
+    assert_same(laid, want)
 
 
 def test_carrier_sweep_reports_load_leaving_window():
-    # the WindowOverflow guard reads loads[w]: balls still carried past
-    # the last box must show there, with every box before it accounted
-    counts, caps = LAST_OCCUPIED
-    new_counts, limited, loads, removed = carrier_sweep(counts, caps, 4, True)
-    assert loads.tolist() == [0, 0, 0, 2, 0, 3, 4]
-    assert new_counts.tolist() == [0, 0, 0, 2, 0, 2]
-    assert removed.tolist() == [0, 0, 0, 0, 0, 2]
-    assert limited.tolist() == [0, 0, 0, 2, 0, 0]
+    # balls still carried past the last occupied box show in the loads
+    # beyond the input window, and the sweep walks on until they are laid
+    counts, profile = LAST_OCCUPIED
+    new, limited, loads, removed = carrier_sweep(occupied(counts), profile, 4, True, MAX_SPAN)
+    assert loads == ((3, 2), (5, 3), (6, 4), (7, 3), (8, 2), (9, 1))
+    assert new == ((3, 2), (5, 2), (6, 1), (7, 1), (8, 1), (9, 1))
+    assert removed == ((5, 2),)
+    assert limited == ((3, 2), (6, 1), (7, 1), (8, 1), (9, 1))
 
 
 @settings(max_examples=300)
@@ -145,8 +165,9 @@ def test_carrier_sweep_reports_load_leaving_window():
 @example(LAST_OCCUPIED)
 @example(window([2, 3, 1, 0, 5], [2, 3, 4, 1, 5]))  # full boxes chain left-justification
 def test_expand_matches_dense_loop(win):
-    counts, caps = win
-    state = EulerState(counts=counts, profile=CapacityProfile(capacities=tuple(caps.tolist())))
+    counts, profile = win
+    caps = profile.caps_array(0, len(counts))
+    state = EulerState(counts=counts, profile=profile)
     assert expand(state) == runs_of(dense_expand_sweep(counts, caps, int(caps.sum())))
 
 

@@ -85,6 +85,14 @@ def test_verify_negative_times():
     assert rep.ok, rep.residuals
 
 
+def test_verify_rejects_a_reversed_box_range():
+    params = EulerSolitonParams(P=(2, 4), Xi=(0, 5), profile=UNIT, schedule=FREE)
+    with pytest.raises(ValueError, match=r"\[n_lo, n_hi\] = \[5, 3\] is reversed"):
+        verify_euler_solution(params, 5, 3, 0, 2)
+    # [5, 4] is the empty range: nothing to check, nothing violated
+    assert verify_euler_solution(params, 5, 4, 0, 2).ok
+
+
 def test_pair_weight_convention_solves_bilinear_lattice():
     """Exact-rational oracle for the interaction-weight convention: the
     subset-sum ansatz with one w_ij factor per unordered pair satisfies
