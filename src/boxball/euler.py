@@ -297,6 +297,7 @@ def umkdv_residual(
     worst = identity = 0
     s = 0
     n = lo  # the first box not read yet
+    # hi + 1 closes the last run of unlisted boxes
     for b in sorted(u.keys() | up.keys() | loads.keys()) + [hi + 1]:
         if n < b and s:  # boxes n .. b-1 are not listed
             identity = max(identity, abs(s))
