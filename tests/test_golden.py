@@ -283,3 +283,55 @@ def test_tau_toda_state_n8_digest():
     assert digest.hexdigest() == (
         "148ab0e374eb5f6375e4251cbbefab23abaa77dbdda4b1a118c4929dbed8241e"
     )
+
+
+# --- simulate records -----------------------------------------------------------
+# Raw digests of `simulate` stdout, pinned before the Euler object and the
+# ASCII rows were written from the occupied boxes; a record writer must
+# reproduce them byte for byte.
+
+SIMULATE_CONFIGS = {
+    "showcase_euler": {**json.loads(SHOWCASE.read_text()), "representation": "euler"},
+    # the Euler window starts near box 333, not at box 0
+    "far_toda": {
+        "representation": "both",
+        "profile": {"capacities": [2, 3, 1, 4], "window_start": 345, "default": 3},
+        "schedule": {"entries": {"3": 6, "7": 9}, "default": "inf"},
+        "initial": {"toda": {"Q": [5, 2, 1], "E": [6, 6], "X0": 1000}},
+    },
+    "all_zero": {"representation": "euler",
+                 "initial": {"euler": {"window_start": 3, "counts": [0, 0, 0]}}},
+    "empty": {"representation": "euler", "initial": {"euler": {"counts": []}}},
+    "capacity_12": {
+        "representation": "both",
+        "profile": {"capacities": [12, 11, 12, 3, 12], "default": 12},
+        "schedule": {"entries": {"2": 15}, "default": "inf"},
+        "initial": {"euler": {"counts": [12, 0, 11, 3, 10]}},
+    },
+}
+
+# (SIMULATE_CONFIGS key, or None for the showcase file; steps; render): digest
+SIMULATE_DIGESTS = {
+    (None, 2000, "json"): "46c9088b83a1f85f0338eac81c5a6e21ad1e77c088b7e05de7a545f593bf2a84",
+    (None, 200, "ascii"): "55be7d0ccb65d539967257c6453ec23241df938fb4ffa90c4fd56316f9cf0079",
+    ("showcase_euler", 500, "json"): "fbf1eb1b45e20091097ee80f3da19f81c6ce9f8540d59d508d54f1eb32f3fe5f",
+    ("far_toda", 40, "json"): "41d9fbd23a0887dbfa29d27b6336092789b2986c95c4c351aa06d081ebe74b87",
+    ("all_zero", 4, "json"): "b7337779aa7eb4ebb09232c706ce9766b25d0ad623231e19c81657b06dc56474",
+    ("all_zero", 4, "ascii"): "09bc95acb6014f3f3df965794c5c43885b50c936d5b156086e496879b03b42e8",
+    ("empty", 4, "json"): "952f2491d94a0724589863f9b05f16a7042324f20f5234bb58d88794a664ca33",
+    ("empty", 4, "ascii"): "9a46a98c4f01b774efdf9b21a438423eb7af80d43441a755b60873477e33473c",
+    ("capacity_12", 30, "json"): "1e3913c764bdb8a2130d659b81db94b8d6bb843d6568dae7fa78297e80b22baf",
+    ("capacity_12", 30, "ascii"): "22aee746386dc5a7f41dcb452efd88fbc183e928d71dec571f43be944b174770",
+}
+
+
+@pytest.mark.parametrize("config, steps, render", list(SIMULATE_DIGESTS))
+def test_simulate_output_digest(tmp_path, capsys, config, steps, render):
+    path = SHOWCASE
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({**SIMULATE_CONFIGS[config], "steps": steps}))
+    argv = ["simulate", "--config", str(path), "--steps", str(steps), "--render", render]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == SIMULATE_DIGESTS[config, steps, render]
