@@ -9,7 +9,6 @@ the run ends.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from typing import Optional, Tuple
@@ -18,6 +17,8 @@ from .config import (
     ConfigError,
     RunConfig,
     SolutionSpec,
+    dump,
+    dump_led_by,
     euler_state_json,
     euler_trace_json,
     parse_config,
@@ -49,10 +50,6 @@ def _emit(line: str) -> None:
 
 def _diag(line: str) -> None:
     sys.stderr.write(line + "\n")
-
-
-def _dump(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _euler_initial_from_solution(spec: SolutionSpec) -> EulerState:
@@ -144,16 +141,17 @@ def cmd_simulate(args) -> int:
             first = step == 0
             record = {"t": t}
             if euler is not None:
-                record["euler"] = euler_state_json(
-                    euler, cfg.schedule if first else None, profile=first
-                )
                 record["trace"] = euler_trace_json(etrace)
             if toda is not None:
                 record["toda"] = toda_state_json(toda, profile=first)
                 record["toda_trace"] = toda_trace_json(ttrace)
             if verdict is not None:
                 record["verdict"] = verdict
-            _emit(_dump(record))
+            if euler is None:
+                _emit(dump(record))
+            else:
+                text = euler_state_json(euler, cfg.schedule if first else None, profile=first)
+                _emit(dump_led_by("euler", text, record))
         elif render == "ascii":
             shown = euler if euler is not None else to_euler(toda)
             line = f"t={t:>3} {render_counts(shown, origin)}"
@@ -203,7 +201,7 @@ def cmd_difftest(args) -> int:
         include_toda=not args.euler_only,
     )
     report = run_difftest(args.cases, args.seed, bounds)
-    _emit(_dump(report.to_json_dict()))
+    _emit(dump(report.to_json_dict()))
     _diag(
         f"difftest: {report.cases} cases, {report.steps_checked} steps, "
         f"{len(report.failures)} failures, {report.elapsed:.2f}s"
@@ -234,7 +232,7 @@ def cmd_solution(args) -> int:
         if args.verify:
             report = verify_euler_solution(params, lo, hi, t_lo, t_hi)
             _emit(
-                _dump(
+                dump(
                     {
                         "type": "euler",
                         "residuals": report.residuals,
@@ -248,7 +246,7 @@ def cmd_solution(args) -> int:
             return 0 if report.ok else 1
         for sl in euler_slices(params, lo, hi, t_lo, t_hi):
             _emit(
-                _dump(
+                dump(
                     {
                         "t": sl.time,
                         "n_start": sl.n_start,
@@ -267,7 +265,7 @@ def cmd_solution(args) -> int:
         except ValueError as exc:  # the schedule drops below Delta in the range
             raise ConfigError(str(exc)) from exc
         _emit(
-            _dump(
+            dump(
                 {
                     "type": "tau",
                     "residuals": report.residuals,
@@ -282,7 +280,7 @@ def cmd_solution(args) -> int:
         return 0 if report.ok else 1
     for ts in tau_states(params, t_lo, t_hi):
         _emit(
-            _dump(
+            dump(
                 {
                     "t": ts.time,
                     "Q": list(ts.Q),

@@ -33,6 +33,23 @@ def _check_keys(obj: dict, where: str, allowed: set, required: set) -> None:
         raise ConfigError(f"missing key(s) {missing} in {where}")
 
 
+def dump(obj) -> str:
+    """Compact key-sorted JSON: the text of every record boxball writes."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def dump_led_by(key: str, text: str, rest: dict) -> str:
+    """dump({key: value, **rest}), where `text` is value already written
+    as compact JSON and `key` sorts before every key of `rest`."""
+    # Records are key-sorted.  An Euler object's counts and a simulate
+    # record's Euler object are written ahead of the rest, which json.dumps
+    # encodes, so their keys must sort first: "counts" before "profile",
+    # "schedule", "time" and "window_start", and "euler" before "t",
+    # "toda", "toda_trace", "trace" and "verdict".
+    assert rest and key < min(rest), (key, sorted(rest))
+    return f'{{"{key}":{text},{dump(rest)[1:]}'
+
+
 def _int(obj, where: str) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         raise ConfigError(f"{where} must be an integer, got {obj!r}")
@@ -115,19 +132,24 @@ def parse_euler_state(obj, profile: CapacityProfile, where: str = "initial.euler
 
 def euler_state_json(
     state: EulerState, schedule: Optional[CarrierSchedule] = None, profile: bool = True
-) -> dict:
-    """Counts dense from window_start; the profile when `profile`, the
-    schedule when given."""
-    out = {
-        "time": state.time,
-        "window_start": state.window_start,
-        "counts": state.counts.tolist(),
-    }
+) -> str:
+    """The state as record text: counts dense from window_start, the
+    profile when `profile`, the schedule when given.
+
+    The counts are written from the occupied boxes, one "0," string per run
+    of empty ones, so the Python work follows the balls, not the window."""
+    parts = []
+    box = state.window_start
+    for n, u in state.occupied:
+        parts.append(f"{'0,' * (n - box)}{u},")
+        box = n + 1
+    parts.append("0," * (state.window_end - box))
+    rest = {"time": state.time, "window_start": state.window_start}
     if profile:
-        out["profile"] = profile_json(state.profile)
+        rest["profile"] = profile_json(state.profile)
     if schedule is not None:
-        out["schedule"] = schedule_json(schedule)
-    return out
+        rest["schedule"] = schedule_json(schedule)
+    return dump_led_by("counts", f"[{''.join(parts)[:-1]}]", rest)
 
 
 def euler_trace_json(trace: EulerStepTrace) -> dict:

@@ -110,8 +110,8 @@ class EulerState:
 
     def __repr__(self) -> str:
         return (
-            f"EulerState(t={self.time}, window_start={self.window_start}, "
-            f"counts={self.counts.tolist()})"
+            f"EulerState(t={self.time}, window=[{self.window_start}, "
+            f"{self.window_end}), occupied={list(self.occupied)})"
         )
 
 

@@ -10,13 +10,11 @@ def render_counts(state: EulerState, origin: int = 0) -> str:
     """One character per box from box `origin` (at most the state's
     window_start), so rows of windows that start at different boxes line
     up."""
-    out = ["."] * (state.window_start - origin)
-    for c in state.counts:
-        c = int(c)
-        if c == 0:
-            out.append(".")
-        elif c < 10:
-            out.append(str(c))
-        else:
-            out.append(f"[{c}]")  # capacities this large are legal, digits are not
+    out = ["." * (state.window_start - origin)]
+    box = state.window_start
+    for n, u in state.occupied:
+        # capacities of 10 or more are legal, digits are not
+        out.append(f"{'.' * (n - box)}{u if u < 10 else f'[{u}]'}")
+        box = n + 1
+    out.append("." * (state.window_end - box))
     return "".join(out)

@@ -126,7 +126,7 @@ def test_toda_state_round_trip():
 def test_euler_state_round_trip():
     st = EulerState(counts=[1, 0, 1], profile=unit_profile(), time=2)
     sched = CarrierSchedule(entries={1: 6})
-    out = euler_state_json(st, sched)
+    out = json.loads(euler_state_json(st, sched))
     assert out["schedule"]["entries"] == {"1": 6}
     again = parse_euler_state(
         {k: out[k] for k in ("time", "window_start", "counts")},

@@ -412,6 +412,24 @@ def test_far_apart_balls_cost_no_memory_for_the_gap():
     assert peak < 1_000_000
 
 
+def test_repr_writes_the_window_ends_and_the_pairs():
+    # a dense view over 10^7 boxes is 80 MB, and one near MAX_SPAN boxes
+    # could not be allocated at all
+    near = to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=0, profile=UNIT))
+    widest = to_euler(TodaState(Q=(1, 1), E=(MAX_SPAN - 2,), X0=0, profile=UNIT))
+    tracemalloc.start()
+    try:
+        texts = [repr(near), repr(widest)]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert texts[0] == "EulerState(t=0, window=[0, 10000001), occupied=[(0, 1), (10000000, 1)])"
+    assert texts[1] == (
+        f"EulerState(t=0, window=[0, {MAX_SPAN}), occupied=[(0, 1), ({MAX_SPAN - 1}, 1)])"
+    )
+    assert peak < 1_000_000
+
+
 def test_window_past_an_int64_array_raises_before_the_walk():
     # the second ball at box MAX_SPAN - 2 moves on to the window's last
     # possible box; one box further, the window would not fit an int64 array
