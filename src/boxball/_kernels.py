@@ -2,13 +2,15 @@
 
 Every carrier kernel is a left-to-right scan (each box depends on the
 carrier state left of it).  An empty box met by an empty carrier is an
-exact no-op of the carrier rules, so carrier_sweep reads only the occupied
+exact no-op of the carrier rules, so every sweep reads only the occupied
 boxes, given as (box, count) pairs, and the boxes a loaded carrier passes:
 its cost follows the balls and the carried span, not the window length.
 The skip is exact for valid input (0 <= counts <= caps, carrier capacity
->= 0).  ball_queue_sweep, the independent oracle, and free_flow_sweep, the
-M = +inf cross-check of carrier_sweep through nukdv_step, are literal walks
-over every box of a dense int64 window.
+>= 0).  carrier_sweep is the step itself.  ball_queue_sweep, the
+independent oracle, walks the balls one by one through a FIFO queue, and
+free_flow_sweep is the M = +inf cross-check of carrier_sweep through
+nukdv_step; both share no code with carrier_sweep and stop once their
+carrier is empty past the last ball.
 
 Carrier capacity enters as (m_val, m_capped); +inf is m_capped=False, never
 a sentinel integer.
@@ -16,7 +18,7 @@ a sentinel integer.
 
 from __future__ import annotations
 
-import numpy as np
+from collections import deque
 
 from .xint import FiniteOverflow
 
@@ -86,52 +88,59 @@ def _require_reach(profile, n, load, edge):
         )
 
 
-def ball_queue_sweep(counts, caps, m_val, m_capped, total):
-    """Literal ball-by-ball walk of the carrier rule, tracking each ball's
-    origin box in a FIFO ring buffer.
+def ball_queue_sweep(occupied, profile, m_val, m_capped):
+    """Literal ball-by-ball walk of the carrier rule, keeping each carried
+    ball's origin box in a FIFO queue.
 
-    Balls are deposited oldest-first into the space not occupied by the
-    box's own departing balls; excess over capacity is trimmed newest-first
-    and returned to its origin box afterwards.  The walk runs on Python
-    lists (numpy scalar access costs more than the walk itself).
+    Each box's balls join the queue one by one; excess over the carrier
+    capacity is trimmed newest-first and returned to its origin box after
+    the walk; the oldest balls then fill the space not taken by the box's
+    own departing balls.  The walk starts at the first ball, ends once the
+    queue is empty past the last ball, and stops at box `last ball + total
+    balls` at the latest.  Returns (new_occupied, leftover): ascending
+    (box, count) pairs, and the balls still queued when the walk stopped.
     """
-    counts = counts.tolist()
-    caps = caps.tolist()
-    w = len(counts)
-    out = [0] * w
-    removed = [0] * w
-    cap = total if total > 0 else 1
-    origin = [0] * cap
-    head = 0
-    size = 0
-    for n in range(w):
-        arriving = size
-        for _ in range(counts[n]):
-            origin[(head + size) % cap] = n
-            size += 1
-        if m_capped:
-            while size > m_val:
-                size -= 1
-                removed[origin[(head + size) % cap]] += 1
-        put = caps[n] - counts[n]
-        if put > arriving:
-            put = arriving
-        head = (head + put) % cap
-        size -= put
-        out[n] = put
-    return np.array([o + r for o, r in zip(out, removed)], np.int64), size
+    capacity = profile.capacity
+    ahead = list(reversed(occupied))  # the occupied boxes not reached yet
+    stop = sum(u for _, u in occupied) + (occupied[-1][0] if occupied else 0)
+    new = {}
+    queue = deque()
+    n = 0
+    while (queue or ahead) and n <= stop:
+        if not queue:  # an empty queue passes empty boxes unchanged
+            n = ahead[-1][0]
+        u = ahead.pop()[1] if ahead and ahead[-1][0] == n else 0
+        arriving = len(queue)
+        for _ in range(u):
+            queue.append(n)
+        while m_capped and len(queue) > m_val:
+            origin = queue.pop()
+            new[origin] = new.get(origin, 0) + 1
+        put = min(capacity(n) - u, arriving)
+        for _ in range(put):
+            queue.popleft()
+        if put:
+            new[n] = new.get(n, 0) + put
+        n += 1
+    return tuple(sorted(new.items())), len(queue)
 
 
-def free_flow_sweep(counts, caps):
-    """Carrier sweep without a capacity bound (no trimming, no recovery)."""
-    w = counts.shape[0]
-    new_counts = np.zeros(w, np.int64)
-    load = 0
-    for n in range(w):
-        put = caps[n] - counts[n]
-        if put > load:
-            put = load
-        new_counts[n] = put
-        load += counts[n] - put
-    return new_counts, load
-
+def free_flow_sweep(occupied, profile):
+    """Carrier sweep without a capacity bound (no trimming, no recovery),
+    over the boxes ball_queue_sweep walks.  Returns (new_occupied,
+    leftover load)."""
+    capacity = profile.capacity
+    ahead = list(reversed(occupied))  # the occupied boxes not reached yet
+    stop = sum(u for _, u in occupied) + (occupied[-1][0] if occupied else 0)
+    new = []
+    load = n = 0
+    while (load or ahead) and n <= stop:
+        if not load:  # an empty carrier passes empty boxes unchanged
+            n = ahead[-1][0]
+        u = ahead.pop()[1] if ahead and ahead[-1][0] == n else 0
+        put = min(capacity(n) - u, load)
+        if put:
+            new.append((n, put))
+        load += u - put
+        n += 1
+    return tuple(new), load

@@ -113,8 +113,11 @@ def cmd_simulate(args) -> int:
     euler, toda = _initial_states(cfg)
     if render == "ascii":
         # rows start at the initial state's first box, not at box 0, so a
-        # state far to the right draws no long run of leading dots
-        origin = (euler if euler is not None else to_euler(toda)).window_start
+        # state far to the right draws no long run of leading dots; t is
+        # padded to the width of the last t, so every row's cells line up
+        first = euler if euler is not None else to_euler(toda)
+        origin = first.window_start
+        width = max(3, len(str(first.time + steps)))
 
     divergence = None  # stderr line naming the first mismatch
     for step in range(steps):
@@ -154,7 +157,7 @@ def cmd_simulate(args) -> int:
                 _emit(dump_led_by("euler", text, record))
         elif render == "ascii":
             shown = euler if euler is not None else to_euler(toda)
-            line = f"t={t:>3} {render_counts(shown, origin)}"
+            line = f"t={t:>{width}} {render_counts(shown, origin)}"
             if verdict is not None:
                 line += f"  [{verdict}]"
             _emit(line)

@@ -6,8 +6,9 @@ holding on arrival; whenever its load would exceed the step's carrier
 capacity the excess is trimmed away, and after the sweep every trimmed ball
 is restored to the box it was taken from.
 
-A state holds only its occupied boxes, so a step, its trace and its checks
-cost O(occupied and carried boxes), however far apart the balls are.
+A state holds only its occupied boxes, so a step, its trace, its checks
+and its oracles cost O(occupied and carried boxes), however far apart the
+balls are.
 """
 
 from __future__ import annotations
@@ -29,10 +30,12 @@ Pairs = Tuple[Tuple[int, int], ...]
 
 
 class WindowOverflow(RuntimeError):
-    """Carrier still loaded at the right edge of an oracle's dense window.
+    """An oracle's carrier still loaded when its walk stops.
 
-    The oracles' window is pre-extended by the total ball count, which
-    provably absorbs the sweep, so this is an internal bug guard.
+    The oracles walk the occupied boxes until their carrier is empty past
+    the last ball, and stop at box `last ball + total balls` at the latest.
+    Each box past the last ball takes at least one carried ball, so the
+    carrier is provably empty by then; this is an internal bug guard.
     """
 
 
@@ -203,25 +206,6 @@ def euler_step(
     return _next_state(state, start, occupied), EulerStepTrace(limited, loads, removed)
 
 
-def _dense_window(state: EulerState) -> Tuple[int, np.ndarray, np.ndarray]:
-    """The oracles' own window as (start, counts, caps): from the first ball
-    past the last one by the total ball count, so the carrier provably
-    empties before the right edge."""
-    start = _start(state)
-    last = state.occupied[-1][0] + 1 if state.occupied else start
-    w = last - start + state.total_balls
-    c = np.zeros(w, dtype=np.int64)
-    for n, u in state.occupied:
-        c[n - start] = u
-    return start, c, state.profile.caps_array(start, w)
-
-
-def _from_dense(state: EulerState, start: int, new_counts: np.ndarray) -> EulerState:
-    nz = np.flatnonzero(new_counts).tolist()
-    occupied = tuple(zip([start + i for i in nz], new_counts[nz].tolist()))
-    return _next_state(state, start, occupied)
-
-
 def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerState:
     """Move every ball individually through a FIFO carrier.
 
@@ -229,13 +213,12 @@ def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerSt
     exactly on all valid inputs.
     """
     m_val, m_capped = _capacity_args(schedule.at(state.time + 1))
-    start, c, caps = _dense_window(state)
-    out, leftover = _kernels.ball_queue_sweep(
-        c, caps, m_val, m_capped, state.total_balls
+    occupied, leftover = _kernels.ball_queue_sweep(
+        state.occupied, state.profile, m_val, m_capped
     )
     if leftover != 0:
         raise WindowOverflow(f"{leftover} balls left in carrier, t={state.time}")
-    return _from_dense(state, start, out)
+    return _next_state(state, _start(state), occupied)
 
 
 def nukdv_step(state: EulerState) -> EulerState:
@@ -244,11 +227,10 @@ def nukdv_step(state: EulerState) -> EulerState:
 
     Coincides with euler_step under an infinite carrier capacity.
     """
-    start, c, caps = _dense_window(state)
-    out, leftover = _kernels.free_flow_sweep(c, caps)
+    occupied, leftover = _kernels.free_flow_sweep(state.occupied, state.profile)
     if leftover != 0:
         raise WindowOverflow(f"load {leftover} at right edge, t={state.time}")
-    return _from_dense(state, start, out)
+    return _next_state(state, _start(state), occupied)
 
 
 @dataclass(frozen=True)

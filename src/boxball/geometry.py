@@ -39,13 +39,10 @@ class CapacityProfile:
             raise ValueError("default_capacity must be in 1 .. 2**63 - 1")
         if any(not 1 <= c <= INT64_MAX for c in self.capacities):
             raise ValueError("every box capacity must be in 1 .. 2**63 - 1")
-        caps = np.array(self.capacities, dtype=np.int64)
-        caps.setflags(write=False)
         # s_n for n = window_start .. window_start + len(capacities)
         bounds = list(itertools.accumulate(
             self.capacities, initial=self.window_start * self.default_capacity
         ))
-        object.__setattr__(self, "_caps", caps)
         object.__setattr__(self, "_bounds", bounds)
 
     def capacity(self, n: int) -> int:
@@ -61,7 +58,7 @@ class CapacityProfile:
         lo = max(start, ws)
         hi = min(start + count, ws + len(self.capacities))
         if lo < hi:
-            out[lo - start : hi - start] = self._caps[lo - ws : hi - ws]
+            out[lo - start : hi - start] = self.capacities[lo - ws : hi - ws]
         return out
 
     def max_capacity(self, lo: int, hi: int) -> int:

@@ -49,6 +49,27 @@ def test_simulate_ascii(sim_config, capsys):
     assert out == ["t=  1 ..1.11"]
 
 
+def test_simulate_ascii_pads_t_to_the_last_time(tmp_path, capsys):
+    # a lone ball moves one box a step; t is padded to four digits, so the
+    # rows of t = 999 and t = 1000 start their cells at the same column
+    cfg = write_json(
+        tmp_path / "lone.json",
+        {
+            "representation": "euler",
+            "steps": 1001,
+            "render": "ascii",
+            "initial": {"euler": {"counts": [1]}},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 1001
+    assert rows[0] == "t=   1 .1"
+    assert rows[998] == "t= 999 " + "." * 999 + "1"
+    assert rows[999] == "t=1000 " + "." * 1000 + "1"
+    assert {row.rindex(" ") for row in rows} == {6}
+
+
 def test_simulate_json_records(sim_config, capsys):
     assert main(["simulate", "--config", sim_config, "--render", "json", "--steps", "2"]) == 0
     lines = capsys.readouterr().out.splitlines()

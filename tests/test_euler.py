@@ -3,7 +3,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from dense_views import lay, trace_arrays
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from boxball import (
@@ -185,6 +185,14 @@ def windows(draw):
 
 
 @given(windows())
+# the queue empties at box 1 and refills at box 5
+@example(([1] * 6, [1, 0, 0, 0, 0, 1], POS_INF))
+@example(([1] * 6, [1, 0, 0, 0, 0, 1], XInt(1)))
+# a ball trimmed at box 0, restored there, where the sweep put nothing
+@example(([2], [2], XInt(1)))
+@example(([3, 1], [3, 0], XInt(0)))
+@example(([1, 2], [0, 0], XInt(1)))  # all zero
+@example(([], [], POS_INF))  # empty
 def test_oracle_equivalence_property(case):
     caps, counts, m = case
     st_ = EulerState(counts=counts, profile=CapacityProfile(capacities=caps))
@@ -402,10 +410,13 @@ def test_far_apart_balls_cost_no_memory_for_the_gap():
         rep = umkdv_residual(state, nxt, tr, POS_INF)
         same = same_occupancy(nxt, to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=1, profile=UNIT)))
         runs = expand(nxt)
+        oracle = carrier_oracle_step(state, constant_schedule(1))
+        free = nukdv_step(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert nxt.occupied == ((1, 1), (10**7 + 1, 1))
+    assert oracle == nxt and free == nxt
     assert rep.ok and rep.boxes == 10**7 + 2
     assert same
     assert runs == ((1, 10**7 + 1), (2, 10**7 + 2))
