@@ -18,7 +18,6 @@ from .config import (
     RunConfig,
     SolutionSpec,
     dump,
-    dump_led_by,
     euler_state_json,
     euler_trace_json,
     parse_config,
@@ -139,22 +138,22 @@ def cmd_simulate(args) -> int:
                     f"toda (Q, E, X0) = ({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
                 )
         if render == "json":
-            # the profile and schedule do not change along a run, so only
-            # the first record carries them
+            # the keys in sorted order; the profile and schedule do not
+            # change along a run, so only the first record carries them
             first = step == 0
-            record = {"t": t}
+            fields = []
             if euler is not None:
-                record["trace"] = euler_trace_json(etrace)
-            if toda is not None:
-                record["toda"] = toda_state_json(toda, profile=first)
-                record["toda_trace"] = toda_trace_json(ttrace)
-            if verdict is not None:
-                record["verdict"] = verdict
-            if euler is None:
-                _emit(dump(record))
-            else:
                 text = euler_state_json(euler, cfg.schedule if first else None, profile=first)
-                _emit(dump_led_by("euler", text, record))
+                fields.append(f'"euler":{text}')
+            fields.append(f'"t":{t}')
+            if toda is not None:
+                fields.append(f'"toda":{toda_state_json(toda, profile=first)}')
+                fields.append(f'"toda_trace":{toda_trace_json(ttrace)}')
+            if euler is not None:
+                fields.append(f'"trace":{euler_trace_json(etrace)}')
+            if verdict is not None:
+                fields.append(f'"verdict":"{verdict}"')
+            _emit(f"{{{','.join(fields)}}}")
         elif render == "ascii":
             shown = euler if euler is not None else to_euler(toda)
             line = f"t={t:>{width}} {render_counts(shown, origin)}"

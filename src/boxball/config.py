@@ -3,6 +3,10 @@
 Unknown keys are rejected everywhere so a typo never silently changes a
 run.  Integers encode as JSON numbers; an unbounded carrier capacity
 encodes as the string "inf".
+
+The state and trace writers return record text, compact and key-sorted as
+`dump` writes it, built directly from the ints so that a simulate step
+builds no dict for json.dumps.
 """
 
 from __future__ import annotations
@@ -38,16 +42,14 @@ def dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def dump_led_by(key: str, text: str, rest: dict) -> str:
-    """dump({key: value, **rest}), where `text` is value already written
-    as compact JSON and `key` sorts before every key of `rest`."""
-    # Records are key-sorted.  An Euler object's counts and a simulate
-    # record's Euler object are written ahead of the rest, which json.dumps
-    # encodes, so their keys must sort first: "counts" before "profile",
-    # "schedule", "time" and "window_start", and "euler" before "t",
-    # "toda", "toda_trace", "trace" and "verdict".
-    assert rest and key < min(rest), (key, sorted(rest))
-    return f'{{"{key}":{text},{dump(rest)[1:]}'
+def _ints(values) -> str:
+    # the text dump(list(values)) writes for ints
+    return f"[{','.join(map(str, values))}]"
+
+
+def _pairs(pairs) -> str:
+    # the text dump(pairs) writes for (box, value) pairs of ints
+    return f"[{','.join([f'[{b},{v}]' for b, v in pairs])}]"
 
 
 def _int(obj, where: str) -> int:
@@ -144,21 +146,21 @@ def euler_state_json(
         parts.append(f"{'0,' * (n - box)}{u},")
         box = n + 1
     parts.append("0," * (state.window_end - box))
-    rest = {"time": state.time, "window_start": state.window_start}
+    text = f'{{"counts":[{"".join(parts)[:-1]}]'
     if profile:
-        rest["profile"] = profile_json(state.profile)
+        text += f',"profile":{dump(profile_json(state.profile))}'
     if schedule is not None:
-        rest["schedule"] = schedule_json(schedule)
-    return dump_led_by("counts", f"[{''.join(parts)[:-1]}]", rest)
+        text += f',"schedule":{dump(schedule_json(schedule))}'
+    return f'{text},"time":{state.time},"window_start":{state.window_start}}}'
 
 
-def euler_trace_json(trace: EulerStepTrace) -> dict:
+def euler_trace_json(trace: EulerStepTrace) -> str:
     """The trace's [box, value] pairs of its nonzero entries, as they are."""
-    return {
-        "limited_counts": trace.limited_counts,
-        "carrier_loads": trace.carrier_loads,
-        "removed": trace.removed,
-    }
+    return (
+        f'{{"carrier_loads":{_pairs(trace.carrier_loads)},'
+        f'"limited_counts":{_pairs(trace.limited_counts)},'
+        f'"removed":{_pairs(trace.removed)}}}'
+    )
 
 
 def parse_toda_state(obj, profile: CapacityProfile, where: str = "initial.toda") -> TodaState:
@@ -179,29 +181,20 @@ def parse_toda_state(obj, profile: CapacityProfile, where: str = "initial.toda")
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def toda_state_json(state: TodaState, profile: bool = True) -> dict:
-    out = {
-        "time": state.time,
-        "N": state.N,
-        "Q": list(state.Q),
-        "E": list(state.E),
-        "X0": state.X0,
-    }
+def toda_state_json(state: TodaState, profile: bool = True) -> str:
+    """The state as record text, with the profile when `profile`."""
+    text = f'{{"E":{_ints(state.E)},"N":{state.N},"Q":{_ints(state.Q)},"X0":{state.X0}'
     if profile:
-        out["profile"] = profile_json(state.profile)
-    return out
+        text += f',"profile":{dump(profile_json(state.profile))}'
+    return f'{text},"time":{state.time}}}'
 
 
-def toda_trace_json(trace: TodaStepTrace) -> dict:
-    return {
-        "Qbar": list(trace.Qbar),
-        "Ebar": list(trace.Ebar),
-        "Cbar": list(trace.Cbar),
-        "Dbar": list(trace.Dbar),
-        "Xbar0": trace.Xbar0,
-        "K": list(trace.K),
-        "Lam": list(trace.Lam),
-    }
+def toda_trace_json(trace: TodaStepTrace) -> str:
+    return (
+        f'{{"Cbar":{_ints(trace.Cbar)},"Dbar":{_ints(trace.Dbar)},'
+        f'"Ebar":{_ints(trace.Ebar)},"K":{_ints(trace.K)},"Lam":{_ints(trace.Lam)},'
+        f'"Qbar":{_ints(trace.Qbar)},"Xbar0":{trace.Xbar0}}}'
+    )
 
 
 SolutionParams = Union[EulerSolitonParams, TauParams]

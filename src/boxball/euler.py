@@ -56,10 +56,14 @@ class EulerState:
     window_end: int
 
     def __init__(self, counts, profile: CapacityProfile, time: int = 0, window_start: int = 0):
-        """From counts dense from box window_start."""
-        c = np.asarray(counts, dtype=np.int64)
-        if c.ndim != 1:
+        """From counts dense from box window_start, Python or numpy integers."""
+        raw = np.asarray(counts)
+        if raw.ndim != 1:
             raise ValueError("counts must be one-dimensional")
+        # an int64 cast would truncate floats and parse strings
+        if raw.size and raw.dtype.kind not in "iu":
+            raise ValueError(f"counts must be int64 integers, got {raw.dtype.name} entries")
+        c = raw.astype(np.int64, copy=False)
         if window_start < 0:
             raise ValueError("window_start must be >= 0")
         nz = np.flatnonzero(c).tolist()

@@ -13,12 +13,15 @@ every step, since the positions move.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence, Tuple
 
 from .euler import EulerState, _capacity_args
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
+from .xint import INT64_MAX, FiniteOverflow
 
 
 class EmptySequence(ValueError):
@@ -39,6 +42,16 @@ class InconsistentPositions(ValueError):
     """Start positions that do not interleave as runs and gaps of size >= 1."""
 
 
+def _as_int(value, what: str) -> int:
+    """The value as a Python int; raises ValueError unless it is a Python
+    or numpy integer (a bool is not)."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class TodaState:
     """Soliton sizes Q (N >= 1), interior gaps E (N-1 entries), and the
@@ -51,8 +64,10 @@ class TodaState:
     time: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", tuple(int(q) for q in self.Q))
-        object.__setattr__(self, "E", tuple(int(e) for e in self.E))
+        object.__setattr__(self, "Q", tuple(_as_int(q, "every Q_n") for q in self.Q))
+        object.__setattr__(self, "E", tuple(_as_int(e, "every E_n") for e in self.E))
+        object.__setattr__(self, "X0", _as_int(self.X0, "X0"))
+        object.__setattr__(self, "time", _as_int(self.time, "time"))
         if len(self.Q) < 1:
             raise ValueError("need at least one soliton")
         if len(self.E) != len(self.Q) - 1:
@@ -61,6 +76,17 @@ class TodaState:
             raise ValueError("sizes and gaps must be >= 1")
         if self.X0 < 0:
             raise ValueError("X0 must be >= 0")
+
+    @classmethod
+    def _trusted(
+        cls, Q: Tuple[int, ...], E: Tuple[int, ...], X0: int, profile: CapacityProfile,
+        time: int,
+    ) -> "TodaState":
+        # for step outputs, whose invariants hold by construction: Python
+        # ints, Q and E >= 1, one gap fewer than sizes, X0 >= 0
+        st = object.__new__(cls)
+        st.__dict__.update(Q=Q, E=E, X0=X0, profile=profile, time=time)
+        return st
 
     @property
     def N(self) -> int:
@@ -240,20 +266,22 @@ def enutoda_step(
 
     q, e = state.Q, state.E
     n_runs = state.N
-
-    def cap(x: int) -> int:
-        return min(x, m_val) if m_capped else x
+    limit = m_val if m_capped else math.inf  # every int compares below inf
 
     cbar = [k[0]]
     dbar = []
     qbar = []
     for n in range(n_runs):
-        d = cap(cbar[n] + q[n] - k[n])
+        d = cbar[n] + q[n] - k[n]
+        if d > limit:
+            d = m_val
         dbar.append(d)
         qb = d if n == n_runs - 1 else min(e[n] - max(0, lam[n] - d), d)
         qbar.append(qb)
-        k_next = k[n + 1] if n + 1 < n_runs else k_boundary
-        cbar.append(cap(d - qb + k_next))
+        c = d - qb + (k[n + 1] if n + 1 < n_runs else k_boundary)
+        if c > limit:
+            c = m_val
+        cbar.append(c)
 
     ebar = [
         e[i]
@@ -285,9 +313,8 @@ def enutoda_step(
     if any(v < 1 for v in qp) or any(v < 1 for v in ep):
         raise DegenerateState(f"step produced Q'={qp}, E'={ep}")
 
-    new_state = TodaState(
-        Q=tuple(qp), E=tuple(ep), X0=xp0, profile=state.profile, time=state.time + 1
-    )
+    # Q', E' >= 1 as just checked, and X0' >= X0 >= 0
+    new_state = TodaState._trusted(tuple(qp), tuple(ep), xp0, state.profile, state.time + 1)
     trace = TodaStepTrace(
         Qbar=tuple(qbar),
         Ebar=tuple(ebar),
@@ -366,15 +393,25 @@ def to_euler(state: TodaState) -> EulerState:
     counts: list = []
     for a, b in zip(x, y):
         n = profile.segment_to_box(a)
-        while a < b:
-            end = min(profile.boundary(n + 1), b)
+        end = profile.boundary(n + 1)
+        while True:
+            stop = min(end, b)
             if boxes and boxes[-1] == n:  # two runs share box n
-                counts[-1] += end - a
+                counts[-1] += stop - a
             else:
                 boxes.append(n)
-                counts.append(end - a)
+                counts.append(stop - a)
+            if stop == b:
+                break
+            # the next box's end, s_{n+2} = s_{n+1} + capacity(n + 1), with
+            # the range check boundary(n + 2) would make
             a = end
             n += 1
+            end += profile.capacity(n)
+            if end > INT64_MAX:
+                raise FiniteOverflow(
+                    f"segment boundary s_{n + 1} = {end} is past the int64 range"
+                )
     return EulerState._trusted(
         tuple(zip(boxes, counts)), profile, state.time, boxes[0], boxes[-1] + 1
     )

@@ -479,6 +479,23 @@ def test_state_validation():
         EulerState(counts=[1], profile=UNIT, window_start=-2)
 
 
+@pytest.mark.parametrize("counts", [[1.5], [1.0], ["1"], [True], [0, 1, 0.5], np.array([1.0])])
+def test_non_integral_counts_raise(counts):
+    # an int64 cast would hold [1.5] as 1 ball and parse "1"
+    with pytest.raises(ValueError, match="counts must be int64 integers"):
+        EulerState(counts=counts, profile=CapacityProfile(default_capacity=2))
+
+
+def test_integer_counts_of_any_integer_type_are_accepted():
+    p = CapacityProfile(default_capacity=3)
+    for counts in ([0, 2, 1], [np.int32(0), np.int64(2), 1], np.array([0, 2, 1], dtype=np.uint8)):
+        st = EulerState(counts=counts, profile=p)
+        assert st.occupied == ((1, 2), (2, 1))
+        assert all(type(v) is int for pair in st.occupied for v in pair)
+    for empty in ([], (), np.array([], dtype=np.float64)):
+        assert EulerState(counts=empty, profile=p).occupied == ()
+
+
 def test_ball_total_past_int64_raises():
     # every count fits, but their int64 sum wraps negative
     big = CapacityProfile(capacities=(2**62, 2**62))

@@ -50,6 +50,17 @@ def test_boundaries_past_int64_raise():
         expand(EulerState(counts=[1, 1, 0, 1], profile=p))
 
 
+def test_to_euler_checks_the_end_of_every_box_a_run_visits():
+    # the run starts in box 2, which ends at s_3 = 3 * 2^61, inside int64;
+    # it goes on into box 3, whose end s_4 = 2^63 is past it
+    p = CapacityProfile(default_capacity=2**61)
+    with pytest.raises(FiniteOverflow, match="s_4"):
+        to_euler(TodaState(Q=(2**61 + 1,), E=(), X0=3 * 2**61 - 1, profile=p))
+    # a run that ends with box 2 is fine
+    st = to_euler(TodaState(Q=(1,), E=(), X0=3 * 2**61 - 1, profile=p))
+    assert st.occupied == ((2, 1),)
+
+
 def test_schedule_lookup_and_validation():
     s = CarrierSchedule(entries={1: 6, 3: XInt(2)}, default=POS_INF)
     assert s.at(1) == XInt(6)

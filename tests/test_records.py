@@ -1,26 +1,60 @@
-"""The record writers against the dense writers they replaced.
+"""The record writers against the writers they replaced.
 
 `euler_state_json` and `render_counts` write from the occupied boxes; the
 references below read the dense `counts` view box by box, as the writers
-did before, and every output must match them byte for byte.
+did before, and every output must match them byte for byte.  The state and
+trace writers, and `simulate`'s whole JSON records, write text directly;
+the references build the dicts the writers used to build and pass them
+through `json.dumps`.
 """
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from boxball import POS_INF, CapacityProfile, CarrierSchedule, EulerState, XInt
-from boxball.cli import main
-from boxball.config import euler_state_json, profile_json, schedule_json
+from boxball import (
+    POS_INF,
+    CapacityProfile,
+    CapacityViolation,
+    CarrierSchedule,
+    DegenerateState,
+    EulerState,
+    FiniteOverflow,
+    TodaState,
+    XInt,
+    enutoda_step,
+    euler_step,
+    same_occupancy,
+    to_euler,
+)
+from boxball.cli import _initial_states, main
+from boxball.config import (
+    euler_state_json,
+    euler_trace_json,
+    parse_config,
+    profile_json,
+    schedule_json,
+    toda_state_json,
+    toda_trace_json,
+)
+from boxball.euler import EulerStepTrace
 from boxball.render import render_counts
+from boxball.toda import TodaStepTrace
 
 SHOWCASE = Path(__file__).resolve().parents[1] / "configs" / "showcase.json"
 
 
-def reference_euler_state_json(state, schedule=None, profile=True):
+def reference_dump(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+
+
+def reference_euler_state(state, schedule=None, profile=True):
     out = {
         "time": state.time,
         "window_start": state.window_start,
@@ -30,7 +64,78 @@ def reference_euler_state_json(state, schedule=None, profile=True):
         out["profile"] = profile_json(state.profile)
     if schedule is not None:
         out["schedule"] = schedule_json(schedule)
-    return json.dumps(out, sort_keys=True, separators=(",", ":"))
+    return out
+
+
+def reference_euler_state_json(state, schedule=None, profile=True):
+    return reference_dump(reference_euler_state(state, schedule, profile))
+
+
+def reference_euler_trace(trace):
+    return {
+        "limited_counts": trace.limited_counts,
+        "carrier_loads": trace.carrier_loads,
+        "removed": trace.removed,
+    }
+
+
+def reference_toda_state(state, profile=True):
+    out = {
+        "time": state.time,
+        "N": state.N,
+        "Q": list(state.Q),
+        "E": list(state.E),
+        "X0": state.X0,
+    }
+    if profile:
+        out["profile"] = profile_json(state.profile)
+    return out
+
+
+def reference_toda_trace(trace):
+    return {
+        "Qbar": list(trace.Qbar),
+        "Ebar": list(trace.Ebar),
+        "Cbar": list(trace.Cbar),
+        "Dbar": list(trace.Dbar),
+        "Xbar0": trace.Xbar0,
+        "K": list(trace.K),
+        "Lam": list(trace.Lam),
+    }
+
+
+def reference_records(cfg, steps):
+    """simulate's JSON lines, built as dicts the way cmd_simulate built them,
+    up to the step that raises."""
+    euler, toda = _initial_states(cfg)
+    lines = []
+    for step in range(steps):
+        try:
+            if euler is not None:
+                euler, etrace = euler_step(euler, cfg.schedule)
+                t = euler.time
+            if toda is not None:
+                toda, ttrace = enutoda_step(toda, cfg.schedule)
+                t = toda.time
+            verdict = None
+            if euler is not None and toda is not None:
+                verdict = "equal" if same_occupancy(euler, to_euler(toda)) else "mismatch"
+        except (CapacityViolation, DegenerateState, FiniteOverflow):
+            break
+        first = step == 0
+        record = {"t": t}
+        if euler is not None:
+            record["euler"] = reference_euler_state(
+                euler, cfg.schedule if first else None, profile=first
+            )
+            record["trace"] = reference_euler_trace(etrace)
+        if toda is not None:
+            record["toda"] = reference_toda_state(toda, profile=first)
+            record["toda_trace"] = reference_toda_trace(ttrace)
+        if verdict is not None:
+            record["verdict"] = verdict
+        lines.append(reference_dump(record))
+    return lines
 
 
 def reference_render_counts(state, origin=0):
@@ -113,3 +218,127 @@ def test_simulate_output_never_builds_the_dense_counts(monkeypatch, capsys, rend
     argv = ["simulate", "--config", str(SHOWCASE), "--steps", "50", "--render", render]
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 50
+
+
+ints = st.one_of(st.integers(0, 12), st.integers(-(2**63), 2**63 - 1))
+pairs = st.lists(st.tuples(st.integers(0, 2**62), ints), max_size=5).map(tuple)
+
+
+@given(pairs, pairs, pairs)
+@example((), (), ())
+@example(((3, 2**62),), ((2, 1), (3, 2**62 - 1)), ())  # nothing removed
+def test_euler_trace_json_matches_the_dict_writer(limited, loads, removed):
+    trace = EulerStepTrace(limited, loads, removed)
+    assert euler_trace_json(trace) == reference_dump(reference_euler_trace(trace))
+
+
+profiles = st.builds(
+    CapacityProfile,
+    capacities=st.lists(st.integers(1, 2**62), max_size=4).map(tuple),
+    window_start=st.integers(0, 5),
+    default_capacity=st.integers(1, 2**62),
+)
+
+
+@st.composite
+def toda_states(draw):
+    q = draw(st.lists(st.integers(1, 2**62), min_size=1, max_size=5))
+    e = draw(st.lists(st.integers(1, 2**62), min_size=len(q) - 1, max_size=len(q) - 1))
+    return TodaState(
+        Q=tuple(q), E=tuple(e), X0=draw(st.integers(0, 2**63 - 1)), profile=draw(profiles),
+        time=draw(st.integers(0, 10**6)),
+    )
+
+
+@given(toda_states(), st.booleans())
+@example(TodaState(Q=(3,), E=(), X0=0, profile=CapacityProfile()), True)  # empty E
+@example(TodaState(Q=(1, 2), E=(4,), X0=2**62 - 3, profile=CapacityProfile()), False)
+def test_toda_state_json_matches_the_dict_writer(state, profile):
+    assert toda_state_json(state, profile) == reference_dump(reference_toda_state(state, profile))
+
+
+@given(
+    st.lists(ints, max_size=5),
+    st.lists(ints, max_size=5),
+    st.lists(ints, max_size=5),
+    st.lists(ints, max_size=5),
+    ints,
+    st.lists(ints, max_size=5),
+    st.lists(ints, max_size=5),
+)
+@example([1], [], [2, 0], [1], 2**62, [1], [1])  # one soliton: no interior gaps
+def test_toda_trace_json_matches_the_dict_writer(qbar, ebar, cbar, dbar, xbar0, k, lam):
+    trace = TodaStepTrace(
+        Qbar=tuple(qbar), Ebar=tuple(ebar), Cbar=tuple(cbar), Dbar=tuple(dbar), Xbar0=xbar0,
+        K=tuple(k), Lam=tuple(lam),
+    )
+    assert toda_trace_json(trace) == reference_dump(reference_toda_trace(trace))
+
+
+def schedule_config(draw):
+    m = st.one_of(st.just("inf"), st.integers(4, 7))
+    return {
+        "entries": draw(st.dictionaries(st.integers(0, 12).map(str), m, max_size=3)),
+        "default": draw(m),
+    }
+
+
+@st.composite
+def run_configs(draw):
+    """Small simulate configs: capacities up to 4 and carrier capacities of
+    4 or more, so the size-coordinate route takes every state."""
+    profile = {
+        "window_start": draw(st.integers(0, 3)),
+        "capacities": draw(st.lists(st.integers(1, 4), max_size=8)),
+        "default": draw(st.integers(1, 3)),
+    }
+    caps = CapacityProfile(
+        capacities=profile["capacities"], window_start=profile["window_start"],
+        default_capacity=profile["default"],
+    )
+    if draw(st.booleans()):
+        counts = [draw(st.integers(0, caps.capacity(n))) for n in range(draw(st.integers(1, 10)))]
+        if not any(counts):
+            counts[-1] = 1
+        initial = {"euler": {"counts": counts, "time": draw(st.integers(0, 5))}}
+    else:
+        q = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        e = draw(st.lists(st.integers(1, 4), min_size=len(q) - 1, max_size=len(q) - 1))
+        initial = {"toda": {"Q": q, "E": e, "X0": draw(st.integers(0, 6))}}
+    return {
+        "representation": draw(st.sampled_from(["euler", "toda", "both"])),
+        "steps": draw(st.integers(1, 6)),
+        "render": "json",
+        "profile": profile,
+        "schedule": schedule_config(draw),
+        "initial": initial,
+    }
+
+
+def config(representation, initial, steps=4, profile=None, schedule=None):
+    return {
+        "representation": representation, "steps": steps, "render": "json",
+        "profile": profile or {}, "schedule": schedule or {}, "initial": initial,
+    }
+
+
+PAIR = {"toda": {"Q": [2, 1], "E": [3], "X0": 1}}
+
+
+@given(run_configs())
+@example(config("euler", PAIR, schedule={"entries": {"2": 1}}))
+@example(config("toda", PAIR))
+@example(config("both", PAIR, schedule={"entries": {"1": 2}, "default": 3}))
+@example(config("both", {"toda": {"Q": [3], "E": [], "X0": 0}}))  # empty E
+@example(config("euler", {"euler": {"counts": [2**62, 0, 2**62 - 1]}}, 3,  # no ball removed
+                profile={"default": 2**62}))
+@example(config("both", {"toda": {"Q": [2, 1], "E": [3], "X0": 2**62 - 9}}))
+def test_simulate_records_match_the_dict_writer(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(cfg))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            main(["simulate", "--config", str(path)])
+        expected = reference_records(parse_config(str(path)), cfg["steps"])
+    assert out.getvalue().splitlines() == expected

@@ -3,11 +3,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from boxball import (
     CapacityProfile,
     CapacityViolation,
     DegenerateState,
+    EulerState,
+    FiniteOverflow,
     InconsistentPositions,
     TodaState,
     capacities_for_state,
@@ -248,3 +252,114 @@ def test_toda_state_validation():
         TodaState(Q=(1,), E=(), X0=-1, profile=UNIT)
     with pytest.raises(ValueError):
         TodaState(Q=(1, 1), E=(), X0=0, profile=UNIT)
+
+
+@pytest.mark.parametrize(
+    "fields, what",
+    [
+        ({"Q": (1.5, 2), "E": (1,)}, "Q_n"),  # int() would make it Q = (1, 2)
+        ({"Q": (1, 2), "E": (1.0,)}, "E_n"),
+        ({"Q": ("1",), "E": ()}, "Q_n"),
+        ({"Q": (True,), "E": ()}, "Q_n"),
+        ({"Q": (1,), "E": (), "X0": 0.5}, "X0"),  # kept as a float anchor
+        ({"Q": (1,), "E": (), "time": 1.5}, "time"),
+    ],
+)
+def test_non_integral_toda_state_raises(fields, what):
+    with pytest.raises(ValueError, match=f"{what} must be an integer"):
+        TodaState(**{"X0": 0, "profile": UNIT, **fields})
+
+
+def test_numpy_integers_become_python_ints():
+    st = TodaState(
+        Q=(np.int64(2), np.int32(1)), E=(np.uint8(3),), X0=np.int64(4), profile=UNIT,
+        time=np.int16(5),
+    )
+    assert st == TodaState(Q=(2, 1), E=(3,), X0=4, profile=UNIT, time=5)
+    assert all(type(v) is int for v in (*st.Q, *st.E, st.X0, st.time))
+
+
+def test_enutoda_outputs_equal_validated_states():
+    # the step builds its output past the validating constructor; on a
+    # criterion-3 slice that output is what the constructor would build
+    bounds = DiffBounds(window=32, max_delta=5, steps=20)
+    steps = 0
+    for i in range(200):
+        rng = np.random.default_rng([17, i])
+        st, sched = random_case(rng, bounds)
+        ts = from_euler(st)
+        for _ in range(bounds.steps):
+            try:
+                nxt, _ = enutoda_step(ts, sched)
+            except DegenerateState:
+                break
+            checked = TodaState(
+                Q=nxt.Q, E=nxt.E, X0=nxt.X0, profile=nxt.profile, time=nxt.time
+            )
+            assert nxt == checked and hash(nxt) == hash(checked)
+            assert all(type(v) is int for v in (*nxt.Q, *nxt.E, nxt.X0, nxt.time))
+            assert type(nxt.Q) is tuple and type(nxt.E) is tuple
+            ts = nxt
+            steps += 1
+    assert steps > 2000
+
+
+def reference_to_euler(state):
+    """The walk to_euler made before it added capacities: one checked
+    boundary(n + 1) call per box."""
+    profile = state.profile
+    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+    boxes, counts = [], []
+    for a, b in zip(x, y):
+        n = profile.segment_to_box(a)
+        while a < b:
+            end = min(profile.boundary(n + 1), b)
+            if boxes and boxes[-1] == n:
+                counts[-1] += end - a
+            else:
+                boxes.append(n)
+                counts.append(end - a)
+            a = end
+            n += 1
+    return EulerState._trusted(
+        tuple(zip(boxes, counts)), profile, state.time, boxes[0], boxes[-1] + 1
+    )
+
+
+def outcome(fn, state):
+    try:
+        st = fn(state)
+    except FiniteOverflow as exc:
+        return str(exc)
+    return st.occupied, st.window_start, st.window_end
+
+
+@st.composite
+def far_states(draw):
+    """States whose runs cross a few boxes each, with segments up to and
+    past the int64 range: sizes and gaps are a few default capacities d."""
+    d = draw(st.sampled_from([1, 2, 2**60, 2**61, 2**62]))
+    caps = draw(st.lists(st.sampled_from([1, 3, d]), max_size=4))
+    profile = CapacityProfile(
+        capacities=caps, window_start=draw(st.integers(0, 3)), default_capacity=d
+    )
+    size = st.builds(lambda k, r: k * d + r, st.integers(0, 4), st.integers(1, 3))
+    q = draw(st.lists(size, min_size=1, max_size=3))
+    e = draw(st.lists(size, min_size=len(q) - 1, max_size=len(q) - 1))
+    return TodaState(Q=tuple(q), E=tuple(e), X0=draw(st.integers(0, 2**63 - 1)), profile=profile)
+
+
+@given(far_states())
+@example(  # the end check falls on a later box of the run
+    TodaState(
+        Q=(2**61 + 1,), E=(), X0=3 * 2**61 - 1, profile=CapacityProfile(default_capacity=2**61)
+    )
+)
+@example(
+    TodaState(
+        Q=(3, 2**62), E=(2,), X0=0,
+        profile=CapacityProfile(capacities=(2**62,), window_start=1, default_capacity=2),
+    )
+)
+def test_to_euler_matches_the_per_box_boundary_walk(state):
+    assert outcome(to_euler, state) == outcome(reference_to_euler, state)
