@@ -16,7 +16,6 @@ from typing import Optional, Tuple
 from .config import (
     ConfigError,
     RunConfig,
-    SolutionSpec,
     dump,
     euler_state_json,
     euler_trace_json,
@@ -27,18 +26,9 @@ from .config import (
 )
 from .difftest import DiffBounds, run_difftest
 from .euler import EulerState, euler_step, first_difference, same_occupancy
-from .geometry import CapacityProfile, _require_capacity
+from .geometry import _require_capacity
 from .render import render_counts
-from .solutions import (
-    EulerSolitonParams,
-    TauParams,
-    euler_nsoliton,
-    euler_slices,
-    tau_states,
-    tau_toda_state,
-    verify_euler_solution,
-    verify_tau_solution,
-)
+from .solutions import euler_slices, tau_states, verify_euler_solution, verify_tau_solution
 from .toda import CapacityViolation, DegenerateState, TodaState, enutoda_step, from_euler, to_euler
 from .xint import FiniteOverflow, XInt, decode_xint
 
@@ -51,49 +41,11 @@ def _diag(line: str) -> None:
     sys.stderr.write(line + "\n")
 
 
-def _euler_initial_from_solution(spec: SolutionSpec) -> EulerState:
-    params = spec.params
-    assert isinstance(params, EulerSolitonParams)
-    if spec.n_range is None:
-        raise ConfigError("a counts-level solution initial needs params.n_range")
-    lo, hi = spec.n_range
-    if lo < 0:
-        raise ConfigError("n_range must start at box 0 or later for a simulation")
-    sl = euler_nsoliton(params, lo, hi, 0)
-    counts = sl.U
-    if counts.min() < 0:
-        raise ConfigError("solution slice has negative counts; check parameters")
-    if len(counts) >= 2 and (counts[0] != 0 or counts[-1] != 0):
-        raise ConfigError("solution support touches the n_range edge; widen n_range")
-    return EulerState(counts=counts, profile=params.profile, time=0, window_start=lo)
-
-
-def _toda_initial_from_solution(spec: SolutionSpec) -> TodaState:
-    params = spec.params
-    assert isinstance(params, TauParams)
-    ts = tau_toda_state(params, 0)
-    try:
-        return TodaState(
-            Q=ts.Q,
-            E=ts.E,
-            X0=spec.x0,
-            profile=CapacityProfile(default_capacity=params.Delta),
-            time=0,
-        )
-    except ValueError as exc:  # e.g. a speed P_i = 0 gives a size Q_n = 0
-        raise ConfigError(f"solution at t=0 is not a valid size-coordinate state: {exc}") from exc
-
-
 def _initial_states(cfg: RunConfig) -> Tuple[Optional[EulerState], Optional[TodaState]]:
-    """Build the state(s) the requested representation needs, deriving the
-    missing picture from the given one at t=0."""
-    euler = cfg.initial_euler
-    toda = cfg.initial_toda
-    if cfg.initial_solution is not None:
-        if cfg.initial_solution.kind == "euler":
-            euler = _euler_initial_from_solution(cfg.initial_solution)
-        else:
-            toda = _toda_initial_from_solution(cfg.initial_solution)
+    """The state(s) the requested representation needs, deriving the
+    missing picture from the initial one."""
+    euler = cfg.initial if isinstance(cfg.initial, EulerState) else None
+    toda = cfg.initial if isinstance(cfg.initial, TodaState) else None
     need_euler = cfg.representation in ("euler", "both")
     need_toda = cfg.representation in ("toda", "both")
     if need_euler and euler is None:
@@ -105,9 +57,9 @@ def _initial_states(cfg: RunConfig) -> Tuple[Optional[EulerState], Optional[Toda
 
 def cmd_simulate(args) -> int:
     cfg = parse_config(args.config)
+    if args.steps is not None and args.steps < 1:
+        raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     steps = args.steps if args.steps is not None else cfg.steps
-    if steps < 1:
-        raise ConfigError("steps must be >= 1")
     render = args.render if args.render is not None else cfg.render
     euler, toda = _initial_states(cfg)
     if render == "ascii":

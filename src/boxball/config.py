@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 
 from .euler import EulerState, EulerStepTrace
 from .geometry import CapacityProfile, CarrierSchedule, _require_capacity
-from .solutions import EulerSolitonParams, TauParams
+from .solutions import EulerSolitonParams, TauParams, euler_nsoliton, tau_toda_state
 from .toda import TodaState, TodaStepTrace
 from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, XInt, decode_xint, encode_xint
 
@@ -249,15 +249,39 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
     raise ConfigError(f"solution type must be \"euler\" or \"tau\", got {kind!r}")
 
 
+def _solution_initial(spec: SolutionSpec, where: str) -> Union[EulerState, TodaState]:
+    """The solution at t=0 as a state to evolve: the counts over n_range for
+    the euler kind, the sizes and gaps anchored at X0 for the tau kind."""
+    params = spec.params
+    if spec.kind == "tau":
+        ts = tau_toda_state(params, 0)
+        profile = CapacityProfile(default_capacity=params.Delta)
+        try:
+            return TodaState(Q=ts.Q, E=ts.E, X0=spec.x0, profile=profile)
+        except ValueError as exc:  # e.g. a speed P_i = 0 gives a size Q_n = 0
+            raise ConfigError(f"{where}: the state at t=0 is not valid: {exc}") from exc
+    if spec.n_range is None:
+        raise ConfigError(f"{where}: a counts-level solution initial needs n_range")
+    lo, hi = spec.n_range
+    if lo < 0:  # before the slice is evaluated, whose arrays span n_range
+        raise ConfigError(f"{where}.n_range must start at box 0 or later, got {lo}")
+    counts = euler_nsoliton(params, lo, hi, 0).U
+    try:  # a count below 0 or above its box's capacity
+        state = EulerState(counts=counts, profile=params.profile, window_start=lo)
+    except ValueError as exc:
+        raise ConfigError(f"{where}.n_range: the state at t=0 is not valid: {exc}") from exc
+    if len(counts) >= 2 and (counts[0] != 0 or counts[-1] != 0):
+        raise ConfigError(f"{where}.n_range: the state at t=0 has a ball at an end; widen it")
+    return state
+
+
 @dataclass(frozen=True)
 class RunConfig:
     representation: str  # euler | toda | both
     steps: int
     render: str  # ascii | json | none
     schedule: CarrierSchedule
-    initial_euler: Optional[EulerState] = None
-    initial_toda: Optional[TodaState] = None
-    initial_solution: Optional[SolutionSpec] = None
+    initial: Union[EulerState, TodaState]
 
 
 _TOP_KEYS = {
@@ -291,40 +315,22 @@ def parse_config_dict(data: dict) -> RunConfig:
     if given[0] == "solution":
         sol_obj = initial["solution"]
         _check_keys(sol_obj, "initial.solution", {"type", "params"}, {"type", "params"})
-        spec = parse_solution_params(
-            sol_obj["params"], sol_obj["type"], "initial.solution.params"
-        )
+        where = "initial.solution.params"
+        spec = parse_solution_params(sol_obj["params"], sol_obj["type"], where)
         if "profile" in data or "schedule" in data:
             raise ConfigError(
                 "with a solution initial, profile and schedule come from the "
                 "solution params; remove the top-level keys"
             )
-        return RunConfig(
-            representation=rep,
-            steps=steps,
-            render=render,
-            schedule=spec.params.schedule,
-            initial_solution=spec,
-        )
-
-    profile = parse_profile(data.get("profile", {}))
-    schedule = parse_schedule(data.get("schedule", {}))
-    if given[0] == "euler":
-        state = parse_euler_state(initial["euler"], profile)
-        return RunConfig(
-            representation=rep,
-            steps=steps,
-            render=render,
-            schedule=schedule,
-            initial_euler=state,
-        )
-    tstate = parse_toda_state(initial["toda"], profile)
+        schedule = spec.params.schedule
+        state = _solution_initial(spec, where)
+    else:
+        profile = parse_profile(data.get("profile", {}))
+        schedule = parse_schedule(data.get("schedule", {}))
+        parse_state = parse_euler_state if given[0] == "euler" else parse_toda_state
+        state = parse_state(initial[given[0]], profile)
     return RunConfig(
-        representation=rep,
-        steps=steps,
-        render=render,
-        schedule=schedule,
-        initial_toda=tstate,
+        representation=rep, steps=steps, render=render, schedule=schedule, initial=state
     )
 
 

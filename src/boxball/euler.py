@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import INT64_MAX, FiniteOverflow, XInt, as_xint
+from .xint import INT64_MAX, FiniteOverflow, XInt, as_int, as_xint
 
 # The most boxes a window may span: the longest int64 array numpy can
 # allocate, whose byte size must fit a signed 64-bit integer.
@@ -64,6 +64,8 @@ class EulerState:
         if raw.size and raw.dtype.kind not in "iu":
             raise ValueError(f"counts must be int64 integers, got {raw.dtype.name} entries")
         c = raw.astype(np.int64, copy=False)
+        time = as_int(time, "time")
+        window_start = as_int(window_start, "window_start")
         if window_start < 0:
             raise ValueError("window_start must be >= 0")
         nz = np.flatnonzero(c).tolist()

@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike, as_xint
+from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike, as_int, as_xint
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,13 @@ class CapacityProfile:
     default_capacity: int = 1
 
     def __post_init__(self):
-        object.__setattr__(self, "capacities", tuple(int(c) for c in self.capacities))
+        object.__setattr__(
+            self, "capacities", tuple(as_int(c, "every capacities entry") for c in self.capacities)
+        )
+        object.__setattr__(self, "window_start", as_int(self.window_start, "window_start"))
+        object.__setattr__(
+            self, "default_capacity", as_int(self.default_capacity, "default_capacity")
+        )
         if self.window_start < 0:
             raise ValueError("window_start must be >= 0")
         if not 1 <= self.default_capacity <= INT64_MAX:
@@ -131,7 +137,7 @@ class CarrierSchedule:
         raw = self.entries
         if isinstance(raw, Mapping):
             raw = raw.items()
-        norm = tuple(sorted((int(t), as_xint(m)) for t, m in raw))
+        norm = tuple(sorted((as_int(t, "every entries time"), as_xint(m)) for t, m in raw))
         object.__setattr__(self, "entries", norm)
         object.__setattr__(self, "default", as_xint(self.default))
         for t, m in norm:

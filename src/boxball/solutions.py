@@ -26,7 +26,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_xint
+from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_int, as_xint
 
 # The potentials are dynamic programs, O(N^2) per Euler potential that a
 # live box reads and O(N^3) per tau row: at N = 64 a 401-box Euler slice
@@ -46,8 +46,8 @@ class EulerSolitonParams:
     schedule: CarrierSchedule
 
     def __post_init__(self):
-        object.__setattr__(self, "P", tuple(int(p) for p in self.P))
-        object.__setattr__(self, "Xi", tuple(int(x) for x in self.Xi))
+        object.__setattr__(self, "P", tuple(as_int(p, "every P_i") for p in self.P))
+        object.__setattr__(self, "Xi", tuple(as_int(x, "every Xi_i") for x in self.Xi))
         if not 1 <= len(self.P) <= MAX_SOLITONS:
             raise ValueError(f"need 1..{MAX_SOLITONS} solitons")
         if len(self.Xi) != len(self.P):
@@ -424,8 +424,9 @@ class TauParams:
     schedule: CarrierSchedule
 
     def __post_init__(self):
-        object.__setattr__(self, "P", tuple(int(p) for p in self.P))
-        object.__setattr__(self, "W", tuple(int(w) for w in self.W))
+        object.__setattr__(self, "P", tuple(as_int(p, "every P_i") for p in self.P))
+        object.__setattr__(self, "W", tuple(as_int(w, "every W_i") for w in self.W))
+        object.__setattr__(self, "Delta", as_int(self.Delta, "Delta"))
         if not 1 <= len(self.P) <= MAX_SOLITONS:
             raise ValueError(f"need 1..{MAX_SOLITONS} solitons")
         if len(self.W) != len(self.P):

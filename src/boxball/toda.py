@@ -13,15 +13,13 @@ every step, since the positions move.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence, Tuple
 
 from .euler import EulerState, _capacity_args
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import INT64_MAX, FiniteOverflow
+from .xint import INT64_MAX, FiniteOverflow, as_int
 
 
 class EmptySequence(ValueError):
@@ -42,16 +40,6 @@ class InconsistentPositions(ValueError):
     """Start positions that do not interleave as runs and gaps of size >= 1."""
 
 
-def _as_int(value, what: str) -> int:
-    """The value as a Python int; raises ValueError unless it is a Python
-    or numpy integer (a bool is not)."""
-    if type(value) is int:
-        return value
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{what} must be an integer, got {value!r}")
-    return int(value)
-
-
 @dataclass(frozen=True)
 class TodaState:
     """Soliton sizes Q (N >= 1), interior gaps E (N-1 entries), and the
@@ -64,10 +52,10 @@ class TodaState:
     time: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "Q", tuple(_as_int(q, "every Q_n") for q in self.Q))
-        object.__setattr__(self, "E", tuple(_as_int(e, "every E_n") for e in self.E))
-        object.__setattr__(self, "X0", _as_int(self.X0, "X0"))
-        object.__setattr__(self, "time", _as_int(self.time, "time"))
+        object.__setattr__(self, "Q", tuple(as_int(q, "every Q_n") for q in self.Q))
+        object.__setattr__(self, "E", tuple(as_int(e, "every E_n") for e in self.E))
+        object.__setattr__(self, "X0", as_int(self.X0, "X0"))
+        object.__setattr__(self, "time", as_int(self.time, "time"))
         if len(self.Q) < 1:
             raise ValueError("need at least one soliton")
         if len(self.E) != len(self.Q) - 1:
@@ -266,20 +254,19 @@ def enutoda_step(
 
     q, e = state.Q, state.E
     n_runs = state.N
-    limit = m_val if m_capped else math.inf  # every int compares below inf
 
     cbar = [k[0]]
     dbar = []
     qbar = []
     for n in range(n_runs):
         d = cbar[n] + q[n] - k[n]
-        if d > limit:
+        if m_capped and d > m_val:
             d = m_val
         dbar.append(d)
         qb = d if n == n_runs - 1 else min(e[n] - max(0, lam[n] - d), d)
         qbar.append(qb)
         c = d - qb + (k[n + 1] if n + 1 < n_runs else k_boundary)
-        if c > limit:
+        if m_capped and c > m_val:
             c = m_val
         cbar.append(c)
 

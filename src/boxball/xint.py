@@ -9,6 +9,7 @@ floating point anywhere.
 
 from __future__ import annotations
 
+from numbers import Integral
 from typing import Union
 
 INT64_MIN = -(2**63)
@@ -74,6 +75,16 @@ class XInt:
 
     def __ge__(self, other) -> bool:
         return self._key() >= as_xint(other)._key()
+
+
+def as_int(value, what: str) -> int:
+    """The value as a Python int; raises ValueError naming `what` unless it
+    is a Python or numpy integer (a bool is not)."""
+    if type(value) is int:
+        return value
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 POS_INF = object.__new__(XInt)

@@ -95,7 +95,7 @@ def test_simulate_records_sparse_trace_and_profile_once(capsys):
         assert "profile" not in rec["toda"]
 
     cfg = parse_config(SHOWCASE)
-    state = cfg.initial_euler
+    state = cfg.initial
     for rec in recs:
         state, trace = euler_step(state, cfg.schedule)
         euler = rec["euler"]
@@ -129,7 +129,7 @@ def test_simulate_mismatch_names_first_box_and_toda_state(monkeypatch, capsys):
     first = next(r for r in recs if r["verdict"] == "mismatch")
     t = first["t"]
     cfg = parse_config(SHOWCASE)
-    state = cfg.initial_euler
+    state = cfg.initial
     for _ in range(t):
         state, _ = euler_step(state, cfg.schedule)
     toda = shifted[t - 1]
@@ -420,6 +420,50 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
                                              "initial": {"euler": {"counts": [1]}}})
     assert main(["simulate", "--config", cfg]) == 2
     assert "steps" in capsys.readouterr().err
+
+
+def test_simulate_steps_flag_below_one_exit_code(sim_config, capsys):
+    assert main(["simulate", "--config", sim_config, "--steps", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--steps must be >= 1" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "n_range, named",
+    [
+        (None, "initial.solution.params: a counts-level solution initial needs n_range"),
+        # the file's own window starts left of box 0
+        ([-20, 40], "initial.solution.params.n_range must start at box 0 or later, got -20"),
+        # the t=0 slice puts a ball in box 0
+        ([0, 40], "initial.solution.params.n_range: the state at t=0 has a ball at an end"),
+    ],
+    ids=["missing", "left-of-box-0", "ball-at-an-end"],
+)
+def test_simulate_bad_solution_initial_exit_code(tmp_path, capsys, n_range, named):
+    params = json.loads((ROOT / "configs" / "soliton_pair.json").read_text())
+    if n_range is None:
+        del params["n_range"]
+    else:
+        params["n_range"] = n_range
+    cfg = write_json(tmp_path / "sol.json", {
+        "representation": "both", "steps": 1,
+        "initial": {"solution": {"type": "euler", "params": params}}})
+    assert main(["simulate", "--config", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "t_range, named", [("3", "--t-range must look like A:B"), ("5:2", "--t-range: need A <= B")]
+)
+def test_solution_cli_bad_t_range_exit_code(capsys, t_range, named):
+    params = str(ROOT / "configs" / "tau_pair.json")
+    assert main(["solution", "--params", params, "--type", "tau", "--t-range", t_range]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert named in captured.err and "Traceback" not in captured.err
 
 
 def test_unknown_key_exit_code(tmp_path, capsys):

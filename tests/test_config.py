@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from boxball import POS_INF, CapacityProfile, EulerState, XInt, unit_profile
+from boxball import POS_INF, CapacityProfile, EulerState, TodaState, XInt, unit_profile
 from boxball.cli import main
 from boxball.config import (
     ConfigError,
@@ -34,7 +34,7 @@ def test_minimal_config_parses():
     assert cfg.representation == "euler"
     assert cfg.steps == 3
     assert cfg.render == "ascii"
-    assert cfg.initial_euler.counts.tolist() == [1, 0, 1]
+    assert cfg.initial.counts.tolist() == [1, 0, 1]
     assert cfg.schedule.default == POS_INF
 
 
@@ -107,7 +107,7 @@ def test_solution_initial_owns_profile_and_schedule():
         parse_config_dict(cfg)
     del cfg["profile"]
     parsed = parse_config_dict(cfg)
-    assert parsed.initial_solution.kind == "tau"
+    assert isinstance(parsed.initial, TodaState)
 
 
 def test_toda_state_round_trip():

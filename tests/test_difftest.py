@@ -12,10 +12,13 @@ import pytest
 from boxball import CapacityProfile, EulerState, euler_step, expand, unbounded_schedule
 from boxball import difftest
 from boxball.difftest import DiffBounds, run_difftest
+from boxball.toda import DegenerateState
 from boxball.xint import POS_INF
 
 REAL_STEP = difftest.enutoda_step
 REAL_ORACLE = difftest.carrier_oracle_step
+REAL_EULER = difftest.euler_step
+REAL_RESIDUAL = difftest.umkdv_residual
 REAL_CASE = difftest._run_case
 
 
@@ -85,6 +88,74 @@ def test_run_moved_inside_its_box_reports_anchor(monkeypatch):
 
     monkeypatch.setattr(difftest, "enutoda_step", REAL_STEP)
     assert run_difftest(1, 0, DiffBounds(steps=1)).ok
+
+
+def oracle_stands_still(state, schedule):
+    return state
+
+
+def euler_loses_a_ball(state, schedule):
+    # both routes are handed one state object at step 0, so a step that
+    # takes a ball out of its input takes it from the oracle's too
+    (n, u), rest = state.occupied[0], state.occupied[1:]
+    state.__dict__["occupied"] = (((n, u - 1),) if u > 1 else ()) + rest
+    return REAL_EULER(state, schedule)
+
+
+def residual_off_by_one(before, after, trace, m):
+    return replace(REAL_RESIDUAL(before, after, trace, m), max_violation=1)
+
+
+def identity_off_by_two(before, after, trace, m):
+    return replace(REAL_RESIDUAL(before, after, trace, m), carrier_identity_max=2)
+
+
+def euler_load_past_m(state, schedule):
+    # a load past both windows, where the residual reads no box
+    nxt, trace = REAL_EULER(state, schedule)
+    box = max(state.window_end, nxt.window_end) + 1
+    m = schedule.at(nxt.time).finite
+    return nxt, replace(trace, carrier_loads=trace.carrier_loads + ((box, m + 1),))
+
+
+def toda_degenerates(state, schedule):
+    raise DegenerateState("step produced Q'=[2, 0], E'=[3]")
+
+
+def toda_gains_a_ball(state, schedule):
+    nxt, trace = REAL_STEP(state, schedule)
+    return replace(nxt, Q=nxt.Q[:-1] + (nxt.Q[-1] + 1,)), trace
+
+
+def toda_qbar_past_dbar(state, schedule):
+    nxt, trace = REAL_STEP(state, schedule)
+    return nxt, replace(trace, Qbar=(trace.Dbar[0] + 1,) + trace.Qbar[1:])
+
+
+FAULTS = [
+    ("carrier_oracle_step", oracle_stands_still, "oracle_counts",
+     "euler=[0, 2, 0, 1, 1] oracle=[2, 0, 1, 1, 0]"),
+    ("euler_step", euler_loses_a_ball, "ball_conservation", "4 -> 3"),
+    ("umkdv_residual", residual_off_by_one, "umkdv_residual", "max=1"),
+    ("umkdv_residual", identity_off_by_two, "carrier_identity", "max=2"),
+    ("euler_step", euler_load_past_m, "carrier_bound", "loads in [0, 5], M=XInt(4)"),
+    ("enutoda_step", toda_degenerates, "toda_degenerate", "step produced Q'=[2, 0], E'=[3]"),
+    ("enutoda_step", toda_gains_a_ball, "soliton_conservation", "4 -> 5"),
+    ("enutoda_step", toda_qbar_past_dbar, "trace_bounds",
+     "Qbar=(3, 2) Dbar=(2, 2) Cbar=(2, 2, 0)"),
+]
+
+
+@pytest.mark.parametrize("name, fault, quantity, detail", FAULTS, ids=[f[2] for f in FAULTS])
+def test_each_check_reports_its_label_and_detail(monkeypatch, name, fault, quantity, detail):
+    # case 0 of seed 4: boxes 0..4 of capacity 2 holding 2, 0, 1, 1, 0
+    # balls, (Q, E, X0) = ((2, 2), (3,), 0), and M = 4 then 6; the first
+    # failure ends the case
+    monkeypatch.setattr(difftest, name, fault)
+    report = run_difftest(1, 4, DiffBounds(window=6, max_delta=2, steps=2))
+    assert [(f.case, f.step, f.quantity, f.detail) for f in report.failures] == [
+        (0, 0, quantity, detail)
+    ]
 
 
 @pytest.mark.parametrize(

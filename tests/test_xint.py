@@ -1,10 +1,23 @@
+import ast
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from boxball import POS_INF, FiniteOverflow, XInt
+import boxball
+from boxball import (
+    POS_INF,
+    CapacityProfile,
+    CarrierSchedule,
+    EulerSolitonParams,
+    EulerState,
+    FiniteOverflow,
+    TauParams,
+    XInt,
+)
 from boxball.xint import INT64_MAX, INT64_MIN, decode_xint, encode_xint
 
 capacities = st.one_of(st.integers(INT64_MIN, INT64_MAX).map(XInt), st.just(POS_INF))
@@ -62,3 +75,75 @@ def test_json_encoding_values():
     for bad in ("infinity", "-inf", 1.5, True):
         with pytest.raises(ValueError):
             decode_xint(bad)
+
+
+UNIT = CapacityProfile()
+NO_CARRIER = CarrierSchedule()
+
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        # boundary(3) read 5.5 with the capacities truncated to (1, 2)
+        (lambda: CapacityProfile(capacities=(1.5, 2), default_capacity=2), "capacities"),
+        (lambda: CapacityProfile(capacities=(1, 2), default_capacity=2.5), "default_capacity"),
+        # boundary(2) read 2.0
+        (lambda: CapacityProfile(window_start=0.5), "window_start"),
+        # the entry was keyed at t = 1
+        (lambda: CarrierSchedule(entries={1.5: 3}), "entries time"),
+        (lambda: EulerState(counts=[1], profile=UNIT, time=0.5), "time"),
+        # held the pair (0.5, 1)
+        (lambda: EulerState(counts=[1], profile=UNIT, window_start=0.5), "window_start"),
+        # put the ball in box 1
+        (lambda: EulerState(counts=[1], profile=UNIT, window_start=True), "window_start"),
+        (lambda: EulerSolitonParams(P=(1.5,), Xi=(0,), profile=UNIT, schedule=NO_CARRIER), "P_i"),
+        (lambda: EulerSolitonParams(P=(1,), Xi=(0.7,), profile=UNIT, schedule=NO_CARRIER), "Xi_i"),
+        (lambda: TauParams(P=(1,), W=(0,), Delta=1.5, schedule=NO_CARRIER), "Delta"),
+        # became W = (0,)
+        (lambda: TauParams(P=(1,), W=(0.5,), Delta=1, schedule=NO_CARRIER), "W_i"),
+    ],
+    ids=[
+        "profile-capacities", "profile-default", "profile-window_start", "schedule-time",
+        "euler-time", "euler-window_start", "euler-window_start-bool", "soliton-P",
+        "soliton-Xi", "tau-Delta", "tau-W",
+    ],
+)
+def test_constructors_reject_non_integers(build, field):
+    with pytest.raises(ValueError, match=f"{field}.* must be an integer"):
+        build()
+
+
+def test_constructors_take_numpy_integers_as_python_ints():
+    i = np.int64
+    profile = CapacityProfile(capacities=(i(2), np.int32(1)), window_start=i(1),
+                              default_capacity=np.uint8(3))
+    assert profile == CapacityProfile(capacities=(2, 1), window_start=1, default_capacity=3)
+    assert profile.boundary(3) == 6
+    schedule = CarrierSchedule(entries={i(2): 3})
+    assert schedule.entries == ((2, 3),) and schedule.at(2) == 3
+    state = EulerState(counts=[1], profile=UNIT, time=i(4), window_start=np.int16(2))
+    assert (state.time, state.occupied) == (4, ((2, 1),))
+    soliton = EulerSolitonParams(P=(i(1),), Xi=(i(-2),), profile=UNIT, schedule=NO_CARRIER)
+    tau = TauParams(P=(i(1),), W=(i(5),), Delta=i(2), schedule=NO_CARRIER)
+    assert (soliton.P, soliton.Xi, tau.P, tau.W, tau.Delta) == ((1,), (-2,), (1,), (5,), 2)
+    values = [*profile.capacities, profile.window_start, profile.default_capacity,
+              schedule.entries[0][0], state.time, *state.occupied[0], *soliton.P, *soliton.Xi,
+              *tau.P, *tau.W, tau.Delta]
+    assert all(type(v) is int for v in values)
+
+
+def test_no_floating_point_in_the_package():
+    # the one float is difftest's wall-clock `elapsed`, a diagnostic that is
+    # never serialized
+    src = Path(boxball.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, a.name) for a in node.names if a.name == "math"]
+            elif isinstance(node, ast.ImportFrom) and node.module == "math":
+                found.append((path.name, "math"))
+            elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+                found.append((path.name, node.value))
+    assert found == [("difftest.py", 0.0)]
+    assert "elapsed: float = 0.0" in (src / "difftest.py").read_text()
