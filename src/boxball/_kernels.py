@@ -19,6 +19,7 @@ a sentinel integer.
 from __future__ import annotations
 
 from collections import deque
+from itertools import repeat
 
 from .xint import FiniteOverflow
 
@@ -111,13 +112,14 @@ def ball_queue_sweep(occupied, profile, m_val, m_capped):
             n = ahead[-1][0]
         u = ahead.pop()[1] if ahead and ahead[-1][0] == n else 0
         arriving = len(queue)
-        for _ in range(u):
-            queue.append(n)
-        while m_capped and len(queue) > m_val:
-            origin = queue.pop()
-            new[origin] = new.get(origin, 0) + 1
-        put = min(capacity(n) - u, arriving)
-        for _ in range(put):
+        queue.extend(repeat(n, u))
+        if m_capped:
+            while len(queue) > m_val:
+                origin = queue.pop()
+                new[origin] = new.get(origin, 0) + 1
+        put = capacity(n) - u
+        put = put if put < arriving else arriving
+        for _ in repeat(None, put):
             queue.popleft()
         if put:
             new[n] = new.get(n, 0) + put

@@ -19,6 +19,7 @@ from .config import (
     dump,
     euler_state_json,
     euler_trace_json,
+    n_range_fits,
     parse_config,
     parse_solution_file,
     toda_state_json,
@@ -183,8 +184,10 @@ def cmd_solution(args) -> int:
         if n_range is None:
             raise ConfigError("need --n-range or params.n_range for the counts-level solution")
         lo, hi = n_range
+        key = "--n-range" if args.n_range else "params.n_range"
         if args.verify:
-            report = verify_euler_solution(params, lo, hi, t_lo, t_hi)
+            with n_range_fits(key, lo, hi):
+                report = verify_euler_solution(params, lo, hi, t_lo, t_hi)
             _emit(
                 dump(
                     {
@@ -198,18 +201,19 @@ def cmd_solution(args) -> int:
                 )
             )
             return 0 if report.ok else 1
-        for sl in euler_slices(params, lo, hi, t_lo, t_hi):
-            _emit(
-                dump(
-                    {
-                        "t": sl.time,
-                        "n_start": sl.n_start,
-                        "U": sl.U.tolist(),
-                        "Ubar": sl.Ubar.tolist(),
-                        "Zbar": sl.Zbar.tolist(),
-                    }
+        with n_range_fits(key, lo, hi):
+            for sl in euler_slices(params, lo, hi, t_lo, t_hi):
+                _emit(
+                    dump(
+                        {
+                            "t": sl.time,
+                            "n_start": sl.n_start,
+                            "U": sl.U.tolist(),
+                            "Ubar": sl.Ubar.tolist(),
+                            "Zbar": sl.Zbar.tolist(),
+                        }
+                    )
                 )
-            )
         return 0
 
     params = spec.params

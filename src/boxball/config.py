@@ -12,6 +12,7 @@ builds no dict for json.dumps.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -249,6 +250,20 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
     raise ConfigError(f"solution type must be \"euler\" or \"tau\", got {kind!r}")
 
 
+@contextmanager
+def n_range_fits(key: str, lo: int, hi: int):
+    """Turn a MemoryError raised while a closed form is evaluated over
+    boxes lo .. hi into a ConfigError naming the n_range key: the
+    evaluators hold dense arrays over the whole range."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise ConfigError(
+            f"{key} [{lo}, {hi}] spans {hi - lo + 1} boxes, more than memory "
+            f"holds for the closed form's arrays over them"
+        ) from exc
+
+
 def _solution_initial(spec: SolutionSpec, where: str) -> Union[EulerState, TodaState]:
     """The solution at t=0 as a state to evolve: the counts over n_range for
     the euler kind, the sizes and gaps anchored at X0 for the tau kind."""
@@ -265,7 +280,8 @@ def _solution_initial(spec: SolutionSpec, where: str) -> Union[EulerState, TodaS
     lo, hi = spec.n_range
     if lo < 0:  # before the slice is evaluated, whose arrays span n_range
         raise ConfigError(f"{where}.n_range must start at box 0 or later, got {lo}")
-    counts = euler_nsoliton(params, lo, hi, 0).U
+    with n_range_fits(f"{where}.n_range", lo, hi):
+        counts = euler_nsoliton(params, lo, hi, 0).U
     try:  # a count below 0 or above its box's capacity
         state = EulerState(counts=counts, profile=params.profile, window_start=lo)
     except ValueError as exc:

@@ -93,7 +93,7 @@ class CapacityProfile:
             raise ValueError("boxes are indexed from 0")
         s = self._segment(n)
         if s > INT64_MAX:
-            raise FiniteOverflow(f"segment boundary s_{n} = {s} is past the int64 range")
+            raise _past_int64(n, s)
         return s
 
     def last_box_filled(self, n: int, balls: int) -> int:
@@ -101,6 +101,14 @@ class CapacityProfile:
         on, each filled to capacity, run out.  Exact at any size: the
         segment arithmetic is not bounded to int64 here."""
         return self.segment_to_box(self._segment(n) + balls - 1)
+
+    def segment_capacity(self, segment: int) -> int:
+        """capacity(segment_to_box(segment)) for segment >= 0, without the
+        box index: left and right of the window every box holds d."""
+        b = self._bounds
+        if segment < b[0] or segment >= b[-1]:
+            return self.default_capacity
+        return self.capacities[bisect.bisect_right(b, segment) - 1]
 
     def segment_to_box(self, segment: int) -> int:
         """The box n with s_n <= segment < s_{n+1}."""
@@ -115,6 +123,11 @@ class CapacityProfile:
                 + (segment - b[-1]) // self.default_capacity
             )
         return self.window_start + bisect.bisect_right(b, segment) - 1
+
+
+def _past_int64(n: int, s: int) -> FiniteOverflow:
+    # the error for a segment boundary s_n = s past the int64 range
+    return FiniteOverflow(f"segment boundary s_{n} = {s} is past the int64 range")
 
 
 def unit_profile() -> CapacityProfile:

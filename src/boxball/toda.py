@@ -18,8 +18,8 @@ from typing import Sequence, Tuple
 
 from .euler import EulerState, _capacity_args
 from .expansion import expand
-from .geometry import CapacityProfile, CarrierSchedule
-from .xint import INT64_MAX, FiniteOverflow, as_int
+from .geometry import CapacityProfile, CarrierSchedule, _past_int64
+from .xint import INT64_MAX, as_int
 
 
 class EmptySequence(ValueError):
@@ -96,6 +96,16 @@ class TodaStepTrace:
     Xbar0: int
     K: Tuple[int, ...]
     Lam: Tuple[int, ...]
+
+    @classmethod
+    def _trusted(
+        cls, Qbar: Tuple[int, ...], Ebar: Tuple[int, ...], Cbar: Tuple[int, ...],
+        Dbar: Tuple[int, ...], Xbar0: int, K: Tuple[int, ...], Lam: Tuple[int, ...],
+    ) -> "TodaStepTrace":
+        # for enutoda_step's own bookkeeping, built as tuples of Python ints
+        tr = object.__new__(cls)
+        tr.__dict__.update(Qbar=Qbar, Ebar=Ebar, Cbar=Cbar, Dbar=Dbar, Xbar0=Xbar0, K=K, Lam=Lam)
+        return tr
 
 
 def utoda_step(
@@ -201,12 +211,21 @@ def lagrange_step(
 
 def capacities_for_state(state: TodaState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Box capacities at each run start (K) and gap start (Lam), sampled
-    from the segment geometry at the state's current positions."""
-    profile = state.profile
-    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
-    k = tuple(profile.capacity(profile.segment_to_box(s)) for s in x)
-    lam = tuple(profile.capacity(profile.segment_to_box(s)) for s in y)
-    return k, lam
+    from the segment geometry at the state's current positions, walked as
+    Y_n = X_n + Q_n, X_{n+1} = Y_n + E_n (the positions of toda_to_lagrange)."""
+    cap = state.profile.segment_capacity
+    q, e = state.Q, state.E
+    x = state.X0
+    k = []
+    lam = []
+    for n in range(len(e)):
+        y = x + q[n]
+        k.append(cap(x))
+        lam.append(cap(y))
+        x = y + e[n]
+    k.append(cap(x))
+    lam.append(cap(x + q[-1]))
+    return tuple(k), tuple(lam)
 
 
 def enutoda_step(
@@ -239,13 +258,16 @@ def enutoda_step(
     outputs, and k_boundary=0 is the convention used here.  Requires
     K_n <= M; with M = +inf the trimming disappears and the step coincides
     with extoda_step.
+
+    The first loop runs Dbar, Qbar, Cbar and Q' together (Q'_n needs only
+    Cbar_{n+1}); the second runs Ebar and E', which need Dbar_{n+1}.
     """
     m = schedule.at(state.time + 1)
     m_val, m_capped = _capacity_args(m)
     k, lam = capacities_for_state(state)
     if m_capped:
-        bad = [v for v in k if v > m_val]
-        if bad:
+        if max(k) > m_val:
+            bad = [v for v in k if v > m_val]
             raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m_val}")
         if not 0 <= k_boundary <= m_val:
             raise ValueError("k_boundary must lie in [0, M]")
@@ -253,63 +275,58 @@ def enutoda_step(
         raise ValueError("k_boundary must be >= 0")
 
     q, e = state.Q, state.E
-    n_runs = state.N
+    last = len(q) - 1
 
-    cbar = [k[0]]
+    c = k[0]
+    cbar = [c]
     dbar = []
     qbar = []
-    for n in range(n_runs):
-        d = cbar[n] + q[n] - k[n]
+    slack = []  # max(0, Lam_{n+1} - Dbar_n)
+    qp = []
+    for n in range(last + 1):
+        kn = k[n]
+        d = c + q[n] - kn
         if m_capped and d > m_val:
             d = m_val
+        s = lam[n] - d
+        s = s if s > 0 else 0
+        if n < last:
+            qb = e[n] - s
+            qb = qb if qb < d else d
+            kn1 = k[n + 1]
+        else:
+            qb = d
+            kn1 = k_boundary
+        c1 = d - qb + kn1
+        if m_capped and c1 > m_val:
+            c1 = m_val
         dbar.append(d)
-        qb = d if n == n_runs - 1 else min(e[n] - max(0, lam[n] - d), d)
         qbar.append(qb)
-        c = d - qb + (k[n + 1] if n + 1 < n_runs else k_boundary)
-        if m_capped and c > m_val:
-            c = m_val
-        cbar.append(c)
+        slack.append(s)
+        cbar.append(c1)
+        qp.append(q[n] + c - c1 - kn + kn1)
+        c = c1
 
-    ebar = [
-        e[i]
-        - qbar[i]
-        + q[i + 1]
-        - max(0, lam[i] - dbar[i])
-        + max(0, lam[i + 1] - dbar[i + 1])
-        for i in range(n_runs - 1)
-    ]
+    ebar = []
+    ep = []
+    for i in range(last):
+        eb = e[i] - qbar[i] + q[i + 1] - slack[i] + slack[i + 1]
+        ebar.append(eb)
+        ep.append(eb + qbar[i] - q[i + 1] - dbar[i] + dbar[i + 1])
 
-    qp = [
-        q[n]
-        + cbar[n]
-        - cbar[n + 1]
-        - k[n]
-        + (k[n + 1] if n + 1 < n_runs else k_boundary)
-        for n in range(n_runs)
-    ]
-    ep = [
-        ebar[i] + qbar[i] - q[i + 1] - dbar[i] + dbar[i + 1]
-        for i in range(n_runs - 1)
-    ]
-
-    xbar0 = state.X0 + q[0] + max(0, lam[0] - dbar[0])
-    xp0 = state.X0 + max(dbar[0], lam[0])
+    d0 = dbar[0]
+    xbar0 = state.X0 + q[0] + slack[0]
+    xp0 = state.X0 + (d0 if d0 > lam[0] else lam[0])
 
     if sum(qp) != sum(q):
         raise AssertionError("ball count broke in enutoda_step (bug)")
-    if any(v < 1 for v in qp) or any(v < 1 for v in ep):
+    if min(qp) < 1 or min(ep, default=1) < 1:
         raise DegenerateState(f"step produced Q'={qp}, E'={ep}")
 
     # Q', E' >= 1 as just checked, and X0' >= X0 >= 0
     new_state = TodaState._trusted(tuple(qp), tuple(ep), xp0, state.profile, state.time + 1)
-    trace = TodaStepTrace(
-        Qbar=tuple(qbar),
-        Ebar=tuple(ebar),
-        Cbar=tuple(cbar),
-        Dbar=tuple(dbar),
-        Xbar0=xbar0,
-        K=k,
-        Lam=lam,
+    trace = TodaStepTrace._trusted(
+        tuple(qbar), tuple(ebar), tuple(cbar), tuple(dbar), xbar0, k, lam
     )
     return new_state, trace
 
@@ -371,36 +388,52 @@ def to_euler(state: TodaState) -> EulerState:
     """Counts-level view of a Toda state: the per-box bit sums of its runs,
     listed for exactly the boxes the runs touch, in a window from the first
     to the last ball's box; to_euler(from_euler(u)) has the occupancy of u.
-    Each run is walked box by box from its start, the inverse of
-    expansion.expand; raises FiniteOverflow when a run ends past the int64
-    segment range or the window spans more than euler.MAX_SPAN boxes."""
+    The runs are walked box by box from X_0, the inverse of
+    expansion.expand: a run that starts in the box where the previous one
+    ended, or in the box after it, goes on from there, and one across a
+    wider gap looks its box up, so the cost follows the balls, not the
+    gaps.  Raises FiniteOverflow when a run ends past the int64 segment
+    range or the window spans more than euler.MAX_SPAN boxes."""
     profile = state.profile
-    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
-    boxes: list = []
-    counts: list = []
-    for a, b in zip(x, y):
-        n = profile.segment_to_box(a)
-        end = profile.boundary(n + 1)
-        while True:
-            stop = min(end, b)
-            if boxes and boxes[-1] == n:  # two runs share box n
-                counts[-1] += stop - a
-            else:
-                boxes.append(n)
-                counts.append(stop - a)
-            if stop == b:
-                break
-            # the next box's end, s_{n+2} = s_{n+1} + capacity(n + 1), with
-            # the range check boundary(n + 2) would make
+    capacity = profile.capacity
+    q, e = state.Q, state.E
+    last = len(q) - 1
+    occupied = []
+    a = state.X0
+    n = profile.segment_to_box(a)
+    end = profile.boundary(n + 1)
+    held = 0  # balls of the runs so far in box n, which ends at segment `end`
+    for i in range(last + 1):
+        b = a + q[i]
+        while end < b:  # the run goes on into box n + 1
+            occupied.append((n, held + end - a))
+            held = 0
             a = end
             n += 1
-            end += profile.capacity(n)
+            # s_{n+1} = s_n + capacity(n), with the range check
+            # boundary(n + 1) would make
+            end += capacity(n)
             if end > INT64_MAX:
-                raise FiniteOverflow(
-                    f"segment boundary s_{n + 1} = {end} is past the int64 range"
-                )
+                raise _past_int64(n + 1, end)
+        held += b - a
+        if i == last:
+            break
+        a = b + e[i]
+        if a >= end:  # the next run starts past box n
+            occupied.append((n, held))
+            held = 0
+            nxt = end + capacity(n + 1)
+            if a < nxt:
+                n += 1
+                end = nxt
+                if end > INT64_MAX:
+                    raise _past_int64(n + 1, end)
+            else:
+                n = profile.segment_to_box(a)
+                end = profile.boundary(n + 1)
+    occupied.append((n, held))
     return EulerState._trusted(
-        tuple(zip(boxes, counts)), profile, state.time, boxes[0], boxes[-1] + 1
+        tuple(occupied), profile, state.time, occupied[0][0], n + 1
     )
 
 

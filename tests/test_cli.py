@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import subprocess
 import sys
 import tracemalloc
@@ -453,6 +454,56 @@ def test_simulate_bad_solution_initial_exit_code(tmp_path, capsys, n_range, name
     captured = capsys.readouterr()
     assert captured.out == ""
     assert named in captured.err and "Traceback" not in captured.err
+
+
+def _two_gib_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+HUGE_N_RANGE = [0, 2**40]  # 2^40 + 1 boxes: terabytes of dense closed-form arrays
+
+
+HUGE_N_RANGE_CASES = {
+    "simulate": "initial.solution.params.n_range",
+    "solution": "params.n_range",
+    "solution --verify": "params.n_range",
+    "solution --n-range": "--n-range",
+    "solution --n-range --verify": "--n-range",
+}
+
+
+@pytest.mark.parametrize("how", list(HUGE_N_RANGE_CASES))
+def test_huge_n_range_exit_code(tmp_path, how):
+    # the closed form is evaluated over the whole n_range; under a 2 GiB
+    # address space its arrays cannot be allocated, and the run names the
+    # key instead of ending in numpy's MemoryError
+    params = json.loads((ROOT / "configs" / "soliton_pair.json").read_text())
+    words = how.split()
+    if words[0] == "simulate":
+        params["n_range"] = HUGE_N_RANGE
+        cfg = write_json(tmp_path / "sol.json", {
+            "representation": "euler", "steps": 1, "render": "json",
+            "initial": {"solution": {"type": "euler", "params": params}}})
+        args = ["simulate", "--config", cfg]
+    else:
+        if "--n-range" in words:
+            args = ["--n-range", f"{HUGE_N_RANGE[0]}:{HUGE_N_RANGE[1]}"]
+        else:
+            params["n_range"] = HUGE_N_RANGE
+            args = []
+        path = write_json(tmp_path / "params.json", params)
+        args = ["solution", "--params", path, "--type", "euler", *args]
+        args += ["--verify"] * ("--verify" in words)
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "boxball.cli", *args], capture_output=True, env=env,
+        timeout=60, preexec_fn=_two_gib_address_space,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == b""
+    named = f"error: {HUGE_N_RANGE_CASES[how]} [0, 1099511627776] spans 1099511627777 boxes"
+    assert proc.stderr.startswith(named.encode())
+    assert b"Traceback" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,6 @@
 import tracemalloc
-from dataclasses import replace
+from collections import Counter
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from boxball import (
     FiniteOverflow,
     InconsistentPositions,
     TodaState,
+    TodaStepTrace,
     capacities_for_state,
     constant_schedule,
     enutoda_step,
@@ -29,6 +31,7 @@ from boxball import (
     utoda_step_sumform,
 )
 from boxball.difftest import DiffBounds, random_case
+from boxball.euler import _capacity_args
 
 UNIT = unit_profile()
 
@@ -363,3 +366,206 @@ def far_states(draw):
 )
 def test_to_euler_matches_the_per_box_boundary_walk(state):
     assert outcome(to_euler, state) == outcome(reference_to_euler, state)
+
+
+# --- the one-pass step and walks against the paper's equations ----------------
+
+
+def staged_capacities(state):
+    """K and Lam sampled at toda_to_lagrange's positions, box by box."""
+    profile = state.profile
+    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+    k = tuple(profile.capacity(profile.segment_to_box(s)) for s in x)
+    lam = tuple(profile.capacity(profile.segment_to_box(s)) for s in y)
+    return k, lam
+
+
+def staged_enutoda_step(state, schedule, k_boundary=0):
+    """enutoda_step written as the equations of its docstring, one list per
+    stage: size limit (Dbar, Qbar, Cbar, then Ebar), recovery (Q', E') and
+    anchor motion, with validating constructors for the outputs."""
+    m = schedule.at(state.time + 1)
+    m_val, m_capped = _capacity_args(m)
+    k, lam = staged_capacities(state)
+    if m_capped:
+        bad = [v for v in k if v > m_val]
+        if bad:
+            raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m_val}")
+        if not 0 <= k_boundary <= m_val:
+            raise ValueError("k_boundary must lie in [0, M]")
+    elif k_boundary < 0:
+        raise ValueError("k_boundary must be >= 0")
+
+    q, e = state.Q, state.E
+    n_runs = state.N
+
+    cbar = [k[0]]
+    dbar = []
+    qbar = []
+    for n in range(n_runs):
+        d = cbar[n] + q[n] - k[n]
+        if m_capped and d > m_val:
+            d = m_val
+        dbar.append(d)
+        qb = d if n == n_runs - 1 else min(e[n] - max(0, lam[n] - d), d)
+        qbar.append(qb)
+        c = d - qb + (k[n + 1] if n + 1 < n_runs else k_boundary)
+        if m_capped and c > m_val:
+            c = m_val
+        cbar.append(c)
+
+    ebar = [
+        e[i] - qbar[i] + q[i + 1] - max(0, lam[i] - dbar[i]) + max(0, lam[i + 1] - dbar[i + 1])
+        for i in range(n_runs - 1)
+    ]
+    qp = [
+        q[n] + cbar[n] - cbar[n + 1] - k[n] + (k[n + 1] if n + 1 < n_runs else k_boundary)
+        for n in range(n_runs)
+    ]
+    ep = [ebar[i] + qbar[i] - q[i + 1] - dbar[i] + dbar[i + 1] for i in range(n_runs - 1)]
+
+    xbar0 = state.X0 + q[0] + max(0, lam[0] - dbar[0])
+    xp0 = state.X0 + max(dbar[0], lam[0])
+
+    if sum(qp) != sum(q):
+        raise AssertionError("ball count broke in enutoda_step (bug)")
+    if any(v < 1 for v in qp) or any(v < 1 for v in ep):
+        raise DegenerateState(f"step produced Q'={qp}, E'={ep}")
+
+    new_state = TodaState(
+        Q=tuple(qp), E=tuple(ep), X0=xp0, profile=state.profile, time=state.time + 1
+    )
+    trace = TodaStepTrace(
+        Qbar=tuple(qbar), Ebar=tuple(ebar), Cbar=tuple(cbar), Dbar=tuple(dbar),
+        Xbar0=xbar0, K=k, Lam=lam,
+    )
+    return new_state, trace
+
+
+def step_outcome(step, state, schedule, k_boundary):
+    """The state and full trace a step returns, with the types of every
+    field, or the type and message of what it raises."""
+    try:
+        nxt, tr = step(state, schedule, k_boundary)
+    except (CapacityViolation, DegenerateState, ValueError) as exc:
+        return type(exc), str(exc)
+    fields = (nxt.Q, nxt.E, nxt.X0, nxt.time, *astuple(tr))
+    types = [type(f) for f in fields] + [type(v) for f in fields if type(f) is tuple for v in f]
+    return nxt, tr, types
+
+
+def boundary_choices(schedule, state):
+    """Every k_boundary in [0, M] and one past each end for a finite M;
+    a few, largest K among them, for M = +inf."""
+    m_val, m_capped = _capacity_args(schedule.at(state.time + 1))
+    if m_capped:
+        return range(-1, m_val + 2)
+    return (-1, 0, 1, max(state.Q), 2**63)
+
+
+def test_enutoda_step_matches_the_staged_equations():
+    # seeded criterion-3 trajectories, each state stepped with the case's
+    # schedule (M finite or +inf), an unbounded one, and M = max(K) - 1
+    bounds = DiffBounds(window=32, max_delta=5, steps=20)
+    kinds = Counter()
+    for i in range(20):
+        rng = np.random.default_rng([19, i])
+        st, sched = random_case(rng, bounds)
+        ts = from_euler(st)
+        for _ in range(bounds.steps):
+            k, _ = staged_capacities(ts)
+            below = constant_schedule(max(k) - 1)
+            calls = [(below, 0)]
+            for schedule in (sched, unbounded_schedule()):
+                calls += [(schedule, kb) for kb in boundary_choices(schedule, ts)]
+            for schedule, kb in calls:
+                got = step_outcome(enutoda_step, ts, schedule, kb)
+                assert got == step_outcome(staged_enutoda_step, ts, schedule, kb)
+                kinds[got[0] if len(got) == 2 else "ok"] += 1
+            ts, _ = enutoda_step(ts, sched)
+    assert kinds[CapacityViolation] and kinds[ValueError] and kinds["ok"] > 2500
+
+
+def test_enutoda_step_matches_the_staged_equations_on_raw_placements():
+    # sizes, gaps and anchors drawn freely over a capacity window, so that
+    # many states are out of the expansion map's image and degenerate
+    kinds = Counter()
+    rng = np.random.default_rng(1919)
+    for _ in range(3000):
+        caps = tuple(int(c) for c in rng.integers(1, 6, size=int(rng.integers(0, 8))))
+        profile = CapacityProfile(
+            capacities=caps, window_start=int(rng.integers(0, 4)),
+            default_capacity=int(rng.integers(1, 5)),
+        )
+        n = int(rng.integers(1, 6))
+        ts = TodaState(
+            Q=tuple(int(v) for v in rng.integers(1, 9, size=n)),
+            E=tuple(int(v) for v in rng.integers(1, 9, size=n - 1)),
+            X0=int(rng.integers(0, 40)), profile=profile, time=int(rng.integers(0, 3)),
+        )
+        m = int(rng.integers(0, 12))
+        schedule = unbounded_schedule() if m > 9 else constant_schedule(m)
+        kb = int(rng.integers(-1, 11))
+        got = step_outcome(enutoda_step, ts, schedule, kb)
+        assert got == step_outcome(staged_enutoda_step, ts, schedule, kb)
+        kinds[got[0] if len(got) == 2 else "ok"] += 1
+    assert all(kinds[kind] for kind in (CapacityViolation, DegenerateState, ValueError, "ok"))
+
+
+@st.composite
+def raw_step_inputs(draw):
+    d = draw(st.integers(1, 4))
+    profile = CapacityProfile(
+        capacities=draw(st.lists(st.integers(1, 6), max_size=6)),
+        window_start=draw(st.integers(0, 3)), default_capacity=d,
+    )
+    q = draw(st.lists(st.integers(1, 10), min_size=1, max_size=5))
+    e = draw(st.lists(st.integers(1, 10), min_size=len(q) - 1, max_size=len(q) - 1))
+    state = TodaState(Q=tuple(q), E=tuple(e), X0=draw(st.integers(0, 50)), profile=profile)
+    m = draw(st.one_of(st.none(), st.integers(0, 10)))
+    schedule = unbounded_schedule() if m is None else constant_schedule(m)
+    return state, schedule, draw(st.integers(-2, 12))
+
+
+@given(raw_step_inputs())
+@example((TodaState(Q=(1, 1), E=(1,), X0=0, profile=CapacityProfile(default_capacity=5)),
+          unbounded_schedule(), 0))
+def test_enutoda_step_equals_the_staged_equations(inputs):
+    state, schedule, kb = inputs
+    assert step_outcome(enutoda_step, state, schedule, kb) == step_outcome(
+        staged_enutoda_step, state, schedule, kb
+    )
+    assert capacities_for_state(state) == staged_capacities(state)
+
+
+def walk_check_states():
+    """Criterion-3 trajectories, the far anchor and the 2^62 gap of the
+    to_euler digest."""
+    bounds = DiffBounds(window=32, max_delta=5, steps=20)
+    for i in range(60):
+        st, sched = random_case(np.random.default_rng([23, i]), bounds)
+        ts = from_euler(st)
+        yield ts
+        for _ in range(bounds.steps):
+            ts, _ = enutoda_step(ts, sched)
+            yield ts
+    yield TodaState(Q=(2, 5, 1), E=(4, 2), X0=10**6, profile=CapacityProfile(default_capacity=3))
+    yield TodaState(Q=(2, 1), E=(2**62 + 1,), X0=1,
+                    profile=CapacityProfile(capacities=(2, 2**62, 3)))
+
+
+def test_capacities_sample_toda_to_lagrange_positions():
+    for state in walk_check_states():
+        assert capacities_for_state(state) == staged_capacities(state)
+
+
+def test_to_euler_lays_toda_to_lagrange_runs_box_by_box():
+    for state in walk_check_states():
+        assert outcome(to_euler, state) == outcome(reference_to_euler, state)
+    # a run that ends past the int64 segment range, after a gap the walk
+    # crosses with one box lookup
+    far = TodaState(Q=(1, 2**61 + 1), E=(3 * 2**61,), X0=0,
+                    profile=CapacityProfile(default_capacity=2**61))
+    got = outcome(to_euler, far)
+    assert got == outcome(reference_to_euler, far)
+    assert got == "segment boundary s_4 = 9223372036854775808 is past the int64 range"
