@@ -253,8 +253,8 @@ class _Worker:
         read_fd, write_fd = os.pipe()
         # a raw fork (4-6 ms on a 2-core Xeon guest), not a multiprocessing
         # pool (13-34 ms there, and spawned workers re-import numpy): a
-        # 25-case run takes about 200 ms.  The child runs only the case
-        # loop and leaves by os._exit.
+        # 25-case criterion-3 run takes 60-190 ms there, about 75 ms in the
+        # median.  The child runs only the case loop and leaves by os._exit.
         try:
             self.pid = os.fork()
         except OSError:

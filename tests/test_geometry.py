@@ -151,6 +151,7 @@ def test_closed_form_geometry_matches_running_sum(profile, start, count):
     for n in range(nboxes + 1):
         for s in range(ref[n], ref[n + 1]):
             assert profile.segment_to_box(s) == n
+            assert profile.segment_capacity(s) == profile.capacity(n)
     window = ref[start : start + count + 1]
     assert [profile.boundary(n) for n in range(start, start + count + 1)] == window
     assert profile.caps_array(start, count).tolist() == [

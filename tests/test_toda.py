@@ -530,7 +530,7 @@ def raw_step_inputs(draw):
 @given(raw_step_inputs())
 @example((TodaState(Q=(1, 1), E=(1,), X0=0, profile=CapacityProfile(default_capacity=5)),
           unbounded_schedule(), 0))
-def test_enutoda_step_equals_the_staged_equations(inputs):
+def test_enutoda_step_equals_the_staged_equations_on_drawn_inputs(inputs):
     state, schedule, kb = inputs
     assert step_outcome(enutoda_step, state, schedule, kb) == step_outcome(
         staged_enutoda_step, state, schedule, kb
