@@ -447,7 +447,7 @@ def step_outcome(step, state, schedule, k_boundary):
     field, or the type and message of what it raises."""
     try:
         nxt, tr = step(state, schedule, k_boundary)
-    except (CapacityViolation, DegenerateState, ValueError) as exc:
+    except ValueError as exc:  # CapacityViolation and DegenerateState among them
         return type(exc), str(exc)
     fields = (nxt.Q, nxt.E, nxt.X0, nxt.time, *astuple(tr))
     types = [type(f) for f in fields] + [type(v) for f in fields if type(f) is tuple for v in f]
