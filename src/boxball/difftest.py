@@ -13,14 +13,20 @@ the carrier-load identity and bounds, and on route (c) the anchor and the
 soliton count.  Cases are generated from (seed, case_index), so a report
 is byte-identical across runs with the same arguments.
 
-The cases are independent, so run_difftest splits their indices into one
-contiguous block per CPU the process may run on (os.sched_getaffinity):
-the calling process runs the first block and a forked child each other
-one, and the children's failures and step counts are merged in case
-order.  The report does not depend on the split; with one usable CPU, or
-fewer than two cases, the run stays serial and in-process (`taskset -c 0`
-gives a serial run).  A case that raises re-raises in the caller, the
-lowest raising case index first, as in a serial run.
+The cases are independent, so run_difftest shares them among one process
+per CPU it may run on (os.sched_getaffinity): the calling process and a
+forked child for each other CPU.  The cases are cut into at most 256
+chunks of ceil(cases/256) consecutive cases, and each chunk's one-byte
+token is written into a pipe before the fork; every process reads one
+token at a time and runs that chunk, so a process that finishes early
+takes the next chunk instead of waiting.  The children's failures and
+step counts are merged in case order, so the report does not depend on
+the split; with one usable CPU, or fewer than two cases, the run stays
+serial and in-process (`taskset -c 0` gives a serial run).  A case that
+raises re-raises in the caller, the lowest raising case index first, as
+in a serial run: a process stops taking tokens at its first raising case,
+and the tokens leave the pipe in increasing order, so every case below
+the lowest raising one is run.
 """
 
 from __future__ import annotations
@@ -156,9 +162,11 @@ def _run_case(
     if bounds.include_toda:
         ts = from_euler(state)
 
+    # read before each euler_step, which a fault injection may let change
+    # its input, and carried from the previous step's check
+    total_before = ea.total_balls
     for step in range(bounds.steps):
         m = schedule.at(ea.time + 1)
-        total_before = ea.total_balls
         ea_next, trace = euler_step(ea, schedule)
         eb_next = carrier_oracle_step(eb, schedule)
         report.steps_checked += 1
@@ -170,12 +178,9 @@ def _run_case(
                 f"euler={_counts_list(ea_next)} oracle={_counts_list(eb_next)}",
             )
             return
-        if ea_next.total_balls != total_before:
-            record(
-                step,
-                "ball_conservation",
-                f"{total_before} -> {ea_next.total_balls}",
-            )
+        total_after = ea_next.total_balls
+        if total_after != total_before:
+            record(step, "ball_conservation", f"{total_before} -> {total_after}")
             return
 
         res = umkdv_residual(ea, ea_next, trace, m)
@@ -230,6 +235,7 @@ def _run_case(
             ts = ts_next
 
         ea, eb = ea_next, eb_next
+        total_before = total_after
 
 
 def _run_cases(seed: int, bounds: DiffBounds, lo: int, hi: int, report: DiffReport) -> None:
@@ -239,21 +245,45 @@ def _run_cases(seed: int, bounds: DiffBounds, lo: int, hi: int, report: DiffRepo
         _run_case(i, state, schedule, bounds, report)
 
 
+# the most chunks of consecutive cases a shared run is cut into; a chunk's
+# token is one byte, its index
+_CHUNKS = 256
+
+
+def _take_chunks(
+    tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int, report: DiffReport
+) -> Tuple[List[int], Optional[Exception]]:
+    """Run chunk after chunk, each the one whose token this process reads
+    next from the pipe `tokens`, until the pipe is empty or a case raises.
+    Returns the chunks taken, the last one the raising one, and what the
+    case raised."""
+    taken: List[int] = []
+    while True:
+        token = os.read(tokens, 1)
+        if not token:
+            return taken, None
+        chunk = token[0]
+        taken.append(chunk)
+        try:
+            _run_cases(seed, bounds, chunk * size, min(cases, (chunk + 1) * size), report)
+        except Exception as exc:
+            return taken, exc
+
+
 class WorkerLost(RuntimeError):
-    """A forked block of difftest cases ended without sending its result."""
+    """A forked difftest worker ended without sending its result."""
 
 
 class _Worker:
-    """One block of cases run in a forked child, which sends back its
-    (failures, steps_checked), or the exception its first raising case
-    raised, pickled through a pipe."""
+    """A forked child that takes chunks of cases from the shared token
+    pipe, and sends back (chunks taken, failures, steps_checked, the
+    exception of its raising case or None), pickled through its own pipe."""
 
-    def __init__(self, seed: int, bounds: DiffBounds, lo: int, hi: int):
-        self.lo, self.hi = lo, hi
+    def __init__(self, tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int):
         read_fd, write_fd = os.pipe()
         # a raw fork (4-6 ms on a 2-core Xeon guest), not a multiprocessing
         # pool (13-34 ms there, and spawned workers re-import numpy): a
-        # 25-case criterion-3 run takes 60-190 ms there, about 75 ms in the
+        # 25-case criterion-3 run takes 35-90 ms there, about 55 ms in the
         # median.  The child runs only the case loop and leaves by os._exit.
         try:
             self.pid = os.fork()
@@ -263,48 +293,44 @@ class _Worker:
             raise
         if self.pid == 0:
             os.close(read_fd)
-            self._serve(seed, bounds, write_fd)
+            self._serve(tokens, seed, bounds, size, cases, write_fd)
         os.close(write_fd)
         self.pipe = open(read_fd, "rb")
+        self.exit_code = 0
 
-    def _serve(self, seed: int, bounds: DiffBounds, write_fd: int) -> None:
+    @staticmethod
+    def _serve(
+        tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int, write_fd: int
+    ) -> None:
         # the child never returns into the caller's stack, and os._exit
         # skips the atexit handlers and buffers it inherited
         status = 1
         try:
-            part = DiffReport(cases=self.hi - self.lo, seed=seed, bounds=bounds)
-            try:
-                _run_cases(seed, bounds, self.lo, self.hi, part)
-                payload = (part.failures, part.steps_checked)
-            except Exception as exc:
+            part = DiffReport(cases=cases, seed=seed, bounds=bounds)
+            taken, exc = _take_chunks(tokens, seed, bounds, size, cases, part)
+            if exc is not None:
                 import traceback
 
                 exc.add_note("".join(traceback.format_exception(exc)).rstrip())
-                payload = exc
-            data = pickle.dumps(payload)
+            data = pickle.dumps((taken, part.failures, part.steps_checked, exc))
             with open(write_fd, "wb") as fh:
                 fh.write(data)
             status = 0
         finally:
             os._exit(status)
 
-    def result(self) -> Tuple[List[DiffFailure], int]:
-        """Wait for the child; re-raise what its block raised."""
+    def result(self) -> Optional[tuple]:
+        """Wait for the child; what it sent, or None when it sent nothing
+        (exit_code then says how it ended)."""
         data = self.pipe.read()
         self.pipe.close()
         _, status = os.waitpid(self.pid, 0)
         self.pid = 0
         # exit code 0 only follows a complete write
-        code = os.waitstatus_to_exitcode(status)
-        if code != 0:
-            raise WorkerLost(
-                f"the worker for cases {self.lo}..{self.hi - 1} sent no result "
-                f"(exit code {code})"
-            )
-        payload = pickle.loads(data)
-        if isinstance(payload, BaseException):
-            raise payload
-        return payload
+        self.exit_code = os.waitstatus_to_exitcode(status)
+        if self.exit_code != 0:
+            return None
+        return pickle.loads(data)
 
     def close(self) -> None:
         """Stop and reap the child if result() has not."""
@@ -323,25 +349,80 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _case_ranges(chunks: List[int], size: int, cases: int) -> str:
+    # "0..39, 52, 80..99": the cases of ascending chunks, adjacent ones joined
+    spans: List[List[int]] = []
+    for c in chunks:
+        lo, hi = c * size, min(cases, (c + 1) * size) - 1
+        if spans and spans[-1][1] == lo - 1:
+            spans[-1][1] = hi
+        else:
+            spans.append([lo, hi])
+    return ", ".join(f"{lo}..{hi}" if lo < hi else f"{lo}" for lo, hi in spans)
+
+
+def _run_shared(cases: int, seed: int, bounds: DiffBounds, procs: int, report: DiffReport) -> None:
+    size = -(-cases // _CHUNKS)
+    chunks = -(-cases // size)
+    tokens, write_fd = os.pipe()
+    try:
+        # every token in one write (at most 256 bytes, so it cannot block),
+        # then no writer is left, and a read past the last token returns b""
+        os.write(write_fd, bytes(range(chunks)))
+    finally:
+        os.close(write_fd)
+    workers: List[_Worker] = []
+    try:
+        for _ in range(procs - 1):
+            workers.append(_Worker(tokens, seed, bounds, size, cases))
+        taken, exc = _take_chunks(tokens, seed, bounds, size, cases, report)
+        # the chunk holding the lowest raising case so far, and its exception
+        first = (taken[-1], exc) if exc is not None else None
+        settled = set(taken)
+        if first is not None:
+            # the workers stop after their current chunk; chunks still in the
+            # pipe come after the raising one, so no one needs to run them
+            while drained := os.read(tokens, _CHUNKS):
+                settled.update(drained)
+        codes = []
+        for worker in workers:
+            result = worker.result()
+            if result is None:
+                codes.append(worker.exit_code)
+                continue
+            w_taken, failures, steps, w_exc = result
+            settled.update(w_taken)
+            report.failures += failures
+            report.steps_checked += steps
+            if w_exc is not None and (first is None or w_taken[-1] < first[0]):
+                first = (w_taken[-1], w_exc)
+    finally:
+        for worker in workers:
+            worker.close()
+        os.close(tokens)
+    # a lost chunk below the raising one could have raised first
+    lost = sorted(set(range(chunks)) - settled)
+    if lost and (first is None or lost[0] < first[0]):
+        raise WorkerLost(
+            f"no result came back for cases {_case_ranges(lost, size, cases)} "
+            f"(worker exit code {', '.join(map(str, codes))})"
+        )
+    if first is not None:
+        raise first[1]
+    # each case runs in one process, so sorting by case gives the serial order
+    report.failures.sort(key=lambda f: f.case)
+
+
 def run_difftest(cases: int, seed: int, bounds: Optional[DiffBounds] = None) -> DiffReport:
     """Run `cases` independent cases; deterministic in (cases, seed, bounds),
     whatever number of CPUs shares the work."""
     bounds = bounds or DiffBounds()
     report = DiffReport(cases=cases, seed=seed, bounds=bounds)
     start = _time.perf_counter()
-    blocks = max(1, min(_usable_cpus(), cases))
-    edges = [cases * k // blocks for k in range(blocks + 1)]
-    workers: List[_Worker] = []
-    try:
-        for lo, hi in zip(edges[1:-1], edges[2:]):
-            workers.append(_Worker(seed, bounds, lo, hi))
-        _run_cases(seed, bounds, 0, edges[1], report)
-        for worker in workers:
-            failures, steps = worker.result()
-            report.failures += failures
-            report.steps_checked += steps
-    finally:
-        for worker in workers:
-            worker.close()
+    procs = min(_usable_cpus(), cases)
+    if procs > 1:
+        _run_shared(cases, seed, bounds, procs, report)
+    else:
+        _run_cases(seed, bounds, 0, cases, report)
     report.elapsed = _time.perf_counter() - start
     return report

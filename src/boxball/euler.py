@@ -270,23 +270,36 @@ def umkdv_residual(
     Only the listed boxes are read.  Between them U = U' = loads = 0 and S
     is constant, so a run of unlisted boxes violates the equation by |S|
     when S <= 0, and at most by min(cap, S) + max(0, S - m) when S > 0, cap
-    the run's largest capacity; the identity by |S|.
+    the run's largest capacity; the identity by |S|.  Loads outside
+    [lo, hi] are not read.
     """
     lo = min(before.window_start, after.window_start)
     hi = max(before.window_end, after.window_end)
     profile = before.profile
     m = as_xint(m)
     m_val = None if m.is_pos_inf else m.finite
-    u = dict(before.occupied)
-    up = dict(after.occupied)
-    loads = {n: v for n, v in trace.carrier_loads if lo <= n <= hi}
     capacity = profile.capacity
+    # one merge of the three ascending pair lists; a list's next box is
+    # `end` once it is used up, and hi + 1 closes the last run of unlisted
+    # boxes (every occupied box lies below hi)
+    end = hi + 1
+    stop = (end, 0)
+    u, up, loads = iter(before.occupied), iter(after.occupied), iter(trace.carrier_loads)
+    bu, vu = next(u, stop)
+    bup, vup = next(up, stop)
+    bl, vl = next(loads, stop)
+    while bl < lo:
+        bl, vl = next(loads, stop)
+    if bl > hi:
+        bl = end
 
     worst = identity = 0
     s = 0
     n = lo  # the first box not read yet
-    # hi + 1 closes the last run of unlisted boxes
-    for b in sorted(u.keys() | up.keys() | loads.keys()) + [hi + 1]:
+    while True:
+        b = bu if bu < bup else bup
+        if bl < b:
+            b = bl
         if n < b and s:  # boxes n .. b-1 are not listed
             identity = max(identity, abs(s))
             g = min(b, hi)
@@ -297,21 +310,36 @@ def umkdv_residual(
                     if m_val is not None and s > m_val:
                         gap += s - m_val
                 worst = max(worst, gap)
-        if b > hi:
+        if b == end:
             break
-        ub = u.get(b, 0)
-        upb = up.get(b, 0)
-        d = loads.get(b, 0) - s
-        if d:
-            identity = max(identity, abs(d))
+        ub = upb = 0
+        d = -s
+        if bu == b:
+            ub = vu
+            bu, vu = next(u, stop)
+        if bup == b:
+            upb = vup
+            bup, vup = next(up, stop)
+        if bl == b:
+            d += vl
+            bl, vl = next(loads, stop)
+            if bl > hi:
+                bl = end
+        if d > identity:
+            identity = d
+        elif -d > identity:
+            identity = -d
         if b < hi:
             e = capacity(b) - ub
             if s < e:
                 e = s
             if m_val is not None and s + ub > m_val:
                 e += s + ub - m_val
-            if upb != e:
-                worst = max(worst, abs(upb - e))
+            e -= upb
+            if e > worst:
+                worst = e
+            elif -e > worst:
+                worst = -e
         s += ub - upb
         n = b + 1
     return ResidualReport(

@@ -11,6 +11,8 @@ from __future__ import annotations
 from typing import Tuple
 
 from .euler import EulerState
+from .geometry import _past_int64
+from .xint import INT64_MAX
 
 
 def expand(state: EulerState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -25,11 +27,19 @@ def expand(state: EulerState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     segment boundary is past the int64 range.
     """
     profile = state.profile
+    capacity = profile.capacity
     x: list = []
     y: list = []
+    nxt = -1  # the box after the last occupied one
+    end = 0  # and its first segment
     for n, u in state.occupied:
-        start = profile.boundary(n)
-        end = profile.boundary(n + 1)
+        # one boundary lookup per stretch of adjacent occupied boxes; inside
+        # a stretch each box starts where the previous one ends
+        start = end if n == nxt else profile.boundary(n)
+        end = start + capacity(n)
+        if end > INT64_MAX:
+            raise _past_int64(n + 1, end)
+        nxt = n + 1
         if y and y[-1] == start:
             y[-1] = start + u
         else:

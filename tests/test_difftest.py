@@ -3,7 +3,9 @@ right failure label, and a run split over forked workers must report
 exactly what a serial run reports."""
 
 import os
+import re
 import signal
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -23,7 +25,7 @@ REAL_CASE = difftest._run_case
 
 
 def use_cpus(monkeypatch, n):
-    """run_difftest splits its cases into one block per usable CPU."""
+    """run_difftest runs its cases in one process per usable CPU."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
 
 
@@ -52,7 +54,7 @@ def test_toda_state_moved_one_box_reports_toda_counts(monkeypatch):
     bounds = DiffBounds(window=12, max_delta=4, steps=3)
     use_cpus(monkeypatch, 1)
     serial = run_difftest(40, 11, bounds)
-    # the failures of both blocks (cases 0..19 and 20..39) come back in order
+    # the failures of both processes come back in case order
     use_cpus(monkeypatch, 2)
     report = run_difftest(40, 11, bounds)
     assert report.to_json_dict() == serial.to_json_dict()
@@ -187,15 +189,31 @@ def test_one_cpu_or_one_case_runs_in_process(monkeypatch):
     assert run_difftest(1, 3, DiffBounds(steps=2)).ok
 
 
-def test_a_route_raising_in_a_worker_reraises_in_the_caller(monkeypatch):
+def patch_worker_oracle(monkeypatch, tmp_path, in_worker):
+    """The oracle calls in_worker() in a forked worker; in the caller it
+    first waits until a worker has started a case, so that the caller
+    cannot take every chunk before the worker takes one."""
     caller = os.getpid()
+    started = tmp_path / "worker-started"
 
     def oracle(state, schedule):
         if os.getpid() != caller:
-            raise ZeroDivisionError("worker route")
+            started.touch()
+            in_worker()
+        else:
+            deadline = time.monotonic() + 60
+            while not started.exists() and time.monotonic() < deadline:
+                time.sleep(0.001)
         return REAL_ORACLE(state, schedule)
 
     monkeypatch.setattr(difftest, "carrier_oracle_step", oracle)
+
+
+def test_a_route_raising_in_a_worker_reraises_in_the_caller(monkeypatch, tmp_path):
+    def worker_route():
+        raise ZeroDivisionError("worker route")
+
+    patch_worker_oracle(monkeypatch, tmp_path, worker_route)
     use_cpus(monkeypatch, 2)
     with pytest.raises(ZeroDivisionError, match="worker route") as info:
         run_difftest(40, 0, DiffBounds(steps=2))
@@ -206,8 +224,8 @@ def test_a_route_raising_in_a_worker_reraises_in_the_caller(monkeypatch):
 
 @pytest.mark.parametrize("raising, first", [({25, 35}, 25), ({5, 30}, 5), ({35}, 35)])
 def test_the_lowest_raising_case_wins(monkeypatch, raising, first):
-    # blocks are cases 0..12, 13..25 and 26..39; a serial run would stop at
-    # the lowest raising case
+    # chunks of one case each go to whichever of the three processes asks
+    # first; a serial run would stop at the lowest raising case
     def run_case(i, *args):
         if i in raising:
             raise LookupError(i)
@@ -221,16 +239,35 @@ def test_the_lowest_raising_case_wins(monkeypatch, raising, first):
     assert_no_child_left()
 
 
-def test_a_killed_worker_gives_a_named_error(monkeypatch):
-    caller = os.getpid()
-
-    def oracle(state, schedule):
-        if os.getpid() != caller:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return REAL_ORACLE(state, schedule)
-
-    monkeypatch.setattr(difftest, "carrier_oracle_step", oracle)
+def test_a_killed_worker_gives_a_named_error(monkeypatch, tmp_path):
+    patch_worker_oracle(monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL))
     use_cpus(monkeypatch, 2)
-    with pytest.raises(difftest.WorkerLost, match=r"cases 20\.\.39 .*exit code -9"):
+    with pytest.raises(difftest.WorkerLost) as info:
         run_difftest(40, 0, DiffBounds(steps=2))
+    # 40 cases make 40 one-case chunks, and the worker dies in its first
+    lost = re.fullmatch(
+        r"no result came back for cases (\d+) \(worker exit code -9\)", str(info.value)
+    )
+    assert lost and 0 <= int(lost[1]) < 40
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_every_case_runs_exactly_once(monkeypatch, tmp_path, cpus):
+    # 601 cases make 201 chunks of 3 cases, the last one of 1 case
+    log = tmp_path / "cases"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def run_case(i, *args):
+        os.write(fd, f"{i}\n".encode())
+        REAL_CASE(i, *args)
+
+    monkeypatch.setattr(difftest, "_run_case", run_case)
+    use_cpus(monkeypatch, cpus)
+    try:
+        report = run_difftest(601, 2, DiffBounds(window=8, steps=1))
+    finally:
+        os.close(fd)
+    assert sorted(int(i) for i in log.read_text().split()) == list(range(601))
+    assert report.steps_checked == 601
     assert_no_child_left()

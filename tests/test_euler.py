@@ -355,6 +355,20 @@ def test_residual_matches_dense_reference(case):
     assert umkdv_residual(before, after, trace, m) == dense_umkdv_residual(before, after, trace, m)
 
 
+@given(residual_cases(), st.data())
+def test_residual_reads_no_load_outside_lo_hi(case, data):
+    # loads left of lo and right of hi, which a true step never lists
+    before, after, trace, m = case
+    lo = min(before.window_start, after.window_start)
+    hi = max(before.window_end, after.window_end)
+    boxes = data.draw(st.lists(st.integers(0, lo - 1), unique=True)) if lo else []
+    boxes += data.draw(st.lists(st.integers(hi + 1, hi + 6), min_size=1, unique=True))
+    value = data.draw(st.integers(1, 9))
+    loads = tuple(sorted(trace.carrier_loads + tuple((b, value) for b in boxes)))
+    outside = EulerStepTrace(trace.limited_counts, loads, trace.removed)
+    assert umkdv_residual(before, after, outside, m) == umkdv_residual(before, after, trace, m)
+
+
 @given(residual_cases())
 def test_residual_on_different_windows_matches_one_common_window(case):
     before, after, trace, m = case

@@ -46,8 +46,13 @@ def test_boundaries_past_int64_raise():
     with pytest.raises(FiniteOverflow):
         # the last run covers segments 2^63 - 1 and 2^63: box 1's end and past it
         to_euler(TodaState(Q=(1, 2), E=(2**63 - 2,), X0=0, profile=p))
-    with pytest.raises(FiniteOverflow):
+    # inside a stretch of adjacent boxes box 1 ends at s_2 = 2^63, reached
+    # from s_1 by its capacity; after a gap box 2 starts there
+    past = r"^segment boundary s_2 = 9223372036854775808 is past the int64 range$"
+    with pytest.raises(FiniteOverflow, match=past):
         expand(EulerState(counts=[1, 1, 0, 1], profile=p))
+    with pytest.raises(FiniteOverflow, match=past):
+        expand(EulerState(counts=[1, 0, 1], profile=p))
 
 
 def test_to_euler_checks_the_end_of_every_box_a_run_visits():
