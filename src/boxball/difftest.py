@@ -349,30 +349,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _case_ranges(chunks: List[int], size: int, cases: int) -> str:
-    # "0..39, 52, 80..99": the cases of ascending chunks, adjacent ones joined
-    spans: List[List[int]] = []
-    for c in chunks:
-        lo, hi = c * size, min(cases, (c + 1) * size) - 1
-        if spans and spans[-1][1] == lo - 1:
-            spans[-1][1] = hi
-        else:
-            spans.append([lo, hi])
-    return ", ".join(f"{lo}..{hi}" if lo < hi else f"{lo}" for lo, hi in spans)
-
-
 def _run_shared(cases: int, seed: int, bounds: DiffBounds, procs: int, report: DiffReport) -> None:
     size = -(-cases // _CHUNKS)
     chunks = -(-cases // size)
     tokens, write_fd = os.pipe()
-    try:
-        # every token in one write (at most 256 bytes, so it cannot block),
-        # then no writer is left, and a read past the last token returns b""
-        os.write(write_fd, bytes(range(chunks)))
-    finally:
-        os.close(write_fd)
     workers: List[_Worker] = []
     try:
+        # every token in one write (at most 256 bytes, so it cannot block);
+        # then no writer is left, and a read past the last token returns b""
+        with open(write_fd, "wb", buffering=0) as fh:
+            fh.write(bytes(range(chunks)))
         for _ in range(procs - 1):
             workers.append(_Worker(tokens, seed, bounds, size, cases))
         taken, exc = _take_chunks(tokens, seed, bounds, size, cases, report)
@@ -403,8 +389,9 @@ def _run_shared(cases: int, seed: int, bounds: DiffBounds, procs: int, report: D
     # a lost chunk below the raising one could have raised first
     lost = sorted(set(range(chunks)) - settled)
     if lost and (first is None or lost[0] < first[0]):
+        spans = ", ".join(f"{c * size}..{min(cases, (c + 1) * size) - 1}" for c in lost)
         raise WorkerLost(
-            f"no result came back for cases {_case_ranges(lost, size, cases)} "
+            f"no result came back for cases {spans} "
             f"(worker exit code {', '.join(map(str, codes))})"
         )
     if first is not None:

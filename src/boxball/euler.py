@@ -281,7 +281,8 @@ def umkdv_residual(
     capacity = profile.capacity
     # one merge of the three ascending pair lists; a list's next box is
     # `end` once it is used up, and hi + 1 closes the last run of unlisted
-    # boxes (every occupied box lies below hi)
+    # boxes.  Every occupied box lies below hi, so the walk stops at `end`
+    # before it reaches a load past hi.
     end = hi + 1
     stop = (end, 0)
     u, up, loads = iter(before.occupied), iter(after.occupied), iter(trace.carrier_loads)
@@ -290,8 +291,6 @@ def umkdv_residual(
     bl, vl = next(loads, stop)
     while bl < lo:
         bl, vl = next(loads, stop)
-    if bl > hi:
-        bl = end
 
     worst = identity = 0
     s = 0
@@ -323,8 +322,6 @@ def umkdv_residual(
         if bl == b:
             d += vl
             bl, vl = next(loads, stop)
-            if bl > hi:
-                bl = end
         if d > identity:
             identity = d
         elif -d > identity:

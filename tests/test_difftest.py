@@ -189,6 +189,13 @@ def test_one_cpu_or_one_case_runs_in_process(monkeypatch):
     assert run_difftest(1, 3, DiffBounds(steps=2)).ok
 
 
+def wait_for(path):
+    """Until another process has made `path`, at most one minute."""
+    deadline = time.monotonic() + 60
+    while not path.exists() and time.monotonic() < deadline:
+        time.sleep(0.001)
+
+
 def patch_worker_oracle(monkeypatch, tmp_path, in_worker):
     """The oracle calls in_worker() in a forked worker; in the caller it
     first waits until a worker has started a case, so that the caller
@@ -201,9 +208,7 @@ def patch_worker_oracle(monkeypatch, tmp_path, in_worker):
             started.touch()
             in_worker()
         else:
-            deadline = time.monotonic() + 60
-            while not started.exists() and time.monotonic() < deadline:
-                time.sleep(0.001)
+            wait_for(started)
         return REAL_ORACLE(state, schedule)
 
     monkeypatch.setattr(difftest, "carrier_oracle_step", oracle)
@@ -239,6 +244,107 @@ def test_the_lowest_raising_case_wins(monkeypatch, raising, first):
     assert_no_child_left()
 
 
+@pytest.mark.parametrize("worker_fails", ["raises", "dies"])
+def test_a_worker_case_below_the_callers_raising_case_wins(monkeypatch, tmp_path, worker_fails):
+    # the worker fails at its first case; the caller finishes its first
+    # case only after that, so its next case, which raises, comes from a
+    # later token and is higher
+    caller = os.getpid()
+    failed = tmp_path / "worker-failed"
+
+    def run_case(i, *args):
+        if os.getpid() != caller:
+            failed.write_text(str(i))
+            if worker_fails == "dies":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise LookupError(i)
+        if failed.exists():
+            raise LookupError(i)
+        wait_for(failed)
+        REAL_CASE(i, *args)
+
+    monkeypatch.setattr(difftest, "_run_case", run_case)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises((LookupError, difftest.WorkerLost)) as info:
+        run_difftest(40, 0, DiffBounds(steps=2))
+    case = int(failed.read_text())
+    if worker_fails == "raises":
+        assert info.type is LookupError and info.value.args == (case,)
+    else:
+        # the lost case could have raised first
+        assert info.type is difftest.WorkerLost and f"cases {case}..{case} (" in str(info.value)
+    assert_no_child_left()
+
+
+def test_a_callers_raising_case_below_every_lost_chunk_wins(monkeypatch, tmp_path):
+    # the worker runs its first case once the caller has started its
+    # raising case, and dies at its next, which is therefore higher; the
+    # first case is lost with it, and it may lie below
+    caller = os.getpid()
+    took, dying = tmp_path / "caller-took", tmp_path / "worker-dying"
+    log = tmp_path / "worker-cases"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+    seen = []
+
+    def run_case(i, *args):
+        if os.getpid() == caller:
+            took.write_text(str(i))
+            wait_for(dying)
+            raise LookupError(i)
+        os.write(fd, f"{i}\n".encode())
+        if seen:
+            dying.touch()
+            os.kill(os.getpid(), signal.SIGKILL)
+        wait_for(took)
+        REAL_CASE(i, *args)
+        seen.append(i)
+
+    monkeypatch.setattr(difftest, "_run_case", run_case)
+    use_cpus(monkeypatch, 2)
+    try:
+        with pytest.raises((LookupError, difftest.WorkerLost)) as info:
+            run_difftest(40, 0, DiffBounds(steps=2))
+    finally:
+        os.close(fd)
+    raising = int(took.read_text())
+    lost = [int(i) for i in log.read_text().split()]
+    assert dying.exists() and max(lost) > raising
+    if min(lost) > raising:
+        assert info.type is LookupError and info.value.args == (raising,)
+    else:
+        assert info.type is difftest.WorkerLost
+    assert_no_child_left()
+
+
+def test_a_raising_caller_stops_the_workers(monkeypatch, tmp_path):
+    # the caller raises at its first case and takes the tokens left in the
+    # pipe, so each worker stops after the one-case chunk it is running;
+    # the workers start their cases only once the caller raises
+    caller = os.getpid()
+    raising = tmp_path / "caller-raising"
+    log = tmp_path / "cases"
+    fd = os.open(log, os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+    def run_case(i, *args):
+        if os.getpid() == caller:
+            raising.touch()
+            raise LookupError(i)
+        wait_for(raising)
+        os.write(fd, f"{i}\n".encode())
+        REAL_CASE(i, *args)
+
+    monkeypatch.setattr(difftest, "_run_case", run_case)
+    use_cpus(monkeypatch, 3)
+    try:
+        with pytest.raises(LookupError):
+            run_difftest(256, 0, DiffBounds())
+    finally:
+        os.close(fd)
+    # the workers would run the other 255 cases if the caller left them
+    assert len(log.read_text().split()) < 128
+    assert_no_child_left()
+
+
 def test_a_killed_worker_gives_a_named_error(monkeypatch, tmp_path):
     patch_worker_oracle(monkeypatch, tmp_path, lambda: os.kill(os.getpid(), signal.SIGKILL))
     use_cpus(monkeypatch, 2)
@@ -246,9 +352,9 @@ def test_a_killed_worker_gives_a_named_error(monkeypatch, tmp_path):
         run_difftest(40, 0, DiffBounds(steps=2))
     # 40 cases make 40 one-case chunks, and the worker dies in its first
     lost = re.fullmatch(
-        r"no result came back for cases (\d+) \(worker exit code -9\)", str(info.value)
+        r"no result came back for cases (\d+)\.\.(\d+) \(worker exit code -9\)", str(info.value)
     )
-    assert lost and 0 <= int(lost[1]) < 40
+    assert lost and lost[1] == lost[2] and 0 <= int(lost[1]) < 40
     assert_no_child_left()
 
 
