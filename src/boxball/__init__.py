@@ -31,8 +31,6 @@ from .solutions import (
     TauParams,
     euler_nsoliton,
     euler_slices,
-    tau_T,
-    tau_olT,
     tau_states,
     tau_toda_state,
     verify_euler_solution,
@@ -93,8 +91,6 @@ __all__ = [
     "lagrange_to_toda",
     "nukdv_step",
     "same_occupancy",
-    "tau_T",
-    "tau_olT",
     "tau_states",
     "tau_toda_state",
     "to_euler",

@@ -19,23 +19,25 @@ forked child for each other CPU.  The cases are cut into at most 256
 chunks of ceil(cases/256) consecutive cases, and each chunk's one-byte
 token is written into a pipe before the fork; every process reads one
 token at a time and runs that chunk, so a process that finishes early
-takes the next chunk instead of waiting.  The children's failures and
-step counts are merged in case order, so the report does not depend on
-the split; with one usable CPU, or fewer than two cases, the run stays
-serial and in-process (`taskset -c 0` gives a serial run).  A case that
-raises re-raises in the caller, the lowest raising case index first, as
-in a serial run: a process stops taking tokens at its first raising case,
-and the tokens leave the pipe in increasing order, so every case below
-the lowest raising one is run.
+takes the next chunk instead of waiting.  Each process sends a record as
+each chunk ends (its failures and step counts, or what a case raised),
+and the caller merges them once, in chunk order, so the report does not
+depend on the split.  A process whose case raises reads the pipe empty,
+so every process stops after its current chunk; tokens leave the pipe in
+increasing order, so every chunk below the raising one is run, and the
+lowest raising case re-raises in the caller, as in a serial run.  With
+one usable CPU, or one chunk, the caller runs the same path with no fork
+(`taskset -c 0` gives a serial run).
 """
 
 from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 import time as _time
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import IO, Callable, List, Optional, Tuple
 
 import numpy as np
 
@@ -238,49 +240,50 @@ def _run_case(
         total_before = total_after
 
 
-def _run_cases(seed: int, bounds: DiffBounds, lo: int, hi: int, report: DiffReport) -> None:
-    for i in range(lo, hi):
-        rng = np.random.default_rng([seed, i])
-        state, schedule = random_case(rng, bounds)
-        _run_case(i, state, schedule, bounds, report)
-
-
-# the most chunks of consecutive cases a shared run is cut into; a chunk's
-# token is one byte, its index
+# the most chunks of consecutive cases a run is cut into; a chunk's token
+# is one byte, its index
 _CHUNKS = 256
 
 
 def _take_chunks(
-    tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int, report: DiffReport
-) -> Tuple[List[int], Optional[Exception]]:
+    tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int, send: Callable
+) -> None:
     """Run chunk after chunk, each the one whose token this process reads
-    next from the pipe `tokens`, until the pipe is empty or a case raises.
-    Returns the chunks taken, the last one the raising one, and what the
-    case raised."""
-    taken: List[int] = []
-    while True:
-        token = os.read(tokens, 1)
-        if not token:
-            return taken, None
+    next from the pipe `tokens`, and send (chunk, failures, steps_checked,
+    the exception a case raised or None) as each one ends, until the pipe
+    is empty or a case raises.  After a raise, read the pipe empty, so that
+    every process stops after its current chunk: tokens leave the pipe in
+    increasing order, so each chunk left in it is above the raising one."""
+    while token := os.read(tokens, 1):
         chunk = token[0]
-        taken.append(chunk)
+        part = DiffReport(cases=cases, seed=seed, bounds=bounds)
         try:
-            _run_cases(seed, bounds, chunk * size, min(cases, (chunk + 1) * size), report)
+            for i in range(chunk * size, min(cases, (chunk + 1) * size)):
+                state, schedule = random_case(np.random.default_rng([seed, i]), bounds)
+                _run_case(i, state, schedule, bounds, part)
         except Exception as exc:
-            return taken, exc
+            send((chunk, part.failures, part.steps_checked, exc))
+            while os.read(tokens, _CHUNKS):
+                pass
+            return
+        send((chunk, part.failures, part.steps_checked, None))
 
 
 class WorkerLost(RuntimeError):
-    """A forked difftest worker ended without sending its result."""
+    """A forked difftest worker ended without sending a chunk's result."""
 
 
 class _Worker:
     """A forked child that takes chunks of cases from the shared token
-    pipe, and sends back (chunks taken, failures, steps_checked, the
-    exception of its raising case or None), pickled through its own pipe."""
+    pipe, and writes each chunk's record, pickled, to its own file as soon
+    as the chunk ends."""
 
     def __init__(self, tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int):
-        read_fd, write_fd = os.pipe()
+        # an unnamed file, not a pipe, so that the child never waits for the
+        # caller to read: through a pipe the child stalled once 64 KiB of
+        # records were unread, and a 6000-case criterion-3 run whose every
+        # case fails took 2.3-2.5 s against 1.1-1.2 s on the 2-core host
+        self.file = tempfile.TemporaryFile()
         # a raw fork (4-6 ms on a 2-core Xeon guest), not a multiprocessing
         # pool (13-34 ms there, and spawned workers re-import numpy): a
         # 25-case criterion-3 run takes 35-90 ms there, about 55 ms in the
@@ -288,53 +291,55 @@ class _Worker:
         try:
             self.pid = os.fork()
         except OSError:
-            os.close(read_fd)
-            os.close(write_fd)
+            self.file.close()
             raise
         if self.pid == 0:
-            os.close(read_fd)
-            self._serve(tokens, seed, bounds, size, cases, write_fd)
-        os.close(write_fd)
-        self.pipe = open(read_fd, "rb")
-        self.exit_code = 0
+            self._serve(tokens, seed, bounds, size, cases, self.file)
 
     @staticmethod
     def _serve(
-        tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int, write_fd: int
+        tokens: int, seed: int, bounds: DiffBounds, size: int, cases: int, file: IO[bytes]
     ) -> None:
         # the child never returns into the caller's stack, and os._exit
         # skips the atexit handlers and buffers it inherited
         status = 1
         try:
-            part = DiffReport(cases=cases, seed=seed, bounds=bounds)
-            taken, exc = _take_chunks(tokens, seed, bounds, size, cases, part)
-            if exc is not None:
-                import traceback
 
-                exc.add_note("".join(traceback.format_exception(exc)).rstrip())
-            data = pickle.dumps((taken, part.failures, part.steps_checked, exc))
-            with open(write_fd, "wb") as fh:
-                fh.write(data)
+            def send(record: tuple) -> None:
+                exc = record[3]
+                if exc is not None:
+                    import traceback
+
+                    exc.add_note("".join(traceback.format_exception(exc)).rstrip())
+                # pickled whole first, so a record that cannot be pickled
+                # leaves nothing half-written behind
+                file.write(pickle.dumps(record))
+                file.flush()
+
+            _take_chunks(tokens, seed, bounds, size, cases, send)
             status = 0
         finally:
             os._exit(status)
 
-    def result(self) -> Optional[tuple]:
-        """Wait for the child; what it sent, or None when it sent nothing
-        (exit_code then says how it ended)."""
-        data = self.pipe.read()
-        self.pipe.close()
+    def records(self) -> List[tuple]:
+        """Wait for the child; every record it wrote whole (one cut short by
+        its death is dropped), with exit_code then saying how it ended."""
         _, status = os.waitpid(self.pid, 0)
         self.pid = 0
-        # exit code 0 only follows a complete write
         self.exit_code = os.waitstatus_to_exitcode(status)
-        if self.exit_code != 0:
-            return None
-        return pickle.loads(data)
+        records = []
+        with self.file:
+            self.file.seek(0)
+            try:
+                while True:
+                    records.append(pickle.load(self.file))
+            except (EOFError, pickle.UnpicklingError):
+                pass  # the end, or a record cut short by the child's death
+        return records
 
     def close(self) -> None:
-        """Stop and reap the child if result() has not."""
-        self.pipe.close()
+        """Stop and reap the child if records() has not."""
+        self.file.close()
         if self.pid:
             import signal  # only this error path needs it, and it takes 1 ms to import
 
@@ -349,9 +354,16 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_shared(cases: int, seed: int, bounds: DiffBounds, procs: int, report: DiffReport) -> None:
-    size = -(-cases // _CHUNKS)
-    chunks = -(-cases // size)
+def run_difftest(cases: int, seed: int, bounds: Optional[DiffBounds] = None) -> DiffReport:
+    """Run `cases` independent cases; deterministic in (cases, seed, bounds),
+    whatever number of CPUs shares the work."""
+    bounds = bounds or DiffBounds()
+    report = DiffReport(cases=cases, seed=seed, bounds=bounds)
+    start = _time.perf_counter()
+    # no chunk at all for cases <= 0
+    size = max(1, -(-cases // _CHUNKS))
+    chunks = max(0, -(-cases // size))
+    sent: List[tuple] = []
     tokens, write_fd = os.pipe()
     workers: List[_Worker] = []
     try:
@@ -359,57 +371,34 @@ def _run_shared(cases: int, seed: int, bounds: DiffBounds, procs: int, report: D
         # then no writer is left, and a read past the last token returns b""
         with open(write_fd, "wb", buffering=0) as fh:
             fh.write(bytes(range(chunks)))
-        for _ in range(procs - 1):
+        for _ in range(min(_usable_cpus(), chunks) - 1):
             workers.append(_Worker(tokens, seed, bounds, size, cases))
-        taken, exc = _take_chunks(tokens, seed, bounds, size, cases, report)
-        # the chunk holding the lowest raising case so far, and its exception
-        first = (taken[-1], exc) if exc is not None else None
-        settled = set(taken)
-        if first is not None:
-            # the workers stop after their current chunk; chunks still in the
-            # pipe come after the raising one, so no one needs to run them
-            while drained := os.read(tokens, _CHUNKS):
-                settled.update(drained)
-        codes = []
+        _take_chunks(tokens, seed, bounds, size, cases, sent.append)
         for worker in workers:
-            result = worker.result()
-            if result is None:
-                codes.append(worker.exit_code)
-                continue
-            w_taken, failures, steps, w_exc = result
-            settled.update(w_taken)
-            report.failures += failures
-            report.steps_checked += steps
-            if w_exc is not None and (first is None or w_taken[-1] < first[0]):
-                first = (w_taken[-1], w_exc)
+            sent += worker.records()
     finally:
         for worker in workers:
             worker.close()
         os.close(tokens)
+    # in chunk order, which is case order, up to the lowest raising chunk
+    records = {record[0]: record for record in sent}
+    lost: List[int] = []
+    raised = None
+    for chunk in range(chunks):
+        if chunk not in records:
+            lost.append(chunk)
+            continue
+        _, failures, steps, raised = records[chunk]
+        if raised is not None:
+            break
+        report.failures += failures
+        report.steps_checked += steps
     # a lost chunk below the raising one could have raised first
-    lost = sorted(set(range(chunks)) - settled)
-    if lost and (first is None or lost[0] < first[0]):
+    if lost:
         spans = ", ".join(f"{c * size}..{min(cases, (c + 1) * size) - 1}" for c in lost)
-        raise WorkerLost(
-            f"no result came back for cases {spans} "
-            f"(worker exit code {', '.join(map(str, codes))})"
-        )
-    if first is not None:
-        raise first[1]
-    # each case runs in one process, so sorting by case gives the serial order
-    report.failures.sort(key=lambda f: f.case)
-
-
-def run_difftest(cases: int, seed: int, bounds: Optional[DiffBounds] = None) -> DiffReport:
-    """Run `cases` independent cases; deterministic in (cases, seed, bounds),
-    whatever number of CPUs shares the work."""
-    bounds = bounds or DiffBounds()
-    report = DiffReport(cases=cases, seed=seed, bounds=bounds)
-    start = _time.perf_counter()
-    procs = min(_usable_cpus(), cases)
-    if procs > 1:
-        _run_shared(cases, seed, bounds, procs, report)
-    else:
-        _run_cases(seed, bounds, 0, cases, report)
+        codes = ", ".join(str(w.exit_code) for w in workers if w.exit_code)
+        raise WorkerLost(f"no result came back for cases {spans} (worker exit code {codes})")
+    if raised is not None:
+        raise raised
     report.elapsed = _time.perf_counter() - start
     return report

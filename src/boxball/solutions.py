@@ -26,7 +26,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_int, as_xint
+from .xint import INT64_MAX, FiniteOverflow, XInt, as_int
 
 # The potentials are dynamic programs, O(N^2) per Euler potential that a
 # live box reads and O(N^3) per tau row: at N = 64 a 401-box Euler slice
@@ -446,6 +446,15 @@ class TauParams:
 def _tau_rows(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.ndarray:
     """The potential rows named by keys, each (k, t, barred), as an int64
     (key, n) array of X_0 .. X_N for X = olT^{k,t} if barred else T^{k,t}.
+    T^{k,t}_n is the minimum over all increasing index tuples
+    0 <= r_0 < ... < r_{n-1} <= N-1 of
+
+        sum_i [ W_{r_i} + (2(n-1-i)-1) P_{r_i}
+                - (2(n-1)+t+k) min(P_{r_i}, Delta)
+                + sum_{j=0}^{t} min(P_{r_i}, M_j) ],
+
+    with T_0 = 0; olT has P coefficient 2(n-1-i) and the carrier sum up
+    to t-1.
 
     Walking the indices down from N-1, a tuple entry with c entries after
     it has rank n-1-c and weighs its P by 2c, so X_n is entry n of
@@ -480,33 +489,6 @@ def _tau_rows(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.nd
     rows = np.zeros((len(keys), big_n + 1), dtype=np.int64)
     rows[:, 1:] = best[np.arange(1, big_n + 1), :, np.arange(big_n)].T
     return rows
-
-
-def _tau_potential(params: TauParams, k: int, t: int, n: int, barred: bool) -> XInt:
-    if not -1 <= n <= params.N + 1:
-        raise ValueError(f"index n={n} outside [-1, {params.N + 1}]")
-    if n in (-1, params.N + 1):
-        return POS_INF
-    return as_xint(int(_tau_rows(params, [(k, t, barred)])[0, n]))
-
-
-def tau_T(params: TauParams, k: int, t: int, n: int) -> XInt:
-    """Potential T^{k,t}_n: exact minimum over all increasing index tuples
-    0 <= r_0 < ... < r_{n-1} <= N-1 of
-
-        sum_i [ W_{r_i} + (2(n-1-i)-1) P_{r_i}
-                - (2(n-1)+t+k) min(P_{r_i}, Delta)
-                + sum_{j=0}^{t} min(P_{r_i}, M_j) ],
-
-    with T_0 = 0 and T_{-1} = T_{N+1} = +inf.
-    """
-    return _tau_potential(params, k, t, n, barred=False)
-
-
-def tau_olT(params: TauParams, k: int, t: int, n: int) -> XInt:
-    """Companion potential: P coefficient 2(n-1-i) and carrier sum up to
-    t-1; same boundaries."""
-    return _tau_potential(params, k, t, n, barred=True)
 
 
 @dataclass(frozen=True)

@@ -228,11 +228,7 @@ def capacities_for_state(state: TodaState) -> Tuple[Tuple[int, ...], Tuple[int, 
     return tuple(k), tuple(lam)
 
 
-def enutoda_step(
-    state: TodaState,
-    schedule: CarrierSchedule,
-    k_boundary: int = 0,
-) -> Tuple[TodaState, TodaStepTrace]:
+def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState, TodaStepTrace]:
     """One step with box capacities and a bounded carrier.
 
     Size-limit stage (left to right, exactly in dependency order):
@@ -254,10 +250,10 @@ def enutoda_step(
         Xbar_0 = X_0 + Q_0 + max(0, Lam_1 - Dbar_0),
         X'_0  = X_0 + max(Dbar_0, Lam_1).
 
-    K_N is not a real box capacity; any value in [0, M] cancels out of the
-    outputs, and k_boundary=0 is the convention used here.  Requires
-    K_n <= M; with M = +inf the trimming disappears and the step coincides
-    with extoda_step.
+    K_N is not a real box capacity; any value in [0, M] cancels out of
+    every output but the trace's Cbar_N = min(K_N, M), and K_N = 0 here.
+    Requires K_n <= M; with M = +inf the trimming disappears and the step
+    coincides with extoda_step.
 
     The first loop runs Dbar, Qbar, Cbar and Q' together (Q'_n needs only
     Cbar_{n+1}); the second runs Ebar and E', which need Dbar_{n+1}.
@@ -265,14 +261,9 @@ def enutoda_step(
     m = schedule.at(state.time + 1)
     m_val, m_capped = _capacity_args(m)
     k, lam = capacities_for_state(state)
-    if m_capped:
-        if max(k) > m_val:
-            bad = [v for v in k if v > m_val]
-            raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m_val}")
-        if not 0 <= k_boundary <= m_val:
-            raise ValueError("k_boundary must lie in [0, M]")
-    elif k_boundary < 0:
-        raise ValueError("k_boundary must be >= 0")
+    if m_capped and max(k) > m_val:
+        bad = [v for v in k if v > m_val]
+        raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m_val}")
 
     q, e = state.Q, state.E
     last = len(q) - 1
@@ -296,7 +287,7 @@ def enutoda_step(
             kn1 = k[n + 1]
         else:
             qb = d
-            kn1 = k_boundary
+            kn1 = 0
         c1 = d - qb + kn1
         if m_capped and c1 > m_val:
             c1 = m_val

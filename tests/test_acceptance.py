@@ -258,7 +258,7 @@ def test_criterion_8_tau_solution():
             cur = tau_toda_state(params, t)
             nxt = tau_toda_state(params, t + 1)
             st = TodaState(Q=cur.Q, E=cur.E, X0=0, profile=profile, time=t)
-            stepped, _ = enutoda_step(st, sched, k_boundary=delta)
+            stepped, _ = enutoda_step(st, sched)
             if (stepped.Q, stepped.E) != (nxt.Q, nxt.E):
                 mismatches += 1
         if n == 1:

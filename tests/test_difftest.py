@@ -251,6 +251,7 @@ def test_a_worker_case_below_the_callers_raising_case_wins(monkeypatch, tmp_path
     # later token and is higher
     caller = os.getpid()
     failed = tmp_path / "worker-failed"
+    ran = []
 
     def run_case(i, *args):
         if os.getpid() != caller:
@@ -258,9 +259,10 @@ def test_a_worker_case_below_the_callers_raising_case_wins(monkeypatch, tmp_path
             if worker_fails == "dies":
                 os.kill(os.getpid(), signal.SIGKILL)
             raise LookupError(i)
-        if failed.exists():
+        if ran:
             raise LookupError(i)
         wait_for(failed)
+        ran.append(i)
         REAL_CASE(i, *args)
 
     monkeypatch.setattr(difftest, "_run_case", run_case)
@@ -279,7 +281,7 @@ def test_a_worker_case_below_the_callers_raising_case_wins(monkeypatch, tmp_path
 def test_a_callers_raising_case_below_every_lost_chunk_wins(monkeypatch, tmp_path):
     # the worker runs its first case once the caller has started its
     # raising case, and dies at its next, which is therefore higher; the
-    # first case is lost with it, and it may lie below
+    # first case, which may lie below, came back as it ended
     caller = os.getpid()
     took, dying = tmp_path / "caller-took", tmp_path / "worker-dying"
     log = tmp_path / "worker-cases"
@@ -307,12 +309,9 @@ def test_a_callers_raising_case_below_every_lost_chunk_wins(monkeypatch, tmp_pat
     finally:
         os.close(fd)
     raising = int(took.read_text())
-    lost = [int(i) for i in log.read_text().split()]
-    assert dying.exists() and max(lost) > raising
-    if min(lost) > raising:
-        assert info.type is LookupError and info.value.args == (raising,)
-    else:
-        assert info.type is difftest.WorkerLost
+    ran, died = [int(i) for i in log.read_text().split()]
+    assert dying.exists() and died > raising
+    assert info.type is LookupError and info.value.args == (raising,)
     assert_no_child_left()
 
 
@@ -342,6 +341,73 @@ def test_a_raising_caller_stops_the_workers(monkeypatch, tmp_path):
         os.close(fd)
     # the workers would run the other 255 cases if the caller left them
     assert len(log.read_text().split()) < 128
+    assert_no_child_left()
+
+
+def test_a_raising_worker_stops_the_caller(monkeypatch, tmp_path):
+    # the worker raises at its first case and takes the tokens left in the
+    # pipe before it exits; the caller starts its first case only then, so
+    # it takes no other chunk
+    caller = os.getpid()
+    exited = tmp_path / "worker-exited"
+    real_exit = os._exit
+    ran = []
+
+    def run_case(i, *args):
+        if os.getpid() != caller:
+            raise LookupError(i)
+        wait_for(exited)
+        ran.append(i)
+        REAL_CASE(i, *args)
+
+    def exit_(status):
+        exited.touch()
+        real_exit(status)
+
+    monkeypatch.setattr(difftest, "_run_case", run_case)
+    monkeypatch.setattr(os, "_exit", exit_)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(LookupError) as info:
+        run_difftest(40, 0, DiffBounds(steps=2))
+    # the caller would run the other 39 one-case chunks if the worker left them
+    assert len(ran) == 1 and info.value.args[0] not in ran
+    assert_no_child_left()
+
+
+def test_a_worker_killed_late_loses_only_the_chunk_it_died_in(monkeypatch, tmp_path):
+    # the worker finishes its first case and dies at its next; the caller
+    # starts its first case only then
+    caller = os.getpid()
+    dying = tmp_path / "worker-dying"
+    seen = []
+
+    def run_case(i, *args):
+        if os.getpid() == caller:
+            wait_for(dying)
+        elif seen:
+            dying.write_text(str(i))
+            os.kill(os.getpid(), signal.SIGKILL)
+        REAL_CASE(i, *args)
+        seen.append(i)
+
+    monkeypatch.setattr(difftest, "_run_case", run_case)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(difftest.WorkerLost) as info:
+        run_difftest(40, 0, DiffBounds(steps=2))
+    died = int(dying.read_text())
+    assert str(info.value) == (
+        f"no result came back for cases {died}..{died} (worker exit code -9)"
+    )
+    assert_no_child_left()
+
+
+def test_no_cases_give_an_empty_report(monkeypatch):
+    for cpus in (1, 2):
+        use_cpus(monkeypatch, cpus)
+        for cases in (0, -3):
+            report = run_difftest(cases, 5, DiffBounds(steps=2))
+            assert report.ok and report.steps_checked == 0
+            assert report.to_json_dict()["cases"] == cases
     assert_no_child_left()
 
 

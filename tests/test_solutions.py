@@ -21,15 +21,13 @@ from boxball import (
     euler_nsoliton,
     euler_slices,
     euler_step,
-    tau_T,
-    tau_olT,
     tau_toda_state,
     unbounded_schedule,
     unit_profile,
     verify_euler_solution,
     verify_tau_solution,
 )
-from boxball.solutions import EulerFieldSlice, TauState
+from boxball.solutions import EulerFieldSlice, TauState, _tau_rows
 
 UNIT = unit_profile()
 FREE = unbounded_schedule()
@@ -186,16 +184,17 @@ def test_params_validation():
         TauParams(P=(1,), W=(0,), Delta=0, schedule=FREE)
 
 
+def tau_row(params, k, t, barred):
+    """T^{k,t}_n (olT if barred) for n = 0 .. N."""
+    return _tau_rows(params, [(k, t, barred)])[0].tolist()
+
+
 def test_tau_potentials_at_boundaries():
     params = TauParams(P=(2, 5), W=(1, -3), Delta=2, schedule=FREE)
-    for k in (0, 1):
-        for t in (-2, 0, 3):
-            assert tau_T(params, k, t, 0) == XInt(0)
-            assert tau_olT(params, k, t, 0) == XInt(0)
-            assert tau_T(params, k, t, -1) == POS_INF
-            assert tau_T(params, k, t, params.N + 1) == POS_INF
-    with pytest.raises(ValueError):
-        tau_T(params, 0, 0, -2)
+    keys = [(k, t, barred) for k in (0, 1) for t in (-2, 0, 3) for barred in (False, True)]
+    rows = _tau_rows(params, keys)
+    assert rows.shape == (len(keys), params.N + 1)
+    assert rows[:, 0].tolist() == [0] * len(keys)
 
 
 def test_tau_single_soliton_laws():
@@ -217,8 +216,8 @@ def test_tau_permutation_invariance_for_ties():
     for k in (0, 1):
         for t in (-1, 0, 2):
             for n in range(0, 4):
-                assert tau_T(a, k, t, n) == tau_T(b, k, t, n)
-                assert tau_olT(a, k, t, n) == tau_olT(b, k, t, n)
+                assert tau_row(a, k, t, False) == tau_row(b, k, t, False)
+                assert tau_row(a, k, t, True) == tau_row(b, k, t, True)
 
 
 def test_verify_tau_solution_cases():
@@ -253,12 +252,14 @@ def test_tau_slices_match_size_coordinate_evolution():
         cur = tau_toda_state(params, t)
         nxt = tau_toda_state(params, t + 1)
         st = TodaState(Q=cur.Q, E=cur.E, X0=0, profile=profile, time=t)
-        stepped, trace = enutoda_step(st, sched, k_boundary=params.Delta)
+        stepped, trace = enutoda_step(st, sched)
         assert stepped.Q == nxt.Q
         assert stepped.E == nxt.E
         assert trace.Qbar == nxt.Qbar
         assert trace.Ebar == nxt.Ebar
-        assert trace.Cbar == nxt.Cbar
+        # Cbar_N = min(K_N, M): the step's K_N is 0, the closed form's Delta;
+        # K_N cancels from every other field
+        assert trace.Cbar == nxt.Cbar[:-1] + (0,)
         assert trace.Dbar == nxt.Dbar
 
 
@@ -299,8 +300,6 @@ def literal_f(params, k, t, n):
 def literal_tau(params, k, t, n, barred):
     """T^{k,t}_n (olT if barred) as a plain minimum over itertools.combinations."""
     p, big_n = params.P, params.N
-    if n in (-1, big_n + 1):
-        return POS_INF
     upper = t - 1 if barred else t
     car = [signed_sum(lambda j: carrier_min(pr, params.schedule, j), upper + 1) for pr in p]
     best = None
@@ -335,10 +334,12 @@ def assert_fields_match_literal(params, n_lo, n_hi, t):
 
 
 def assert_potentials_match_literal(params, k, t):
-    """tau_T and tau_olT at every n in -1 .. N+1 against literal_tau."""
-    for n in range(-1, params.N + 2):
-        assert tau_T(params, k, t, n) == literal_tau(params, k, t, n, barred=False)
-        assert tau_olT(params, k, t, n) == literal_tau(params, k, t, n, barred=True)
+    """The T and olT rows of _tau_rows at every n in 0 .. N against
+    literal_tau."""
+    for barred in (False, True):
+        assert tau_row(params, k, t, barred) == [
+            literal_tau(params, k, t, n, barred) for n in range(params.N + 1)
+        ]
 
 
 carrier_values = st.one_of(st.just(POS_INF), st.integers(0, 8).map(XInt))
@@ -488,12 +489,8 @@ def test_tau_golden_families():
     assert (st_neg.Q, st_neg.E) == ((3, 4, 1, 7), (7, 2, 3))
     assert (st_neg.Qbar, st_neg.Ebar) == ((3, 4, 1, 7), (7, 2, 3))
     assert (st_neg.Cbar, st_neg.Dbar) == ((2, 2, 5, 6, 2), (3, 7, 5, 7))
-    assert [tau_T(params, 1, 2, n) for n in range(-1, 6)] == [
-        POS_INF, 0, -5, -8, -12, -12, POS_INF
-    ]
-    assert [tau_olT(params, 0, 2, n) for n in range(-1, 6)] == [
-        POS_INF, 0, -3, -5, -7, -3, POS_INF
-    ]
+    assert tau_row(params, 1, 2, False) == [0, -5, -8, -12, -12]
+    assert tau_row(params, 0, 2, True) == [0, -3, -5, -7, -3]
 
 
 def test_late_closed_forms_visit_only_the_listed_terms():
@@ -522,23 +519,6 @@ def test_late_closed_forms_visit_only_the_listed_terms():
     field = [0] * 12 + [1, 2, 0, 0, 0, 0, 0, 2, 0, 1, 0, 0, 0]
     assert sl.U.tolist() == sl.Ubar.tolist() == sl.Zbar.tolist() == field
 
-
-def test_tau_T_evaluates_only_its_own_row(monkeypatch):
-    # one potential entry runs the dynamic program over one row, not over
-    # every row that the fields at t read
-    from boxball import solutions as solutions_mod
-
-    params = TauParams(P=(1, 3, 4, 7), W=(2, -5, 0, 3), Delta=2, schedule=FREE)
-    shapes = []
-    real = solutions_mod._count_dp
-
-    def recording(h, p):
-        shapes.append(h.shape)
-        return real(h, p)
-
-    monkeypatch.setattr(solutions_mod, "_count_dp", recording)
-    assert tau_T(params, 1, 2, 3) == literal_tau(params, 1, 2, 3, barred=False)
-    assert shapes == [(4, 1, 4)]
 
 def test_late_slice_is_bounded_by_its_solitons():
     # pinned from the version that ran the dynamic program over every box
@@ -842,4 +822,4 @@ def test_closed_forms_refuse_to_wrap_int64():
     with pytest.raises(FiniteOverflow):
         tau_toda_state(heavy, 0)
     with pytest.raises(FiniteOverflow):
-        tau_T(heavy, 0, 0, 1)
+        _tau_rows(heavy, [(0, 0, False)])

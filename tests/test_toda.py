@@ -151,11 +151,12 @@ def test_enutoda_capacity_violation():
 
 
 def test_boundary_cap_choice_does_not_matter():
+    # enutoda_step fixes K_N = 0; the staged equations take any K_N in [0, M]
     sched = constant_schedule(6)
     for st in random_toda_states(200, seed=909, max_delta=4):
-        base = enutoda_step(st, sched, k_boundary=0)
-        for kb in (1, 6):
-            alt = enutoda_step(st, sched, k_boundary=kb)
+        base = enutoda_step(st, sched)
+        for kb in (0, 1, 6):
+            alt = staged_enutoda_step(st, sched, kb)
             assert alt[0] == base[0]
             assert alt[1].Dbar == base[1].Dbar
             assert alt[1].Qbar == base[1].Qbar
@@ -442,25 +443,16 @@ def staged_enutoda_step(state, schedule, k_boundary=0):
     return new_state, trace
 
 
-def step_outcome(step, state, schedule, k_boundary):
+def step_outcome(step, state, schedule):
     """The state and full trace a step returns, with the types of every
     field, or the type and message of what it raises."""
     try:
-        nxt, tr = step(state, schedule, k_boundary)
+        nxt, tr = step(state, schedule)
     except ValueError as exc:  # CapacityViolation and DegenerateState among them
         return type(exc), str(exc)
     fields = (nxt.Q, nxt.E, nxt.X0, nxt.time, *astuple(tr))
     types = [type(f) for f in fields] + [type(v) for f in fields if type(f) is tuple for v in f]
     return nxt, tr, types
-
-
-def boundary_choices(schedule, state):
-    """Every k_boundary in [0, M] and one past each end for a finite M;
-    a few, largest K among them, for M = +inf."""
-    m_val, m_capped = _capacity_args(schedule.at(state.time + 1))
-    if m_capped:
-        return range(-1, m_val + 2)
-    return (-1, 0, 1, max(state.Q), 2**63)
 
 
 def test_enutoda_step_matches_the_staged_equations():
@@ -474,16 +466,14 @@ def test_enutoda_step_matches_the_staged_equations():
         ts = from_euler(st)
         for _ in range(bounds.steps):
             k, _ = staged_capacities(ts)
-            below = constant_schedule(max(k) - 1)
-            calls = [(below, 0)]
-            for schedule in (sched, unbounded_schedule()):
-                calls += [(schedule, kb) for kb in boundary_choices(schedule, ts)]
-            for schedule, kb in calls:
-                got = step_outcome(enutoda_step, ts, schedule, kb)
-                assert got == step_outcome(staged_enutoda_step, ts, schedule, kb)
+            for schedule in (constant_schedule(max(k) - 1), sched, unbounded_schedule()):
+                got = step_outcome(enutoda_step, ts, schedule)
+                assert got == step_outcome(staged_enutoda_step, ts, schedule)
                 kinds[got[0] if len(got) == 2 else "ok"] += 1
             ts, _ = enutoda_step(ts, sched)
-    assert kinds[CapacityViolation] and kinds[ValueError] and kinds["ok"] > 2500
+    # every state steps under its own schedule and an unbounded one, and
+    # raises under M = max(K) - 1
+    assert kinds == {"ok": 800, CapacityViolation: 400}
 
 
 def test_enutoda_step_matches_the_staged_equations_on_raw_placements():
@@ -505,11 +495,10 @@ def test_enutoda_step_matches_the_staged_equations_on_raw_placements():
         )
         m = int(rng.integers(0, 12))
         schedule = unbounded_schedule() if m > 9 else constant_schedule(m)
-        kb = int(rng.integers(-1, 11))
-        got = step_outcome(enutoda_step, ts, schedule, kb)
-        assert got == step_outcome(staged_enutoda_step, ts, schedule, kb)
+        got = step_outcome(enutoda_step, ts, schedule)
+        assert got == step_outcome(staged_enutoda_step, ts, schedule)
         kinds[got[0] if len(got) == 2 else "ok"] += 1
-    assert all(kinds[kind] for kind in (CapacityViolation, DegenerateState, ValueError, "ok"))
+    assert all(kinds[kind] for kind in (CapacityViolation, DegenerateState, "ok"))
 
 
 @st.composite
@@ -524,16 +513,16 @@ def raw_step_inputs(draw):
     state = TodaState(Q=tuple(q), E=tuple(e), X0=draw(st.integers(0, 50)), profile=profile)
     m = draw(st.one_of(st.none(), st.integers(0, 10)))
     schedule = unbounded_schedule() if m is None else constant_schedule(m)
-    return state, schedule, draw(st.integers(-2, 12))
+    return state, schedule
 
 
 @given(raw_step_inputs())
 @example((TodaState(Q=(1, 1), E=(1,), X0=0, profile=CapacityProfile(default_capacity=5)),
-          unbounded_schedule(), 0))
+          unbounded_schedule()))
 def test_enutoda_step_equals_the_staged_equations_on_drawn_inputs(inputs):
-    state, schedule, kb = inputs
-    assert step_outcome(enutoda_step, state, schedule, kb) == step_outcome(
-        staged_enutoda_step, state, schedule, kb
+    state, schedule = inputs
+    assert step_outcome(enutoda_step, state, schedule) == step_outcome(
+        staged_enutoda_step, state, schedule
     )
     assert capacities_for_state(state) == staged_capacities(state)
 
