@@ -12,8 +12,10 @@ free_flow_sweep is the M = +inf cross-check of carrier_sweep through
 nukdv_step; both share no code with carrier_sweep and stop once their
 carrier is empty past the last ball.
 
-Carrier capacity enters as (m_val, m_capped); +inf is m_capped=False, never
-a sentinel integer.
+Box capacities are read inline from the profile's table(), bound once per
+sweep: box n holds caps[n - ws] if ws <= n < we else dcap.  Carrier
+capacity enters as (m_val, m_capped); +inf is m_capped=False, never a
+sentinel integer.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ def carrier_sweep(occupied, profile, m_val, m_capped, edge):
     """One left-to-right sweep: drop into free space, pick up, trim to capacity.
 
     `occupied` holds the ascending (box, count) pairs of the occupied
-    boxes; capacities are read from `profile` at the boxes visited.  The
+    boxes; capacities are read from `profile.table()` at the boxes visited.  The
     sweep goes on past the last ball until the carrier is empty.  Returns
     (new_occupied, limited, loads, removed), each ascending (box, value)
     pairs of the nonzero entries:
@@ -39,7 +41,7 @@ def carrier_sweep(occupied, profile, m_val, m_capped, edge):
     Raises FiniteOverflow, before walking on past the last ball, when the
     carrier would still hold balls at box `edge`.
     """
-    capacity = profile.capacity
+    caps, ws, we, dcap = profile.table()
     new = []
     limited = []
     loads = []
@@ -61,7 +63,7 @@ def carrier_sweep(occupied, profile, m_val, m_capped, edge):
             break
         if load:
             loads.append((n, load))
-        put = capacity(n) - u
+        put = (caps[n - ws] if ws <= n < we else dcap) - u
         if put > load:
             put = load
         held = load + u
@@ -101,7 +103,7 @@ def ball_queue_sweep(occupied, profile, m_val, m_capped):
     balls` at the latest.  Returns (new_occupied, leftover): ascending
     (box, count) pairs, and the balls still queued when the walk stopped.
     """
-    capacity = profile.capacity
+    caps, ws, we, dcap = profile.table()
     ahead = list(reversed(occupied))  # the occupied boxes not reached yet
     stop = sum(u for _, u in occupied) + (occupied[-1][0] if occupied else 0)
     new = {}
@@ -117,7 +119,7 @@ def ball_queue_sweep(occupied, profile, m_val, m_capped):
             while len(queue) > m_val:
                 origin = queue.pop()
                 new[origin] = new.get(origin, 0) + 1
-        put = capacity(n) - u
+        put = (caps[n - ws] if ws <= n < we else dcap) - u
         put = put if put < arriving else arriving
         for _ in repeat(None, put):
             queue.popleft()
@@ -131,7 +133,7 @@ def free_flow_sweep(occupied, profile):
     """Carrier sweep without a capacity bound (no trimming, no recovery),
     over the boxes ball_queue_sweep walks.  Returns (new_occupied,
     leftover load)."""
-    capacity = profile.capacity
+    caps, ws, we, dcap = profile.table()
     ahead = list(reversed(occupied))  # the occupied boxes not reached yet
     stop = sum(u for _, u in occupied) + (occupied[-1][0] if occupied else 0)
     new = []
@@ -140,7 +142,7 @@ def free_flow_sweep(occupied, profile):
         if not load:  # an empty carrier passes empty boxes unchanged
             n = ahead[-1][0]
         u = ahead.pop()[1] if ahead and ahead[-1][0] == n else 0
-        put = min(capacity(n) - u, load)
+        put = min((caps[n - ws] if ws <= n < we else dcap) - u, load)
         if put:
             new.append((n, put))
         load += u - put

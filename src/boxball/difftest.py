@@ -163,6 +163,7 @@ def _run_case(
     ts = None
     if bounds.include_toda:
         ts = from_euler(state)
+        solitons_before = sum(ts.Q)
 
     # read before each euler_step, which a fault injection may let change
     # its input, and carried from the previous step's check
@@ -205,8 +206,11 @@ def _run_case(
             except DegenerateState as exc:
                 record(step, "toda_degenerate", str(exc))
                 return
-            if sum(ts_next.Q) != sum(ts.Q):
-                record(step, "soliton_conservation", f"{sum(ts.Q)} -> {sum(ts_next.Q)}")
+            solitons_after = sum(ts_next.Q)
+            if solitons_after != solitons_before:
+                record(
+                    step, "soliton_conservation", f"{solitons_before} -> {solitons_after}"
+                )
                 return
             m_ok = m.is_pos_inf or (
                 max(ttrace.Dbar) <= m.finite and max(ttrace.Cbar) <= m.finite
@@ -235,6 +239,7 @@ def _run_case(
                 )
                 return
             ts = ts_next
+            solitons_before = solitons_after
 
         ea, eb = ea_next, eb_next
         total_before = total_after

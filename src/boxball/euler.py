@@ -278,7 +278,7 @@ def umkdv_residual(
     profile = before.profile
     m = as_xint(m)
     m_val = None if m.is_pos_inf else m.finite
-    capacity = profile.capacity
+    caps, ws, we, dcap = profile.table()
     # one merge of the three ascending pair lists; a list's next box is
     # `end` once it is used up, and hi + 1 closes the last run of unlisted
     # boxes.  Every occupied box lies below hi, so the walk stops at `end`
@@ -327,7 +327,7 @@ def umkdv_residual(
         elif -d > identity:
             identity = -d
         if b < hi:
-            e = capacity(b) - ub
+            e = (caps[b - ws] if ws <= b < we else dcap) - ub
             if s < e:
                 e = s
             if m_val is not None and s + ub > m_val:

@@ -27,7 +27,7 @@ def expand(state: EulerState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     segment boundary is past the int64 range.
     """
     profile = state.profile
-    capacity = profile.capacity
+    caps, ws, we, dcap = profile.table()
     x: list = []
     y: list = []
     nxt = -1  # the box after the last occupied one
@@ -36,7 +36,7 @@ def expand(state: EulerState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
         # one boundary lookup per stretch of adjacent occupied boxes; inside
         # a stretch each box starts where the previous one ends
         start = end if n == nxt else profile.boundary(n)
-        end = start + capacity(n)
+        end = start + (caps[n - ws] if ws <= n < we else dcap)
         if end > INT64_MAX:
             raise _past_int64(n + 1, end)
         nxt = n + 1

@@ -22,9 +22,15 @@ from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike,
 class CapacityProfile:
     """Per-box capacities over an explicit window, a default elsewhere.
 
+    Box n holds caps[n - ws] if ws <= n < we else d, for (caps, ws, we, d)
+    the tuple `table()` returns: the listed capacities, the window's first
+    box and the box past its last, and the default capacity.  Per-box loops
+    bind that tuple once and read each box inline; `capacity` and
+    `max_capacity` read through it too.
+
     Also the segment geometry: box n owns segments s_n .. s_{n+1}-1.  Left
-    of the window s_n = n*d, right of it s_n grows by d per box (d the
-    default capacity), so only the window's prefix sums are stored.
+    of the window s_n = n*d, right of it s_n grows by d per box, so only
+    the window's prefix sums are stored.
     """
 
     capacities: Tuple[int, ...] = ()
@@ -50,12 +56,20 @@ class CapacityProfile:
             self.capacities, initial=self.window_start * self.default_capacity
         ))
         object.__setattr__(self, "_bounds", bounds)
+        object.__setattr__(self, "_table", (
+            self.capacities,
+            self.window_start,
+            self.window_start + len(self.capacities),
+            self.default_capacity,
+        ))
+
+    def table(self) -> Tuple[Tuple[int, ...], int, int, int]:
+        """(caps, ws, we, d): box n holds caps[n - ws] if ws <= n < we else d."""
+        return self._table
 
     def capacity(self, n: int) -> int:
-        i = n - self.window_start
-        if 0 <= i < len(self.capacities):
-            return self.capacities[i]
-        return self.default_capacity
+        caps, ws, we, d = self._table
+        return caps[n - ws] if ws <= n < we else d
 
     def caps_array(self, start: int, count: int) -> np.ndarray:
         """Capacities of boxes start .. start+count-1 as int64."""
@@ -69,11 +83,10 @@ class CapacityProfile:
 
     def max_capacity(self, lo: int, hi: int) -> int:
         """The largest capacity of boxes lo .. hi-1 (lo < hi)."""
-        ws, caps = self.window_start, self.capacities
-        listed = caps[max(lo - ws, 0) : max(hi - ws, 0)]
-        best = max(listed, default=0)
-        if lo < ws or hi > ws + len(caps):
-            best = max(best, self.default_capacity)
+        caps, ws, we, d = self._table
+        best = max(caps[max(lo - ws, 0) : max(hi - ws, 0)], default=0)
+        if lo < ws or hi > we:
+            best = max(best, d)
         return best
 
     def _segment(self, n: int) -> int:

@@ -386,7 +386,7 @@ def to_euler(state: TodaState) -> EulerState:
     gaps.  Raises FiniteOverflow when a run ends past the int64 segment
     range or the window spans more than euler.MAX_SPAN boxes."""
     profile = state.profile
-    capacity = profile.capacity
+    caps, ws, we, dcap = profile.table()
     q, e = state.Q, state.E
     last = len(q) - 1
     occupied = []
@@ -403,7 +403,7 @@ def to_euler(state: TodaState) -> EulerState:
             n += 1
             # s_{n+1} = s_n + capacity(n), with the range check
             # boundary(n + 1) would make
-            end += capacity(n)
+            end += caps[n - ws] if ws <= n < we else dcap
             if end > INT64_MAX:
                 raise _past_int64(n + 1, end)
         held += b - a
@@ -413,7 +413,7 @@ def to_euler(state: TodaState) -> EulerState:
         if a >= end:  # the next run starts past box n
             occupied.append((n, held))
             held = 0
-            nxt = end + capacity(n + 1)
+            nxt = end + (caps[n + 1 - ws] if ws <= n + 1 < we else dcap)
             if a < nxt:
                 n += 1
                 end = nxt

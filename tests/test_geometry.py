@@ -24,6 +24,24 @@ def test_profile_lookup():
     assert p.caps_array(-2, 3).tolist() == [4, 4, 4]
 
 
+@pytest.mark.parametrize(
+    "profile",
+    [
+        CapacityProfile(default_capacity=3),
+        CapacityProfile(capacities=(2, 5, 1)),
+        CapacityProfile(capacities=(3, 5), window_start=2, default_capacity=4),
+    ],
+)
+def test_table_inline_rule_matches_capacity(profile):
+    caps, ws, we, d = profile.table()
+    assert caps == profile.capacities and d == profile.default_capacity
+    assert (ws, we) == (profile.window_start, profile.window_start + len(caps))
+    boxes = range(-2, ws + len(caps) + 4)
+    inline = [caps[n - ws] if ws <= n < we else d for n in boxes]
+    assert inline == [profile.capacity(n) for n in boxes]
+    assert inline[2:] == profile.caps_array(0, len(boxes) - 2).tolist()
+
+
 def test_profile_validation():
     with pytest.raises(ValueError):
         CapacityProfile(capacities=(0,))

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxball import CapacityProfile, EulerState, TodaState, expand, to_euler, toda_to_lagrange
-from boxball._kernels import carrier_sweep
+from boxball._kernels import ball_queue_sweep, carrier_sweep, free_flow_sweep
 from boxball.euler import MAX_SPAN
 
 
@@ -83,10 +83,14 @@ def runs_of(bits):
 @st.composite
 def windows(draw):
     """(counts, profile), counts from box 0: clusters of boxes separated by
-    zero gaps of up to 60 boxes, capacities 1..5 listed, a default of 2..5
-    past them."""
+    zero gaps of up to 60 boxes, capacities 1..5 listed from box 0..6, a
+    default of 2..5 on either side."""
     listed = draw(st.lists(st.integers(1, 5), max_size=12))
-    profile = CapacityProfile(capacities=tuple(listed), default_capacity=draw(st.integers(2, 5)))
+    profile = CapacityProfile(
+        capacities=tuple(listed),
+        window_start=draw(st.integers(0, 6)),
+        default_capacity=draw(st.integers(2, 5)),
+    )
     counts = []
     for _ in range(draw(st.integers(0, 5))):
         counts += [0] * draw(st.integers(0, 60))
@@ -145,6 +149,29 @@ def test_carrier_sweep_matches_dense_loop(win, m):
     laid = [lay(pairs, 0, w) for pairs in got]
     laid[2] = lay(got[2], 0, w + 1)
     assert_same(laid, want)
+
+
+@settings(max_examples=300)
+@given(windows(), carrier_capacities)
+@example(EMPTY, (0, False))
+@example(ALL_ZERO, (0, True))
+@example(LAST_OCCUPIED, (0, False))
+@example(LAST_OCCUPIED, (4, True))
+@example(LAST_OCCUPIED, (0, True))
+def test_oracle_sweeps_match_dense_loop(win, m):
+    # the ball-by-ball walk and, under M = +inf, the free-flow sweep lay the
+    # dense loop's new counts and end with an empty carrier
+    counts, profile = win
+    w = len(counts) + int(counts.sum())
+    padded = np.zeros(w, dtype=np.int64)
+    padded[: len(counts)] = counts
+    caps = profile.caps_array(0, w)
+    new, leftover = ball_queue_sweep(occupied(counts), profile, *m)
+    assert leftover == 0
+    assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, *m)[0])
+    new, leftover = free_flow_sweep(occupied(counts), profile)
+    assert leftover == 0
+    assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, 0, False)[0])
 
 
 def test_carrier_sweep_reports_load_leaving_window():
