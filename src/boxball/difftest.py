@@ -208,9 +208,7 @@ def _run_case(
                 return
             solitons_after = sum(ts_next.Q)
             if solitons_after != solitons_before:
-                record(
-                    step, "soliton_conservation", f"{solitons_before} -> {solitons_after}"
-                )
+                record(step, "soliton_conservation", f"{solitons_before} -> {solitons_after}")
                 return
             m_ok = m.is_pos_inf or (
                 max(ttrace.Dbar) <= m.finite and max(ttrace.Cbar) <= m.finite

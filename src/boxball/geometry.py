@@ -22,10 +22,10 @@ from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike,
 class CapacityProfile:
     """Per-box capacities over an explicit window, a default elsewhere.
 
-    Box n holds caps[n - ws] if ws <= n < we else d, for (caps, ws, we, d)
-    the tuple `table()` returns: the listed capacities, the window's first
-    box and the box past its last, and the default capacity.  Per-box loops
-    bind that tuple once and read each box inline; `capacity` and
+    `table()` is (caps, ws, we, d): the listed capacities, the window's
+    first box, the box past its last, and the default capacity.  Box n
+    holds caps[n - ws] if ws <= n < we else d.  Per-box loops bind the
+    table once and read each box inline; `capacity`, `caps_array` and
     `max_capacity` read through it too.
 
     Also the segment geometry: box n owns segments s_n .. s_{n+1}-1.  Left
@@ -56,12 +56,8 @@ class CapacityProfile:
             self.capacities, initial=self.window_start * self.default_capacity
         ))
         object.__setattr__(self, "_bounds", bounds)
-        object.__setattr__(self, "_table", (
-            self.capacities,
-            self.window_start,
-            self.window_start + len(self.capacities),
-            self.default_capacity,
-        ))
+        caps, ws = self.capacities, self.window_start
+        object.__setattr__(self, "_table", (caps, ws, ws + len(caps), self.default_capacity))
 
     def table(self) -> Tuple[Tuple[int, ...], int, int, int]:
         """(caps, ws, we, d): box n holds caps[n - ws] if ws <= n < we else d."""
@@ -73,12 +69,12 @@ class CapacityProfile:
 
     def caps_array(self, start: int, count: int) -> np.ndarray:
         """Capacities of boxes start .. start+count-1 as int64."""
-        ws = self.window_start
-        out = np.full(count, self.default_capacity, dtype=np.int64)
+        caps, ws, we, d = self._table
+        out = np.full(count, d, dtype=np.int64)
         lo = max(start, ws)
-        hi = min(start + count, ws + len(self.capacities))
+        hi = min(start + count, we)
         if lo < hi:
-            out[lo - start : hi - start] = self.capacities[lo - ws : hi - ws]
+            out[lo - start : hi - start] = caps[lo - ws : hi - ws]
         return out
 
     def max_capacity(self, lo: int, hi: int) -> int:
