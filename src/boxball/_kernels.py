@@ -13,8 +13,8 @@ nukdv_step; both share no code with carrier_sweep and stop once their
 carrier is empty past the last ball.
 
 Box capacities are read inline from the profile's table(), bound once per
-sweep: box n holds caps[n - ws] if ws <= n < we else dcap.  Carrier
-capacity enters as (m_val, m_capped); +inf is m_capped=False, never a
+sweep: box n holds caps[n - ws] if ws <= n < we else dcap.  The carrier
+capacity enters as its XInt bound m: the int, or None for +inf, never a
 sentinel integer.
 """
 
@@ -26,7 +26,7 @@ from itertools import repeat
 from .xint import FiniteOverflow
 
 
-def carrier_sweep(occupied, profile, m_val, m_capped, edge):
+def carrier_sweep(occupied, profile, m, edge):
     """One left-to-right sweep: drop into free space, pick up, trim to capacity.
 
     `occupied` holds the ascending (box, count) pairs of the occupied
@@ -68,10 +68,10 @@ def carrier_sweep(occupied, profile, m_val, m_capped, edge):
             put = load
         held = load + u
         trimmed = 0
-        if m_capped and held > m_val:
-            trimmed = held - m_val
+        if m is not None and held > m:
+            trimmed = held - m
             removed.append((n, trimmed))
-            held = m_val
+            held = m
         load = held - put
         if put:
             limited.append((n, put))
@@ -91,7 +91,7 @@ def _require_reach(profile, n, load, edge):
         )
 
 
-def ball_queue_sweep(occupied, profile, m_val, m_capped):
+def ball_queue_sweep(occupied, profile, m):
     """Literal ball-by-ball walk of the carrier rule, keeping each carried
     ball's origin box in a FIFO queue.
 
@@ -115,8 +115,8 @@ def ball_queue_sweep(occupied, profile, m_val, m_capped):
         u = ahead.pop()[1] if ahead and ahead[-1][0] == n else 0
         arriving = len(queue)
         queue.extend(repeat(n, u))
-        if m_capped:
-            while len(queue) > m_val:
+        if m is not None:
+            while len(queue) > m:
                 origin = queue.pop()
                 new[origin] = new.get(origin, 0) + 1
         put = (caps[n - ws] if ws <= n < we else dcap) - u

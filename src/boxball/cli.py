@@ -27,11 +27,10 @@ from .config import (
 )
 from .difftest import DiffBounds, run_difftest
 from .euler import EulerState, euler_step, first_difference, same_occupancy
-from .geometry import _require_capacity
 from .render import render_counts
 from .solutions import euler_slices, tau_states, verify_euler_solution, verify_tau_solution
 from .toda import CapacityViolation, DegenerateState, TodaState, enutoda_step, from_euler, to_euler
-from .xint import FiniteOverflow, XInt, decode_xint
+from .xint import FiniteOverflow, XInt, as_capacity, decode_xint
 
 
 def _emit(line: str) -> None:
@@ -126,8 +125,7 @@ def _parse_m_choices(text: str) -> Tuple[XInt, ...]:
         if not part:
             continue
         try:
-            m = decode_xint(part if part == "inf" else int(part))
-            _require_capacity(m)
+            m = as_capacity(decode_xint(part if part == "inf" else int(part)))
         except (ValueError, FiniteOverflow):
             raise ConfigError(
                 f"--m-choices takes integers >= 0 or inf, got {part!r}"

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 from .euler import EulerState, EulerStepTrace
-from .geometry import CapacityProfile, CarrierSchedule, _require_capacity
+from .geometry import CapacityProfile, CarrierSchedule
 from .solutions import EulerSolitonParams, TauParams, euler_nsoliton, tau_toda_state
 from .toda import TodaState, TodaStepTrace
-from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, XInt, decode_xint, encode_xint
+from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, XInt, as_capacity, decode_xint, encode_xint
 
 
 class ConfigError(ValueError):
@@ -89,11 +89,9 @@ def profile_json(profile: CapacityProfile) -> dict:
 
 def _capacity(obj, where: str) -> XInt:
     try:
-        m = decode_xint(obj)
-        _require_capacity(m)
+        return as_capacity(decode_xint(obj))
     except (ValueError, FiniteOverflow) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
-    return m
 
 
 def parse_schedule(obj, where: str = "schedule") -> CarrierSchedule:
@@ -107,6 +105,8 @@ def parse_schedule(obj, where: str = "schedule") -> CarrierSchedule:
             t = int(key)
         except ValueError:
             raise ConfigError(f"{where}.entries key {key!r} is not an integer") from None
+        if key != str(t):  # one spelling per time, so no two keys name one time
+            raise ConfigError(f"{where}.entries key {key!r} must be written {str(t)!r}")
         t = _int(t, f"{where}.entries key {key!r}")
         parsed[t] = _capacity(val, f"{where}.entries[{key}]")
     default = _capacity(obj.get("default", "inf"), f"{where}.default")

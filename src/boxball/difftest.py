@@ -196,7 +196,7 @@ def _run_case(
         # the trace lists nonzero loads; every box it does not name has 0
         loads = [v for _, v in trace.carrier_loads]
         low, high = min(loads, default=0), max(loads, default=0)
-        if low < 0 or (not m.is_pos_inf and high > m.finite):
+        if low < 0 or (m.bound is not None and high > m.bound):
             record(step, "carrier_bound", f"loads in [{min(low, 0)}, {max(high, 0)}], M={m}")
             return
 
@@ -210,8 +210,8 @@ def _run_case(
             if solitons_after != solitons_before:
                 record(step, "soliton_conservation", f"{solitons_before} -> {solitons_after}")
                 return
-            m_ok = m.is_pos_inf or (
-                max(ttrace.Dbar) <= m.finite and max(ttrace.Cbar) <= m.finite
+            m_ok = m.bound is None or (
+                max(ttrace.Dbar) <= m.bound and max(ttrace.Cbar) <= m.bound
             )
             if not m_ok or any(q > d for q, d in zip(ttrace.Qbar, ttrace.Dbar)):
                 record(step, "trace_bounds", f"Qbar={ttrace.Qbar} Dbar={ttrace.Dbar} Cbar={ttrace.Cbar}")

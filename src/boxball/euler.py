@@ -174,12 +174,6 @@ class EulerStepTrace:
     removed: Pairs
 
 
-def _capacity_args(m: XInt) -> Tuple[int, bool]:
-    if m.is_pos_inf:
-        return 0, False
-    return m.finite, True
-
-
 def _start(state: EulerState) -> int:
     # a step's window starts at the first ball: every box left of it is
     # empty and meets an empty carrier, so the step leaves it empty; an
@@ -204,10 +198,9 @@ def euler_step(
     when it would carry balls so far that the new window spans more than
     MAX_SPAN boxes.
     """
-    m_val, m_capped = _capacity_args(schedule.at(state.time + 1))
     start = _start(state)
     occupied, limited, loads, removed = _kernels.carrier_sweep(
-        state.occupied, state.profile, m_val, m_capped, start + MAX_SPAN
+        state.occupied, state.profile, schedule.at(state.time + 1).bound, start + MAX_SPAN
     )
     return _next_state(state, start, occupied), EulerStepTrace(limited, loads, removed)
 
@@ -218,9 +211,8 @@ def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerSt
     Independent re-walk of the transport rule; must agree with euler_step
     exactly on all valid inputs.
     """
-    m_val, m_capped = _capacity_args(schedule.at(state.time + 1))
     occupied, leftover = _kernels.ball_queue_sweep(
-        state.occupied, state.profile, m_val, m_capped
+        state.occupied, state.profile, schedule.at(state.time + 1).bound
     )
     if leftover != 0:
         raise WindowOverflow(f"{leftover} balls left in carrier, t={state.time}")
@@ -276,8 +268,7 @@ def umkdv_residual(
     lo = min(before.window_start, after.window_start)
     hi = max(before.window_end, after.window_end)
     profile = before.profile
-    m = as_xint(m)
-    m_val = None if m.is_pos_inf else m.finite
+    m_val = as_xint(m).bound
     caps, ws, we, dcap = profile.table()
     # one merge of the three ascending pair lists; a list's next box is
     # `end` once it is used up, and hi + 1 closes the last run of unlisted

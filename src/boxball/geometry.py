@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike, as_int, as_xint
+from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike, as_capacity, as_int
 
 
 @dataclass(frozen=True)
@@ -159,23 +159,18 @@ class CarrierSchedule:
         raw = self.entries
         if isinstance(raw, Mapping):
             raw = raw.items()
-        norm = tuple(sorted((as_int(t, "every entries time"), as_xint(m)) for t, m in raw))
+        norm = tuple(sorted((as_int(t, "every entries time"), as_capacity(m)) for t, m in raw))
         object.__setattr__(self, "entries", norm)
-        object.__setattr__(self, "default", as_xint(self.default))
-        for t, m in norm:
+        object.__setattr__(self, "default", as_capacity(self.default))
+        for i, (t, _) in enumerate(norm):
             if not INT64_MIN <= t <= INT64_MAX:
                 raise FiniteOverflow(f"schedule time {t} outside the signed 64-bit range")
-            _require_capacity(m)
-        _require_capacity(self.default)
+            if i and norm[i - 1][0] == t:
+                raise ValueError(f"schedule time {t} is listed twice")
         object.__setattr__(self, "_map", dict(norm))
 
     def at(self, t: int) -> XInt:
         return self._map.get(t, self.default)
-
-
-def _require_capacity(m: XInt) -> None:
-    if m < 0:
-        raise ValueError(f"carrier capacity must be >= 0 or +inf, got {m}")
 
 
 def unbounded_schedule() -> CarrierSchedule:
@@ -183,4 +178,4 @@ def unbounded_schedule() -> CarrierSchedule:
 
 
 def constant_schedule(m: XIntLike) -> CarrierSchedule:
-    return CarrierSchedule(default=as_xint(m))
+    return CarrierSchedule(default=m)

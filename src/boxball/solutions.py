@@ -94,14 +94,13 @@ def _profile_terms(profile: CapacityProfile) -> Tuple[np.ndarray, np.ndarray, in
 
 
 def _capacity_value(m: XInt) -> int:
-    """A carrier capacity as int64, +inf as INT64_MAX: min(x, M) is x for
-    both wherever x fits."""
-    return INT64_MAX if m.is_pos_inf else m.finite
+    """The bound as int64, +inf as INT64_MAX, since an int64 array cannot
+    hold None: min(x, M) is x for both wherever x fits."""
+    return INT64_MAX if m.bound is None else m.bound
 
 
 def _carrier_terms(schedule: CarrierSchedule) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The schedule's listed times, their values, and the default, with +inf
-    stored as INT64_MAX (min(P, M) is P for both)."""
+    """The schedule's listed times, their values, and the default, as _capacity_value."""
     return (
         np.array([t for t, _ in schedule.entries], dtype=np.int64),
         np.array([_capacity_value(m) for _, m in schedule.entries], dtype=np.int64),
@@ -594,8 +593,9 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
     if t_hi <= t_lo:
         return TauVerifyReport(residuals=res, min_q=0, min_interior_e=None)
     for t in range(t_lo + 1, t_hi + 1):
-        if params.schedule.at(t) < dd:
-            raise ValueError(f"carrier capacity {params.schedule.at(t)} below Delta at t={t}")
+        m_t = params.schedule.at(t)
+        if m_t.bound is not None and m_t.bound < dd:
+            raise ValueError(f"carrier capacity {m_t} below Delta at t={t}")
     q, e = f["Q"][:-1], f["E"][:-1]
     q1, e1 = f["Q"][1:], f["E"][1:]
     qb, eb, cb, db = (f[name][1:] for name in ("Qbar", "Ebar", "Cbar", "Dbar"))

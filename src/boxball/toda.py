@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .euler import EulerState, _capacity_args
+from .euler import EulerState
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule, _past_int64
 from .xint import INT64_MAX, as_int
@@ -258,12 +258,11 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
     The first loop runs Dbar, Qbar, Cbar and Q' together (Q'_n needs only
     Cbar_{n+1}); the second runs Ebar and E', which need Dbar_{n+1}.
     """
-    m = schedule.at(state.time + 1)
-    m_val, m_capped = _capacity_args(m)
+    m = schedule.at(state.time + 1).bound
     k, lam = capacities_for_state(state)
-    if m_capped and max(k) > m_val:
-        bad = [v for v in k if v > m_val]
-        raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m_val}")
+    if m is not None and max(k) > m:
+        bad = [v for v in k if v > m]
+        raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m}")
 
     q, e = state.Q, state.E
     last = len(q) - 1
@@ -277,8 +276,8 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
     for n in range(last + 1):
         kn = k[n]
         d = c + q[n] - kn
-        if m_capped and d > m_val:
-            d = m_val
+        if m is not None and d > m:
+            d = m
         s = lam[n] - d
         s = s if s > 0 else 0
         if n < last:
@@ -289,8 +288,8 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
             qb = d
             kn1 = 0
         c1 = d - qb + kn1
-        if m_capped and c1 > m_val:
-            c1 = m_val
+        if m is not None and c1 > m:
+            c1 = m
         dbar.append(d)
         qbar.append(qb)
         slack.append(s)

@@ -3,14 +3,15 @@
 The carrier capacity M_t ranges over the nonnegative integers and +inf,
 and +inf is the only infinity the package needs.  It is a distinct
 object, not a sentinel integer, so it cannot leak into integer
-arithmetic: callers test `is_pos_inf` and read `finite`.  There is no
-floating point anywhere.
+arithmetic.  This module alone decides what a carrier capacity is
+(`as_capacity`) and how +inf enters arithmetic: every other module reads
+`bound`, the int or None for +inf.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
 from numbers import Integral
-from typing import Union
+from typing import Optional, Union
 
 INT64_MIN = -(2**63)
 INT64_MAX = 2**63 - 1
@@ -35,6 +36,11 @@ class XInt:
         if not INT64_MIN <= value <= INT64_MAX:
             raise FiniteOverflow(f"finite value {value} outside signed 64-bit range")
         self._v = value
+
+    @property
+    def bound(self) -> Optional[int]:
+        """The value as an upper bound: the int, or None for +inf."""
+        return self._v
 
     @property
     def is_pos_inf(self) -> bool:
@@ -94,12 +100,20 @@ XIntLike = Union[XInt, int]
 
 
 def as_xint(v: XIntLike) -> XInt:
-    """Coerce a plain int to XInt; XInt passes through."""
+    """Coerce a Python or numpy integer to XInt; XInt passes through."""
     if isinstance(v, XInt):
         return v
-    if isinstance(v, bool) or not isinstance(v, int):
+    if isinstance(v, bool) or not isinstance(v, Integral):
         raise TypeError(f"expected XInt or int, got {type(v).__name__}")
-    return XInt(v)
+    return XInt(int(v))
+
+
+def as_capacity(v: XIntLike) -> XInt:
+    """A carrier capacity as XInt; raises ValueError below 0."""
+    m = as_xint(v)
+    if m._v is not None and m._v < 0:
+        raise ValueError(f"carrier capacity must be >= 0 or +inf, got {m}")
+    return m
 
 
 def encode_xint(x: XIntLike) -> Union[int, str]:

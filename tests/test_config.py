@@ -63,6 +63,18 @@ def test_negative_carrier_capacity_is_named(tmp_path, capsys, schedule, named):
     assert named in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["01", "1_0", " 1", "+1", "-0", "1 "])
+def test_schedule_key_not_written_as_schedule_json_writes_it_is_named(tmp_path, capsys, key):
+    # "01" and "1" would both name t = 1, and the later key would win
+    schedule = {"entries": {"1": 6, key: 2}}
+    with pytest.raises(ConfigError, match=re.escape(f"schedule.entries key {key!r}")):
+        parse_schedule(schedule)
+    path = tmp_path / "key.json"
+    path.write_text(json.dumps({**minimal_config(), "schedule": schedule}))
+    assert main(["simulate", "--config", str(path)]) == 2
+    assert f"schedule.entries key {key!r}" in capsys.readouterr().err
+
+
 def test_unknown_key_is_named():
     cfg = minimal_config()
     cfg["renderr"] = "ascii"

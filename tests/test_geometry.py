@@ -96,6 +96,13 @@ def test_schedule_lookup_and_validation():
         CarrierSchedule(default=XInt(-5))
 
 
+def test_schedule_time_listed_twice_raises():
+    # at(), schedule_json and the closed forms would each read another schedule
+    for entries in (((1, 3), (1, 1)), ((2, XInt(4)), (5, 1), (np.int64(2), 4))):
+        with pytest.raises(ValueError, match=f"schedule time {entries[0][0]} is listed twice"):
+            CarrierSchedule(entries=entries)
+
+
 def test_schedule_times_past_int64_raise():
     # the closed forms put schedule times into int64 arrays
     for t in (2**63, -(2**63) - 1, 2**64):

@@ -16,7 +16,7 @@ from boxball._kernels import ball_queue_sweep, carrier_sweep, free_flow_sweep
 from boxball.euler import MAX_SPAN
 
 
-def dense_carrier_sweep(counts, caps, m_val, m_capped):
+def dense_carrier_sweep(counts, caps, m):
     w = counts.shape[0]
     new_counts = np.zeros(w, np.int64)
     limited = np.zeros(w, np.int64)
@@ -29,9 +29,9 @@ def dense_carrier_sweep(counts, caps, m_val, m_capped):
         if put > load:
             put = load
         held = load + counts[n]
-        if m_capped and held > m_val:
-            removed[n] = held - m_val
-            held = m_val
+        if m is not None and held > m:
+            removed[n] = held - m
+            held = m
         load = held - put
         limited[n] = put
         new_counts[n] = put + removed[n]
@@ -100,10 +100,8 @@ def windows(draw):
     return np.array(counts, dtype=np.int64), profile
 
 
-# (m_val, m_capped): M = 0, finite M, or +inf
-carrier_capacities = st.one_of(
-    st.just((0, False)), st.tuples(st.integers(0, 8), st.just(True))
-)
+# the XInt bound: M = 0, finite M, or None for +inf
+carrier_capacities = st.one_of(st.none(), st.integers(0, 8))
 
 
 def window(counts, caps):
@@ -127,14 +125,14 @@ def occupied(counts):
 
 @settings(max_examples=300)
 @given(windows(), carrier_capacities)
-@example(EMPTY, (0, False))
-@example(ALL_ZERO, (0, True))
-@example(LAST_OCCUPIED, (0, False))
-@example(LAST_OCCUPIED, (4, True))
-@example(LAST_OCCUPIED, (0, True))
+@example(EMPTY, None)
+@example(ALL_ZERO, 0)
+@example(LAST_OCCUPIED, None)
+@example(LAST_OCCUPIED, 4)
+@example(LAST_OCCUPIED, 0)
 def test_carrier_sweep_matches_dense_loop(win, m):
     counts, profile = win
-    got = carrier_sweep(occupied(counts), profile, *m, MAX_SPAN)
+    got = carrier_sweep(occupied(counts), profile, m, MAX_SPAN)
     for pairs in got:
         boxes = [box for box, _ in pairs]
         assert boxes == sorted(set(boxes))
@@ -144,7 +142,7 @@ def test_carrier_sweep_matches_dense_loop(win, m):
     w = len(counts) + int(counts.sum())
     padded = np.zeros(w, dtype=np.int64)
     padded[: len(counts)] = counts
-    want = dense_carrier_sweep(padded, profile.caps_array(0, w), *m)
+    want = dense_carrier_sweep(padded, profile.caps_array(0, w), m)
     assert want[2][w] == 0
     laid = [lay(pairs, 0, w) for pairs in got]
     laid[2] = lay(got[2], 0, w + 1)
@@ -153,11 +151,11 @@ def test_carrier_sweep_matches_dense_loop(win, m):
 
 @settings(max_examples=300)
 @given(windows(), carrier_capacities)
-@example(EMPTY, (0, False))
-@example(ALL_ZERO, (0, True))
-@example(LAST_OCCUPIED, (0, False))
-@example(LAST_OCCUPIED, (4, True))
-@example(LAST_OCCUPIED, (0, True))
+@example(EMPTY, None)
+@example(ALL_ZERO, 0)
+@example(LAST_OCCUPIED, None)
+@example(LAST_OCCUPIED, 4)
+@example(LAST_OCCUPIED, 0)
 def test_oracle_sweeps_match_dense_loop(win, m):
     # the ball-by-ball walk and, under M = +inf, the free-flow sweep lay the
     # dense loop's new counts and end with an empty carrier
@@ -166,19 +164,19 @@ def test_oracle_sweeps_match_dense_loop(win, m):
     padded = np.zeros(w, dtype=np.int64)
     padded[: len(counts)] = counts
     caps = profile.caps_array(0, w)
-    new, leftover = ball_queue_sweep(occupied(counts), profile, *m)
+    new, leftover = ball_queue_sweep(occupied(counts), profile, m)
     assert leftover == 0
-    assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, *m)[0])
+    assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, m)[0])
     new, leftover = free_flow_sweep(occupied(counts), profile)
     assert leftover == 0
-    assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, 0, False)[0])
+    assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, None)[0])
 
 
 def test_carrier_sweep_reports_load_leaving_window():
     # balls still carried past the last occupied box show in the loads
     # beyond the input window, and the sweep walks on until they are laid
     counts, profile = LAST_OCCUPIED
-    new, limited, loads, removed = carrier_sweep(occupied(counts), profile, 4, True, MAX_SPAN)
+    new, limited, loads, removed = carrier_sweep(occupied(counts), profile, 4, MAX_SPAN)
     assert loads == ((3, 2), (5, 3), (6, 4), (7, 3), (8, 2), (9, 1))
     assert new == ((3, 2), (5, 2), (6, 1), (7, 1), (8, 1), (9, 1))
     assert removed == ((5, 2),)

@@ -31,7 +31,6 @@ from boxball import (
     utoda_step_sumform,
 )
 from boxball.difftest import DiffBounds, random_case
-from boxball.euler import _capacity_args
 
 UNIT = unit_profile()
 
@@ -386,9 +385,9 @@ def staged_enutoda_step(state, schedule, k_boundary=0):
     stage: size limit (Dbar, Qbar, Cbar, then Ebar), recovery (Q', E') and
     anchor motion, with validating constructors for the outputs."""
     m = schedule.at(state.time + 1)
-    m_val, m_capped = _capacity_args(m)
+    m_val = m.bound
     k, lam = staged_capacities(state)
-    if m_capped:
+    if m_val is not None:
         bad = [v for v in k if v > m_val]
         if bad:
             raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m_val}")
@@ -405,13 +404,13 @@ def staged_enutoda_step(state, schedule, k_boundary=0):
     qbar = []
     for n in range(n_runs):
         d = cbar[n] + q[n] - k[n]
-        if m_capped and d > m_val:
+        if m_val is not None and d > m_val:
             d = m_val
         dbar.append(d)
         qb = d if n == n_runs - 1 else min(e[n] - max(0, lam[n] - d), d)
         qbar.append(qb)
         c = d - qb + (k[n + 1] if n + 1 < n_runs else k_boundary)
-        if m_capped and c > m_val:
+        if m_val is not None and c > m_val:
             c = m_val
         cbar.append(c)
 

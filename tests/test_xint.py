@@ -17,7 +17,9 @@ from boxball import (
     FiniteOverflow,
     TauParams,
     XInt,
+    constant_schedule,
 )
+from boxball.difftest import DiffBounds, run_difftest
 from boxball.xint import INT64_MAX, INT64_MIN, decode_xint, encode_xint
 
 capacities = st.one_of(st.integers(INT64_MIN, INT64_MAX).map(XInt), st.just(POS_INF))
@@ -121,6 +123,17 @@ def test_constructors_take_numpy_integers_as_python_ints():
     assert profile.boundary(3) == 6
     schedule = CarrierSchedule(entries={i(2): 3})
     assert schedule.entries == ((2, 3),) and schedule.at(2) == 3
+    # carrier capacities too: entries, the default, constant_schedule, difftest
+    capacities = [
+        CarrierSchedule(entries={1: i(3)}).at(1).bound,
+        CarrierSchedule(default=np.uint16(3)).default.bound,
+        constant_schedule(np.int32(3)).default.bound,
+    ]
+    assert capacities == [3, 3, 3] and all(type(v) is int for v in capacities)
+    assert run_difftest(2, 0, DiffBounds(m_choices=(i(6),))).ok
+    for bad in (3.0, np.float64(3), True, np.bool_(True), "3"):
+        with pytest.raises(TypeError):
+            CarrierSchedule(default=bad)
     state = EulerState(counts=[1], profile=UNIT, time=i(4), window_start=np.int16(2))
     assert (state.time, state.occupied) == (4, ((2, 1),))
     soliton = EulerSolitonParams(P=(i(1),), Xi=(i(-2),), profile=UNIT, schedule=NO_CARRIER)
@@ -147,3 +160,22 @@ def test_no_floating_point_in_the_package():
                 found.append((path.name, node.value))
     assert found == [("difftest.py", 0.0)]
     assert "elapsed: float = 0.0" in (src / "difftest.py").read_text()
+
+
+def test_only_xint_lowers_a_carrier_capacity():
+    # +inf enters integer arithmetic one way, as XInt.bound; a module that
+    # read is_pos_inf or finite, or shared a private helper, could lower it
+    # a second way that the others do not see
+    src = Path(boxball.__file__).parent
+    reads, private = [], []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in ("is_pos_inf", "finite"):
+                reads.append(path.name)
+            elif isinstance(node, ast.ImportFrom) and node.level:
+                private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
+    assert set(reads) == {"xint.py"}
+    # the kernels module, and the segment-boundary overflow error
+    assert private == [
+        ("euler.py", "_kernels"), ("expansion.py", "_past_int64"), ("toda.py", "_past_int64"),
+    ]
