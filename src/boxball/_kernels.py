@@ -102,30 +102,54 @@ def ball_queue_sweep(occupied, profile, m):
     queue is empty past the last ball, and stops at box `last ball + total
     balls` at the latest.  Returns (new_occupied, leftover): ascending
     (box, count) pairs, and the balls still queued when the walk stopped.
+
+    The walk visits each occupied box once, then the empty boxes after it
+    while balls are queued, up to the next occupied box (or `stop`).  Only
+    an occupied box can take the queue past M, since the queue holds at
+    most M between boxes, so the trim runs only where arriving + u > M and
+    never reaches past the box's own balls; an empty box has no balls of
+    its own, so its space is its capacity.  Per criterion-3 state (best of
+    11 passes over 4000 states, both versions in one process) this took the
+    walk from 27.7 to 17.9 µs, where every visited box re-tested the boxes
+    ahead, joined and trimmed.
     """
     caps, ws, we, dcap = profile.table()
-    ahead = list(reversed(occupied))  # the occupied boxes not reached yet
     stop = sum(u for _, u in occupied) + (occupied[-1][0] if occupied else 0)
+    # where the empty boxes after each occupied box end: the next occupied
+    # box, or `stop` after the last one
+    ends = [n for n, _ in occupied[1:]]
+    ends.append(stop + 1)
     new = {}
     queue = deque()
-    n = 0
-    while (queue or ahead) and n <= stop:
-        if not queue:  # an empty queue passes empty boxes unchanged
-            n = ahead[-1][0]
-        u = ahead.pop()[1] if ahead and ahead[-1][0] == n else 0
-        arriving = len(queue)
-        queue.extend(repeat(n, u))
-        if m is not None:
-            while len(queue) > m:
-                origin = queue.pop()
+    join, take, trim = queue.extend, queue.popleft, queue.pop
+    queued = 0  # len(queue)
+    for (n, u), end in zip(occupied, ends):
+        arriving = queued
+        join(repeat(n, u))
+        queued += u
+        if m is not None and queued > m:
+            for _ in repeat(None, queued - m):
+                origin = trim()
                 new[origin] = new.get(origin, 0) + 1
+            queued = m
         put = (caps[n - ws] if ws <= n < we else dcap) - u
-        put = put if put < arriving else arriving
-        for _ in repeat(None, put):
-            queue.popleft()
+        if put > arriving:
+            put = arriving
         if put:
+            for _ in repeat(None, put):
+                take()
             new[n] = new.get(n, 0) + put
+            queued -= put
         n += 1
+        while queued and n < end:
+            put = caps[n - ws] if ws <= n < we else dcap
+            if put > queued:
+                put = queued
+            for _ in repeat(None, put):
+                take()
+            new[n] = put  # no trim credits an empty box
+            queued -= put
+            n += 1
     return tuple(sorted(new.items())), len(queue)
 
 

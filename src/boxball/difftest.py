@@ -51,7 +51,7 @@ from .euler import (
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
 from .toda import DegenerateState, enutoda_step, from_euler, to_euler, toda_to_lagrange
-from .xint import POS_INF, XInt, encode_xint
+from .xint import POS_INF, XInt, as_xint, encode_xint
 
 
 @dataclass(frozen=True)
@@ -65,6 +65,20 @@ class DiffBounds:
     m_choices: Tuple[XInt, ...] = ()
     steps: int = 20
     include_toda: bool = True
+
+    def __post_init__(self):
+        for name, least in (("window", 1), ("max_delta", 1), ("steps", 0)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be >= {least}, got {value}")
+        if self.include_toda:
+            for m in self.m_choices:
+                bound = as_xint(m).bound
+                if bound is not None and bound < self.max_delta:
+                    raise ValueError(
+                        f"m_choices holds {bound}, below max_delta {self.max_delta}; "
+                        f"the size-coordinate route needs every finite M >= max_delta"
+                    )
 
     def effective_m_choices(self) -> Tuple[XInt, ...]:
         if self.m_choices:
@@ -131,12 +145,12 @@ def random_case(
         counts = rng.integers(0, caps + 1)
         if counts.sum() > 0:
             break
-    profile = CapacityProfile(capacities=tuple(int(c) for c in caps))
+    profile = CapacityProfile(capacities=caps.tolist())
     choices = bounds.effective_m_choices()
-    entries = {
-        t: choices[int(rng.integers(len(choices)))]
-        for t in range(1, bounds.steps + 1)
-    }
+    # one bounded draw of every step's index reads the same 32-bit stream
+    # as one scalar draw per step, so the schedule is the same
+    picks = rng.integers(len(choices), size=bounds.steps).tolist()
+    entries = {t: choices[k] for t, k in enumerate(picks, 1)}
     schedule = CarrierSchedule(entries=entries, default=POS_INF)
     return EulerState(counts=counts, profile=profile), schedule
 
@@ -193,11 +207,16 @@ def _run_case(
         if res.carrier_identity_max != 0:
             record(step, "carrier_identity", f"max={res.carrier_identity_max}")
             return
-        # the trace lists nonzero loads; every box it does not name has 0
-        loads = [v for _, v in trace.carrier_loads]
-        low, high = min(loads, default=0), max(loads, default=0)
+        # the trace lists nonzero loads; every box it does not name has 0,
+        # so the range starts as [0, 0]
+        low = high = 0
+        for _, v in trace.carrier_loads:
+            if v < low:
+                low = v
+            elif v > high:
+                high = v
         if low < 0 or (m.bound is not None and high > m.bound):
-            record(step, "carrier_bound", f"loads in [{min(low, 0)}, {max(high, 0)}], M={m}")
+            record(step, "carrier_bound", f"loads in [{low}, {high}], M={m}")
             return
 
         if ts is not None:

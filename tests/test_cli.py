@@ -567,6 +567,22 @@ def test_difftest_bad_arguments_exit_code(capsys, extra, flag):
     assert flag in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("choices", ["2", "2,inf"])
+def test_difftest_m_choice_below_max_delta_needs_euler_only(capsys, choices):
+    # the size-coordinate route needs every finite M >= every box capacity;
+    # a smaller one is a bad argument, named before any case runs, and not
+    # a failed check
+    args = ["difftest", "--cases", "3", "--seed", "0", "--steps", "2",
+            "--max-delta", "5", "--m-choices", choices]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--m-choices" in captured.err and "--max-delta" in captured.err
+    assert "Traceback" not in captured.err and "CapacityViolation" not in captured.err
+    assert main(args + ["--euler-only"]) == 0
+    assert json.loads(capsys.readouterr().out)["failures"] == []
+
+
 def test_solution_cli_euler_verify(tmp_path, capsys):
     params = write_json(
         tmp_path / "p.json",

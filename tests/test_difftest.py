@@ -13,9 +13,9 @@ import pytest
 
 from boxball import CapacityProfile, EulerState, euler_step, expand, unbounded_schedule
 from boxball import difftest
-from boxball.difftest import DiffBounds, run_difftest
+from boxball.difftest import DiffBounds, random_case, run_difftest
 from boxball.toda import DegenerateState
-from boxball.xint import POS_INF
+from boxball.xint import POS_INF, XInt
 
 REAL_STEP = difftest.enutoda_step
 REAL_ORACLE = difftest.carrier_oracle_step
@@ -443,3 +443,64 @@ def test_every_case_runs_exactly_once(monkeypatch, tmp_path, cpus):
     assert sorted(int(i) for i in log.read_text().split()) == list(range(601))
     assert report.steps_checked == 601
     assert_no_child_left()
+
+
+def per_step_case(rng, bounds):
+    """random_case as it drew the schedule before: one scalar draw per step.
+    Returns (capacities, occupied pairs, schedule entries)."""
+    wlen = int(rng.integers(1, bounds.window + 1))
+    caps = rng.integers(1, bounds.max_delta + 1, size=wlen)
+    while True:
+        counts = rng.integers(0, caps + 1)
+        if counts.sum() > 0:
+            break
+    choices = bounds.effective_m_choices()
+    entries = {t: choices[int(rng.integers(len(choices)))] for t in range(1, bounds.steps + 1)}
+    occupied = tuple((n, u) for n, u in enumerate(counts.tolist()) if u)
+    return tuple(caps.tolist()), occupied, entries
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        DiffBounds(window=32, max_delta=5, steps=20),
+        DiffBounds(window=32, max_delta=1, m_choices=(POS_INF,), steps=20),
+        DiffBounds(m_choices=(XInt(1), XInt(2), XInt(3), POS_INF), include_toda=False),
+    ],
+    ids=["criterion-3", "criterion-2", "euler-only"],
+)
+def test_one_schedule_draw_per_case_matches_one_draw_per_step(bounds):
+    # numpy's bounded integer fill takes the same 32-bit stream as as many
+    # scalar draws, so drawing every step's index at once leaves each case,
+    # and the generator state after it, as the per-step draw did; the report
+    # digests pin only a few seeds
+    for seed in range(500):
+        state, schedule = random_case(rng := np.random.default_rng([seed, 7]), bounds)
+        want = per_step_case(old := np.random.default_rng([seed, 7]), bounds)
+        assert (state.profile.capacities, state.occupied, dict(schedule.entries)) == want
+        assert schedule.default == POS_INF
+        assert rng.bit_generator.state == old.bit_generator.state
+
+
+@pytest.mark.parametrize(
+    "kwargs, named",
+    [
+        (dict(window=0), "window must be >= 1, got 0"),
+        (dict(max_delta=0), "max_delta must be >= 1, got 0"),
+        (dict(steps=-1), "steps must be >= 0, got -1"),
+        (dict(m_choices=(XInt(4), POS_INF)), "m_choices holds 4, below max_delta 5"),
+        (dict(max_delta=3, m_choices=(np.int64(2),)), "m_choices holds 2, below max_delta 3"),
+    ],
+)
+def test_bad_bounds_name_their_field(kwargs, named):
+    with pytest.raises(ValueError, match=re.escape(named)):
+        DiffBounds(**kwargs)
+
+
+def test_small_carrier_capacities_need_euler_only():
+    # the size-coordinate route needs every finite M >= every box capacity;
+    # the other two routes take any M, and M = max_delta is allowed
+    small = DiffBounds(m_choices=(XInt(0), XInt(2), POS_INF), include_toda=False)
+    assert small.effective_m_choices() == (XInt(0), XInt(2), POS_INF)
+    assert DiffBounds(m_choices=(XInt(5), POS_INF)).m_choices == (XInt(5), POS_INF)
+    assert run_difftest(2, 0, DiffBounds(steps=0)).steps_checked == 0

@@ -6,12 +6,17 @@ carrier, the expansion as the 0/1 segment array it used to be, and the
 way back as the per-run binary search over a whole-span boundary array.
 """
 
+import ast
+import inspect
+
 import numpy as np
+import pytest
 from dense_views import lay
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from boxball import CapacityProfile, EulerState, TodaState, expand, to_euler, toda_to_lagrange
+from boxball import _kernels
 from boxball._kernels import ball_queue_sweep, carrier_sweep, free_flow_sweep
 from boxball.euler import MAX_SPAN
 
@@ -111,6 +116,10 @@ def window(counts, caps):
 EMPTY = window([], [])
 ALL_ZERO = window([0] * 9, [3] * 9)
 LAST_OCCUPIED = window([0, 0, 2, 0, 3, 3], [3, 5, 3, 5, 3, 3])
+CROSSING = window([3, 0, 0, 2, 0, 0], [3, 1, 1, 3, 1, 1])
+# the queue holds at most M between boxes, so a trim never reaches past
+# the balls of the box it is at; this is the edge where it takes them all
+FULL_TRIM = window([2, 3], [2, 5])
 
 
 def assert_same(got, want):
@@ -156,6 +165,9 @@ def test_carrier_sweep_matches_dense_loop(win, m):
 @example(LAST_OCCUPIED, None)
 @example(LAST_OCCUPIED, 4)
 @example(LAST_OCCUPIED, 0)
+@example(CROSSING, None)  # a loaded queue crosses empty boxes to an occupied one
+@example(CROSSING, 0)
+@example(FULL_TRIM, 2)  # arriving = M, so the trim takes every ball of box 1
 def test_oracle_sweeps_match_dense_loop(win, m):
     # the ball-by-ball walk and, under M = +inf, the free-flow sweep lay the
     # dense loop's new counts and end with an empty carrier
@@ -170,6 +182,18 @@ def test_oracle_sweeps_match_dense_loop(win, m):
     new, leftover = free_flow_sweep(occupied(counts), profile)
     assert leftover == 0
     assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, None)[0])
+
+
+@pytest.mark.parametrize("oracle", ["ball_queue_sweep", "free_flow_sweep"])
+def test_oracle_walks_share_no_code_with_carrier_sweep(oracle):
+    # an oracle rewritten in terms of the sweep it checks would agree with
+    # it whatever the sweep got wrong
+    tree = ast.parse(inspect.getsource(_kernels))
+    (body,) = [node for node in tree.body if getattr(node, "name", None) == oracle]
+    names = {node.id for node in ast.walk(body) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(body) if isinstance(node, ast.Attribute)}
+    assert names.isdisjoint({"carrier_sweep", "_require_reach", "last_box_filled"})
+    assert not [node for node in ast.walk(body) if isinstance(node, (ast.Import, ast.ImportFrom))]
 
 
 def test_carrier_sweep_reports_load_leaving_window():
