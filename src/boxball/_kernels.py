@@ -103,15 +103,9 @@ def ball_queue_sweep(occupied, profile, m):
     balls` at the latest.  Returns (new_occupied, leftover): ascending
     (box, count) pairs, and the balls still queued when the walk stopped.
 
-    The walk visits each occupied box once, then the empty boxes after it
-    while balls are queued, up to the next occupied box (or `stop`).  Only
-    an occupied box can take the queue past M, since the queue holds at
-    most M between boxes, so the trim runs only where arriving + u > M and
-    never reaches past the box's own balls; an empty box has no balls of
-    its own, so its space is its capacity.  Per criterion-3 state (best of
-    11 passes over 4000 states, both versions in one process) this took the
-    walk from 27.7 to 17.9 µs, where every visited box re-tested the boxes
-    ahead, joined and trimmed.
+    It visits each occupied box once, then the empty boxes after it while
+    balls are queued.  The queue holds at most M between boxes, so only a
+    box's own balls can take it past M, and only they are ever trimmed.
     """
     caps, ws, we, dcap = profile.table()
     stop = sum(u for _, u in occupied) + (occupied[-1][0] if occupied else 0)

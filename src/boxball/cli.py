@@ -146,15 +146,16 @@ def cmd_difftest(args) -> int:
     ):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
+    m_choices = _parse_m_choices(args.m_choices) if args.m_choices else ()
     try:
         bounds = DiffBounds(
             window=args.window,
             max_delta=args.max_delta,
-            m_choices=_parse_m_choices(args.m_choices) if args.m_choices else (),
+            m_choices=m_choices,
             steps=args.steps,
             include_toda=not args.euler_only,
         )
-    except ValueError as exc:  # the flags above are checked, so it is the M rule
+    except ValueError as exc:  # flags and choices are checked above: the M rule
         raise ConfigError(f"--m-choices below --max-delta needs --euler-only: {exc}") from None
     report = run_difftest(args.cases, args.seed, bounds)
     _emit(dump(report.to_json_dict()))

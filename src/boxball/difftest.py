@@ -51,7 +51,7 @@ from .euler import (
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
 from .toda import DegenerateState, enutoda_step, from_euler, to_euler, toda_to_lagrange
-from .xint import POS_INF, XInt, as_xint, encode_xint
+from .xint import POS_INF, XInt, as_capacity, encode_xint
 
 
 @dataclass(frozen=True)
@@ -71,14 +71,13 @@ class DiffBounds:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        if self.include_toda:
-            for m in self.m_choices:
-                bound = as_xint(m).bound
-                if bound is not None and bound < self.max_delta:
-                    raise ValueError(
-                        f"m_choices holds {bound}, below max_delta {self.max_delta}; "
-                        f"the size-coordinate route needs every finite M >= max_delta"
-                    )
+        for m in self.m_choices:
+            bound = as_capacity(m).bound
+            if self.include_toda and bound is not None and bound < self.max_delta:
+                raise ValueError(
+                    f"m_choices holds {bound}, below max_delta {self.max_delta}; "
+                    f"the size-coordinate route needs every finite M >= max_delta"
+                )
 
     def effective_m_choices(self) -> Tuple[XInt, ...]:
         if self.m_choices:

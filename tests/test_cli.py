@@ -581,6 +581,9 @@ def test_difftest_m_choice_below_max_delta_needs_euler_only(capsys, choices):
     assert "Traceback" not in captured.err and "CapacityViolation" not in captured.err
     assert main(args + ["--euler-only"]) == 0
     assert json.loads(capsys.readouterr().out)["failures"] == []
+    # a choice that does not parse is named as such
+    assert main(args[:-1] + ["2,x"]) == 2
+    assert "below" not in capsys.readouterr().err
 
 
 def test_solution_cli_euler_verify(tmp_path, capsys):

@@ -490,10 +490,13 @@ def test_one_schedule_draw_per_case_matches_one_draw_per_step(bounds):
         (dict(steps=-1), "steps must be >= 0, got -1"),
         (dict(m_choices=(XInt(4), POS_INF)), "m_choices holds 4, below max_delta 5"),
         (dict(max_delta=3, m_choices=(np.int64(2),)), "m_choices holds 2, below max_delta 3"),
+        # the one capacity check, on every route mix
+        (dict(m_choices=(XInt(-1),), include_toda=False), "carrier capacity must be >= 0"),
+        (dict(m_choices=(1.5,), include_toda=False), "expected XInt or int, got float"),
     ],
 )
 def test_bad_bounds_name_their_field(kwargs, named):
-    with pytest.raises(ValueError, match=re.escape(named)):
+    with pytest.raises((TypeError, ValueError), match=re.escape(named)):
         DiffBounds(**kwargs)
 
 
