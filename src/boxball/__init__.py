@@ -19,13 +19,7 @@ from .euler import (
     umkdv_residual,
 )
 from .expansion import expand
-from .geometry import (
-    CapacityProfile,
-    CarrierSchedule,
-    constant_schedule,
-    unbounded_schedule,
-    unit_profile,
-)
+from .geometry import CapacityProfile, CarrierSchedule
 from .solutions import (
     EulerSolitonParams,
     TauParams,
@@ -78,7 +72,6 @@ __all__ = [
     "XInt",
     "capacities_for_state",
     "carrier_oracle_step",
-    "constant_schedule",
     "enutoda_step",
     "euler_nsoliton",
     "euler_slices",
@@ -96,8 +89,6 @@ __all__ = [
     "to_euler",
     "toda_to_lagrange",
     "umkdv_residual",
-    "unbounded_schedule",
-    "unit_profile",
     "utoda_step",
     "utoda_step_sumform",
     "verify_euler_solution",

@@ -180,7 +180,7 @@ def _parse_range(text: str, what: str) -> Tuple[int, int]:
 def cmd_solution(args) -> int:
     spec = parse_solution_file(args.params, args.type)
     t_lo, t_hi = _parse_range(args.t_range or ("0:10" if args.type == "euler" else "0:15"), "--t-range")
-    if spec.kind == "euler":
+    if args.type == "euler":
         params = spec.params
         n_range = _parse_range(args.n_range, "--n-range") if args.n_range else spec.n_range
         if n_range is None:

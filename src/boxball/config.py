@@ -203,7 +203,6 @@ SolutionParams = Union[EulerSolitonParams, TauParams]
 
 @dataclass(frozen=True)
 class SolutionSpec:
-    kind: str  # "euler" | "tau"
     params: SolutionParams
     n_range: Optional[Tuple[int, int]] = None  # euler kind only
     x0: int = 0  # tau kind only: anchor for a size-coordinate initial state
@@ -230,7 +229,7 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
             params = EulerSolitonParams(P=p, Xi=xi, profile=profile, schedule=schedule)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        return SolutionSpec(kind="euler", params=params, n_range=n_range)
+        return SolutionSpec(params=params, n_range=n_range)
     if kind == "tau":
         _check_keys(obj, where, {"N", "P", "W", "Delta", "schedule", "X0"}, {"P", "W", "Delta"})
         schedule = parse_schedule(obj.get("schedule", {}), f"{where}.schedule")
@@ -244,9 +243,7 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
             )
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        return SolutionSpec(
-            kind="tau", params=params, x0=_int(obj.get("X0", 0), f"{where}.X0")
-        )
+        return SolutionSpec(params=params, x0=_int(obj.get("X0", 0), f"{where}.X0"))
     raise ConfigError(f"solution type must be \"euler\" or \"tau\", got {kind!r}")
 
 
@@ -268,7 +265,7 @@ def _solution_initial(spec: SolutionSpec, where: str) -> Union[EulerState, TodaS
     """The solution at t=0 as a state to evolve: the counts over n_range for
     the euler kind, the sizes and gaps anchored at X0 for the tau kind."""
     params = spec.params
-    if spec.kind == "tau":
+    if isinstance(params, TauParams):
         ts = tau_toda_state(params, 0)
         profile = CapacityProfile(default_capacity=params.Delta)
         try:

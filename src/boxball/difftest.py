@@ -51,7 +51,7 @@ from .euler import (
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
 from .toda import DegenerateState, enutoda_step, from_euler, to_euler, toda_to_lagrange
-from .xint import POS_INF, XInt, as_capacity, encode_xint
+from .xint import POS_INF, XInt, as_capacity, as_int, encode_xint
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ class DiffBounds:
 
     def __post_init__(self):
         for name, least in (("window", 1), ("max_delta", 1), ("steps", 0)):
-            value = getattr(self, name)
+            value = as_int(getattr(self, name), name)
+            object.__setattr__(self, name, value)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
         for m in self.m_choices:
@@ -378,6 +379,7 @@ def _usable_cpus() -> int:
 def run_difftest(cases: int, seed: int, bounds: Optional[DiffBounds] = None) -> DiffReport:
     """Run `cases` independent cases; deterministic in (cases, seed, bounds),
     whatever number of CPUs shares the work."""
+    cases, seed = as_int(cases, "cases"), as_int(seed, "seed")
     bounds = bounds or DiffBounds()
     report = DiffReport(cases=cases, seed=seed, bounds=bounds)
     start = _time.perf_counter()

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _kernels
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import INT64_MAX, FiniteOverflow, XInt, as_int, as_xint
+from .xint import INT64_MAX, FiniteOverflow, XInt, as_capacity, as_int
 
 # The most boxes a window may span: the longest int64 array numpy can
 # allocate, whose byte size must fit a signed 64-bit integer.
@@ -257,7 +257,7 @@ def umkdv_residual(
     with S_n = sum_{j<n}(U_j - U'_j), on every box of [lo, hi), the union of
     the two windows, plus the carrier-load identity loads_n = S_n on boxes
     lo .. hi, where a box the trace does not name has load 0.  Violations
-    are reported, never raised.
+    are reported, never raised; an m below 0 raises ValueError.
 
     Only the listed boxes are read.  Between them U = U' = loads = 0 and S
     is constant, so a run of unlisted boxes violates the equation by |S|
@@ -268,7 +268,7 @@ def umkdv_residual(
     lo = min(before.window_start, after.window_start)
     hi = max(before.window_end, after.window_end)
     profile = before.profile
-    m_val = as_xint(m).bound
+    m_val = as_capacity(m).bound
     caps, ws, we, dcap = profile.table()
     # one merge of the three ascending pair lists; a list's next box is
     # `end` once it is used up, and hi + 1 closes the last run of unlisted

@@ -15,7 +15,7 @@ from typing import Mapping, Tuple
 
 import numpy as np
 
-from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, XIntLike, as_capacity, as_int
+from .xint import INT64_MAX, INT64_MIN, POS_INF, FiniteOverflow, XInt, as_capacity, as_int
 
 
 @dataclass(frozen=True)
@@ -139,11 +139,6 @@ def _past_int64(n: int, s: int) -> FiniteOverflow:
     return FiniteOverflow(f"segment boundary s_{n} = {s} is past the int64 range")
 
 
-def unit_profile() -> CapacityProfile:
-    """The classical case: every box holds one ball."""
-    return CapacityProfile()
-
-
 @dataclass(frozen=True)
 class CarrierSchedule:
     """Carrier capacity per time step: the sweep from t to t+1 uses value at(t+1).
@@ -159,7 +154,8 @@ class CarrierSchedule:
         raw = self.entries
         if isinstance(raw, Mapping):
             raw = raw.items()
-        norm = tuple(sorted((as_int(t, "every entries time"), as_capacity(m)) for t, m in raw))
+        norm = [(as_int(t, "every entries time"), as_capacity(m)) for t, m in raw]
+        norm = tuple(sorted(norm, key=lambda entry: entry[0]))  # XInt has no order
         object.__setattr__(self, "entries", norm)
         object.__setattr__(self, "default", as_capacity(self.default))
         for i, (t, _) in enumerate(norm):
@@ -171,11 +167,3 @@ class CarrierSchedule:
 
     def at(self, t: int) -> XInt:
         return self._map.get(t, self.default)
-
-
-def unbounded_schedule() -> CarrierSchedule:
-    return CarrierSchedule()
-
-
-def constant_schedule(m: XIntLike) -> CarrierSchedule:
-    return CarrierSchedule(default=m)

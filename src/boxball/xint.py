@@ -26,7 +26,8 @@ class FiniteOverflow(OverflowError):
 
 
 class XInt:
-    """An immutable int64 or +inf, totally ordered as finite < +inf."""
+    """An immutable int64 or +inf.  It has no order: a comparison or a sum
+    goes through `bound`, so +inf is lowered one way only."""
 
     __slots__ = ("_v",)  # the int, or None for +inf
 
@@ -66,21 +67,6 @@ class XInt:
     def __hash__(self) -> int:
         # a finite XInt compares equal to the plain int, so hash like one
         return hash(self._v)
-
-    def _key(self):
-        return (1, 0) if self._v is None else (0, self._v)
-
-    def __lt__(self, other) -> bool:
-        return self._key() < as_xint(other)._key()
-
-    def __le__(self, other) -> bool:
-        return self._key() <= as_xint(other)._key()
-
-    def __gt__(self, other) -> bool:
-        return self._key() > as_xint(other)._key()
-
-    def __ge__(self, other) -> bool:
-        return self._key() >= as_xint(other)._key()
 
 
 def as_int(value, what: str) -> int:

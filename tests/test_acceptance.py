@@ -19,7 +19,6 @@ from boxball import (
     TauParams,
     TodaState,
     XInt,
-    constant_schedule,
     enutoda_step,
     euler_step,
     extoda_step,
@@ -28,8 +27,6 @@ from boxball import (
     lagrange_to_toda,
     tau_toda_state,
     toda_to_lagrange,
-    unbounded_schedule,
-    unit_profile,
     utoda_step,
     utoda_step_sumform,
     verify_euler_solution,
@@ -106,7 +103,7 @@ def test_criterion_3_capacity_cross_representation(capacity_report):
 
 
 def test_criterion_4_reduction_chain():
-    free = unbounded_schedule()
+    free = CarrierSchedule()
     failures = 0
     checked = 0
     for i in range(1000):
@@ -281,10 +278,10 @@ def test_criterion_8_tau_solution():
 
 def test_criterion_9_free_soliton_speed():
     failures = 0
-    unit = unit_profile()
+    unit = CapacityProfile()
     for q0 in range(1, 9):
         for m in list(range(1, 9)) + [None]:
-            sched = unbounded_schedule() if m is None else constant_schedule(m)
+            sched = CarrierSchedule() if m is None else CarrierSchedule(default=m)
             expected = q0 if m is None else min(q0, m)
 
             st = EulerState(counts=[1] * q0, profile=unit)

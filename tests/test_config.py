@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from boxball import POS_INF, CapacityProfile, EulerState, TodaState, XInt, unit_profile
+from boxball import POS_INF, CapacityProfile, EulerState, TodaState, XInt
 from boxball.cli import main
 from boxball.config import (
     ConfigError,
@@ -136,7 +136,7 @@ def test_toda_state_round_trip():
 
 
 def test_euler_state_round_trip():
-    st = EulerState(counts=[1, 0, 1], profile=unit_profile(), time=2)
+    st = EulerState(counts=[1, 0, 1], profile=CapacityProfile(), time=2)
     sched = CarrierSchedule(entries={1: 6})
     out = json.loads(euler_state_json(st, sched))
     assert out["schedule"]["entries"] == {"1": 6}

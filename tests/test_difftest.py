@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from boxball import CapacityProfile, EulerState, euler_step, expand, unbounded_schedule
+from boxball import CapacityProfile, CarrierSchedule, EulerState, euler_step, expand
 from boxball import difftest
 from boxball.difftest import DiffBounds, random_case, run_difftest
 from boxball.toda import DegenerateState
@@ -74,10 +74,10 @@ def test_run_moved_inside_its_box_reports_anchor(monkeypatch):
     # anchor
     profile = CapacityProfile(capacities=(1, 1, 5))
     state = EulerState(counts=[1, 1, 0], profile=profile)
-    nxt, _ = euler_step(state, unbounded_schedule())
+    nxt, _ = euler_step(state, CarrierSchedule())
     assert expand(nxt) == ((5,), (7,))
     monkeypatch.setattr(
-        difftest, "random_case", lambda rng, bounds: (state, unbounded_schedule())
+        difftest, "random_case", lambda rng, bounds: (state, CarrierSchedule())
     )
 
     def box_start(st):

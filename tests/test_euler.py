@@ -16,7 +16,6 @@ from boxball import (
     TodaState,
     XInt,
     carrier_oracle_step,
-    constant_schedule,
     euler_step,
     expand,
     first_difference,
@@ -24,13 +23,11 @@ from boxball import (
     same_occupancy,
     to_euler,
     umkdv_residual,
-    unbounded_schedule,
-    unit_profile,
 )
 from boxball.difftest import DiffBounds, random_case
 from boxball.euler import MAX_SPAN, ResidualReport
 
-UNIT = unit_profile()
+UNIT = CapacityProfile()
 
 
 def unit_state(counts, time=0):
@@ -51,36 +48,36 @@ def line(state, stop):
 
 
 def test_free_carrier_step():
-    nxt, _ = euler_step(unit_state([1, 1, 0, 1, 0, 0]), unbounded_schedule())
+    nxt, _ = euler_step(unit_state([1, 1, 0, 1, 0, 0]), CarrierSchedule())
     assert nxt.counts.tolist() == [0, 0, 1, 0, 1, 1]
     assert nxt.time == 1
 
 
 def test_all_zero_state_is_fixed():
     st = EulerState(counts=[0, 0, 0], profile=CapacityProfile(capacities=(2, 3, 1)))
-    nxt, tr = euler_step(st, constant_schedule(2))
+    nxt, tr = euler_step(st, CarrierSchedule(default=2))
     assert nxt.counts.tolist() == [0, 0, 0]
     limited, loads, removed = trace_arrays(tr, nxt)
     assert limited.tolist() == [0, 0, 0]
     assert loads.tolist() == [0, 0, 0, 0]
     assert removed.tolist() == [0, 0, 0]
-    assert carrier_oracle_step(st, constant_schedule(2)).counts.tolist() == [0, 0, 0]
+    assert carrier_oracle_step(st, CarrierSchedule(default=2)).counts.tolist() == [0, 0, 0]
 
 
 def test_capped_carrier_step_with_recovery():
     st = unit_state([1, 1, 1, 0, 0, 1, 0])
-    nxt, tr = euler_step(st, constant_schedule(2))
+    nxt, tr = euler_step(st, CarrierSchedule(default=2))
     assert nxt.counts.tolist() == [0, 0, 1, 1, 1, 0, 1]
     limited, _, removed = trace_arrays(tr, nxt)
     assert limited.tolist() == [0, 0, 0, 1, 1, 0, 1]
     assert removed.tolist() == [0, 0, 1, 0, 0, 0, 0]
     # recovery puts back exactly what the size limit took, box by box
     assert (limited + removed).tolist() == nxt.counts.tolist()
-    assert carrier_oracle_step(st, constant_schedule(2)) == nxt
+    assert carrier_oracle_step(st, CarrierSchedule(default=2)) == nxt
 
 
 def test_oracle_matches_on_worked_examples():
-    sched = unbounded_schedule()
+    sched = CarrierSchedule()
     for counts in ([1, 1, 0, 1, 0, 0], [1, 1, 1, 0, 0, 1, 0], [1, 0, 1, 1, 0, 0]):
         st = unit_state(counts)
         assert carrier_oracle_step(st, sched) == euler_step(st, sched)[0]
@@ -88,7 +85,7 @@ def test_oracle_matches_on_worked_examples():
 
 def test_oracle_removal_tiny_case():
     st = unit_state([1, 1])
-    sched = constant_schedule(1)
+    sched = CarrierSchedule(default=1)
     nxt, tr = euler_step(st, sched)
     assert trace_arrays(tr, nxt)[2].tolist()[:2] == [0, 1]
     assert carrier_oracle_step(st, sched) == nxt
@@ -97,7 +94,7 @@ def test_oracle_removal_tiny_case():
 
 @pytest.mark.parametrize("m", [1, 3, None])
 def test_single_ball_advances_one_box(m):
-    sched = unbounded_schedule() if m is None else constant_schedule(m)
+    sched = CarrierSchedule() if m is None else CarrierSchedule(default=m)
     for k in range(4):
         st = unit_state([0] * k + [1])
         nxt = carrier_oracle_step(st, sched)
@@ -115,7 +112,7 @@ def test_nukdv_equals_unbounded_euler_on_random_states():
     for i in range(400):
         rng = np.random.default_rng([2024, i])
         st, _ = random_case(rng, DiffBounds(window=20, max_delta=4, steps=1))
-        nxt, tr = euler_step(st, unbounded_schedule())
+        nxt, tr = euler_step(st, CarrierSchedule())
         assert nukdv_step(st) == nxt
         # no capacity bound: nothing removed, new counts equal the limited ones
         limited, _, removed = trace_arrays(tr, nxt)
@@ -145,7 +142,7 @@ def test_ball_conservation_and_bounds_on_random_states():
 
 def test_umkdv_residual_zero_and_detects_corruption():
     st = unit_state([1, 1, 1, 0, 0, 1, 0])
-    nxt, tr = euler_step(st, constant_schedule(2))
+    nxt, tr = euler_step(st, CarrierSchedule(default=2))
     rep = umkdv_residual(st, nxt, tr, XInt(2))
     assert rep.ok and rep.max_violation == 0 and rep.carrier_identity_max == 0
 
@@ -157,13 +154,22 @@ def test_umkdv_residual_zero_and_detects_corruption():
 
 def test_umkdv_residual_infinite_capacity():
     st = unit_state([1, 0, 1, 1, 0, 0])
-    nxt, tr = euler_step(st, unbounded_schedule())
+    nxt, tr = euler_step(st, CarrierSchedule())
     assert umkdv_residual(st, nxt, tr, POS_INF).ok
+
+
+def test_umkdv_residual_rejects_a_negative_capacity():
+    # read as a bound, M = -1 reported a violation of 4 instead of raising
+    st = unit_state([1, 1, 1, 0, 0, 1, 0])
+    nxt, tr = euler_step(st, CarrierSchedule(default=2))
+    for m in (-1, XInt(-5)):
+        with pytest.raises(ValueError, match="carrier capacity must be >= 0"):
+            umkdv_residual(st, nxt, tr, m)
 
 
 def test_umkdv_residual_all_zero_state():
     st = EulerState(counts=[0, 0], profile=CapacityProfile(capacities=(2, 3)))
-    nxt, tr = euler_step(st, constant_schedule(1))
+    nxt, tr = euler_step(st, CarrierSchedule(default=1))
     rep = umkdv_residual(st, nxt, tr, XInt(1))
     assert rep.ok and rep.boxes == 2
 
@@ -218,13 +224,13 @@ def test_window_overflow_guard(monkeypatch):
 
     monkeypatch.setattr(euler_mod._kernels, "ball_queue_sweep", broken_walk)
     with pytest.raises(euler_mod.WindowOverflow):
-        carrier_oracle_step(unit_state([1, 0]), unbounded_schedule())
+        carrier_oracle_step(unit_state([1, 0]), CarrierSchedule())
 
 
 def test_window_start_offsets_are_respected():
     p = CapacityProfile(capacities=(4, 4), window_start=3)
     st = EulerState(counts=[2, 1], profile=p, window_start=3)
-    nxt, _ = euler_step(st, unbounded_schedule())
+    nxt, _ = euler_step(st, CarrierSchedule())
     assert nxt.window_start == 3
     assert nxt.total_balls == 3
 
@@ -233,7 +239,7 @@ def test_window_follows_a_lone_soliton():
     # a size-3 soliton moves 3 boxes a step; its window stays short while
     # the distance travelled grows
     st = unit_state([1, 1, 1])
-    free = unbounded_schedule()
+    free = CarrierSchedule()
     for _ in range(10**4):
         st, _ = euler_step(st, free)
         assert len(st.counts) <= 10
@@ -244,7 +250,7 @@ def test_window_follows_a_lone_soliton():
 def test_window_starts_at_the_first_ball():
     p = CapacityProfile(default_capacity=2)
     st = EulerState(counts=[0, 0, 2, 1, 0], profile=p, window_start=4)
-    sched = constant_schedule(2)
+    sched = CarrierSchedule(default=2)
     nxt, tr = euler_step(st, sched)
     assert nxt.window_start == 6
     # the right edge stays where it was unless a ball passes it
@@ -387,7 +393,7 @@ def test_residual_on_different_windows_matches_one_common_window(case):
 
 def test_residual_flags_a_ball_missing_left_of_the_window():
     st = unit_state([0, 1, 1, 0, 0, 0])
-    nxt, tr = euler_step(st, constant_schedule(1))
+    nxt, tr = euler_step(st, CarrierSchedule(default=1))
     # M = 1 trims the second ball, and recovery puts it back at box 2
     assert nxt.window_start == 1 and by_box(nxt) == {2: 1, 3: 1}
     assert umkdv_residual(st, nxt, tr, XInt(1)).ok
@@ -420,11 +426,11 @@ def test_far_apart_balls_cost_no_memory_for_the_gap():
     state = to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=0, profile=UNIT))
     tracemalloc.start()
     try:
-        nxt, tr = euler_step(state, unbounded_schedule())
+        nxt, tr = euler_step(state, CarrierSchedule())
         rep = umkdv_residual(state, nxt, tr, POS_INF)
         same = same_occupancy(nxt, to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=1, profile=UNIT)))
         runs = expand(nxt)
-        oracle = carrier_oracle_step(state, constant_schedule(1))
+        oracle = carrier_oracle_step(state, CarrierSchedule(default=1))
         free = nukdv_step(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -461,18 +467,18 @@ def test_window_past_an_int64_array_raises_before_the_walk():
     def pair(gap):
         return to_euler(TodaState(Q=(1, 1), E=(gap,), X0=0, profile=UNIT))
 
-    nxt, _ = euler_step(pair(MAX_SPAN - 3), unbounded_schedule())
+    nxt, _ = euler_step(pair(MAX_SPAN - 3), CarrierSchedule())
     assert nxt.occupied == ((1, 1), (MAX_SPAN - 1, 1))
     assert (nxt.window_start, nxt.window_end) == (0, MAX_SPAN)
     with pytest.raises(FiniteOverflow, match="int64 window"):
-        euler_step(pair(MAX_SPAN - 2), unbounded_schedule())
+        euler_step(pair(MAX_SPAN - 2), CarrierSchedule())
     with pytest.raises(FiniteOverflow, match="int64 array"):
         pair(MAX_SPAN - 1)
     # a carrier of 2^62 balls leaving a box of capacity 2^62 would fill the
     # next 2^62 unit boxes
     big = CapacityProfile(capacities=(2**62,))
     with pytest.raises(FiniteOverflow, match="4611686018427387904 balls"):
-        euler_step(EulerState(counts=[2**62], profile=big), unbounded_schedule())
+        euler_step(EulerState(counts=[2**62], profile=big), CarrierSchedule())
 
 
 def test_first_difference_reads_absolute_boxes():

@@ -15,11 +15,10 @@ from boxball import (
     from_euler,
     same_occupancy,
     to_euler,
-    unit_profile,
 )
 from boxball.difftest import DiffBounds, random_case
 
-UNIT = unit_profile()
+UNIT = CapacityProfile()
 
 
 def test_expand_right_then_left_justified():

@@ -1,9 +1,9 @@
-from boxball import CapacityProfile, EulerState, unit_profile
+from boxball import CapacityProfile, EulerState
 from boxball.render import render_counts
 
 
 def test_render_unit_counts():
-    st = EulerState(counts=[1, 1, 1, 0, 0, 1], profile=unit_profile())
+    st = EulerState(counts=[1, 1, 1, 0, 0, 1], profile=CapacityProfile())
     assert render_counts(st) == "111..1"
 
 

@@ -22,15 +22,13 @@ from boxball import (
     euler_slices,
     euler_step,
     tau_toda_state,
-    unbounded_schedule,
-    unit_profile,
     verify_euler_solution,
     verify_tau_solution,
 )
 from boxball.solutions import EulerFieldSlice, TauState, _tau_rows
 
-UNIT = unit_profile()
-FREE = unbounded_schedule()
+UNIT = CapacityProfile()
+FREE = CarrierSchedule()
 
 
 def test_single_soliton_block_advances_by_speed():

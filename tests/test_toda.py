@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from boxball import (
     CapacityProfile,
     CapacityViolation,
+    CarrierSchedule,
     DegenerateState,
     EulerState,
     FiniteOverflow,
@@ -17,7 +18,6 @@ from boxball import (
     TodaState,
     TodaStepTrace,
     capacities_for_state,
-    constant_schedule,
     enutoda_step,
     extoda_step,
     from_euler,
@@ -25,14 +25,12 @@ from boxball import (
     lagrange_to_toda,
     to_euler,
     toda_to_lagrange,
-    unbounded_schedule,
-    unit_profile,
     utoda_step,
     utoda_step_sumform,
 )
 from boxball.difftest import DiffBounds, random_case
 
-UNIT = unit_profile()
+UNIT = CapacityProfile()
 
 
 def random_toda_states(count, seed, max_delta=5, window=20):
@@ -126,7 +124,7 @@ def test_capacities_for_state():
 
 def test_enutoda_worked_example():
     st = TodaState(Q=(3, 1), E=(2,), X0=0, profile=UNIT)
-    nxt, tr = enutoda_step(st, constant_schedule(2))
+    nxt, tr = enutoda_step(st, CarrierSchedule(default=2))
     assert (nxt.Q, nxt.E, nxt.X0) == ((3, 1), (1,), 2)
     assert tr.Cbar == (1, 1, 0)
     assert tr.Dbar == (2, 1)
@@ -137,7 +135,7 @@ def test_enutoda_worked_example():
 
 def test_enutoda_infinite_capacity_reduces_to_utoda():
     st = TodaState(Q=(2, 2), E=(1,), X0=0, profile=UNIT)
-    nxt, tr = enutoda_step(st, unbounded_schedule())
+    nxt, tr = enutoda_step(st, CarrierSchedule())
     assert (nxt.Q, nxt.E) == ((1, 3), (2,))
     # with no trimming the intermediate sizes equal the outputs
     assert tr.Qbar == nxt.Q and tr.Ebar == nxt.E
@@ -146,12 +144,12 @@ def test_enutoda_infinite_capacity_reduces_to_utoda():
 def test_enutoda_capacity_violation():
     st = TodaState(Q=(2,), E=(), X0=0, profile=CapacityProfile(default_capacity=4))
     with pytest.raises(CapacityViolation):
-        enutoda_step(st, constant_schedule(3))
+        enutoda_step(st, CarrierSchedule(default=3))
 
 
 def test_boundary_cap_choice_does_not_matter():
     # enutoda_step fixes K_N = 0; the staged equations take any K_N in [0, M]
-    sched = constant_schedule(6)
+    sched = CarrierSchedule(default=6)
     for st in random_toda_states(200, seed=909, max_delta=4):
         base = enutoda_step(st, sched)
         for kb in (0, 1, 6):
@@ -164,7 +162,7 @@ def test_boundary_cap_choice_does_not_matter():
 
 
 def test_extoda_equals_enutoda_unbounded():
-    sched = unbounded_schedule()
+    sched = CarrierSchedule()
     for st in random_toda_states(300, seed=31, max_delta=5):
         a, tra = enutoda_step(st, sched)
         b, trb = extoda_step(st)
@@ -189,7 +187,7 @@ def test_extoda_degenerates_on_out_of_image_placement():
 
 
 def test_soliton_count_conserved():
-    sched = constant_schedule(7)
+    sched = CarrierSchedule(default=7)
     for st in random_toda_states(200, seed=55, max_delta=5):
         nxt, _ = enutoda_step(st, sched)
         assert sum(nxt.Q) == sum(st.Q)
@@ -199,7 +197,7 @@ def test_soliton_count_conserved():
 def test_free_soliton_speed():
     for q0 in range(1, 9):
         for m in [1, 2, 3, 8, None]:
-            sched = unbounded_schedule() if m is None else constant_schedule(m)
+            sched = CarrierSchedule() if m is None else CarrierSchedule(default=m)
             st = TodaState(Q=(q0,), E=(), X0=0, profile=UNIT)
             nxt, _ = enutoda_step(st, sched)
             expected = q0 if m is None else min(q0, m)
@@ -218,7 +216,7 @@ def test_far_anchor_matches_shifted_near_anchor():
     # the whole state k boxes to the right moves every segment by k*d
     d = 4
     p = CapacityProfile(capacities=(3, 5, 2, 4), window_start=2, default_capacity=d)
-    sched = constant_schedule(6)
+    sched = CarrierSchedule(default=6)
     near = TodaState(Q=(4, 2, 3), E=(2, 5), X0=24, profile=p, time=3)
     near_box = p.segment_to_box(near.X0)
     assert near_box >= p.window_start + len(p.capacities)
@@ -465,7 +463,7 @@ def test_enutoda_step_matches_the_staged_equations():
         ts = from_euler(st)
         for _ in range(bounds.steps):
             k, _ = staged_capacities(ts)
-            for schedule in (constant_schedule(max(k) - 1), sched, unbounded_schedule()):
+            for schedule in (CarrierSchedule(default=max(k) - 1), sched, CarrierSchedule()):
                 got = step_outcome(enutoda_step, ts, schedule)
                 assert got == step_outcome(staged_enutoda_step, ts, schedule)
                 kinds[got[0] if len(got) == 2 else "ok"] += 1
@@ -493,7 +491,7 @@ def test_enutoda_step_matches_the_staged_equations_on_raw_placements():
             X0=int(rng.integers(0, 40)), profile=profile, time=int(rng.integers(0, 3)),
         )
         m = int(rng.integers(0, 12))
-        schedule = unbounded_schedule() if m > 9 else constant_schedule(m)
+        schedule = CarrierSchedule() if m > 9 else CarrierSchedule(default=m)
         got = step_outcome(enutoda_step, ts, schedule)
         assert got == step_outcome(staged_enutoda_step, ts, schedule)
         kinds[got[0] if len(got) == 2 else "ok"] += 1
@@ -511,13 +509,13 @@ def raw_step_inputs(draw):
     e = draw(st.lists(st.integers(1, 10), min_size=len(q) - 1, max_size=len(q) - 1))
     state = TodaState(Q=tuple(q), E=tuple(e), X0=draw(st.integers(0, 50)), profile=profile)
     m = draw(st.one_of(st.none(), st.integers(0, 10)))
-    schedule = unbounded_schedule() if m is None else constant_schedule(m)
+    schedule = CarrierSchedule() if m is None else CarrierSchedule(default=m)
     return state, schedule
 
 
 @given(raw_step_inputs())
 @example((TodaState(Q=(1, 1), E=(1,), X0=0, profile=CapacityProfile(default_capacity=5)),
-          unbounded_schedule()))
+          CarrierSchedule()))
 def test_enutoda_step_equals_the_staged_equations_on_drawn_inputs(inputs):
     state, schedule = inputs
     assert step_outcome(enutoda_step, state, schedule) == step_outcome(

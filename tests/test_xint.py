@@ -17,8 +17,8 @@ from boxball import (
     FiniteOverflow,
     TauParams,
     XInt,
-    constant_schedule,
 )
+from boxball.config import dump
 from boxball.difftest import DiffBounds, run_difftest
 from boxball.xint import INT64_MAX, INT64_MIN, decode_xint, encode_xint
 
@@ -34,12 +34,16 @@ def test_overflow_detected():
     assert XInt(-(2**63)).finite == INT64_MIN
 
 
-def test_total_order():
-    assert XInt(-(10**9)) < XInt(0) < XInt(10**9) < XInt(INT64_MAX) < POS_INF
-    assert not POS_INF < POS_INF
-    assert POS_INF <= POS_INF
-    assert POS_INF > 10**9 and XInt(3) >= 3 and XInt(3) < 4
-    assert min(POS_INF, XInt(5)) == 5
+def test_xint_has_no_order():
+    # an order would lower +inf a second way, past XInt.bound
+    for compare in (
+        lambda: POS_INF < 5,
+        lambda: 5 >= XInt(4),
+        lambda: min(POS_INF, XInt(5)),
+        lambda: sorted([XInt(2), XInt(1)]),
+    ):
+        with pytest.raises(TypeError):
+            compare()
 
 
 def test_finite_accessor():
@@ -103,11 +107,18 @@ NO_CARRIER = CarrierSchedule()
         (lambda: TauParams(P=(1,), W=(0,), Delta=1.5, schedule=NO_CARRIER), "Delta"),
         # became W = (0,)
         (lambda: TauParams(P=(1,), W=(0.5,), Delta=1, schedule=NO_CARRIER), "W_i"),
+        # each ran and wrote the float or bool into the report
+        (lambda: DiffBounds(window=2.5), "window"),
+        (lambda: DiffBounds(max_delta=True), "max_delta"),
+        (lambda: DiffBounds(steps=1.5), "steps"),
+        (lambda: run_difftest(True, 0), "cases"),
+        (lambda: run_difftest(1, 0.5), "seed"),
     ],
     ids=[
         "profile-capacities", "profile-default", "profile-window_start", "schedule-time",
         "euler-time", "euler-window_start", "euler-window_start-bool", "soliton-P",
-        "soliton-Xi", "tau-Delta", "tau-W",
+        "soliton-Xi", "tau-Delta", "tau-W", "bounds-window", "bounds-max_delta",
+        "bounds-steps", "difftest-cases", "difftest-seed",
     ],
 )
 def test_constructors_reject_non_integers(build, field):
@@ -123,14 +134,21 @@ def test_constructors_take_numpy_integers_as_python_ints():
     assert profile.boundary(3) == 6
     schedule = CarrierSchedule(entries={i(2): 3})
     assert schedule.entries == ((2, 3),) and schedule.at(2) == 3
-    # carrier capacities too: entries, the default, constant_schedule, difftest
+    # carrier capacities too: entries, the default, difftest
     capacities = [
         CarrierSchedule(entries={1: i(3)}).at(1).bound,
         CarrierSchedule(default=np.uint16(3)).default.bound,
-        constant_schedule(np.int32(3)).default.bound,
+        CarrierSchedule(default=np.int32(3)).default.bound,
     ]
     assert capacities == [3, 3, 3] and all(type(v) is int for v in capacities)
     assert run_difftest(2, 0, DiffBounds(m_choices=(i(6),))).ok
+    # the report is written by json, which takes no numpy integer
+    report = run_difftest(i(2), i(0), DiffBounds(window=i(8), max_delta=i(3), steps=np.int32(2)))
+    plain = run_difftest(2, 0, DiffBounds(window=8, max_delta=3, steps=2))
+    assert dump(report.to_json_dict()) == dump(plain.to_json_dict())
+    bounds = report.bounds
+    assert all(type(v) is int for v in (report.cases, report.seed, bounds.window,
+                                        bounds.max_delta, bounds.steps))
     for bad in (3.0, np.float64(3), True, np.bool_(True), "3"):
         with pytest.raises(TypeError):
             CarrierSchedule(default=bad)
@@ -167,14 +185,20 @@ def test_only_xint_lowers_a_carrier_capacity():
     # read is_pos_inf or finite, or shared a private helper, could lower it
     # a second way that the others do not see
     src = Path(boxball.__file__).parent
-    reads, private = [], []
+    reads, coerce, private = [], [], []
     for path in sorted(src.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("is_pos_inf", "finite"):
                 reads.append(path.name)
+            elif "as_xint" in (getattr(node, k, None) for k in ("id", "attr", "name")):
+                # a name, attribute or import: as_xint takes a negative M,
+                # and as_capacity is the validator
+                coerce.append(path.name)
             elif isinstance(node, ast.ImportFrom) and node.level:
                 private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
-    assert set(reads) == {"xint.py"}
+    assert set(reads) == set(coerce) == {"xint.py"}
+    # an order on XInt would be a lowering that never reads bound
+    assert not {"__lt__", "__le__", "__gt__", "__ge__"} & set(vars(XInt))
     # the kernels module, and the segment-boundary overflow error
     assert private == [
         ("euler.py", "_kernels"), ("expansion.py", "_past_int64"), ("toda.py", "_past_int64"),
