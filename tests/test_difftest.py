@@ -7,13 +7,14 @@ import re
 import signal
 import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from boxball import CapacityProfile, CarrierSchedule, EulerState, euler_step, expand
 from boxball import difftest
-from boxball.difftest import DiffBounds, random_case, run_difftest
+from boxball.difftest import DiffBounds, DiffReport, random_case, run_difftest
 from boxball.toda import DegenerateState
 from boxball.xint import POS_INF, XInt
 
@@ -158,6 +159,288 @@ def test_each_check_reports_its_label_and_detail(monkeypatch, name, fault, quant
     assert [(f.case, f.step, f.quantity, f.detail) for f in report.failures] == [
         (0, 0, quantity, detail)
     ]
+
+
+def step_by_step_case(case_index, state, schedule, bounds, report):
+    """The walk every route and check once per step, before the next step,
+    that `_run_case` must agree with; it reads each route through the
+    module, so a patch reaches both."""
+    d = difftest
+    fail = report.failures
+
+    def record(step, quantity, detail):
+        fail.append(d.DiffFailure(case=case_index, step=step, quantity=quantity, detail=detail))
+
+    ea = eb = state
+    ts = None
+    if bounds.include_toda:
+        ts = d.from_euler(state)
+        solitons_before = sum(ts.Q)
+    total_before = ea.total_balls
+    for step in range(bounds.steps):
+        m = schedule.at(ea.time + 1)
+        ea_next, trace = d.euler_step(ea, schedule)
+        eb_next = d.carrier_oracle_step(eb, schedule)
+        report.steps_checked += 1
+        if not d.same_occupancy(ea_next, eb_next):
+            record(step, "oracle_counts",
+                   f"euler={d._counts_list(ea_next)} oracle={d._counts_list(eb_next)}")
+            return
+        total_after = ea_next.total_balls
+        if total_after != total_before:
+            record(step, "ball_conservation", f"{total_before} -> {total_after}")
+            return
+        res = d.umkdv_residual(ea, ea_next, trace, m)
+        if res.max_violation != 0:
+            record(step, "umkdv_residual", f"max={res.max_violation}")
+            return
+        if res.carrier_identity_max != 0:
+            record(step, "carrier_identity", f"max={res.carrier_identity_max}")
+            return
+        low = high = 0
+        for _, v in trace.carrier_loads:
+            if v < low:
+                low = v
+            elif v > high:
+                high = v
+        if low < 0 or (m.bound is not None and high > m.bound):
+            record(step, "carrier_bound", f"loads in [{low}, {high}], M={m}")
+            return
+        if ts is not None:
+            try:
+                ts_next, ttrace = d.enutoda_step(ts, schedule)
+            except DegenerateState as exc:
+                record(step, "toda_degenerate", str(exc))
+                return
+            solitons_after = sum(ts_next.Q)
+            if solitons_after != solitons_before:
+                record(step, "soliton_conservation", f"{solitons_before} -> {solitons_after}")
+                return
+            m_ok = m.bound is None or (
+                max(ttrace.Dbar) <= m.bound and max(ttrace.Cbar) <= m.bound
+            )
+            if not m_ok or any(q > dd for q, dd in zip(ttrace.Qbar, ttrace.Dbar)):
+                record(step, "trace_bounds",
+                       f"Qbar={ttrace.Qbar} Dbar={ttrace.Dbar} Cbar={ttrace.Cbar}")
+                return
+            back = d.to_euler(ts_next)
+            if not d.same_occupancy(back, ea_next):
+                record(step, "toda_counts",
+                       f"euler[{ea_next.window_start}:]={d._counts_list(ea_next)} "
+                       f"toda[{back.window_start}:]={d._counts_list(back)}")
+                return
+            if d.expand(ea_next) != d.toda_to_lagrange(ts_next.Q, ts_next.E, ts_next.X0):
+                record(step, "anchor",
+                       f"(Q,E,X0)=({ts_next.Q},{ts_next.E},{ts_next.X0}) "
+                       f"does not match the evolved expansion")
+                return
+            ts = ts_next
+            solitons_before = solitons_after
+        ea, eb = ea_next, eb_next
+        total_before = total_after
+
+
+def moved(state):
+    """The last run of balls one box to the right, as many balls."""
+    *rest, (n, u) = state.occupied
+    return EulerState._trusted(
+        tuple(rest) + ((n + 1, u),), state.profile, state.time,
+        state.window_start, max(state.window_end, n + 2),
+    )
+
+
+def short(state):
+    """One ball fewer in the last occupied box."""
+    *rest, (n, u) = state.occupied
+    return EulerState._trusted(
+        tuple(rest) + (((n, u - 1),) if u > 1 else ()), state.profile, state.time,
+        state.window_start, state.window_end,
+    )
+
+
+# holds the same pairs as no state, and has no counts or window to name
+HOLLOW = SimpleNamespace(occupied=((-1, 1),))
+
+
+def off_by_one_runs(runs):
+    X, Y = runs
+    return tuple(x + 1 for x in X), Y
+
+
+# each route's wrong values, applied to what the true route returned
+WRONG = {
+    "euler_step": [
+        lambda r: (moved(r[0]), r[1]),
+        lambda r: (short(r[0]), r[1]),
+        lambda r: (HOLLOW, r[1]),
+        # a load past the window, where the residual reads no box
+        lambda r: (r[0], replace(r[1], carrier_loads=r[1].carrier_loads
+                                 + ((r[0].window_end + 1, -1),))),
+        lambda r: None,
+    ],
+    "carrier_oracle_step": [moved, short, lambda r: HOLLOW, lambda r: None],
+    "umkdv_residual": [
+        lambda r: replace(r, max_violation=1),
+        lambda r: replace(r, carrier_identity_max=2),
+        lambda r: None,
+    ],
+    "enutoda_step": [
+        lambda r: (replace(r[0], Q=r[0].Q[:-1] + (r[0].Q[-1] + 1,)), r[1]),
+        lambda r: (r[0], replace(r[1], Qbar=(r[1].Dbar[0] + 1,) + r[1].Qbar[1:])),
+        lambda r: (replace(r[0], X0=r[0].X0 + 1), r[1]),
+        lambda r: (r[0], None),
+    ],
+    "to_euler": [moved, short, lambda r: HOLLOW, lambda r: None],
+    "expand": [off_by_one_runs, lambda r: None],
+    "toda_to_lagrange": [off_by_one_runs, lambda r: ((), ())],
+}
+
+
+def degenerate(name, k):
+    raise DegenerateState(f"{name} degenerate at step {k}")
+
+
+class FaultPlan:
+    """Each route passes, raises at its call for step k, or returns a
+    wrong value there; calls are counted per case, and a route is called
+    once per step it reaches on either walk."""
+
+    def __init__(self, monkeypatch):
+        self.plan = {}
+        self.calls = {}
+        for name in WRONG:
+            monkeypatch.setattr(difftest, name, self.route(name, getattr(difftest, name)))
+
+    def route(self, name, real):
+        def call(*args):
+            k = self.calls[name] = self.calls.get(name, 0) + 1
+            fault = self.plan.get(name)
+            if fault is None or fault[1] != k - 1:
+                return real(*args)
+            if fault[0] == "raise":
+                raise LookupError(f"{name} raised at step {k - 1}")
+            if fault[0] == "degenerate":
+                degenerate(name, k - 1)
+            return fault[0](real(*args))
+
+        return call
+
+    def draw(self, rng, steps):
+        self.plan = {}
+        for name, wrong in WRONG.items():
+            kind = rng.integers(10)
+            if kind < 7:
+                continue
+            if kind == 7:
+                fault = "raise"
+            elif name == "enutoda_step" and rng.integers(5) == 0:
+                fault = "degenerate"
+            else:
+                fault = wrong[rng.integers(len(wrong))]
+            self.plan[name] = (fault, int(rng.integers(steps)))
+
+    def outcome(self, run_case, cases, bounds):
+        """The report's failures and steps_checked after the cases, or the
+        type and message of the first raise."""
+        report = DiffReport(cases=len(cases), seed=0, bounds=bounds)
+        try:
+            for i, (state, schedule) in enumerate(cases):
+                self.calls = {}
+                run_case(i, state, schedule, bounds, report)
+        except Exception as exc:
+            return type(exc), str(exc)
+        return report.to_json_dict()
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [
+        DiffBounds(window=8, max_delta=4, steps=6),
+        DiffBounds(window=8, max_delta=1, m_choices=(POS_INF,), steps=6),
+        DiffBounds(window=8, max_delta=4, m_choices=(XInt(1), XInt(2), POS_INF), steps=6,
+                   include_toda=False),
+    ],
+    ids=["capacity", "unit", "euler-only"],
+)
+def test_route_by_route_meets_the_first_failure_of_a_step_by_step_walk(monkeypatch, bounds):
+    faults = FaultPlan(monkeypatch)
+    rng = np.random.default_rng(27)
+    kinds = set()
+    for trial in range(100):
+        cases = [random_case(np.random.default_rng([trial, i]), bounds) for i in range(3)]
+        faults.draw(rng, bounds.steps)
+        want = faults.outcome(step_by_step_case, cases, bounds)
+        assert faults.outcome(REAL_CASE, cases, bounds) == want, (trial, faults.plan)
+        kinds.add("raised" if isinstance(want, tuple) else "failed" if want["failures"] else "ok")
+    assert {"raised", "failed"} <= kinds
+
+
+def fault_at(monkeypatch, name, step, fault):
+    """Route `name` does fault(true result) at its call for `step`."""
+    real = getattr(difftest, name)
+    calls = []
+
+    def call(*args):
+        calls.append(None)
+        if len(calls) == step + 1:
+            return fault(real, args)
+        return real(*args)
+
+    monkeypatch.setattr(difftest, name, call)
+
+
+def raises(real, args):
+    raise LookupError("raised")
+
+
+def test_a_toda_failure_pre_empts_a_later_euler_step_raise(monkeypatch):
+    fault_at(monkeypatch, "euler_step", 3, raises)
+    fault_at(monkeypatch, "enutoda_step", 1, lambda real, args: toda_gains_a_ball(*args))
+    report = run_difftest(1, 4, DiffBounds(window=6, max_delta=2, steps=5))
+    assert [(f.step, f.quantity, f.detail) for f in report.failures] == [
+        (1, "soliton_conservation", "4 -> 5")
+    ]
+    assert report.steps_checked == 2
+
+
+def test_oracle_counts_ranks_before_ball_conservation_at_one_step(monkeypatch):
+    fault_at(monkeypatch, "euler_step", 1, lambda real, args: (short(real(*args)[0]), real(*args)[1]))
+    report = run_difftest(1, 4, DiffBounds(window=6, max_delta=2, steps=5))
+    assert [(f.step, f.quantity) for f in report.failures] == [(1, "oracle_counts")]
+    assert report.steps_checked == 2
+
+
+def test_a_toda_raise_pre_empts_a_later_euler_check_failure(monkeypatch):
+    fault_at(monkeypatch, "enutoda_step", 2, raises)
+    fault_at(monkeypatch, "umkdv_residual", 4, lambda real, args: residual_off_by_one(*args))
+    with pytest.raises(LookupError, match="raised"):
+        run_difftest(1, 4, DiffBounds(window=6, max_delta=2, steps=5))
+    # and the other way round: the Euler failure comes first
+    monkeypatch.undo()
+    fault_at(monkeypatch, "enutoda_step", 3, raises)
+    fault_at(monkeypatch, "umkdv_residual", 2, lambda real, args: residual_off_by_one(*args))
+    report = run_difftest(1, 4, DiffBounds(window=6, max_delta=2, steps=5))
+    assert [(f.step, f.quantity) for f in report.failures] == [(2, "umkdv_residual")]
+
+
+def test_a_passing_case_calls_each_route_once_per_step(monkeypatch):
+    # the passes add no route call to a passing case, so traced call counts
+    # stay those of a step-by-step walk
+    calls = dict.fromkeys(WRONG, 0)
+
+    def counted(name, real):
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+
+        return call
+
+    for name in WRONG:
+        monkeypatch.setattr(difftest, name, counted(name, getattr(difftest, name)))
+    bounds = DiffBounds()
+    report = run_difftest(1, 0, bounds)
+    assert report.ok and report.steps_checked == bounds.steps
+    assert calls == dict.fromkeys(WRONG, bounds.steps)
 
 
 @pytest.mark.parametrize(
@@ -498,6 +781,17 @@ def test_one_schedule_draw_per_case_matches_one_draw_per_step(bounds):
 def test_bad_bounds_name_their_field(kwargs, named):
     with pytest.raises((TypeError, ValueError), match=re.escape(named)):
         DiffBounds(**kwargs)
+
+
+def test_a_negative_seed_is_named_before_any_fork(monkeypatch):
+    # numpy's generator would reject it only inside the first case
+    def no_pipe():
+        raise AssertionError("pipe made")
+
+    monkeypatch.setattr(os, "pipe", no_pipe)
+    use_cpus(monkeypatch, 2)
+    with pytest.raises(ValueError, match=re.escape("seed must be >= 0, got -1")):
+        run_difftest(3, -1)
 
 
 def test_small_carrier_capacities_need_euler_only():
