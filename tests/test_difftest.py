@@ -162,9 +162,9 @@ def test_each_check_reports_its_label_and_detail(monkeypatch, name, fault, quant
 
 
 def step_by_step_case(case_index, state, schedule, bounds, report):
-    """The walk every route and check once per step, before the next step,
-    that `_run_case` must agree with; it reads each route through the
-    module, so a patch reaches both."""
+    """The reference: every route and check of one step before the next
+    step, whose first failure or raise `_run_case` must report; it reads
+    each route through the module, so a patch reaches both."""
     d = difftest
     fail = report.failures
 
@@ -296,10 +296,6 @@ WRONG = {
 }
 
 
-def degenerate(name, k):
-    raise DegenerateState(f"{name} degenerate at step {k}")
-
-
 class FaultPlan:
     """Each route passes, raises at its call for step k, or returns a
     wrong value there; calls are counted per case, and a route is called
@@ -320,7 +316,7 @@ class FaultPlan:
             if fault[0] == "raise":
                 raise LookupError(f"{name} raised at step {k - 1}")
             if fault[0] == "degenerate":
-                degenerate(name, k - 1)
+                raise DegenerateState(f"{name} degenerate at step {k - 1}")
             return fault[0](real(*args))
 
         return call
@@ -404,7 +400,11 @@ def test_a_toda_failure_pre_empts_a_later_euler_step_raise(monkeypatch):
 
 
 def test_oracle_counts_ranks_before_ball_conservation_at_one_step(monkeypatch):
-    fault_at(monkeypatch, "euler_step", 1, lambda real, args: (short(real(*args)[0]), real(*args)[1]))
+    def one_ball_short(real, args):
+        nxt, trace = real(*args)
+        return short(nxt), trace
+
+    fault_at(monkeypatch, "euler_step", 1, one_ball_short)
     report = run_difftest(1, 4, DiffBounds(window=6, max_delta=2, steps=5))
     assert [(f.step, f.quantity) for f in report.failures] == [(1, "oracle_counts")]
     assert report.steps_checked == 2
@@ -426,7 +426,8 @@ def test_a_toda_raise_pre_empts_a_later_euler_check_failure(monkeypatch):
 def test_a_passing_case_calls_each_route_once_per_step(monkeypatch):
     # the passes add no route call to a passing case, so traced call counts
     # stay those of a step-by-step walk
-    calls = dict.fromkeys(WRONG, 0)
+    routes = tuple(WRONG)
+    calls = dict.fromkeys(routes, 0)
 
     def counted(name, real):
         def call(*args):
@@ -435,12 +436,12 @@ def test_a_passing_case_calls_each_route_once_per_step(monkeypatch):
 
         return call
 
-    for name in WRONG:
+    for name in routes:
         monkeypatch.setattr(difftest, name, counted(name, getattr(difftest, name)))
     bounds = DiffBounds()
     report = run_difftest(1, 0, bounds)
     assert report.ok and report.steps_checked == bounds.steps
-    assert calls == dict.fromkeys(WRONG, bounds.steps)
+    assert calls == dict.fromkeys(routes, bounds.steps)
 
 
 @pytest.mark.parametrize(
