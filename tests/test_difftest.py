@@ -1,6 +1,7 @@
 """Fault injection: a Toda route that goes wrong must be reported under the
-right failure label, and a run split over forked workers must report
-exactly what a serial run reports."""
+right failure label, a case checked route by route must report what a
+step-by-step walk meets first, and a run split over forked workers must
+report exactly what a serial run reports."""
 
 import os
 import re
@@ -309,14 +310,15 @@ class FaultPlan:
 
     def route(self, name, real):
         def call(*args):
-            k = self.calls[name] = self.calls.get(name, 0) + 1
+            step = self.calls.get(name, 0)
+            self.calls[name] = step + 1
             fault = self.plan.get(name)
-            if fault is None or fault[1] != k - 1:
+            if fault is None or fault[1] != step:
                 return real(*args)
             if fault[0] == "raise":
-                raise LookupError(f"{name} raised at step {k - 1}")
+                raise LookupError(f"{name} raised at step {step}")
             if fault[0] == "degenerate":
-                raise DegenerateState(f"{name} degenerate at step {k - 1}")
+                raise DegenerateState(f"{name} degenerate at step {step}")
             return fault[0](real(*args))
 
         return call
