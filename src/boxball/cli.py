@@ -179,80 +179,56 @@ def _parse_range(text: str, what: str) -> Tuple[int, int]:
 
 def cmd_solution(args) -> int:
     spec = parse_solution_file(args.params, args.type)
+    params = spec.params
     t_lo, t_hi = _parse_range(args.t_range or ("0:10" if args.type == "euler" else "0:15"), "--t-range")
     if args.type == "euler":
-        params = spec.params
         n_range = _parse_range(args.n_range, "--n-range") if args.n_range else spec.n_range
         if n_range is None:
             raise ConfigError("need --n-range or params.n_range for the counts-level solution")
         lo, hi = n_range
-        key = "--n-range" if args.n_range else "params.n_range"
-        if args.verify:
-            with n_range_fits(key, lo, hi):
-                report = verify_euler_solution(params, lo, hi, t_lo, t_hi)
-            _emit(
-                dump(
-                    {
-                        "type": "euler",
-                        "residuals": report.residuals,
-                        "max_residual": report.max_residual,
-                        "ok": report.ok,
-                        "n_range": [lo, hi],
-                        "t_range": [t_lo, t_hi],
-                    }
-                )
-            )
-            return 0 if report.ok else 1
-        with n_range_fits(key, lo, hi):
-            for sl in euler_slices(params, lo, hi, t_lo, t_hi):
-                _emit(
-                    dump(
-                        {
-                            "t": sl.time,
-                            "n_start": sl.n_start,
-                            "U": sl.U.tolist(),
-                            "Ubar": sl.Ubar.tolist(),
-                            "Zbar": sl.Zbar.tolist(),
-                        }
+        fits = n_range_fits("--n-range" if args.n_range else "params.n_range", lo, hi)
+        if not args.verify:
+            with fits:
+                for sl in euler_slices(params, lo, hi, t_lo, t_hi):
+                    _emit(
+                        dump(
+                            {
+                                "t": sl.time,
+                                "n_start": sl.n_start,
+                                "U": sl.U.tolist(),
+                                "Ubar": sl.Ubar.tolist(),
+                                "Zbar": sl.Zbar.tolist(),
+                            }
+                        )
                     )
-                )
+            return 0
+        with fits:
+            report = verify_euler_solution(params, lo, hi, t_lo, t_hi)
+        extra = {"n_range": [lo, hi]}
+    elif not args.verify:
+        fields = ("Q", "E", "Qbar", "Ebar", "Cbar", "Dbar")
+        for ts in tau_states(params, t_lo, t_hi):
+            _emit(dump({"t": ts.time, **{name: list(getattr(ts, name)) for name in fields}}))
         return 0
-
-    params = spec.params
-    if args.verify:
+    else:
         try:
             report = verify_tau_solution(params, t_lo, t_hi)
         except ValueError as exc:  # the schedule drops below Delta in the range
             raise ConfigError(str(exc)) from exc
-        _emit(
-            dump(
-                {
-                    "type": "tau",
-                    "residuals": report.residuals,
-                    "max_residual": report.max_residual,
-                    "min_q": report.min_q,
-                    "min_interior_e": report.min_interior_e,
-                    "ok": report.ok,
-                    "t_range": [t_lo, t_hi],
-                }
-            )
+        extra = {"min_q": report.min_q, "min_interior_e": report.min_interior_e}
+    _emit(
+        dump(
+            {
+                "type": args.type,
+                "residuals": report.residuals,
+                "max_residual": report.max_residual,
+                "ok": report.ok,
+                "t_range": [t_lo, t_hi],
+                **extra,
+            }
         )
-        return 0 if report.ok else 1
-    for ts in tau_states(params, t_lo, t_hi):
-        _emit(
-            dump(
-                {
-                    "t": ts.time,
-                    "Q": list(ts.Q),
-                    "E": list(ts.E),
-                    "Qbar": list(ts.Qbar),
-                    "Ebar": list(ts.Ebar),
-                    "Cbar": list(ts.Cbar),
-                    "Dbar": list(ts.Dbar),
-                }
-            )
-        )
-    return 0
+    )
+    return 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -13,10 +13,10 @@ residual, the carrier-load identity and bounds, and on route (c) the
 anchor and the soliton count.  Each route runs over the whole case in a
 pass of its own, which on a 2-core Xeon host took about 15 % less time
 per checked step than switching routes at every step, and a case reports
-the failure that
-a walk through every route and check at one step before the next would
-meet first (see _run_case).  Cases are generated from (seed, case_index),
-so a report is byte-identical across runs with the same arguments.
+the failure that a walk through every route and check at one step before
+the next would meet first (see _run_case).  Cases are generated from
+(seed, case_index), so a report is byte-identical across runs with the
+same arguments.
 
 The cases are independent, so run_difftest shares them among one process
 per CPU it may run on (os.sched_getaffinity): the calling process and a
@@ -41,7 +41,7 @@ import os
 import pickle
 import tempfile
 import time as _time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import IO, Callable, List, Optional, Tuple
 
 import numpy as np
@@ -56,14 +56,15 @@ from .euler import (
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule
 from .toda import DegenerateState, TodaState, enutoda_step, from_euler, to_euler, toda_to_lagrange
-from .xint import POS_INF, XInt, as_capacity, as_int, encode_xint
+from .xint import INT64_MAX, POS_INF, FiniteOverflow, XInt, as_capacity, as_int, encode_xint
 
 
 @dataclass(frozen=True)
 class DiffBounds:
-    """Generator bounds.  m_choices empty means the safe default for the
-    size-coordinate route: finite values max_delta .. max_delta+5 plus
-    +inf (the route-(c) equations need capacities <= carrier capacity)."""
+    """Generator bounds.  m_choices is stored resolved, as a tuple of XInt;
+    none given means the safe default for the size-coordinate route:
+    finite values max_delta .. max_delta+5 plus +inf (the route-(c)
+    equations need capacities <= carrier capacity)."""
 
     window: int = 32
     max_delta: int = 5
@@ -77,20 +78,22 @@ class DiffBounds:
             object.__setattr__(self, name, value)
             if value < least:
                 raise ValueError(f"{name} must be >= {least}, got {value}")
-        for m in self.m_choices:
-            bound = as_capacity(m).bound
+            # not a ValueError: the CLI reads every ValueError from here
+            # as the M rule below
+            if value > INT64_MAX:
+                raise FiniteOverflow(f"{name} must be <= {INT64_MAX}, got {value}")
+        m_choices = tuple(as_capacity(m) for m in self.m_choices) or (
+            *map(XInt, range(self.max_delta, self.max_delta + 6)),
+            POS_INF,
+        )
+        object.__setattr__(self, "m_choices", m_choices)
+        for m in m_choices:
+            bound = m.bound
             if self.include_toda and bound is not None and bound < self.max_delta:
                 raise ValueError(
                     f"m_choices holds {bound}, below max_delta {self.max_delta}; "
                     f"the size-coordinate route needs every finite M >= max_delta"
                 )
-
-    def effective_m_choices(self) -> Tuple[XInt, ...]:
-        if self.m_choices:
-            return self.m_choices
-        return tuple(
-            XInt(v) for v in range(self.max_delta, self.max_delta + 6)
-        ) + (POS_INF,)
 
 
 @dataclass(frozen=True)
@@ -99,14 +102,6 @@ class DiffFailure:
     step: int
     quantity: str
     detail: str
-
-    def to_json_dict(self) -> dict:
-        return {
-            "case": self.case,
-            "step": self.step,
-            "quantity": self.quantity,
-            "detail": self.detail,
-        }
 
 
 @dataclass
@@ -127,14 +122,11 @@ class DiffReport:
             "cases": self.cases,
             "seed": self.seed,
             "bounds": {
-                "window": self.bounds.window,
-                "max_delta": self.bounds.max_delta,
-                "m_choices": [encode_xint(m) for m in self.bounds.effective_m_choices()],
-                "steps": self.bounds.steps,
-                "include_toda": self.bounds.include_toda,
+                **asdict(self.bounds),
+                "m_choices": [encode_xint(m) for m in self.bounds.m_choices],
             },
             "steps_checked": self.steps_checked,
-            "failures": [f.to_json_dict() for f in self.failures],
+            "failures": [asdict(f) for f in self.failures],
         }
 
 
@@ -151,17 +143,13 @@ def random_case(
         if counts.sum() > 0:
             break
     profile = CapacityProfile(capacities=caps.tolist())
-    choices = bounds.effective_m_choices()
+    choices = bounds.m_choices
     # one bounded draw of every step's index reads the same 32-bit stream
     # as one scalar draw per step, so the schedule is the same
     picks = rng.integers(len(choices), size=bounds.steps).tolist()
     entries = {t: choices[k] for t, k in enumerate(picks, 1)}
     schedule = CarrierSchedule(entries=entries, default=POS_INF)
     return EulerState(counts=counts, profile=profile), schedule
-
-
-def _counts_list(state: EulerState) -> list:
-    return state.counts.tolist()
 
 
 # An outcome is (step, found): found is a failure's (quantity, detail), or
@@ -221,7 +209,7 @@ def _oracle_pass(state: EulerState, schedule: CarrierSchedule, states: list) -> 
             if not same_occupancy(ea_next, eb):
                 return step, (
                     "oracle_counts",
-                    f"euler={_counts_list(ea_next)} oracle={_counts_list(eb)}",
+                    f"euler={ea_next.counts.tolist()} oracle={eb.counts.tolist()}",
                 )
     except Exception as exc:
         return step, exc
@@ -256,8 +244,8 @@ def _toda_pass(ts: TodaState, schedule: CarrierSchedule, states: list) -> Option
                 # the two windows start at different boxes; name both
                 return step, (
                     "toda_counts",
-                    f"euler[{ea_next.window_start}:]={_counts_list(ea_next)} "
-                    f"toda[{back.window_start}:]={_counts_list(back)}",
+                    f"euler[{ea_next.window_start}:]={ea_next.counts.tolist()} "
+                    f"toda[{back.window_start}:]={back.counts.tolist()}",
                 )
             # anchored decomposition check: runs laid at (X0, Q, E) must be
             # exactly the runs of the evolved expansion, not just its counts

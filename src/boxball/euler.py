@@ -135,21 +135,10 @@ def _fill(st, occupied, profile, time, window_start, window_end) -> None:
 def first_difference(a: EulerState, b: EulerState) -> Optional[Tuple[int, int, int]]:
     """(absolute box, count in a, count in b) at the first box where the two
     zero-padded lines differ, or None when they are the same line."""
-    for (na, ua), (nb, ub) in zip(a.occupied, b.occupied):
-        if na == nb:
-            if ua != ub:
-                return na, ua, ub
-        elif na < nb:
-            return na, ua, 0
-        else:
-            return nb, 0, ub
-    k = min(len(a.occupied), len(b.occupied))
-    if len(a.occupied) > k:
-        n, u = a.occupied[k]
-        return n, u, 0
-    if len(b.occupied) > k:
-        n, u = b.occupied[k]
-        return n, 0, u
+    in_a, in_b = dict(a.occupied), dict(b.occupied)
+    for n in sorted(in_a.keys() | in_b.keys()):
+        if in_a.get(n, 0) != in_b.get(n, 0):
+            return n, in_a.get(n, 0), in_b.get(n, 0)
     return None
 
 

@@ -12,8 +12,8 @@ from dense_views import trace_arrays
 
 from boxball import cli, euler_step, first_difference, to_euler
 from boxball.cli import main
-from boxball.config import parse_config
-from boxball.solutions import MAX_SOLITONS
+from boxball.config import dump, parse_config
+from boxball.solutions import MAX_SOLITONS, EulerVerifyReport, TauVerifyReport
 
 ROOT = Path(__file__).resolve().parents[1]
 SHOWCASE = str(ROOT / "configs" / "showcase.json")
@@ -567,6 +567,16 @@ def test_difftest_bad_arguments_exit_code(capsys, extra, flag):
     assert flag in captured.err and "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("flag", ["--window", "--max-delta", "--steps"])
+def test_difftest_bound_past_int64_exit_code(capsys, flag):
+    # named before any case runs, not numpy's bare error from a worker
+    assert main(["difftest", "--cases", "1", flag, "10000000000000000000"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"FiniteOverflow: {flag[2:].replace('-', '_')} must be <=" in captured.err
+    assert "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("choices", ["2", "2,inf"])
 def test_difftest_m_choice_below_max_delta_needs_euler_only(capsys, choices):
     # the size-coordinate route needs every finite M >= every box capacity;
@@ -627,6 +637,29 @@ def test_solution_cli_tau_verify_carrier_below_delta_exit_code(tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "below Delta at t=1" in captured.err and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "kind, params, extra",
+    [
+        ("euler", {"P": [1, 3], "Xi": [4, -2], "n_range": [-20, 40]}, {"n_range": [-20, 40]}),
+        ("tau", {"P": [2, 5], "W": [0, 0], "Delta": 2}, {"min_q": 2, "min_interior_e": None}),
+    ],
+)
+def test_solution_cli_verify_failure_record(tmp_path, monkeypatch, capsys, kind, params, extra):
+    # a nonzero residual: exit 1 and one record saying so, with the
+    # family's own keys next to the shared ones
+    residuals = {"first": 0, "second": 3}
+    if kind == "euler":
+        report = EulerVerifyReport(residuals=residuals)
+    else:
+        report = TauVerifyReport(residuals=residuals, min_q=2, min_interior_e=None)
+    monkeypatch.setattr(cli, f"verify_{kind}_solution", lambda *args: report)
+    path = write_json(tmp_path / "p.json", params)
+    assert main(["solution", "--params", path, "--type", kind, "--verify", "--t-range", "0:4"]) == 1
+    want = {"type": kind, "residuals": residuals, "max_residual": 3, "ok": False,
+            "t_range": [0, 4], **extra}
+    assert capsys.readouterr().out.splitlines() == [dump(want)]
 
 
 def test_solution_cli_needs_n_range(tmp_path, capsys):

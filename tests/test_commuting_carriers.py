@@ -83,7 +83,7 @@ def test_shuffled_schedule_ends_in_the_same_state(mix, data):
     assume(any(counts))
     steps = data.draw(st.integers(1, 8))
     capacities = data.draw(
-        st.lists(st.sampled_from(bounds.effective_m_choices()), min_size=steps, max_size=steps)
+        st.lists(st.sampled_from(bounds.m_choices), min_size=steps, max_size=steps)
     )
     order = data.draw(st.permutations(range(steps)))
     state = EulerState(counts=counts, profile=CapacityProfile(capacities=tuple(caps)))

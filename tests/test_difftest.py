@@ -15,9 +15,10 @@ import pytest
 
 from boxball import CapacityProfile, CarrierSchedule, EulerState, euler_step, expand
 from boxball import difftest
+from boxball.config import dump
 from boxball.difftest import DiffBounds, DiffReport, random_case, run_difftest
 from boxball.toda import DegenerateState
-from boxball.xint import POS_INF, XInt
+from boxball.xint import INT64_MAX, POS_INF, FiniteOverflow, XInt
 
 REAL_STEP = difftest.enutoda_step
 REAL_ORACLE = difftest.carrier_oracle_step
@@ -185,7 +186,7 @@ def step_by_step_case(case_index, state, schedule, bounds, report):
         report.steps_checked += 1
         if not d.same_occupancy(ea_next, eb_next):
             record(step, "oracle_counts",
-                   f"euler={d._counts_list(ea_next)} oracle={d._counts_list(eb_next)}")
+                   f"euler={ea_next.counts.tolist()} oracle={eb_next.counts.tolist()}")
             return
         total_after = ea_next.total_balls
         if total_after != total_before:
@@ -227,8 +228,8 @@ def step_by_step_case(case_index, state, schedule, bounds, report):
             back = d.to_euler(ts_next)
             if not d.same_occupancy(back, ea_next):
                 record(step, "toda_counts",
-                       f"euler[{ea_next.window_start}:]={d._counts_list(ea_next)} "
-                       f"toda[{back.window_start}:]={d._counts_list(back)}")
+                       f"euler[{ea_next.window_start}:]={ea_next.counts.tolist()} "
+                       f"toda[{back.window_start}:]={back.counts.tolist()}")
                 return
             if d.expand(ea_next) != d.toda_to_lagrange(ts_next.Q, ts_next.E, ts_next.X0):
                 record(step, "anchor",
@@ -740,7 +741,7 @@ def per_step_case(rng, bounds):
         counts = rng.integers(0, caps + 1)
         if counts.sum() > 0:
             break
-    choices = bounds.effective_m_choices()
+    choices = bounds.m_choices
     entries = {t: choices[int(rng.integers(len(choices)))] for t in range(1, bounds.steps + 1)}
     occupied = tuple((n, u) for n, u in enumerate(counts.tolist()) if u)
     return tuple(caps.tolist()), occupied, entries
@@ -786,6 +787,28 @@ def test_bad_bounds_name_their_field(kwargs, named):
         DiffBounds(**kwargs)
 
 
+@pytest.mark.parametrize("name", ["window", "max_delta", "steps"])
+def test_bounds_past_int64_name_their_field(name):
+    # numpy's generator would reject them only inside the first case, with
+    # an error that names no field; FiniteOverflow, not the ValueError of
+    # the M rule
+    with pytest.raises(FiniteOverflow, match=f"^{name} must be <= {INT64_MAX}, got {2**63}$"):
+        DiffBounds(**{name: 2**63})
+
+
+def test_m_choices_are_resolved_with_the_bounds():
+    default = (*map(XInt, range(5, 11)), POS_INF)
+    assert DiffBounds().m_choices == default
+    assert DiffBounds(m_choices=()).m_choices == default
+    assert DiffBounds() == DiffBounds(m_choices=default)
+    stored = DiffBounds(m_choices=(np.int64(6), np.uint16(7), POS_INF)).m_choices
+    assert stored == (XInt(6), XInt(7), POS_INF)
+    assert all(type(m) is XInt and type(m.bound) in (int, type(None)) for m in stored)
+    implicit = run_difftest(20, 3, DiffBounds()).to_json_dict()
+    explicit = run_difftest(20, 3, DiffBounds(m_choices=default)).to_json_dict()
+    assert dump(implicit) == dump(explicit)
+
+
 def test_a_negative_seed_is_named_before_any_fork(monkeypatch):
     # numpy's generator would reject it only inside the first case
     def no_pipe():
@@ -801,6 +824,6 @@ def test_small_carrier_capacities_need_euler_only():
     # the size-coordinate route needs every finite M >= every box capacity;
     # the other two routes take any M, and M = max_delta is allowed
     small = DiffBounds(m_choices=(XInt(0), XInt(2), POS_INF), include_toda=False)
-    assert small.effective_m_choices() == (XInt(0), XInt(2), POS_INF)
+    assert small.m_choices == (XInt(0), XInt(2), POS_INF)
     assert DiffBounds(m_choices=(XInt(5), POS_INF)).m_choices == (XInt(5), POS_INF)
     assert run_difftest(2, 0, DiffBounds(steps=0)).steps_checked == 0
