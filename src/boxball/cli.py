@@ -55,13 +55,36 @@ def _initial_states(cfg: RunConfig) -> Tuple[Optional[EulerState], Optional[Toda
     return (euler if need_euler else None, toda if need_toda else None)
 
 
+# the steps each pass runs before the next pass starts; a block holds at
+# most this many states and traces, so memory follows the balls, not --steps
+_BLOCK = 50
+
+
 def cmd_simulate(args) -> int:
+    """Run the configured steps and write one record per step.
+
+    The steps run in blocks of _BLOCK, each in three passes:
+
+      1. the Euler pass runs euler_step over the block;
+      2. the Toda pass runs enutoda_step over the steps whose Euler step
+         ran and, with both pictures, checks each one: to_euler and
+         same_occupancy, and first_difference at the run's first mismatch;
+      3. the record pass writes the records of those steps in order.
+
+    Whatever a route or check raises (an Exception) is held with its step,
+    and a later pass runs only over the steps before it, so at one step an
+    Euler raise comes before a Toda one.  The record pass writes every
+    record before that step, then raises it.  stdout, stderr and the exit
+    code are thus those of a walk that runs the routes, the check and the
+    record of one step before the next, byte for byte."""
     cfg = parse_config(args.config)
     if args.steps is not None and args.steps < 1:
         raise ConfigError(f"--steps must be >= 1, got {args.steps}")
     steps = args.steps if args.steps is not None else cfg.steps
     render = args.render if args.render is not None else cfg.render
+    schedule = cfg.schedule
     euler, toda = _initial_states(cfg)
+    both = euler is not None and toda is not None
     if render == "ascii":
         # rows start at the initial state's first box, not at box 0, so a
         # state far to the right draws no long run of leading dots; t is
@@ -71,47 +94,76 @@ def cmd_simulate(args) -> int:
         width = max(3, len(str(first.time + steps)))
 
     divergence = None  # stderr line naming the first mismatch
-    for step in range(steps):
+    for begin in range(0, steps, _BLOCK):
+        stop = min(_BLOCK, steps - begin)
+        held = None  # (step in the block, what it raised)
+        eulers = []  # (state, trace) of each step the Euler pass ran
         if euler is not None:
-            euler, etrace = euler_step(euler, cfg.schedule)
-            t = euler.time
+            try:
+                for _ in range(stop):
+                    euler, etrace = euler_step(euler, schedule)
+                    eulers.append((euler, etrace))
+            except Exception as exc:
+                held = (len(eulers), exc)
+                stop = len(eulers)
+        todas = []  # (state, trace) of each step the Toda pass ran
+        verdicts = []
         if toda is not None:
-            toda, ttrace = enutoda_step(toda, cfg.schedule)
-            t = toda.time
-        verdict = None
-        if euler is not None and toda is not None:
-            from_toda = to_euler(toda)
-            verdict = "equal" if same_occupancy(euler, from_toda) else "mismatch"
-            if verdict == "mismatch" and divergence is None:
-                box, in_euler, in_toda = first_difference(euler, from_toda)
-                divergence = (
-                    f"simulate: representations diverged at t={t}: "
-                    f"box {box} holds {in_euler} (euler) vs {in_toda} (toda); "
-                    f"toda (Q, E, X0) = ({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
-                )
-        if render == "json":
-            # the keys in sorted order; the profile and schedule do not
-            # change along a run, so only the first record carries them
-            first = step == 0
-            fields = []
-            if euler is not None:
-                text = euler_state_json(euler, cfg.schedule if first else None, profile=first)
-                fields.append(f'"euler":{text}')
-            fields.append(f'"t":{t}')
-            if toda is not None:
-                fields.append(f'"toda":{toda_state_json(toda, profile=first)}')
-                fields.append(f'"toda_trace":{toda_trace_json(ttrace)}')
-            if euler is not None:
-                fields.append(f'"trace":{euler_trace_json(etrace)}')
-            if verdict is not None:
-                fields.append(f'"verdict":"{verdict}"')
-            _emit(f"{{{','.join(fields)}}}")
-        elif render == "ascii":
-            shown = euler if euler is not None else to_euler(toda)
-            line = f"t={t:>{width}} {render_counts(shown, origin)}"
-            if verdict is not None:
-                line += f"  [{verdict}]"
-            _emit(line)
+            i = 0
+            try:
+                for i in range(stop):
+                    toda, ttrace = enutoda_step(toda, schedule)
+                    todas.append((toda, ttrace))
+                    if both:
+                        state = eulers[i][0]
+                        from_toda = to_euler(toda)
+                        verdict = "equal" if same_occupancy(state, from_toda) else "mismatch"
+                        verdicts.append(verdict)
+                        if verdict == "mismatch" and divergence is None:
+                            box, in_euler, in_toda = first_difference(state, from_toda)
+                            divergence = (
+                                f"simulate: representations diverged at t={toda.time}: "
+                                f"box {box} holds {in_euler} (euler) vs {in_toda} (toda); "
+                                f"toda (Q, E, X0) = ({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
+                            )
+            except Exception as exc:
+                held = (i, exc)
+                stop = i
+        if render != "none":
+            for i in range(stop):
+                if euler is not None:
+                    state, etrace = eulers[i]
+                    t = state.time
+                if toda is not None:
+                    ts, ttrace = todas[i]
+                    t = ts.time
+                verdict = verdicts[i] if both else None
+                if render == "json":
+                    # the keys in sorted order; the profile and schedule do
+                    # not change along a run, so only the first record
+                    # carries them
+                    first = begin + i == 0
+                    fields = []
+                    if euler is not None:
+                        text = euler_state_json(state, schedule if first else None, profile=first)
+                        fields.append(f'"euler":{text}')
+                    fields.append(f'"t":{t}')
+                    if toda is not None:
+                        fields.append(f'"toda":{toda_state_json(ts, profile=first)}')
+                        fields.append(f'"toda_trace":{toda_trace_json(ttrace)}')
+                    if euler is not None:
+                        fields.append(f'"trace":{euler_trace_json(etrace)}')
+                    if verdict is not None:
+                        fields.append(f'"verdict":"{verdict}"')
+                    _emit(f"{{{','.join(fields)}}}")
+                else:
+                    shown = state if euler is not None else to_euler(ts)
+                    line = f"t={t:>{width}} {render_counts(shown, origin)}"
+                    if verdict is not None:
+                        line += f"  [{verdict}]"
+                    _emit(line)
+        if held is not None:
+            raise held[1]
     if divergence is not None:
         _diag(divergence)
         return 1
