@@ -97,7 +97,9 @@ def cmd_simulate(args) -> int:
     for begin in range(0, steps, _BLOCK):
         stop = min(_BLOCK, steps - begin)
         held = None  # (step in the block, what it raised)
-        eulers = []  # (state, trace) of each step the Euler pass ran
+        # the (state, trace) of each step the Euler and the Toda pass ran,
+        # made here so the last block's are freed before this one runs
+        eulers, todas, verdicts = [], [], []
         if euler is not None:
             try:
                 for _ in range(stop):
@@ -106,8 +108,6 @@ def cmd_simulate(args) -> int:
             except Exception as exc:
                 held = (len(eulers), exc)
                 stop = len(eulers)
-        todas = []  # (state, trace) of each step the Toda pass ran
-        verdicts = []
         if toda is not None:
             i = 0
             try:

@@ -82,6 +82,11 @@ class DiffBounds:
             # as the M rule below
             if value > INT64_MAX:
                 raise FiniteOverflow(f"{name} must be <= {INT64_MAX}, got {value}")
+        if not self.m_choices and self.max_delta + 5 > INT64_MAX:
+            raise FiniteOverflow(
+                f"max_delta must be <= {INT64_MAX - 5} for the default M choices "
+                f"max_delta .. max_delta+5, got {self.max_delta}"
+            )
         m_choices = tuple(as_capacity(m) for m in self.m_choices) or (
             *map(XInt, range(self.max_delta, self.max_delta + 6)),
             POS_INF,

@@ -7,6 +7,7 @@ import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from dense_views import trace_arrays
 
@@ -14,6 +15,8 @@ from boxball import cli, euler_step, first_difference, to_euler
 from boxball.cli import main
 from boxball.config import dump, parse_config
 from boxball.solutions import MAX_SOLITONS, EulerVerifyReport, TauVerifyReport
+from boxball.toda import CapacityViolation, DegenerateState
+from boxball.xint import FiniteOverflow
 
 ROOT = Path(__file__).resolve().parents[1]
 SHOWCASE = str(ROOT / "configs" / "showcase.json")
@@ -161,6 +164,218 @@ def test_simulate_render_none_builds_no_record_and_keeps_the_verdict(monkeypatch
     assert captured.out == ""
     assert captured.err.startswith("simulate: representations diverged at t=1: box ")
     assert len(captured.err.splitlines()) == 1
+
+
+def step_by_step_simulate(args):
+    """The reference: the routes, the check and the record of one step
+    before the next step, whose stdout, stderr and exit code `cmd_simulate`
+    must give; it reads each route and writer through the cli module, so a
+    patch reaches both."""
+    c = cli
+    cfg = c.parse_config(args.config)
+    steps = args.steps if args.steps is not None else cfg.steps
+    render = args.render if args.render is not None else cfg.render
+    euler, toda = c._initial_states(cfg)
+    if render == "ascii":
+        first = euler if euler is not None else c.to_euler(toda)
+        origin = first.window_start
+        width = max(3, len(str(first.time + steps)))
+    divergence = None
+    for step in range(steps):
+        if euler is not None:
+            euler, etrace = c.euler_step(euler, cfg.schedule)
+            t = euler.time
+        if toda is not None:
+            toda, ttrace = c.enutoda_step(toda, cfg.schedule)
+            t = toda.time
+        verdict = None
+        if euler is not None and toda is not None:
+            from_toda = c.to_euler(toda)
+            verdict = "equal" if c.same_occupancy(euler, from_toda) else "mismatch"
+            if verdict == "mismatch" and divergence is None:
+                box, in_euler, in_toda = c.first_difference(euler, from_toda)
+                divergence = (
+                    f"simulate: representations diverged at t={t}: "
+                    f"box {box} holds {in_euler} (euler) vs {in_toda} (toda); "
+                    f"toda (Q, E, X0) = ({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
+                )
+        if render == "json":
+            first = step == 0
+            fields = []
+            if euler is not None:
+                text = c.euler_state_json(euler, cfg.schedule if first else None, profile=first)
+                fields.append(f'"euler":{text}')
+            fields.append(f'"t":{t}')
+            if toda is not None:
+                fields.append(f'"toda":{c.toda_state_json(toda, profile=first)}')
+                fields.append(f'"toda_trace":{c.toda_trace_json(ttrace)}')
+            if euler is not None:
+                fields.append(f'"trace":{c.euler_trace_json(etrace)}')
+            if verdict is not None:
+                fields.append(f'"verdict":"{verdict}"')
+            sys.stdout.write(f"{{{','.join(fields)}}}\n")
+        elif render == "ascii":
+            shown = euler if euler is not None else c.to_euler(toda)
+            line = f"t={t:>{width}} {c.render_counts(shown, origin)}"
+            if verdict is not None:
+                line += f"  [{verdict}]"
+            sys.stdout.write(line + "\n")
+    if divergence is not None:
+        sys.stderr.write(divergence + "\n")
+        return 1
+    return 0
+
+
+class TimedFaults:
+    """euler_step, enutoda_step and to_euler run true except at the step
+    their plan names, where they raise, or to_euler maps the Toda state one
+    segment to the right, so both pictures mismatch.  The step is read from
+    the route's input (the showcase starts at t = 0), so both walks meet a
+    fault at the same step, whatever order they call the routes in."""
+
+    def __init__(self, monkeypatch):
+        self.plan = {}
+        for name in ("euler_step", "enutoda_step", "to_euler"):
+            monkeypatch.setattr(cli, name, self.route(name, getattr(cli, name)))
+
+    def route(self, name, real):
+        def call(state, *rest):
+            # to_euler reads the state a step made, the steps their input
+            step = state.time - 1 if name == "to_euler" else state.time
+            fault = self.plan.get(name)
+            if fault is None or fault[1] != step:
+                return real(state, *rest)
+            if fault[0] == "mismatch":
+                return real(replace(state, X0=state.X0 + 1))
+            raise fault[0](f"{name} raised at step {step}")
+
+        return call
+
+
+def simulate_outcome(capsys, argv):
+    """stdout, stderr and the exit code of `main(argv)`, or the type and
+    message of what main lets through."""
+    try:
+        code = main(argv)
+    except Exception as exc:
+        code = (type(exc), str(exc))
+    captured = capsys.readouterr()
+    return captured.out, captured.err, code
+
+
+def assert_blocks_match_the_walk(monkeypatch, capsys, argv):
+    """`main(argv)` gives what the step-by-step walk gives; that outcome."""
+    got = simulate_outcome(capsys, argv)
+    with monkeypatch.context() as m:
+        m.setattr(cli, "cmd_simulate", step_by_step_simulate)
+        want = simulate_outcome(capsys, argv)
+    assert got == want
+    return got
+
+
+RAISES = [DegenerateState, CapacityViolation, FiniteOverflow, RuntimeError]
+# the first step, two steps on each side of the edge between the first
+# two blocks of 50, and the last step of a run of 75
+EDGE_STEPS = [0, 48, 49, 50, 51, 74]
+
+
+def showcase_argv(representation, render, tmp_path, steps=75):
+    cfg = json.loads(Path(SHOWCASE).read_text())
+    cfg["representation"] = representation
+    path = write_json(tmp_path / f"{representation}.json", cfg)
+    return ["simulate", "--config", path, "--steps", str(steps), "--render", render]
+
+
+@pytest.mark.parametrize("name", ["euler_step", "enutoda_step", "to_euler"])
+def test_simulate_raise_at_a_block_edge_comes_after_the_records_before_it(
+    monkeypatch, capsys, tmp_path, name
+):
+    faults = TimedFaults(monkeypatch)
+    argv = showcase_argv("both", "json", tmp_path)
+    for k, step in enumerate(EDGE_STEPS):
+        exc = RAISES[k % len(RAISES)]
+        faults.plan = {name: (exc, step)}
+        out, err, code = assert_blocks_match_the_walk(monkeypatch, capsys, argv)
+        assert len(out.splitlines()) == step
+        assert code in (1, 2) or code[0] is RuntimeError
+    # a forced mismatch inside a block and at its edge, then a raise
+    later = "euler_step" if name == "to_euler" else name
+    for step in (23, 49, 50):
+        faults.plan = {"to_euler": ("mismatch", step), later: (RuntimeError, 60)}
+        out, err, code = assert_blocks_match_the_walk(monkeypatch, capsys, argv)
+        verdicts = [json.loads(line)["verdict"] for line in out.splitlines()]
+        assert verdicts == ["equal"] * step + ["mismatch"] + ["equal"] * (59 - step)
+        assert err == "" and code == (RuntimeError, f"{later} raised at step 60")
+
+
+@pytest.mark.parametrize("render", ["json", "ascii", "none"])
+@pytest.mark.parametrize("representation", ["euler", "toda", "both"])
+def test_simulate_blocks_keep_the_walks_records_and_errors(
+    monkeypatch, capsys, tmp_path, representation, render
+):
+    faults = TimedFaults(monkeypatch)
+    argv = showcase_argv(representation, render, tmp_path)
+    rng = np.random.default_rng([29, len(representation), len(render)])
+    codes = set()
+    for _ in range(8):
+        faults.plan = {}
+        for name in ("euler_step", "enutoda_step", "to_euler"):
+            if rng.integers(3):
+                kind = "mismatch" if name == "to_euler" and rng.integers(3) == 0 else None
+                kind = kind or RAISES[rng.integers(len(RAISES))]
+                faults.plan[name] = (kind, int(rng.choice(EDGE_STEPS + [23, 60])))
+        *_, code = assert_blocks_match_the_walk(monkeypatch, capsys, argv)
+        codes.add(code if isinstance(code, int) else code[0])
+    assert len(codes) > 1
+
+
+@pytest.mark.parametrize("representation", ["toda", "both"])
+def test_simulate_toda_initial_outside_the_expansion_image_degenerates(
+    tmp_path, capsys, representation
+):
+    # (Q, E, X0) = ((3, 2), (4,), 0) reads back as ((4, 1), (6,), 0): the
+    # Toda step follows the balls only from a state the expansion map
+    # gives, and from this one its second step has a negative size
+    cfg = write_json(
+        tmp_path / "noncanonical.json",
+        {
+            "representation": representation,
+            "steps": 4,
+            "render": "json",
+            "profile": {"capacities": [3, 5, 3, 5], "default": 2},
+            "schedule": {"entries": {"1": 6}},
+            "initial": {"toda": {"Q": [3, 2], "E": [4], "X0": 0}},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    (rec,) = [json.loads(line) for line in captured.out.splitlines()]
+    assert rec["t"] == 1
+    assert (rec["toda"]["Q"], rec["toda"]["E"], rec["toda"]["X0"]) == ([2, 3], [2], 5)
+    if representation == "both":
+        assert rec["verdict"] == "mismatch"
+    assert captured.err == "error: DegenerateState: step produced Q'=[-1, 6], E'=[3]\n"
+
+
+def test_simulate_memory_does_not_grow_with_the_steps():
+    # a block holds at most cli._BLOCK states and traces; a run that kept
+    # every step's would peak ten times as high at ten times the steps.
+    # tracemalloc slows the run about fifteen-fold, hence 200 and 2000
+    # steps, not more
+    argv = ["simulate", "--config", SHOWCASE, "--render", "none", "--steps"]
+
+    def peak(steps):
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(steps)]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    # untraced, so allocations made once per process, some of them only
+    # well into a run, are out of the way
+    assert main(argv + ["2000"]) == 0
+    assert peak(2000) <= 1.5 * peak(200)
 
 
 @pytest.mark.parametrize("representation", ["euler", "both"])
@@ -575,6 +790,17 @@ def test_difftest_bound_past_int64_exit_code(capsys, flag):
     assert captured.out == ""
     assert f"FiniteOverflow: {flag[2:].replace('-', '_')} must be <=" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_difftest_default_m_choices_past_int64_exit_code(capsys):
+    # the default M choices run to --max-delta + 5
+    assert main(["difftest", "--cases", "1", "--max-delta", str(2**63 - 5)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: FiniteOverflow: max_delta must be <= {2**63 - 6} for the default "
+        f"M choices max_delta .. max_delta+5, got {2**63 - 5}\n"
+    )
 
 
 @pytest.mark.parametrize("choices", ["2", "2,inf"])

@@ -796,6 +796,18 @@ def test_bounds_past_int64_name_their_field(name):
         DiffBounds(**{name: 2**63})
 
 
+def test_default_m_choices_past_int64_name_max_delta():
+    # the default M choices run to max_delta + 5; past int64 the XInt of
+    # that choice would raise an error that names no field.  The bounds
+    # are only built: cases this close to int64 take too long to run
+    top = DiffBounds(max_delta=2**63 - 6)
+    assert top.m_choices[-2] == XInt(INT64_MAX)
+    with pytest.raises(FiniteOverflow, match=r"^max_delta must be <= .* default M choices"):
+        DiffBounds(max_delta=2**63 - 5)
+    # given choices leave max_delta its int64 bound
+    assert DiffBounds(max_delta=2**63 - 5, m_choices=(POS_INF,)).m_choices == (POS_INF,)
+
+
 def test_m_choices_are_resolved_with_the_bounds():
     default = (*map(XInt, range(5, 11)), POS_INF)
     assert DiffBounds().m_choices == default
