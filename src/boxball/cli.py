@@ -30,7 +30,7 @@ from .euler import EulerState, euler_step, first_difference, same_occupancy
 from .render import render_counts
 from .solutions import euler_slices, tau_states, verify_euler_solution, verify_tau_solution
 from .toda import CapacityViolation, DegenerateState, TodaState, enutoda_step, from_euler, to_euler
-from .xint import FiniteOverflow, XInt, as_capacity, decode_xint
+from .xint import FiniteOverflow, XInt, decode_xint
 
 
 def _emit(line: str) -> None:
@@ -177,10 +177,10 @@ def _parse_m_choices(text: str) -> Tuple[XInt, ...]:
         if not part:
             continue
         try:
-            m = as_capacity(decode_xint(part if part == "inf" else int(part)))
-        except (ValueError, FiniteOverflow):
+            m = decode_xint(part if part == "inf" else int(part))
+        except (ValueError, FiniteOverflow) as exc:
             raise ConfigError(
-                f"--m-choices takes integers >= 0 or inf, got {part!r}"
+                f"--m-choices takes integers >= 0 or inf, got {part!r} ({exc})"
             ) from None
         out.append(m)
     if not out:

@@ -20,7 +20,7 @@ from .euler import EulerState, EulerStepTrace
 from .geometry import CapacityProfile, CarrierSchedule
 from .solutions import EulerSolitonParams, TauParams, euler_nsoliton, tau_toda_state
 from .toda import TodaState, TodaStepTrace
-from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, XInt, as_capacity, decode_xint, encode_xint
+from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, XInt, decode_xint, encode_xint
 
 
 class ConfigError(ValueError):
@@ -89,7 +89,7 @@ def profile_json(profile: CapacityProfile) -> dict:
 
 def _capacity(obj, where: str) -> XInt:
     try:
-        return as_capacity(decode_xint(obj))
+        return decode_xint(obj)
     except (ValueError, FiniteOverflow) as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 

@@ -26,7 +26,7 @@ from typing import Dict, Iterator, Optional, Sequence, Tuple
 import numpy as np
 
 from .geometry import CapacityProfile, CarrierSchedule
-from .xint import INT64_MAX, FiniteOverflow, XInt, as_int
+from .xint import INT64_MAX, FiniteOverflow, as_int, int64_bound
 
 # The potentials are dynamic programs, O(N^2) per Euler potential that a
 # live box reads and O(N^3) per tau row: at N = 64 a 401-box Euler slice
@@ -93,18 +93,12 @@ def _profile_terms(profile: CapacityProfile) -> Tuple[np.ndarray, np.ndarray, in
     )
 
 
-def _capacity_value(m: XInt) -> int:
-    """The bound as int64, +inf as INT64_MAX, since an int64 array cannot
-    hold None: min(x, M) is x for both wherever x fits."""
-    return INT64_MAX if m.bound is None else m.bound
-
-
 def _carrier_terms(schedule: CarrierSchedule) -> Tuple[np.ndarray, np.ndarray, int]:
-    """The schedule's listed times, their values, and the default, as _capacity_value."""
+    """The schedule's listed times, their values, and the default, as int64_bound."""
     return (
         np.array([t for t, _ in schedule.entries], dtype=np.int64),
-        np.array([_capacity_value(m) for _, m in schedule.entries], dtype=np.int64),
-        _capacity_value(schedule.default),
+        np.array([int64_bound(m) for _, m in schedule.entries], dtype=np.int64),
+        int64_bound(schedule.default),
     )
 
 
@@ -401,7 +395,7 @@ def verify_euler_solution(
         b_hi = min(b_lo + _BLOCK, t_hi)
         u, ub, zb = _euler_fields(params, n_lo, n_hi, b_lo, b_hi)
         u0, u1, ub, zb = u[:-1], u[1:], ub[1:], zb[1:]
-        m = np.array([[_capacity_value(params.schedule.at(t))] for t in range(b_lo + 1, b_hi + 1)])
+        m = np.array([[int64_bound(params.schedule.at(t))] for t in range(b_lo + 1, b_hi + 1)])
         held = np.minimum(zb[:, :-1] + u0[:, :-1], m)
         for key, diff in (
             ("size_limit", ub - np.minimum(caps - u0, zb)),
@@ -594,7 +588,7 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
     _require_headroom(
         max(dd, *(int(np.abs(a).max(initial=0)) for a in (q, e, q1, e1, qb, eb, cb, db)))
     )
-    m = np.array([[_capacity_value(params.schedule.at(t))] for t in range(t_lo + 1, t_hi + 1)])
+    m = np.array([[int64_bound(params.schedule.at(t))] for t in range(t_lo + 1, t_hi + 1)])
     short = np.maximum(0, dd - db)
     # E_N = +inf leaves Qbar_{N-1} = Dbar_{N-1}
     qbar = db.copy()

@@ -1,11 +1,12 @@
-"""Carrier capacities: a finite signed 64-bit integer or +inf.
+"""Carrier capacities: an integer in 0 .. 2**63 - 1, or +inf.
 
 The carrier capacity M_t ranges over the nonnegative integers and +inf,
 and +inf is the only infinity the package needs.  It is a distinct
 object, not a sentinel integer, so it cannot leak into integer
 arithmetic.  This module alone decides what a carrier capacity is
-(`as_capacity`) and how +inf enters arithmetic: every other module reads
-`bound`, the int or None for +inf.  There is no floating point anywhere.
+(`XInt`) and how +inf enters arithmetic: every other module reads
+`bound`, the int or None for +inf, or `int64_bound`, its stand-in in an
+int64 array.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
@@ -26,32 +27,24 @@ class FiniteOverflow(OverflowError):
 
 
 class XInt:
-    """An immutable int64 or +inf.  It has no order: a comparison or a sum
-    goes through `bound`, so +inf is lowered one way only."""
+    """An immutable carrier capacity: an int in 0 .. INT64_MAX, or +inf.  It
+    has no order: a comparison or a sum goes through `bound`, so +inf is
+    lowered one way only."""
 
     __slots__ = ("_v",)  # the int, or None for +inf
 
     def __init__(self, value: int):
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"XInt requires an int, got {type(value).__name__}")
-        if not INT64_MIN <= value <= INT64_MAX:
+        if value > INT64_MAX:
             raise FiniteOverflow(f"finite value {value} outside signed 64-bit range")
+        if value < 0:
+            raise ValueError(f"carrier capacity must be >= 0 or +inf, got {value}")
         self._v = value
 
     @property
     def bound(self) -> Optional[int]:
         """The value as an upper bound: the int, or None for +inf."""
-        return self._v
-
-    @property
-    def is_pos_inf(self) -> bool:
-        return self._v is None
-
-    @property
-    def finite(self) -> int:
-        """The integer value; raises on +inf."""
-        if self._v is None:
-            raise ValueError(f"{self} is not finite")
         return self._v
 
     def __repr__(self) -> str:
@@ -69,6 +62,12 @@ class XInt:
         return hash(self._v)
 
 
+def int64_bound(m: XInt) -> int:
+    """The bound as int64, +inf as INT64_MAX, since an int64 array cannot
+    hold None: min(x, M) is x for both wherever x fits."""
+    return INT64_MAX if m.bound is None else m.bound
+
+
 def as_int(value, what: str) -> int:
     """The value as a Python int; raises ValueError naming `what` unless it
     is a Python or numpy integer (a bool is not)."""
@@ -82,11 +81,9 @@ def as_int(value, what: str) -> int:
 POS_INF = object.__new__(XInt)
 POS_INF._v = None
 
-XIntLike = Union[XInt, int]
-
-
-def as_xint(v: XIntLike) -> XInt:
-    """Coerce a Python or numpy integer to XInt; XInt passes through."""
+def as_capacity(v) -> XInt:
+    """A carrier capacity as XInt: an XInt passes through, a Python or numpy
+    integer goes through the XInt checks, and anything else raises TypeError."""
     if isinstance(v, XInt):
         return v
     if isinstance(v, bool) or not isinstance(v, Integral):
@@ -94,22 +91,13 @@ def as_xint(v: XIntLike) -> XInt:
     return XInt(int(v))
 
 
-def as_capacity(v: XIntLike) -> XInt:
-    """A carrier capacity as XInt; raises ValueError below 0."""
-    m = as_xint(v)
-    if m._v is not None and m._v < 0:
-        raise ValueError(f"carrier capacity must be >= 0 or +inf, got {m}")
-    return m
-
-
-def encode_xint(x: XIntLike) -> Union[int, str]:
+def encode_xint(m: XInt) -> Union[int, str]:
     """JSON encoding: finite as a number, +inf as "inf"."""
-    x = as_xint(x)
-    return "inf" if x.is_pos_inf else x.finite
+    return "inf" if m.bound is None else m.bound
 
 
 def decode_xint(obj) -> XInt:
-    """Inverse of encode_xint; rejects anything else."""
+    """Inverse of encode_xint; rejects anything else, a negative int too."""
     if obj == "inf":
         return POS_INF
     if isinstance(obj, bool) or not isinstance(obj, int):

@@ -262,7 +262,7 @@ def test_criterion_8_tau_solution():
             for t in range(0, 16):
                 ts = tau_toda_state(params, t)
                 m = sched.at(t)
-                want = p[0] if m.is_pos_inf else min(p[0], m.finite)
+                want = p[0] if m.bound is None else min(p[0], m.bound)
                 if ts.Q != (p[0],) or ts.Dbar != (want,):
                     single_law_failures += 1
         checked += 1

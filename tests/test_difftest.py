@@ -119,7 +119,7 @@ def euler_load_past_m(state, schedule):
     # a load past both windows, where the residual reads no box
     nxt, trace = REAL_EULER(state, schedule)
     box = max(state.window_end, nxt.window_end) + 1
-    m = schedule.at(nxt.time).finite
+    m = schedule.at(nxt.time).bound
     return nxt, replace(trace, carrier_loads=trace.carrier_loads + ((box, m + 1),))
 
 
@@ -778,7 +778,7 @@ def test_one_schedule_draw_per_case_matches_one_draw_per_step(bounds):
         (dict(m_choices=(XInt(4), POS_INF)), "m_choices holds 4, below max_delta 5"),
         (dict(max_delta=3, m_choices=(np.int64(2),)), "m_choices holds 2, below max_delta 3"),
         # the one capacity check, on every route mix
-        (dict(m_choices=(XInt(-1),), include_toda=False), "carrier capacity must be >= 0"),
+        (dict(m_choices=(-1,), include_toda=False), "carrier capacity must be >= 0"),
         (dict(m_choices=(1.5,), include_toda=False), "expected XInt or int, got float"),
     ],
 )

@@ -202,7 +202,7 @@ def test_tau_single_soliton_laws():
         ts = tau_toda_state(params, t)
         assert ts.Q == (4,)
         m = sched.at(t)
-        expected = 4 if m.is_pos_inf else min(4, m.finite)
+        expected = 4 if m.bound is None else min(4, m.bound)
         assert ts.Dbar == (expected,)
         assert ts.Cbar[0] == params.Delta
 
@@ -273,7 +273,7 @@ def signed_sum(term, x):
 
 def carrier_min(p, schedule, j):
     m = schedule.at(j)
-    return p if m.is_pos_inf else min(p, m.finite)
+    return p if m.bound is None else min(p, m.bound)
 
 
 def literal_f(params, k, t, n):
@@ -312,7 +312,7 @@ def literal_tau(params, k, t, n, barred):
                 + car[r]
             )
         best = tot if best is None else min(best, tot)
-    return XInt(best)
+    return best
 
 
 def assert_fields_match_literal(params, n_lo, n_hi, t):
@@ -675,7 +675,7 @@ def loop_euler_residuals(params, slices):
             res["size_limit"] = max(res["size_limit"], abs(ub[i] - min(cap - u[i], zb[i])))
             if i + 1 < len(u):
                 held = zb[i] + u[i]
-                capped = held if m.is_pos_inf else min(held, m.finite)
+                capped = held if m.bound is None else min(held, m.bound)
                 res["carrier_load"] = max(res["carrier_load"], abs(zb[i + 1] - (capped - ub[i])))
                 res["recovery"] = max(
                     res["recovery"], abs(u1[i] - (u[i] + zb[i] - zb[i + 1]))
@@ -699,7 +699,7 @@ def loop_tau_report(params, states):
         m = params.schedule.at(nxt.time)
 
         def cap(x):
-            return x if m.is_pos_inf else min(x, m.finite)
+            return x if m.bound is None else min(x, m.bound)
 
         q, e = cur.Q, cur.E
         qb, eb, cb, db = nxt.Qbar, nxt.Ebar, nxt.Cbar, nxt.Dbar

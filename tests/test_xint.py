@@ -20,18 +20,19 @@ from boxball import (
 )
 from boxball.config import dump
 from boxball.difftest import DiffBounds, run_difftest
-from boxball.xint import INT64_MAX, INT64_MIN, decode_xint, encode_xint
+from boxball.xint import INT64_MAX, decode_xint, encode_xint, int64_bound
 
-capacities = st.one_of(st.integers(INT64_MIN, INT64_MAX).map(XInt), st.just(POS_INF))
+capacities = st.one_of(st.integers(0, INT64_MAX).map(XInt), st.just(POS_INF))
 
 
 def test_overflow_detected():
     with pytest.raises(FiniteOverflow):
         XInt(2**63)
-    with pytest.raises(FiniteOverflow):
-        XInt(-(2**63) - 1)
-    assert XInt(2**63 - 1).finite == INT64_MAX
-    assert XInt(-(2**63)).finite == INT64_MIN
+    # a carrier capacity has no negative values to overflow into
+    with pytest.raises(ValueError, match=r"^carrier capacity must be >= 0 or \+inf, got -1$"):
+        XInt(-1)
+    assert XInt(2**63 - 1).bound == INT64_MAX
+    assert XInt(0).bound == 0
 
 
 def test_xint_has_no_order():
@@ -46,12 +47,11 @@ def test_xint_has_no_order():
             compare()
 
 
-def test_finite_accessor():
-    assert XInt(7).finite == 7
-    assert XInt(-2).finite == -2
-    assert POS_INF.is_pos_inf and not XInt(7).is_pos_inf
-    with pytest.raises(ValueError):
-        POS_INF.finite
+def test_bound_is_the_one_reader():
+    assert XInt(7).bound == 7 and POS_INF.bound is None
+    # the int64-array stand-in reads bound too
+    assert int64_bound(XInt(7)) == 7 and int64_bound(POS_INF) == INT64_MAX
+    assert {name for name in vars(XInt) if not name.startswith("_")} == {"bound"}
 
 
 def test_equality_and_hash_match_plain_ints():
@@ -77,8 +77,8 @@ def test_json_round_trip(x):
 def test_json_encoding_values():
     assert encode_xint(POS_INF) == "inf"
     assert encode_xint(XInt(12)) == 12
-    assert encode_xint(-3) == -3
-    for bad in ("infinity", "-inf", 1.5, True):
+    assert encode_xint(XInt(0)) == 0
+    for bad in ("infinity", "-inf", 1.5, True, -1):
         with pytest.raises(ValueError):
             decode_xint(bad)
 
@@ -181,22 +181,23 @@ def test_no_floating_point_in_the_package():
 
 
 def test_only_xint_lowers_a_carrier_capacity():
-    # +inf enters integer arithmetic one way, as XInt.bound; a module that
-    # read is_pos_inf or finite, or shared a private helper, could lower it
-    # a second way that the others do not see
+    # +inf enters integer arithmetic one way, as XInt.bound; a second
+    # reader (the old is_pos_inf or finite), a second coercion (the old
+    # as_xint and its XIntLike), or a shared private helper could lower it a way that the
+    # others do not see
     src = Path(boxball.__file__).parent
     reads, coerce, private = [], [], []
-    for path in sorted(src.glob("*.py")):
+    for path in sorted([*src.glob("*.py"), *Path(__file__).parent.glob("*.py")]):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Attribute) and node.attr in ("is_pos_inf", "finite"):
                 reads.append(path.name)
-            elif "as_xint" in (getattr(node, k, None) for k in ("id", "attr", "name")):
-                # a name, attribute or import: as_xint takes a negative M,
-                # and as_capacity is the validator
+            elif {"as_xint", "XIntLike"} & {getattr(node, k, None) for k in ("id", "attr", "name")}:
+                # a name, attribute, import or definition
                 coerce.append(path.name)
             elif isinstance(node, ast.ImportFrom) and node.level:
                 private += [(path.name, a.name) for a in node.names if a.name.startswith("_")]
-    assert set(reads) == set(coerce) == {"xint.py"}
+    assert reads == coerce == []
+    assert not {"is_pos_inf", "finite", "as_xint"} & set(vars(XInt))
     # an order on XInt would be a lowering that never reads bound
     assert not {"__lt__", "__le__", "__gt__", "__ge__"} & set(vars(XInt))
     # the kernels module, and the segment-boundary overflow error
