@@ -213,7 +213,10 @@ def _columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 # slices per `_euler_fields` call of `euler_slices`, transitions per call
 # of `verify_euler_solution`: a call's dynamic program spans the live
 # columns of at most _BLOCK + 1 slices and its output holds 3 (_BLOCK + 1) W
-# entries, so memory follows the block, not the length of the time range
+# entries, so memory follows the block, not the length of the time range.
+# The tau family runs in blocks of the same length: states per
+# `_tau_fields` call of `tau_states`, transitions per call of
+# `verify_tau_solution`.
 _BLOCK = 64
 
 
@@ -436,6 +439,40 @@ class TauParams:
         return len(self.P)
 
 
+def _tau_carrier(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.ndarray:
+    """The carrier sums of the rows named by keys, as `_tau_rows` reads
+    them; raises FiniteOverflow if a partial sum of those rows can leave
+    int64 headroom."""
+    p, big_n = params.P, params.N
+    # column c is sum_{j=0}^{x-1} min(P_r, M_j) for row c: T^{k,t} reads
+    # x = t + 1, olT^{k,t} reads x = t
+    car = _signed_prefix(
+        p, *_carrier_terms(params.schedule), [t + (not barred) for _, t, barred in keys]
+    )
+    # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P
+    d_max = 2 * (big_n - 1) + max(abs(k + t) for k, t, _ in keys)
+    _require_headroom(
+        sum(
+            abs(w) + c + d_max * min(pi, params.Delta) + (2 * big_n - 1) * pi
+            for w, c, pi in zip(params.W, np.abs(car).max(axis=1).tolist(), p)
+        )
+    )
+    return car
+
+
+def _tau_headroom(params: TauParams, t_lo: int, t_hi: int) -> None:
+    """Raise FiniteOverflow if a row that `_tau_fields` reads for t_lo ..
+    t_hi, in one call or in blocks, can leave int64 headroom, evaluating
+    no row.  Those rows read x = t_lo .. top and k + t = t_lo - 1 ..
+    top + 1, and the first and last row read the ends of both.  The
+    carrier sum adds min(P_r, M_j) >= 0 at each step, so it is monotone
+    in x and largest in magnitude at an end: the two rows give the bound
+    that `_tau_carrier` finds over all of them."""
+    _require_headroom(params.Delta)
+    top = max(t_hi, t_lo - 1) + 1
+    _tau_carrier(params, [(0, t_lo - 1, False), (1, top, True)])
+
+
 def _tau_rows(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.ndarray:
     """The potential rows named by keys, each (k, t, barred), as an int64
     (key, n) array of X_0 .. X_N for X = olT^{k,t} if barred else T^{k,t}.
@@ -457,18 +494,7 @@ def _tau_rows(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.nd
     """
     p, big_n = params.P, params.N
     m_delta = [min(pi, params.Delta) for pi in p]
-    # column c is sum_{j=0}^{x-1} min(P_r, M_j) for row c: T^{k,t} reads
-    # x = t + 1, olT^{k,t} reads x = t
-    xs = [t + (not barred) for _, t, barred in keys]
-    car = _signed_prefix(p, *_carrier_terms(params.schedule), xs)
-    # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P
-    d_max = 2 * (big_n - 1) + max(abs(k + t) for k, t, _ in keys)
-    _require_headroom(
-        sum(
-            abs(w) + c + d_max * md + (2 * big_n - 1) * pi
-            for w, c, md, pi in zip(params.W, np.abs(car).max(axis=1).tolist(), m_delta, p)
-        )
-    )
+    car = _tau_carrier(params, keys)
 
     # entry[r, row, n-1] is all of it but the rank weight 2c P
     per_row = (
@@ -502,10 +528,9 @@ def _tau_fields(params: TauParams, t_lo: int, t_hi: int) -> Dict[str, np.ndarray
     """The six families of `tau_states` at t = t_lo .. t_hi as (time, index)
     int64 arrays, keyed Q, E, Qbar, Ebar, Cbar, Dbar.  The fields at t read
     T^{k,s} at s = t-1, t and olT^{k,s} at s = t, t+1, so one `_tau_rows` call
-    evaluates T over t_lo-1 .. t_hi and olT over t_lo .. t_hi+1.  Raises
-    FiniteOverflow if a field can leave int64."""
+    evaluates T over t_lo-1 .. t_hi and olT over t_lo .. t_hi+1.  Callers
+    check `_tau_headroom` first."""
     dd = params.Delta
-    _require_headroom(dd)
     count = max(t_hi - t_lo + 1, 0) + 1
     (t0, t1), (o0, o1) = _tau_rows(params, [
         (k, t_lo - 1 + barred + r, barred)
@@ -533,15 +558,24 @@ def tau_states(params: TauParams, t_lo: int, t_hi: int) -> Iterator[TauState]:
         Cbar_n = olT^{0,t}_n - olT^{0,t+1}_n + T^{1,t}_n - T^{1,t-1}_n + D
         Dbar_n = T^{0,t}_{n+1} - olT^{0,t+1}_n + olT^{1,t}_n - T^{1,t-1}_{n+1}
 
-    Every index read lies in 0 .. N, so every value is finite.  Each
-    potential row is evaluated once for the whole range, and FiniteOverflow
-    is raised up front if one can leave int64 headroom.
+    Every index read lies in 0 .. N, so every value is finite.  The states
+    are evaluated a block of at most _BLOCK at a time, so memory follows the
+    block, not the length of the range; FiniteOverflow is raised when this
+    is called, before any state, if a potential of the range can leave
+    int64 headroom.
     """
-    fields = {name: a.tolist() for name, a in _tau_fields(params, t_lo, t_hi).items()}
+    _tau_headroom(params, t_lo, t_hi)
     return (
-        TauState(time=t_lo + r, **{name: tuple(rows[r]) for name, rows in fields.items()})
-        for r in range(t_hi - t_lo + 1)
+        state
+        for b_lo in range(t_lo, t_hi + 1, _BLOCK)
+        for state in _tau_block(params, b_lo, min(b_lo + _BLOCK - 1, t_hi))
     )
+
+
+def _tau_block(params: TauParams, t_lo: int, t_hi: int) -> Iterator[TauState]:
+    fields = {name: a.tolist() for name, a in _tau_fields(params, t_lo, t_hi).items()}
+    for r in range(t_hi - t_lo + 1):
+        yield TauState(time=t_lo + r, **{name: tuple(rows[r]) for name, rows in fields.items()})
 
 
 def tau_toda_state(params: TauParams, t: int) -> TauState:
@@ -564,14 +598,15 @@ class TauVerifyReport(EulerVerifyReport):
 def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyReport:
     """Check every equation of the capacity-Delta system (K = Lam = Delta)
     between consecutive evaluated slices, transitions t -> t+1 for
-    t in [t_lo, t_hi), plus Cbar_0 = Delta, all transitions at once as
-    (transition, index) arrays.
+    t in [t_lo, t_hi), plus Cbar_0 = Delta, a block of transitions at a
+    time as (transition, index) arrays.
 
     Requires Delta <= M_{t+1} on the range (the system's validity
-    condition).  Raises FiniteOverflow if a residual can leave int64.
+    condition).  Raises FiniteOverflow if a residual can leave int64, the
+    potentials' bound before the capacity ValueError.
     """
     dd = params.Delta
-    f = _tau_fields(params, t_lo, t_hi)
+    _tau_headroom(params, t_lo, t_hi)
     res = dict.fromkeys(
         ("qbar", "ebar", "cbar", "dbar", "cbar0_boundary", "q_recovery", "e_recovery"), 0
     )
@@ -581,31 +616,35 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
         m_t = params.schedule.at(t)
         if m_t.bound is not None and m_t.bound < dd:
             raise ValueError(f"carrier capacity {m_t} below Delta at t={t}")
-    q, e = f["Q"][:-1], f["E"][:-1]
-    q1, e1 = f["Q"][1:], f["E"][1:]
-    qb, eb, cb, db = (f[name][1:] for name in ("Qbar", "Ebar", "Cbar", "Dbar"))
-    # a residual adds at most eight terms no larger than a field or Delta
-    _require_headroom(
-        max(dd, *(int(np.abs(a).max(initial=0)) for a in (q, e, q1, e1, qb, eb, cb, db)))
-    )
-    m = np.array([[int64_bound(params.schedule.at(t))] for t in range(t_lo + 1, t_hi + 1)])
-    short = np.maximum(0, dd - db)
-    # E_N = +inf leaves Qbar_{N-1} = Dbar_{N-1}
-    qbar = db.copy()
-    qbar[:, :-1] = np.minimum(e - short[:, :-1], db[:, :-1])
-    diffs = {
-        "qbar": qb - qbar,
-        "ebar": eb - (e - qb[:, :-1] + q[:, 1:] - short[:, :-1] + short[:, 1:]),
-        "cbar": cb[:, 1:] - np.minimum(db - qb + dd, m),
-        "dbar": db - np.minimum(cb[:, :-1] + q - dd, m),
-        "cbar0_boundary": cb[:, 0] - dd,
-        "q_recovery": q1 - (q + cb[:, :-1] - cb[:, 1:]),
-        "e_recovery": e1 - (eb + qb[:, :-1] - q[:, 1:] - db[:, :-1] + db[:, 1:]),
-    }
-    for key, diff in diffs.items():
-        res[key] = int(np.abs(diff).max(initial=0))
+    mins_q, mins_e = [], []
+    for b_lo in range(t_lo, t_hi, _BLOCK):
+        b_hi = min(b_lo + _BLOCK, t_hi)
+        f = _tau_fields(params, b_lo, b_hi)
+        q, e = f["Q"][:-1], f["E"][:-1]
+        q1, e1 = f["Q"][1:], f["E"][1:]
+        qb, eb, cb, db = (f[name][1:] for name in ("Qbar", "Ebar", "Cbar", "Dbar"))
+        # a residual adds at most eight terms no larger than a field or Delta
+        _require_headroom(
+            max(dd, *(int(np.abs(a).max(initial=0)) for a in (q, e, q1, e1, qb, eb, cb, db)))
+        )
+        m = np.array([[int64_bound(params.schedule.at(t))] for t in range(b_lo + 1, b_hi + 1)])
+        short = np.maximum(0, dd - db)
+        # E_N = +inf leaves Qbar_{N-1} = Dbar_{N-1}
+        qbar = db.copy()
+        qbar[:, :-1] = np.minimum(e - short[:, :-1], db[:, :-1])
+        diffs = {
+            "qbar": qb - qbar,
+            "ebar": eb - (e - qb[:, :-1] + q[:, 1:] - short[:, :-1] + short[:, 1:]),
+            "cbar": cb[:, 1:] - np.minimum(db - qb + dd, m),
+            "dbar": db - np.minimum(cb[:, :-1] + q - dd, m),
+            "cbar0_boundary": cb[:, 0] - dd,
+            "q_recovery": q1 - (q + cb[:, :-1] - cb[:, 1:]),
+            "e_recovery": e1 - (eb + qb[:, :-1] - q[:, 1:] - db[:, :-1] + db[:, 1:]),
+        }
+        for key, diff in diffs.items():
+            res[key] = max(res[key], int(np.abs(diff).max(initial=0)))
+        mins_q.append(int(q.min()))
+        mins_e += [int(e.min())] if e.size else []
     return TauVerifyReport(
-        residuals=res,
-        min_q=int(q.min()),
-        min_interior_e=int(e.min()) if e.size else None,
+        residuals=res, min_q=min(mins_q), min_interior_e=min(mins_e, default=None)
     )

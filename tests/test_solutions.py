@@ -21,6 +21,7 @@ from boxball import (
     euler_nsoliton,
     euler_slices,
     euler_step,
+    tau_states,
     tau_toda_state,
     verify_euler_solution,
     verify_tau_solution,
@@ -598,6 +599,49 @@ def test_long_euler_slices_hold_one_block_at_a_time():
     assert peak < 128 * 2**20
     # the fastest solitons leave the window after t = 100
     assert len(balls) == 201 and balls[:101] == [sum(p)] * 101 and balls[-1] < sum(p)
+
+
+def test_long_tau_ranges_hold_one_block_at_a_time(monkeypatch):
+    # one dynamic program over the whole range held about 394 KiB per step
+    # at N = 64 (154 MiB over t = 0 .. 400); a block of states or
+    # transitions at a time holds what one block does, whatever the range
+    from boxball import solutions as solutions_mod
+
+    rng = np.random.default_rng(30)
+    params = TauParams(
+        P=sorted(rng.integers(1, 30, size=32).tolist()),
+        W=rng.integers(-50, 50, size=32).tolist(),
+        Delta=3,
+        schedule=CarrierSchedule(entries={t: 3 + t % 5 for t in range(0, 330, 3)}),
+    )
+
+    def run(t_hi):
+        report = verify_tau_solution(params, 0, t_hi)
+        states = list(tau_states(params, 0, t_hi))
+        return (report, states)
+
+    def peak(t_hi):
+        tracemalloc.start()
+        try:
+            run(t_hi)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert peak(320) <= 1.5 * peak(64)
+    blocked = run(320)
+    # one block over the whole range: the evaluation before blocks
+    monkeypatch.setattr(solutions_mod, "_BLOCK", 10**6)
+    assert run(320) == blocked
+    assert blocked[0].ok and len(blocked[1]) == 321
+    # the int64 bound covers the whole range before the first block: the
+    # first block of this one fits, a later one would not
+    fast = TauParams(P=(2**53,), W=(0,), Delta=1, schedule=FREE)
+    assert len(list(tau_states(fast, 0, 63))) == 64
+    with pytest.raises(FiniteOverflow):
+        tau_states(fast, 0, 300)
+    with pytest.raises(FiniteOverflow):
+        verify_tau_solution(fast, 0, 300)
 
 
 def _injecting_euler(monkeypatch, field, time, box):
