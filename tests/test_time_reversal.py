@@ -12,8 +12,14 @@ that holds every ball.  So k steps forward, the mirror, k steps under the
 reversed schedule and the mirror again must give the starting state back:
 a check that needs no second implementation of the step.
 
-Each direction runs one route: euler_step forward with the ball-by-ball
-oracle back, and the oracle forward with euler_step back.
+Each direction runs one route each way: euler_step forward with the
+ball-by-ball oracle back, the oracle forward with euler_step back, and,
+where every carrier capacity is at least every box capacity, euler_step
+forward with the Toda picture back.  The Toda picture starts from the
+expansion of the mirrored counts: mirroring (Q, E) and X0 themselves can
+give a state that no counts expand to (a box's ones sit at its right end
+after the mirror, where the expansion puts them at the left end), and the
+Toda step follows the box-ball dynamics only on expanded states.
 """
 
 import numpy as np
@@ -28,7 +34,10 @@ from boxball import (
     EulerState,
     XInt,
     carrier_oracle_step,
+    enutoda_step,
     euler_step,
+    from_euler,
+    to_euler,
 )
 from boxball.difftest import DiffBounds, random_case
 
@@ -44,36 +53,57 @@ MIXES = {
 }
 
 
-def _euler(state, schedule):
-    return euler_step(state, schedule)[0]  # without its trace
+def euler_run(state, schedule, steps):
+    for _ in range(steps):
+        state, _trace = euler_step(state, schedule)
+    return state
+
+
+def oracle_run(state, schedule, steps):
+    for _ in range(steps):
+        state = carrier_oracle_step(state, schedule)
+    return state
+
+
+def toda_run(state, schedule, steps):
+    toda = from_euler(state)
+    for _ in range(steps):
+        toda, _trace = enutoda_step(toda, schedule)
+    return to_euler(toda)
 
 
 DIRECTIONS = {
-    "euler_forward": (_euler, carrier_oracle_step),
-    "oracle_forward": (carrier_oracle_step, _euler),
+    "euler_forward": (euler_run, oracle_run),
+    "oracle_forward": (oracle_run, euler_run),
+    "toda_back": (euler_run, toda_run),
 }
-
-
-def laid(state, length):
-    """The state at t = 0 with its profile written out as explicit
-    capacities over [0, length), default 1 beyond."""
-    counts = dict(state.occupied)
-    return EulerState(
-        counts=[counts.get(n, 0) for n in range(length)],
-        profile=CapacityProfile(capacities=[state.profile.capacity(n) for n in range(length)]),
-    )
+CASES = [
+    (mix, direction)
+    for mix, bounds in MIXES.items()
+    for direction in DIRECTIONS
+    if bounds.include_toda or direction != "toda_back"
+]
 
 
 def mirror(state, length):
-    """R: box n goes to length - 1 - n, for the balls and the capacities of
-    a state laid over [0, length); the time restarts at 0."""
+    """R: box n goes to length - 1 - n, for the balls and the capacity
+    profile over [0, length); the time restarts at 0.  Outside its window a
+    profile holds its default capacity, so the mirrored profile lists the
+    window's capacities reversed, ending at box length - 1 - window_start,
+    with the same default."""
     profile = state.profile
-    assert (profile.window_start, len(profile.capacities)) == (0, length)
-    assert all(0 <= n < length for n, _ in state.occupied), "a ball left [0, L)"
-    counts = dict(state.occupied)
+    ws, caps = profile.window_start, profile.capacities
+    assert ws + len(caps) <= length
+    occupied = state.occupied
+    assert occupied[0][0] >= 0 and occupied[-1][0] < length, "a ball left [0, L)"
+    first = length - 1 - occupied[-1][0]
+    counts = [0] * (length - occupied[0][0] - first)
+    for n, u in occupied:
+        counts[length - 1 - n - first] = u
     return EulerState(
-        counts=[counts.get(length - 1 - n, 0) for n in range(length)],
-        profile=CapacityProfile(capacities=profile.capacities[::-1]),
+        counts=counts,
+        profile=CapacityProfile(caps[::-1], length - ws - len(caps), profile.default_capacity),
+        window_start=first,
     )
 
 
@@ -84,19 +114,14 @@ def assert_reverses(state, capacities, direction):
     balls = state.total_balls
     # a step moves no ball more than `balls` boxes past the last one
     length = state.window_end + (len(capacities) + 2) * balls + 8
-    start = cur = laid(state, length)
     ordered = CarrierSchedule(entries={t + 1: m for t, m in enumerate(capacities)})
-    for _ in capacities:
-        cur = forward(cur, ordered)
     backward = CarrierSchedule(entries={t + 1: m for t, m in enumerate(capacities[::-1])})
-    cur = mirror(cur, length)
-    for _ in capacities:
-        cur = back(cur, backward)
-    assert mirror(cur, length).occupied == start.occupied, (state, capacities, direction)
+    cur = forward(state, ordered, len(capacities))
+    cur = back(mirror(cur, length), backward, len(capacities))
+    assert mirror(cur, length).occupied == state.occupied, (state, capacities, direction)
 
 
-@pytest.mark.parametrize("direction", DIRECTIONS)
-@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("mix, direction", CASES)
 def test_mirrored_steps_undo_the_steps_seeded(mix, direction):
     bounds = MIXES[mix]
     rng = np.random.default_rng(30)
@@ -106,8 +131,7 @@ def test_mirrored_steps_undo_the_steps_seeded(mix, direction):
 
 
 @settings(max_examples=30, deadline=None)
-@pytest.mark.parametrize("direction", DIRECTIONS)
-@pytest.mark.parametrize("mix", MIXES)
+@pytest.mark.parametrize("mix, direction", CASES)
 @given(data=st.data())
 def test_mirrored_steps_undo_the_steps(mix, direction, data):
     bounds = MIXES[mix]

@@ -17,8 +17,11 @@ from boxball import (
     FiniteOverflow,
     TauParams,
     XInt,
+    euler_step,
+    umkdv_residual,
 )
-from boxball.config import dump
+from boxball.cli import main
+from boxball.config import dump, parse_schedule
 from boxball.difftest import DiffBounds, run_difftest
 from boxball.xint import INT64_MAX, decode_xint, encode_xint, int64_bound
 
@@ -85,6 +88,43 @@ def test_json_encoding_values():
 
 UNIT = CapacityProfile()
 NO_CARRIER = CarrierSchedule()
+
+
+def _raised(build):
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+def _residual_at(m):
+    before = EulerState(counts=[1, 1, 0, 1], profile=UNIT)
+    after, trace = euler_step(before, NO_CARRIER)
+    return umkdv_residual(before, after, trace, m)
+
+
+def _difftest_error(capsys):
+    assert main(["difftest", "--cases", "2", "--m-choices=-1"]) == 2
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, named",
+    [
+        (lambda _: _raised(lambda: XInt(-1)), ""),
+        (lambda _: _raised(lambda: CarrierSchedule(entries={1: -1})), ""),
+        (lambda _: _raised(lambda: CarrierSchedule(default=-1)), ""),
+        (lambda _: _raised(lambda: DiffBounds(m_choices=(-1,))), ""),
+        (lambda _: _raised(lambda: _residual_at(-1)), ""),
+        (lambda _: _raised(lambda: decode_xint(-1)), ""),
+        (lambda _: _raised(lambda: parse_schedule({"entries": {"1": -1}})), "schedule.entries[1]"),
+        (_difftest_error, "--m-choices"),
+    ],
+    ids=["XInt", "schedule-entry", "schedule-default", "difftest-bounds", "umkdv_residual",
+         "decode_xint", "config-entry", "cli-m-choices"],
+)
+def test_every_entry_point_gives_the_one_capacity_rule(capsys, error, named):
+    text = error(capsys)
+    assert "carrier capacity must be >= 0 or +inf, got -1" in text and named in text
 
 
 @pytest.mark.parametrize(
