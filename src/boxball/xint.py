@@ -27,9 +27,8 @@ class FiniteOverflow(OverflowError):
 
 
 class XInt:
-    """An immutable carrier capacity: an int in 0 .. INT64_MAX, or +inf.  It
-    has no order: a comparison or a sum goes through `bound`, so +inf is
-    lowered one way only."""
+    """An immutable capacity, 0 .. INT64_MAX or +inf, with no order: a
+    comparison or a sum goes through `bound`, so +inf is lowered one way."""
 
     __slots__ = ("_v",)  # the int, or None for +inf
 
@@ -80,6 +79,7 @@ def as_int(value, what: str) -> int:
 
 POS_INF = object.__new__(XInt)
 POS_INF._v = None
+
 
 def as_capacity(v) -> XInt:
     """A carrier capacity as XInt: an XInt passes through, a Python or numpy
