@@ -16,6 +16,7 @@ from typing import Optional, Tuple
 from .config import (
     ConfigError,
     RunConfig,
+    TodaText,
     dump,
     euler_state_json,
     euler_trace_json,
@@ -71,6 +72,9 @@ def cmd_simulate(args) -> int:
          same_occupancy, and first_difference at the run's first mismatch;
       3. the record pass writes the records of those steps in order.
 
+    The run keeps one TodaText, made here, so a JSON record renders a Toda
+    field again only when its tuple changed since the record before.
+
     Whatever a route or check raises (an Exception) is held with its step,
     and a later pass runs only over the steps before it, so at one step an
     Euler raise comes before a Toda one.  The record pass writes every
@@ -85,6 +89,7 @@ def cmd_simulate(args) -> int:
     schedule = cfg.schedule
     euler, toda = _initial_states(cfg)
     both = euler is not None and toda is not None
+    toda_text = TodaText()
     if render == "ascii":
         # rows start at the initial state's first box, not at box 0, so a
         # state far to the right draws no long run of leading dots; t is
@@ -149,8 +154,9 @@ def cmd_simulate(args) -> int:
                         fields.append(f'"euler":{text}')
                     fields.append(f'"t":{t}')
                     if toda is not None:
-                        fields.append(f'"toda":{toda_state_json(ts, profile=first)}')
-                        fields.append(f'"toda_trace":{toda_trace_json(ttrace)}')
+                        text = toda_state_json(ts, profile=first, last=toda_text)
+                        fields.append(f'"toda":{text}')
+                        fields.append(f'"toda_trace":{toda_trace_json(ttrace, last=toda_text)}')
                     if euler is not None:
                         fields.append(f'"trace":{euler_trace_json(etrace)}')
                     if verdict is not None:

@@ -6,7 +6,9 @@ encodes as the string "inf".
 
 The state and trace writers return record text, compact and key-sorted as
 `dump` writes it, built directly from the ints so that a simulate step
-builds no dict for json.dumps.
+builds no dict for json.dumps.  The Toda writers also take a run's
+`TodaText`, which keeps each int field's last tuple and its text, so a
+field whose tuple repeats from the step before is not rendered again.
 """
 
 from __future__ import annotations
@@ -182,19 +184,59 @@ def parse_toda_state(obj, profile: CapacityProfile, where: str = "initial.toda")
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def toda_state_json(state: TodaState, profile: bool = True) -> str:
-    """The state as record text, with the profile when `profile`."""
-    text = f'{{"E":{_ints(state.E)},"N":{state.N},"Q":{_ints(state.Q)},"X0":{state.X0}'
+class _FieldText:
+    """One int field's last tuple and its text."""
+
+    __slots__ = ("values", "text")
+
+    def __init__(self):
+        self.values = ()
+        self.text = "[]"
+
+    def of(self, values: Tuple[int, ...]) -> str:
+        # renders only a tuple not equal by value to the last one
+        if values != self.values:
+            self.values = values
+            self.text = _ints(values)
+        return self.text
+
+
+class TodaText:
+    """The text state of one run's Toda records: for Q and E of the state
+    and Qbar, Ebar, Cbar, Dbar, K and Lam of the trace, the last tuple
+    written and its text.  Solitons keep their sizes once they separate,
+    and the capacities they meet stay the same within one capacity
+    regime, so most of these fields repeat from one step to the next."""
+
+    __slots__ = ("Q", "E", "Qbar", "Ebar", "Cbar", "Dbar", "K", "Lam")
+
+    def __init__(self):
+        for name in self.__slots__:
+            setattr(self, name, _FieldText())
+
+
+def toda_state_json(
+    state: TodaState, profile: bool = True, last: Optional[TodaText] = None
+) -> str:
+    """The state as record text, with the profile when `profile`; `last`
+    is the run's TodaText, a fresh one when not given."""
+    if last is None:
+        last = TodaText()
+    text = f'{{"E":{last.E.of(state.E)},"N":{state.N},"Q":{last.Q.of(state.Q)},"X0":{state.X0}'
     if profile:
         text += f',"profile":{dump(profile_json(state.profile))}'
     return f'{text},"time":{state.time}}}'
 
 
-def toda_trace_json(trace: TodaStepTrace) -> str:
+def toda_trace_json(trace: TodaStepTrace, last: Optional[TodaText] = None) -> str:
+    """The trace as record text; `last` as for toda_state_json."""
+    if last is None:
+        last = TodaText()
     return (
-        f'{{"Cbar":{_ints(trace.Cbar)},"Dbar":{_ints(trace.Dbar)},'
-        f'"Ebar":{_ints(trace.Ebar)},"K":{_ints(trace.K)},"Lam":{_ints(trace.Lam)},'
-        f'"Qbar":{_ints(trace.Qbar)},"Xbar0":{trace.Xbar0}}}'
+        f'{{"Cbar":{last.Cbar.of(trace.Cbar)},"Dbar":{last.Dbar.of(trace.Dbar)},'
+        f'"Ebar":{last.Ebar.of(trace.Ebar)},"K":{last.K.of(trace.K)},'
+        f'"Lam":{last.Lam.of(trace.Lam)},"Qbar":{last.Qbar.of(trace.Qbar)},'
+        f'"Xbar0":{trace.Xbar0}}}'
     )
 
 

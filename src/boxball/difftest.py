@@ -135,18 +135,34 @@ class DiffReport:
         }
 
 
+# the most balls a case may draw.  A step's carrier walks one box per ball
+# it passes on and may leave each ball in a box of its own: one box of
+# 2**18 balls under M = +inf steps in 0.15 s to 2**18 pairs (about 60 MB)
+# on a 2-core Xeon host, and a case near max_delta = 2**63 - 1 would never
+# finish its first step
+MAX_CASE_BALLS = 2**20
+
+
 def random_case(
     rng: np.random.Generator, bounds: DiffBounds
 ) -> Tuple[EulerState, CarrierSchedule]:
     """Window length <= bounds.window, capacities in [1, max_delta], counts
     uniform in [0, capacity], all-zero rejected, one carrier capacity drawn
-    per evolved step."""
+    per evolved step.  More than MAX_CASE_BALLS balls raise FiniteOverflow
+    before any route runs."""
     wlen = int(rng.integers(1, bounds.window + 1))
     caps = rng.integers(1, bounds.max_delta + 1, size=wlen)
     while True:
         counts = rng.integers(0, caps + 1)
-        if counts.sum() > 0:
+        # in Python ints, which an int64 sum near max_delta = 2**63 - 1 wraps
+        balls = sum(counts.tolist())
+        if balls > 0:
             break
+    if balls > MAX_CASE_BALLS:
+        raise FiniteOverflow(
+            f"the case drew {balls} balls, more than MAX_CASE_BALLS = {MAX_CASE_BALLS}; "
+            f"lower max_delta or window"
+        )
     profile = CapacityProfile(capacities=caps.tolist())
     choices = bounds.m_choices
     # one bounded draw of every step's index reads the same 32-bit stream

@@ -162,6 +162,17 @@ class EulerStepTrace:
     carrier_loads: Pairs
     removed: Pairs
 
+    @classmethod
+    def _trusted(
+        cls, limited_counts: Pairs, carrier_loads: Pairs, removed: Pairs
+    ) -> "EulerStepTrace":
+        # for carrier_sweep's own lists, past the frozen dataclass __init__
+        tr = object.__new__(cls)
+        tr.__dict__.update(
+            limited_counts=limited_counts, carrier_loads=carrier_loads, removed=removed
+        )
+        return tr
+
 
 def _start(state: EulerState) -> int:
     # a step's window starts at the first ball: every box left of it is
@@ -191,7 +202,7 @@ def euler_step(
     occupied, limited, loads, removed = _kernels.carrier_sweep(
         state.occupied, state.profile, schedule.at(state.time + 1).bound, start + MAX_SPAN
     )
-    return _next_state(state, start, occupied), EulerStepTrace(limited, loads, removed)
+    return _next_state(state, start, occupied), EulerStepTrace._trusted(limited, loads, removed)
 
 
 def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerState:

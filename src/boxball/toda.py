@@ -212,7 +212,9 @@ def lagrange_step(
 def capacities_for_state(state: TodaState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
     """Box capacities at each run start (K) and gap start (Lam), sampled
     from the segment geometry at the state's current positions, walked as
-    Y_n = X_n + Q_n, X_{n+1} = Y_n + E_n (the positions of toda_to_lagrange)."""
+    Y_n = X_n + Q_n, X_{n+1} = Y_n + E_n (the positions of toda_to_lagrange).
+    extoda_step reads them here; enutoda_step, which extoda_step checks,
+    samples them in its own loop."""
     cap = state.profile.segment_capacity
     q, e = state.Q, state.E
     x = state.X0
@@ -255,59 +257,73 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
     Requires K_n <= M; with M = +inf the trimming disappears and the step
     coincides with extoda_step.
 
-    The first loop runs Dbar, Qbar, Cbar and Q' together (Q'_n needs only
-    Cbar_{n+1}); the second runs Ebar and E', which need Dbar_{n+1}.
+    One loop walks the positions X_n and Y_n = X_n + Q_n, reads K_n and
+    Lam_n off the segment geometry as it reaches them (K_{n+1} at
+    X_{n+1} = Y_n + E_n one position ahead), and runs Dbar, Qbar, Cbar and
+    Q' together (Q'_n needs only Cbar_{n+1}); Ebar and E' of gap n - 1,
+    which need Dbar_n, run one index behind in the same loop.
     """
     m = schedule.at(state.time + 1).bound
-    k, lam = capacities_for_state(state)
-    if m is not None and max(k) > m:
-        bad = [v for v in k if v > m]
-        raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m}")
-
+    cap = state.profile.segment_capacity
     q, e = state.Q, state.E
     last = len(q) - 1
 
-    c = k[0]
+    x = state.X0
+    kn = cap(x)
+    k = [kn]
+    lam = []
+    c = kn
     cbar = [c]
     dbar = []
     qbar = []
-    slack = []  # max(0, Lam_{n+1} - Dbar_n)
     qp = []
+    ebar = []
+    ep = []
     for n in range(last + 1):
-        kn = k[n]
-        d = c + q[n] - kn
+        qn = q[n]
+        y = x + qn
+        ln = cap(y)
+        lam.append(ln)
+        d = c + qn - kn
         if m is not None and d > m:
             d = m
-        s = lam[n] - d
+        s = ln - d  # max(0, Lam_{n+1} - Dbar_n)
         s = s if s > 0 else 0
         if n < last:
-            qb = e[n] - s
+            en = e[n]
+            x = y + en
+            kn1 = cap(x)
+            k.append(kn1)
+            qb = en - s
             qb = qb if qb < d else d
-            kn1 = k[n + 1]
         else:
             qb = d
             kn1 = 0
         c1 = d - qb + kn1
         if m is not None and c1 > m:
             c1 = m
+        if n:  # gap n - 1, from run n - 1's Qbar, slack and Dbar
+            eb = e[n - 1] - qb_prev + qn - s_prev + s
+            ebar.append(eb)
+            ep.append(eb + qb_prev - qn - d_prev + d)
+        else:
+            xbar0 = state.X0 + qn + s
+            xp0 = state.X0 + (d if d > ln else ln)
         dbar.append(d)
         qbar.append(qb)
-        slack.append(s)
         cbar.append(c1)
-        qp.append(q[n] + c - c1 - kn + kn1)
+        qp.append(qn + c - c1 - kn + kn1)
         c = c1
+        kn = kn1
+        qb_prev = qb
+        s_prev = s
+        d_prev = d
 
-    ebar = []
-    ep = []
-    for i in range(last):
-        eb = e[i] - qbar[i] + q[i + 1] - slack[i] + slack[i + 1]
-        ebar.append(eb)
-        ep.append(eb + qbar[i] - q[i + 1] - dbar[i] + dbar[i + 1])
-
-    d0 = dbar[0]
-    xbar0 = state.X0 + q[0] + slack[0]
-    xp0 = state.X0 + (d0 if d0 > lam[0] else lam[0])
-
+    # the loop only adds and compares, so K checked against M after it
+    # raises what a check before it would
+    if m is not None and max(k) > m:
+        bad = [v for v in k if v > m]
+        raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m}")
     if sum(qp) != sum(q):
         raise AssertionError("ball count broke in enutoda_step (bug)")
     if min(qp) < 1 or min(ep, default=1) < 1:
@@ -316,7 +332,7 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
     # Q', E' >= 1 as just checked, and X0' >= X0 >= 0
     new_state = TodaState._trusted(tuple(qp), tuple(ep), xp0, state.profile, state.time + 1)
     trace = TodaStepTrace._trusted(
-        tuple(qbar), tuple(ebar), tuple(cbar), tuple(dbar), xbar0, k, lam
+        tuple(qbar), tuple(ebar), tuple(cbar), tuple(dbar), xbar0, tuple(k), tuple(lam)
     )
     return new_state, trace
 

@@ -3,6 +3,7 @@ import os
 import resource
 import subprocess
 import sys
+import time
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -327,6 +328,32 @@ def test_simulate_blocks_keep_the_walks_records_and_errors(
         *_, code = assert_blocks_match_the_walk(monkeypatch, capsys, argv)
         codes.add(code if isinstance(code, int) else code[0])
     assert len(codes) > 1
+
+
+def test_simulate_runs_back_to_back_each_give_the_bytes_of_a_fresh_run(
+    monkeypatch, capsys, tmp_path
+):
+    # each run renders its Toda fields from a text state of its own: two
+    # configs with other sizes, gaps and capacities, run one after the
+    # other in one process, give the from-scratch walk's bytes every time
+    pair = write_json(
+        tmp_path / "pair.json",
+        {
+            "representation": "toda",
+            "steps": 30,
+            "render": "json",
+            "profile": {"capacities": [1, 2, 1, 1, 2], "default": 1},
+            "initial": {"euler": {"counts": [1, 2, 0, 0, 1]}},
+        },
+    )
+    argvs = [showcase_argv("both", "json", tmp_path, steps=60), ["simulate", "--config", pair]]
+    with monkeypatch.context() as m:
+        m.setattr(cli, "cmd_simulate", step_by_step_simulate)
+        fresh = [simulate_outcome(capsys, argv) for argv in argvs]
+    for argv, want in zip(argvs * 2, fresh * 2):
+        assert simulate_outcome(capsys, argv) == want
+    assert [code for *_, code in fresh] == [0, 0]
+    assert [len(out.splitlines()) for out, *_ in fresh] == [60, 30]
 
 
 @pytest.mark.parametrize("representation", ["toda", "both"])
@@ -759,6 +786,19 @@ def test_difftest_euler_only_allows_small_m(capsys):
             "--max-delta", "5", "--m-choices", "1,2,inf", "--euler-only"]
     assert main(args) == 0
     assert json.loads(capsys.readouterr().out)["failures"] == []
+
+
+def test_difftest_case_past_max_case_balls_exits_2(capsys):
+    near_int64 = str(2**63 - 1)
+    args = ["difftest", "--cases", "1", "--window", "2", "--steps", "2",
+            "--max-delta", near_int64, "--m-choices", near_int64]
+    start = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FiniteOverflow: the case drew ")
+    assert "MAX_CASE_BALLS" in captured.err and "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(

@@ -808,6 +808,32 @@ def test_default_m_choices_past_int64_name_max_delta():
     assert DiffBounds(max_delta=2**63 - 5, m_choices=(POS_INF,)).m_choices == (POS_INF,)
 
 
+def test_a_case_past_max_case_balls_is_named_before_any_route_runs(monkeypatch):
+    # max_delta near int64 draws about 3.5e17 balls, and a step's carrier
+    # walks one box per ball; two such counts also wrap an int64 sum
+    def no_route(*args):
+        raise AssertionError("a route ran")
+
+    for name in ("from_euler", "euler_step", "carrier_oracle_step"):
+        monkeypatch.setattr(difftest, name, no_route)
+    start = time.perf_counter()
+    bounds = DiffBounds(max_delta=2**63 - 1, m_choices=(2**63 - 1,), window=2, steps=2)
+    drew = r"^the case drew \d+ balls, more than MAX_CASE_BALLS"
+    with pytest.raises(FiniteOverflow, match=drew):
+        run_difftest(1, 0, bounds)
+    assert time.perf_counter() - start < 1
+
+
+def test_max_case_balls_is_the_most_a_case_may_draw(monkeypatch):
+    bounds = DiffBounds(window=32, max_delta=5, steps=1)
+    state, _ = random_case(np.random.default_rng([0, 0]), bounds)
+    monkeypatch.setattr(difftest, "MAX_CASE_BALLS", state.total_balls)
+    assert random_case(np.random.default_rng([0, 0]), bounds)[0] == state
+    monkeypatch.setattr(difftest, "MAX_CASE_BALLS", state.total_balls - 1)
+    with pytest.raises(FiniteOverflow, match=f"drew {state.total_balls} balls"):
+        random_case(np.random.default_rng([0, 0]), bounds)
+
+
 def test_m_choices_are_resolved_with_the_bounds():
     default = (*map(XInt, range(5, 11)), POS_INF)
     assert DiffBounds().m_choices == default

@@ -33,8 +33,10 @@ from boxball import (
     same_occupancy,
     to_euler,
 )
+from boxball import config as writers
 from boxball.cli import _initial_states, main
 from boxball.config import (
+    TodaText,
     euler_state_json,
     euler_trace_json,
     parse_config,
@@ -273,6 +275,71 @@ def test_toda_trace_json_matches_the_dict_writer(qbar, ebar, cbar, dbar, xbar0, 
         K=tuple(k), Lam=tuple(lam),
     )
     assert toda_trace_json(trace) == reference_dump(reference_toda_trace(trace))
+
+
+field_pools = st.lists(st.lists(ints, max_size=4).map(tuple), min_size=1, max_size=3)
+
+
+@st.composite
+def toda_record_runs(draw):
+    """The (state, trace) of each record of one run.  Each field is drawn
+    from a pool of at most three values of its own (the state's Q and E as
+    a pair, N = 1 with E = () among them), so a field repeats, changes,
+    changes back (A, B, A) and changes length, each on its own."""
+    states = draw(st.lists(toda_states(), min_size=1, max_size=3))
+    pools = {name: draw(field_pools) for name in ("Qbar", "Ebar", "Cbar", "Dbar", "K", "Lam")}
+    run = []
+    for _ in range(draw(st.integers(1, 8))):
+        fields = {name: draw(st.sampled_from(pool)) for name, pool in pools.items()}
+        trace = TodaStepTrace(Xbar0=draw(ints), **fields)
+        run.append((draw(st.sampled_from(states)), trace))
+    return run
+
+
+def toda_record(q, e, trace_values):
+    state = TodaState(Q=q, E=e, X0=1, profile=CapacityProfile())
+    trace = TodaStepTrace(*trace_values[:4], 2, *trace_values[4:])
+    return state, trace
+
+
+ONE = toda_record((3,), (), ((3,), (), (1, 0), (3,), (1,), (1,)))
+TWO = toda_record((2, 1), (4,), ((2, 1), (4,), (1, 1, 0), (2, 1), (1, 1), (1, 2)))
+
+
+@given(toda_record_runs())
+@example([ONE, TWO, ONE, ONE])  # N = 1 with E = (), then N = 2, and back
+@example([TWO, toda_record((2, 1), (5,), ((2, 1), (5,), (1, 1, 0), (2, 1), (1, 1), (1, 2))), TWO])
+def test_toda_records_of_a_run_match_the_dict_writer(run):
+    text = TodaText()
+    for i, (state, trace) in enumerate(run):
+        first = i == 0
+        assert toda_state_json(state, profile=first, last=text) == reference_dump(
+            reference_toda_state(state, first)
+        )
+        assert toda_trace_json(trace, last=text) == reference_dump(reference_toda_trace(trace))
+
+
+def test_a_toda_field_is_rendered_again_only_when_its_tuple_changes(monkeypatch):
+    rendered = []
+
+    def ints_text(values):
+        rendered.append(tuple(values))
+        return real(values)
+
+    real = writers._ints
+    monkeypatch.setattr(writers, "_ints", ints_text)
+    text = TodaText()
+    for state, trace in (ONE, TWO, TWO, ONE):
+        # an equal tuple that is not the same object is not rendered again
+        state = TodaState(Q=tuple(list(state.Q)), E=state.E, X0=state.X0, profile=state.profile)
+        toda_state_json(state, last=text)
+        toda_trace_json(trace, last=text)
+    # in writing order; E = () is the text a fresh field starts from
+    assert rendered == [
+        (3,), (1, 0), (3,), (1,), (1,), (3,),  # ONE: Q, Cbar, Dbar, K, Lam, Qbar
+        (4,), (2, 1), (1, 1, 0), (2, 1), (4,), (1, 1), (1, 2), (2, 1),  # TWO: all
+        (), (3,), (1, 0), (3,), (), (1,), (1,), (3,),  # ONE again: all
+    ]
 
 
 @st.composite
