@@ -303,9 +303,10 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
         if m is not None and c1 > m:
             c1 = m
         if n:  # gap n - 1, from run n - 1's Qbar, slack and Dbar
+            qb_prev = qbar[-1]
             eb = e[n - 1] - qb_prev + qn - s_prev + s
             ebar.append(eb)
-            ep.append(eb + qb_prev - qn - d_prev + d)
+            ep.append(eb + qb_prev - qn - dbar[-1] + d)
         else:
             xbar0 = state.X0 + qn + s
             xp0 = state.X0 + (d if d > ln else ln)
@@ -315,9 +316,7 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
         qp.append(qn + c - c1 - kn + kn1)
         c = c1
         kn = kn1
-        qb_prev = qb
         s_prev = s
-        d_prev = d
 
     # the loop only adds and compares, so K checked against M after it
     # raises what a check before it would
