@@ -14,7 +14,6 @@ from .euler import (
     carrier_oracle_step,
     euler_step,
     first_difference,
-    nukdv_step,
     same_occupancy,
     umkdv_residual,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "from_euler",
     "lagrange_step",
     "lagrange_to_toda",
-    "nukdv_step",
     "same_occupancy",
     "tau_states",
     "tau_toda_state",

@@ -7,10 +7,10 @@ boxes, given as (box, count) pairs, and the boxes a loaded carrier passes:
 its cost follows the balls and the carried span, not the window length.
 The skip is exact for valid input (0 <= counts <= caps, carrier capacity
 >= 0).  carrier_sweep is the step itself.  ball_queue_sweep, the
-independent oracle, walks the balls one by one through a FIFO queue, and
-free_flow_sweep is the M = +inf cross-check of carrier_sweep through
-nukdv_step; both share no code with carrier_sweep and stop once their
-carrier is empty past the last ball.
+independent oracle, walks the balls one by one through a FIFO queue, shares
+no code with carrier_sweep and stops once its carrier is empty past the
+last ball.  It and euler.umkdv_residual, whose equation has one solution
+U', pin the unbounded rule U'_n = min(cap_n - U_n, S_n) at M = +inf.
 
 Box capacities are read inline from the profile's table(), bound once per
 sweep: box n holds caps[n - ws] if ws <= n < we else dcap.  The carrier
@@ -146,23 +146,3 @@ def ball_queue_sweep(occupied, profile, m):
             n += 1
     return tuple(sorted(new.items())), len(queue)
 
-
-def free_flow_sweep(occupied, profile):
-    """Carrier sweep without a capacity bound (no trimming, no recovery),
-    over the boxes ball_queue_sweep walks.  Returns (new_occupied,
-    leftover load)."""
-    caps, ws, we, dcap = profile.table()
-    ahead = list(reversed(occupied))  # the occupied boxes not reached yet
-    stop = sum(u for _, u in occupied) + (occupied[-1][0] if occupied else 0)
-    new = []
-    load = n = 0
-    while (load or ahead) and n <= stop:
-        if not load:  # an empty carrier passes empty boxes unchanged
-            n = ahead[-1][0]
-        u = ahead.pop()[1] if ahead and ahead[-1][0] == n else 0
-        put = min((caps[n - ws] if ws <= n < we else dcap) - u, load)
-        if put:
-            new.append((n, put))
-        load += u - put
-        n += 1
-    return tuple(new), load

@@ -22,6 +22,7 @@ from .config import (
     euler_trace_json,
     n_range_fits,
     parse_config,
+    parse_range,
     parse_solution_file,
     toda_state_json,
     toda_trace_json,
@@ -75,9 +76,9 @@ def cmd_simulate(args) -> int:
     The run keeps one TodaText, made here, so a JSON record renders a Toda
     field again only when its tuple changed since the record before.
 
-    Whatever a route or check raises (an Exception) is held with its step,
-    and a later pass runs only over the steps before it, so at one step an
-    Euler raise comes before a Toda one.  The record pass writes every
+    Whatever a route or check raises (an Exception) is held, and a later
+    pass runs only over the steps before the one that raised, so at one
+    step an Euler raise comes before a Toda one.  The record pass writes every
     record before that step, then raises it.  stdout, stderr and the exit
     code are thus those of a walk that runs the routes, the check and the
     record of one step before the next, byte for byte."""
@@ -101,7 +102,7 @@ def cmd_simulate(args) -> int:
     divergence = None  # stderr line naming the first mismatch
     for begin in range(0, steps, _BLOCK):
         stop = min(_BLOCK, steps - begin)
-        held = None  # (step in the block, what it raised)
+        held = None  # what a route or check of the block raised
         # the (state, trace) of each step the Euler and the Toda pass ran,
         # made here so the last block's are freed before this one runs
         eulers, todas, verdicts = [], [], []
@@ -111,10 +112,9 @@ def cmd_simulate(args) -> int:
                     euler, etrace = euler_step(euler, schedule)
                     eulers.append((euler, etrace))
             except Exception as exc:
-                held = (len(eulers), exc)
+                held = exc
                 stop = len(eulers)
         if toda is not None:
-            i = 0
             try:
                 for i in range(stop):
                     toda, ttrace = enutoda_step(toda, schedule)
@@ -132,7 +132,7 @@ def cmd_simulate(args) -> int:
                                 f"toda (Q, E, X0) = ({list(toda.Q)}, {list(toda.E)}, {toda.X0})"
                             )
             except Exception as exc:
-                held = (i, exc)
+                held = exc
                 stop = i
         if render != "none":
             for i in range(stop):
@@ -169,7 +169,7 @@ def cmd_simulate(args) -> int:
                         line += f"  [{verdict}]"
                     _emit(line)
         if held is not None:
-            raise held[1]
+            raise held
     if divergence is not None:
         _diag(divergence)
         return 1
@@ -224,23 +224,12 @@ def cmd_difftest(args) -> int:
     return 0 if report.ok else 1
 
 
-def _parse_range(text: str, what: str) -> Tuple[int, int]:
-    try:
-        lo, hi = text.split(":")
-        lo, hi = int(lo), int(hi)
-    except ValueError:
-        raise ConfigError(f"{what} must look like A:B") from None
-    if lo > hi:
-        raise ConfigError(f"{what}: need A <= B")
-    return lo, hi
-
-
 def cmd_solution(args) -> int:
     spec = parse_solution_file(args.params, args.type)
     params = spec.params
-    t_lo, t_hi = _parse_range(args.t_range or ("0:10" if args.type == "euler" else "0:15"), "--t-range")
+    t_lo, t_hi = parse_range(args.t_range or ("0:10" if args.type == "euler" else "0:15"), "--t-range")
     if args.type == "euler":
-        n_range = _parse_range(args.n_range, "--n-range") if args.n_range else spec.n_range
+        n_range = parse_range(args.n_range, "--n-range") if args.n_range else spec.n_range
         if n_range is None:
             raise ConfigError("need --n-range or params.n_range for the counts-level solution")
         lo, hi = n_range

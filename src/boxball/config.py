@@ -63,6 +63,17 @@ def _int(obj, where: str) -> int:
     return obj
 
 
+def parse_range(text: str, what: str) -> Tuple[int, int]:
+    """An A:B command-line range of int64 values with A <= B."""
+    try:
+        lo, hi = map(int, text.split(":"))
+    except ValueError:
+        raise ConfigError(f"{what} must look like A:B") from None
+    if _int(lo, what) > _int(hi, what):
+        raise ConfigError(f"{what}: need A <= B")
+    return lo, hi
+
+
 def _int_list(obj, where: str) -> Tuple[int, ...]:
     if not isinstance(obj, list):
         raise ConfigError(f"{where} must be an array of integers")

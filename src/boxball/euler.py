@@ -30,10 +30,10 @@ Pairs = Tuple[Tuple[int, int], ...]
 
 
 class WindowOverflow(RuntimeError):
-    """An oracle's carrier still loaded when its walk stops.
+    """The ball-by-ball oracle's carrier still loaded when its walk stops.
 
-    The oracles walk the occupied boxes until their carrier is empty past
-    the last ball, and stop at box `last ball + total balls` at the latest.
+    The oracle walks the occupied boxes until its carrier is empty past
+    the last ball, and stops at box `last ball + total balls` at the latest.
     Each box past the last ball takes at least one carried ball, so the
     carrier is provably empty by then; this is an internal bug guard.
     """
@@ -216,18 +216,6 @@ def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerSt
     )
     if leftover != 0:
         raise WindowOverflow(f"{leftover} balls left in carrier, t={state.time}")
-    return _next_state(state, _start(state), occupied)
-
-
-def nukdv_step(state: EulerState) -> EulerState:
-    """Advance one step of the unbounded-carrier equation
-    U'_n = min(cap_n - U_n, sum_{j<n}(U_j - U'_j)).
-
-    Coincides with euler_step under an infinite carrier capacity.
-    """
-    occupied, leftover = _kernels.free_flow_sweep(state.occupied, state.profile)
-    if leftover != 0:
-        raise WindowOverflow(f"load {leftover} at right edge, t={state.time}")
     return _next_state(state, _start(state), occupied)
 
 

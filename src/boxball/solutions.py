@@ -220,13 +220,16 @@ def _columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 _BLOCK = 64
 
 
-def _euler_headroom(params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int):
+def _euler_range_fits(params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int):
     # |sum_{j<x} min(P_i, .)| <= P_i |x|
     reach = 1 + max(abs(n_lo), abs(n_hi + 1)) + max(abs(t_lo), abs(t_hi + 1))
     _require_headroom(
         params.N * params.N * max(params.P)
         + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, params.P))
     )
+    # numpy sizes no array past INT64_MAX bytes; a block holds 3 (_BLOCK + 1) per box
+    if 24 * (_BLOCK + 1) * (n_hi - n_lo + 1) > INT64_MAX:
+        raise MemoryError(f"a closed-form block over boxes [{n_lo}, {n_hi}] cannot be sized")
 
 
 def _euler_fields(
@@ -272,10 +275,9 @@ def _euler_fields(
     is O(N^2) per live (box, time) column and O(W) per slice for the
     output, so a late slice costs what its solitons do.
 
-    Raises FiniteOverflow if a potential can leave int64.
+    Callers check a range holding this one with `_euler_range_fits` first.
     """
     big_n = params.N
-    _euler_headroom(params, n_lo, n_hi, t_lo, t_hi)
     # tied speeds may come in either order: their pair weighs 2 P both ways
     order = sorted(range(big_n), key=lambda i: -params.P[i])
     p = tuple(params.P[i] for i in order)
@@ -339,9 +341,9 @@ def euler_slices(
 ) -> Iterator[EulerFieldSlice]:
     """The fields of `_euler_fields` at t = t_lo .. t_hi over boxes
     [n_lo, n_hi], evaluated a block of at most _BLOCK slices at a time, as
-    row views of the block.  Raises FiniteOverflow before the first slice if
-    a potential of the range can leave int64."""
-    _euler_headroom(params, n_lo, n_hi, t_lo, t_hi)
+    row views of the block.  Raises before the first slice: FiniteOverflow if
+    a potential can leave int64, MemoryError if a block cannot be sized."""
+    _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
     for b_lo in range(t_lo, t_hi + 1, _BLOCK):
         block = _euler_fields(params, n_lo, n_hi, b_lo, min(b_lo + _BLOCK - 1, t_hi))
         for r, (u, ubar, zbar) in enumerate(block.swapaxes(0, 1)):
@@ -388,10 +390,12 @@ def verify_euler_solution(
     The rules are local in n, so they are checked pointwise wherever all
     referenced neighbours lie inside the window, quiet boxes included; no
     support assumption is needed.  Raises ValueError when n_hi < n_lo - 1,
-    where the inclusive range [n_lo, n_hi] would have a negative length.
+    where the inclusive range [n_lo, n_hi] would have a negative length,
+    and before the first block what `euler_slices` raises for the range.
     """
     if n_hi < n_lo - 1:
         raise ValueError(f"box range [n_lo, n_hi] = [{n_lo}, {n_hi}] is reversed")
+    _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
     caps = params.profile.caps_array(n_lo, n_hi - n_lo + 1)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
     for b_lo in range(t_lo, t_hi, _BLOCK):

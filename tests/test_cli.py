@@ -714,28 +714,31 @@ HUGE_N_RANGE_CASES = {
 }
 
 
+def n_range_args(tmp_path, params, n_range, how):
+    """The command line of a HUGE_N_RANGE_CASES entry, with n_range in the
+    simulate config, in the params file or as --n-range."""
+    words = how.split()
+    if words[0] == "simulate":
+        cfg = write_json(tmp_path / "sol.json", {
+            "representation": "euler", "steps": 1, "render": "json",
+            "initial": {"solution": {"type": "euler", "params": {**params, "n_range": n_range}}}})
+        return ["simulate", "--config", cfg]
+    if "--n-range" in words:
+        args = ["--n-range", f"{n_range[0]}:{n_range[1]}"]
+    else:
+        params = {**params, "n_range": n_range}
+        args = []
+    path = write_json(tmp_path / "params.json", params)
+    return ["solution", "--params", path, "--type", "euler", *args] + ["--verify"] * ("--verify" in words)
+
+
 @pytest.mark.parametrize("how", list(HUGE_N_RANGE_CASES))
 def test_huge_n_range_exit_code(tmp_path, how):
     # the closed form is evaluated over the whole n_range; under a 2 GiB
     # address space its arrays cannot be allocated, and the run names the
     # key instead of ending in numpy's MemoryError
     params = json.loads((ROOT / "configs" / "soliton_pair.json").read_text())
-    words = how.split()
-    if words[0] == "simulate":
-        params["n_range"] = HUGE_N_RANGE
-        cfg = write_json(tmp_path / "sol.json", {
-            "representation": "euler", "steps": 1, "render": "json",
-            "initial": {"solution": {"type": "euler", "params": params}}})
-        args = ["simulate", "--config", cfg]
-    else:
-        if "--n-range" in words:
-            args = ["--n-range", f"{HUGE_N_RANGE[0]}:{HUGE_N_RANGE[1]}"]
-        else:
-            params["n_range"] = HUGE_N_RANGE
-            args = []
-        path = write_json(tmp_path / "params.json", params)
-        args = ["solution", "--params", path, "--type", "euler", *args]
-        args += ["--verify"] * ("--verify" in words)
+    args = n_range_args(tmp_path, params, HUGE_N_RANGE, how)
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "boxball.cli", *args], capture_output=True, env=env,
@@ -746,6 +749,54 @@ def test_huge_n_range_exit_code(tmp_path, how):
     named = f"error: {HUGE_N_RANGE_CASES[how]} [0, 1099511627776] spans 1099511627777 boxes"
     assert proc.stderr.startswith(named.encode())
     assert b"Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("how", list(HUGE_N_RANGE_CASES))
+def test_unsizable_n_range_exit_code(tmp_path, capsys, how):
+    # a zero speed passes the int64 headroom check at any range, and numpy
+    # cannot even size an array over 2^62 boxes: the run names the key
+    # before any array is made
+    args = n_range_args(tmp_path, {"P": [0], "Xi": [0]}, [0, 2**62], how)
+    began = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - began < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: {HUGE_N_RANGE_CASES[how]} [0, {2**62}] spans {2**62 + 1} boxes, more than memory holds"
+    )
+
+
+def test_solution_verify_checks_headroom_before_any_block(monkeypatch, capsys):
+    # the int64 bound of the whole t range is checked up front: no block of
+    # the 2^62 transitions is evaluated before the run stops
+    from boxball import solutions as solutions_mod
+
+    def no_block(*args):
+        raise AssertionError("a block ran before the headroom check")
+
+    monkeypatch.setattr(solutions_mod, "_euler_fields", no_block)
+    params = str(ROOT / "configs" / "soliton_pair.json")
+    args = ["solution", "--params", params, "--type", "euler", "--verify", "--t-range", f"0:{2**62}"]
+    began = time.perf_counter()
+    assert main(args) == 2
+    assert time.perf_counter() - began < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: FiniteOverflow: potentials up to ")
+
+
+@pytest.mark.parametrize(
+    "kind, flag", [("tau", "--t-range"), ("euler", "--t-range"), ("euler", "--n-range")]
+)
+@pytest.mark.parametrize("text", [f"0:{2**63}", f"{-2**63 - 1}:0"])
+def test_solution_cli_range_outside_int64_exit_code(capsys, kind, flag, text):
+    params = str(ROOT / "configs" / f"{'soliton' if kind == 'euler' else 'tau'}_pair.json")
+    assert main(["solution", "--params", params, "--type", kind, f"{flag}={text}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    bad = max(text.split(":"), key=lambda v: abs(int(v)))
+    assert captured.err == f"error: {flag} must lie in the signed 64-bit range, got {bad}\n"
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,6 @@ from boxball import (
     euler_step,
     expand,
     first_difference,
-    nukdv_step,
     same_occupancy,
     to_euler,
     umkdv_residual,
@@ -101,19 +100,11 @@ def test_single_ball_advances_one_box(m):
         assert line(nxt, k + 2) == [0] * (k + 1) + [1]
 
 
-def test_nukdv_examples():
-    assert nukdv_step(unit_state([1, 0, 1, 1, 0, 0])).counts.tolist() == [0, 1, 0, 0, 1, 1]
-    # single ball moves right regardless of position
-    st = nukdv_step(unit_state([0, 0, 1]))
-    assert line(st, 4) == [0, 0, 0, 1]
-
-
-def test_nukdv_equals_unbounded_euler_on_random_states():
+def test_unbounded_trace_removes_nothing_on_random_states():
     for i in range(400):
         rng = np.random.default_rng([2024, i])
         st, _ = random_case(rng, DiffBounds(window=20, max_delta=4, steps=1))
         nxt, tr = euler_step(st, CarrierSchedule())
-        assert nukdv_step(st) == nxt
         # no capacity bound: nothing removed, new counts equal the limited ones
         limited, _, removed = trace_arrays(tr, nxt)
         assert removed.sum() == 0
@@ -207,8 +198,6 @@ def test_oracle_equivalence_property(case):
     assert carrier_oracle_step(st_, sched) == nxt
     assert nxt.total_balls == st_.total_balls
     assert umkdv_residual(st_, nxt, tr, m).ok
-    if m.bound is None:
-        assert nukdv_step(st_) == nxt
 
 
 def test_window_overflow_guard(monkeypatch):
@@ -259,7 +248,6 @@ def test_window_starts_at_the_first_ball():
     trace_arrays(tr, nxt)
     assert carrier_oracle_step(st, sched) == nxt
     assert carrier_oracle_step(st, sched).window_start == 6
-    assert nukdv_step(st).window_start == 6
     assert umkdv_residual(st, nxt, tr, XInt(2)).ok
     # an all-zero state keeps its window
     zero = EulerState(counts=[0, 0], profile=p, window_start=4)
@@ -421,6 +409,45 @@ def test_residual_reads_a_gap_at_its_largest_capacity():
         assert (rep.max_violation, rep.carrier_identity_max, rep.boxes) == (worst, 3, 6)
 
 
+def one_ball_changes(counts, caps):
+    """Every count array one ball away from `counts` within 0 .. caps: a
+    ball removed, added, or moved to another box."""
+    for a in range(len(counts)):
+        if counts[a]:
+            removed = counts.copy()
+            removed[a] -= 1
+            yield removed
+            for b in range(len(counts)):
+                if b != a and removed[b] < caps[b]:
+                    moved = removed.copy()
+                    moved[b] += 1
+                    yield moved
+        if counts[a] < caps[a]:
+            added = counts.copy()
+            added[a] += 1
+            yield added
+
+
+@pytest.mark.parametrize("m_choices", [(), (*map(XInt, range(4)), POS_INF), (POS_INF,)],
+                         ids=["criterion_3", "small_m", "inf"])
+def test_residual_has_exactly_one_zero(m_choices):
+    # S_n reads only boxes left of n, so the single equation fixes U' box by
+    # box: every state one ball away from euler_step's output violates it,
+    # on the two windows and the box past them
+    bounds = DiffBounds(window=32, max_delta=5, m_choices=m_choices, steps=1, include_toda=False)
+    for i in range(25):
+        st, sched = random_case(np.random.default_rng([77, i]), bounds)
+        m = sched.at(1)
+        nxt, tr = euler_step(st, sched)
+        lo = min(st.window_start, nxt.window_start)
+        w = max(st.window_end, nxt.window_end) + 1 - lo
+        assert umkdv_residual(st, nxt, tr, m).ok
+        caps = st.profile.caps_array(lo, w)
+        for counts in one_ball_changes(lay(nxt.occupied, lo, w), caps):
+            other = EulerState(counts=counts, profile=st.profile, time=1, window_start=lo)
+            assert umkdv_residual(st, other, tr, m).max_violation > 0, (st, m, counts)
+
+
 def test_far_apart_balls_cost_no_memory_for_the_gap():
     # two balls 10^7 boxes apart: one dense int64 array over the gap is 80 MB
     state = to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=0, profile=UNIT))
@@ -431,12 +458,11 @@ def test_far_apart_balls_cost_no_memory_for_the_gap():
         same = same_occupancy(nxt, to_euler(TodaState(Q=(1, 1), E=(10**7 - 1,), X0=1, profile=UNIT)))
         runs = expand(nxt)
         oracle = carrier_oracle_step(state, CarrierSchedule(default=1))
-        free = nukdv_step(state)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert nxt.occupied == ((1, 1), (10**7 + 1, 1))
-    assert oracle == nxt and free == nxt
+    assert oracle == nxt
     assert rep.ok and rep.boxes == 10**7 + 2
     assert same
     assert runs == ((1, 10**7 + 1), (2, 10**7 + 2))

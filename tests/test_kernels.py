@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from boxball import CapacityProfile, EulerState, TodaState, expand, to_euler, toda_to_lagrange
 from boxball import _kernels
-from boxball._kernels import ball_queue_sweep, carrier_sweep, free_flow_sweep
+from boxball._kernels import ball_queue_sweep, carrier_sweep
 from boxball.euler import MAX_SPAN
 
 
@@ -169,8 +169,8 @@ def test_carrier_sweep_matches_dense_loop(win, m):
 @example(CROSSING, 0)
 @example(FULL_TRIM, 2)  # arriving = M, so the trim takes every ball of box 1
 def test_oracle_sweeps_match_dense_loop(win, m):
-    # the ball-by-ball walk and, under M = +inf, the free-flow sweep lay the
-    # dense loop's new counts and end with an empty carrier
+    # the ball-by-ball walk lays the dense loop's new counts and ends with
+    # an empty carrier
     counts, profile = win
     w = len(counts) + int(counts.sum())
     padded = np.zeros(w, dtype=np.int64)
@@ -179,12 +179,9 @@ def test_oracle_sweeps_match_dense_loop(win, m):
     new, leftover = ball_queue_sweep(occupied(counts), profile, m)
     assert leftover == 0
     assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, m)[0])
-    new, leftover = free_flow_sweep(occupied(counts), profile)
-    assert leftover == 0
-    assert np.array_equal(lay(new, 0, w), dense_carrier_sweep(padded, caps, None)[0])
 
 
-@pytest.mark.parametrize("oracle", ["ball_queue_sweep", "free_flow_sweep"])
+@pytest.mark.parametrize("oracle", ["ball_queue_sweep"])
 def test_oracle_walks_share_no_code_with_carrier_sweep(oracle):
     # an oracle rewritten in terms of the sweep it checks would agree with
     # it whatever the sweep got wrong
