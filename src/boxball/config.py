@@ -82,12 +82,11 @@ def _int_list(obj, where: str) -> Tuple[int, ...]:
 
 def parse_profile(obj, where: str = "profile") -> CapacityProfile:
     _check_keys(obj, where, {"window_start", "capacities", "default"}, set())
+    caps = _int_list(obj.get("capacities", []), f"{where}.capacities")
+    start = _int(obj.get("window_start", 0), f"{where}.window_start")
+    default = _int(obj.get("default", 1), f"{where}.default")
     try:
-        return CapacityProfile(
-            capacities=_int_list(obj.get("capacities", []), f"{where}.capacities"),
-            window_start=_int(obj.get("window_start", 0), f"{where}.window_start"),
-            default_capacity=_int(obj.get("default", 1), f"{where}.default"),
-        )
+        return CapacityProfile(capacities=caps, window_start=start, default_capacity=default)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -135,13 +134,11 @@ def schedule_json(schedule: CarrierSchedule) -> dict:
 
 def parse_euler_state(obj, profile: CapacityProfile, where: str = "initial.euler") -> EulerState:
     _check_keys(obj, where, {"time", "window_start", "counts"}, {"counts"})
+    counts = _int_list(obj["counts"], f"{where}.counts")
+    time = _int(obj.get("time", 0), f"{where}.time")
+    start = _int(obj.get("window_start", 0), f"{where}.window_start")
     try:
-        return EulerState(
-            counts=_int_list(obj["counts"], f"{where}.counts"),
-            profile=profile,
-            time=_int(obj.get("time", 0), f"{where}.time"),
-            window_start=_int(obj.get("window_start", 0), f"{where}.window_start"),
-        )
+        return EulerState(counts=counts, profile=profile, time=time, window_start=start)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -183,14 +180,10 @@ def parse_toda_state(obj, profile: CapacityProfile, where: str = "initial.toda")
     e = _int_list(obj["E"], f"{where}.E")
     if "N" in obj and _int(obj["N"], f"{where}.N") != len(q):
         raise ConfigError(f"{where}.N does not match len(Q)")
+    x0 = _int(obj["X0"], f"{where}.X0")
+    time = _int(obj.get("time", 0), f"{where}.time")
     try:
-        return TodaState(
-            Q=q,
-            E=e,
-            X0=_int(obj["X0"], f"{where}.X0"),
-            profile=profile,
-            time=_int(obj.get("time", 0), f"{where}.time"),
-        )
+        return TodaState(Q=q, E=e, X0=x0, profile=profile, time=time)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
 
@@ -290,10 +283,9 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
         w = _int_list(obj["W"], f"{where}.W")
         if "N" in obj and _int(obj["N"], f"{where}.N") != len(p):
             raise ConfigError(f"{where}.N does not match len(P)")
+        delta = _int(obj["Delta"], f"{where}.Delta")
         try:
-            params = TauParams(
-                P=p, W=w, Delta=_int(obj["Delta"], f"{where}.Delta"), schedule=schedule
-            )
+            params = TauParams(P=p, W=w, Delta=delta, schedule=schedule)
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         return SolutionSpec(params=params, x0=_int(obj.get("X0", 0), f"{where}.X0"))

@@ -77,7 +77,10 @@ class EulerState:
         total = sum(values)
         if total > INT64_MAX:
             raise FiniteOverflow(f"ball total {total} is past the int64 range")
-        _fill(self, tuple(zip(boxes, values)), profile, time, window_start, window_start + len(c))
+        self.__dict__.update(  # past the frozen __setattr__, in one call
+            occupied=tuple(zip(boxes, values)), profile=profile, time=time,
+            window_start=window_start, window_end=window_start + len(c),
+        )
 
     @classmethod
     def _trusted(
@@ -91,9 +94,10 @@ class EulerState:
                 f"{window_end - window_start} boxes, more than an int64 array "
                 f"can hold ({MAX_SPAN})"
             )
-        st = object.__new__(cls)
-        _fill(st, occupied, profile, time, window_start, window_end)
-        return st
+        return _record(
+            cls, occupied=occupied, profile=profile, time=time,
+            window_start=window_start, window_end=window_end,
+        )
 
     @property
     def counts(self) -> np.ndarray:
@@ -124,12 +128,14 @@ class EulerState:
         )
 
 
-def _fill(st, occupied, profile, time, window_start, window_end) -> None:
-    # past the frozen __setattr__, in one call
-    st.__dict__.update(
-        occupied=occupied, profile=profile, time=time,
-        window_start=window_start, window_end=window_end,
-    )
+def _record(cls, **fields):
+    """A `cls` record holding `fields`, built past its validating __init__
+    and frozen __setattr__.  Entry points validate their input; the maps
+    behind them keep every invariant by construction, so their outputs are
+    built here and not checked again."""
+    rec = object.__new__(cls)
+    rec.__dict__.update(fields)
+    return rec
 
 
 def first_difference(a: EulerState, b: EulerState) -> Optional[Tuple[int, int, int]]:
@@ -162,17 +168,6 @@ class EulerStepTrace:
     carrier_loads: Pairs
     removed: Pairs
 
-    @classmethod
-    def _trusted(
-        cls, limited_counts: Pairs, carrier_loads: Pairs, removed: Pairs
-    ) -> "EulerStepTrace":
-        # for carrier_sweep's own lists, past the frozen dataclass __init__
-        tr = object.__new__(cls)
-        tr.__dict__.update(
-            limited_counts=limited_counts, carrier_loads=carrier_loads, removed=removed
-        )
-        return tr
-
 
 def _start(state: EulerState) -> int:
     # a step's window starts at the first ball: every box left of it is
@@ -202,7 +197,8 @@ def euler_step(
     occupied, limited, loads, removed = _kernels.carrier_sweep(
         state.occupied, state.profile, schedule.at(state.time + 1).bound, start + MAX_SPAN
     )
-    return _next_state(state, start, occupied), EulerStepTrace._trusted(limited, loads, removed)
+    trace = _record(EulerStepTrace, limited_counts=limited, carrier_loads=loads, removed=removed)
+    return _next_state(state, start, occupied), trace
 
 
 def carrier_oracle_step(state: EulerState, schedule: CarrierSchedule) -> EulerState:

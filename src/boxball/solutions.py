@@ -221,6 +221,8 @@ _BLOCK = 64
 
 
 def _euler_range_fits(params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int):
+    if n_hi < n_lo - 1:  # [n_lo, n_lo - 1] is the empty range
+        raise ValueError(f"box range [n_lo, n_hi] = [{n_lo}, {n_hi}] is reversed")
     # |sum_{j<x} min(P_i, .)| <= P_i |x|
     reach = 1 + max(abs(n_lo), abs(n_hi + 1)) + max(abs(t_lo), abs(t_hi + 1))
     _require_headroom(
@@ -341,8 +343,9 @@ def euler_slices(
 ) -> Iterator[EulerFieldSlice]:
     """The fields of `_euler_fields` at t = t_lo .. t_hi over boxes
     [n_lo, n_hi], evaluated a block of at most _BLOCK slices at a time, as
-    row views of the block.  Raises before the first slice: FiniteOverflow if
-    a potential can leave int64, MemoryError if a block cannot be sized."""
+    row views of the block.  Raises before the first slice: ValueError if
+    n_hi < n_lo - 1, FiniteOverflow if a potential can leave int64,
+    MemoryError if a block cannot be sized."""
     _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
     for b_lo in range(t_lo, t_hi + 1, _BLOCK):
         block = _euler_fields(params, n_lo, n_hi, b_lo, min(b_lo + _BLOCK - 1, t_hi))
@@ -360,7 +363,7 @@ def euler_nsoliton(
         Zbar_n = F0_n - F0'_n + F1'_n - F1_n,
 
     with F0 = F^{0,t}, F0' = F^{0,t+1}, F1 = F^{1,t}, F1' = F^{1,t+1}.
-    Raises FiniteOverflow if a potential can leave int64.
+    Raises what `euler_slices` raises for the range.
     """
     return next(euler_slices(params, n_lo, n_hi, t, t))
 
@@ -389,12 +392,9 @@ def verify_euler_solution(
 
     The rules are local in n, so they are checked pointwise wherever all
     referenced neighbours lie inside the window, quiet boxes included; no
-    support assumption is needed.  Raises ValueError when n_hi < n_lo - 1,
-    where the inclusive range [n_lo, n_hi] would have a negative length,
-    and before the first block what `euler_slices` raises for the range.
+    support assumption is needed.  Raises before the first block what
+    `euler_slices` raises for the range.
     """
-    if n_hi < n_lo - 1:
-        raise ValueError(f"box range [n_lo, n_hi] = [{n_lo}, {n_hi}] is reversed")
     _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
     caps = params.profile.caps_array(n_lo, n_hi - n_lo + 1)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
@@ -443,38 +443,26 @@ class TauParams:
         return len(self.P)
 
 
-def _tau_carrier(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.ndarray:
-    """The carrier sums of the rows named by keys, as `_tau_rows` reads
-    them; raises FiniteOverflow if a partial sum of those rows can leave
-    int64 headroom."""
-    p, big_n = params.P, params.N
-    # column c is sum_{j=0}^{x-1} min(P_r, M_j) for row c: T^{k,t} reads
-    # x = t + 1, olT^{k,t} reads x = t
-    car = _signed_prefix(
-        p, *_carrier_terms(params.schedule), [t + (not barred) for _, t, barred in keys]
-    )
-    # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P
-    d_max = 2 * (big_n - 1) + max(abs(k + t) for k, t, _ in keys)
-    _require_headroom(
-        sum(
-            abs(w) + c + d_max * min(pi, params.Delta) + (2 * big_n - 1) * pi
-            for w, c, pi in zip(params.W, np.abs(car).max(axis=1).tolist(), p)
-        )
-    )
-    return car
-
-
 def _tau_headroom(params: TauParams, t_lo: int, t_hi: int) -> None:
     """Raise FiniteOverflow if a row that `_tau_fields` reads for t_lo ..
     t_hi, in one call or in blocks, can leave int64 headroom, evaluating
     no row.  Those rows read x = t_lo .. top and k + t = t_lo - 1 ..
     top + 1, and the first and last row read the ends of both.  The
     carrier sum adds min(P_r, M_j) >= 0 at each step, so it is monotone
-    in x and largest in magnitude at an end: the two rows give the bound
-    that `_tau_carrier` finds over all of them."""
+    in x and largest in magnitude at an end: the two rows bound every
+    row's partial sums, and `_tau_rows` checks none again."""
     _require_headroom(params.Delta)
     top = max(t_hi, t_lo - 1) + 1
-    _tau_carrier(params, [(0, t_lo - 1, False), (1, top, True)])
+    # an entry is W + car - d min(P, Delta) - (P if unbarred) + 2c P; the
+    # first row, T^{0,t_lo-1}, reads car at x = t_lo, the last, olT^{1,top}, at top
+    car = _signed_prefix(params.P, *_carrier_terms(params.schedule), [t_lo, top])
+    d_max = 2 * (params.N - 1) + max(abs(t_lo - 1), abs(top + 1))
+    _require_headroom(
+        sum(
+            abs(w) + c + d_max * min(pi, params.Delta) + (2 * params.N - 1) * pi
+            for w, c, pi in zip(params.W, np.abs(car).max(axis=1).tolist(), params.P)
+        )
+    )
 
 
 def _tau_rows(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.ndarray:
@@ -493,12 +481,16 @@ def _tau_rows(params: TauParams, keys: Sequence[Tuple[int, int, bool]]) -> np.nd
     Walking the indices down from N-1, a tuple entry with c entries after
     it has rank n-1-c and weighs its P by 2c, so X_n is entry n of
     `_count_dp` run once per n (the entries' weights depend on n through
-    d = 2(n-1)+t+k), all rows and all n at once.  Raises FiniteOverflow,
-    before any int64 arithmetic, if a partial sum can leave int64 headroom.
+    d = 2(n-1)+t+k), all rows and all n at once.  Callers check a range
+    holding the keys with `_tau_headroom` first.
     """
     p, big_n = params.P, params.N
     m_delta = [min(pi, params.Delta) for pi in p]
-    car = _tau_carrier(params, keys)
+    # column c is sum_{j=0}^{x-1} min(P_r, M_j) for row c: T^{k,t} reads
+    # x = t + 1, olT^{k,t} reads x = t
+    car = _signed_prefix(
+        p, *_carrier_terms(params.schedule), [t + (not barred) for _, t, barred in keys]
+    )
 
     # entry[r, row, n-1] is all of it but the rank weight 2c P
     per_row = (
@@ -614,8 +606,6 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
     res = dict.fromkeys(
         ("qbar", "ebar", "cbar", "dbar", "cbar0_boundary", "q_recovery", "e_recovery"), 0
     )
-    if t_hi <= t_lo:
-        return TauVerifyReport(residuals=res, min_q=0, min_interior_e=None)
     for t in range(t_lo + 1, t_hi + 1):
         m_t = params.schedule.at(t)
         if m_t.bound is not None and m_t.bound < dd:
@@ -650,5 +640,5 @@ def verify_tau_solution(params: TauParams, t_lo: int, t_hi: int) -> TauVerifyRep
         mins_q.append(int(q.min()))
         mins_e += [int(e.min())] if e.size else []
     return TauVerifyReport(
-        residuals=res, min_q=min(mins_q), min_interior_e=min(mins_e, default=None)
+        residuals=res, min_q=min(mins_q, default=0), min_interior_e=min(mins_e, default=None)
     )

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
-from .euler import EulerState
+from .euler import EulerState, _record
 from .expansion import expand
 from .geometry import CapacityProfile, CarrierSchedule, _past_int64
 from .xint import INT64_MAX, as_int
@@ -65,17 +65,6 @@ class TodaState:
         if self.X0 < 0:
             raise ValueError("X0 must be >= 0")
 
-    @classmethod
-    def _trusted(
-        cls, Q: Tuple[int, ...], E: Tuple[int, ...], X0: int, profile: CapacityProfile,
-        time: int,
-    ) -> "TodaState":
-        # for step outputs, whose invariants hold by construction: Python
-        # ints, Q and E >= 1, one gap fewer than sizes, X0 >= 0
-        st = object.__new__(cls)
-        st.__dict__.update(Q=Q, E=E, X0=X0, profile=profile, time=time)
-        return st
-
     @property
     def N(self) -> int:
         return len(self.Q)
@@ -96,16 +85,6 @@ class TodaStepTrace:
     Xbar0: int
     K: Tuple[int, ...]
     Lam: Tuple[int, ...]
-
-    @classmethod
-    def _trusted(
-        cls, Qbar: Tuple[int, ...], Ebar: Tuple[int, ...], Cbar: Tuple[int, ...],
-        Dbar: Tuple[int, ...], Xbar0: int, K: Tuple[int, ...], Lam: Tuple[int, ...],
-    ) -> "TodaStepTrace":
-        # for enutoda_step's own bookkeeping, built as tuples of Python ints
-        tr = object.__new__(cls)
-        tr.__dict__.update(Qbar=Qbar, Ebar=Ebar, Cbar=Cbar, Dbar=Dbar, Xbar0=Xbar0, K=K, Lam=Lam)
-        return tr
 
 
 def utoda_step(
@@ -328,10 +307,13 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
     if min(qp) < 1 or min(ep, default=1) < 1:
         raise DegenerateState(f"step produced Q'={qp}, E'={ep}")
 
-    # Q', E' >= 1 as just checked, and X0' >= X0 >= 0
-    new_state = TodaState._trusted(tuple(qp), tuple(ep), xp0, state.profile, state.time + 1)
-    trace = TodaStepTrace._trusted(
-        tuple(qbar), tuple(ebar), tuple(cbar), tuple(dbar), xbar0, tuple(k), tuple(lam)
+    # Python ints, Q', E' >= 1 as just checked, and X0' >= X0 >= 0
+    new_state = _record(
+        TodaState, Q=tuple(qp), E=tuple(ep), X0=xp0, profile=state.profile, time=state.time + 1
+    )
+    trace = _record(
+        TodaStepTrace, Qbar=tuple(qbar), Ebar=tuple(ebar), Cbar=tuple(cbar), Dbar=tuple(dbar),
+        Xbar0=xbar0, K=tuple(k), Lam=tuple(lam),
     )
     return new_state, trace
 
@@ -448,5 +430,5 @@ def from_euler(state: EulerState) -> TodaState:
     x, y = expand(state)
     if not x:
         raise EmptySequence("all segments are 0")
-    q, e, x0 = lagrange_to_toda(x, y)
-    return TodaState(Q=q, E=e, X0=x0, profile=state.profile, time=state.time)
+    q, e, x0 = lagrange_to_toda(x, y)  # checks Q, E >= 1; X0 is a segment, so >= 0
+    return _record(TodaState, Q=q, E=e, X0=x0, profile=state.profile, time=state.time)

@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from boxball import POS_INF, CapacityProfile, EulerState, TodaState, XInt
+from boxball import POS_INF, CapacityProfile, EulerState, TauParams, TodaState, XInt
 from boxball.cli import main
 from boxball.config import (
     ConfigError,
@@ -19,6 +19,7 @@ from boxball.config import (
     toda_state_json,
 )
 from boxball.geometry import CarrierSchedule
+from boxball.toda import InconsistentPositions, lagrange_to_toda, utoda_step, utoda_step_sumform
 
 
 def minimal_config():
@@ -165,3 +166,68 @@ def test_solution_params_validation():
     )
     assert spec.n_range == (-5, 20)
     assert spec.params.profile.default_capacity == 1
+
+
+def _with(**changes):
+    return {**minimal_config(), **changes}
+
+
+def _toda(**fields):
+    return _with(initial={"toda": {"Q": [1], "E": [], "X0": 0, **fields}})
+
+
+def _solution(kind, **params):
+    return _with(initial={"solution": {"type": kind, "params": params}})
+
+
+TAU = {"P": [2], "W": [0], "Delta": 1}
+SCHEDULE = CarrierSchedule()
+
+
+@pytest.mark.parametrize("case, expected", [
+    # a config, as JSON text or a dict, and the one line `simulate` writes to stderr
+    ("[]", "config must be a JSON object"),
+    ("{", "{path}: invalid JSON: Expecting property name enclosed in double quotes: "
+          "line 1 column 2 (char 1)"),
+    ({"representation": "euler", "steps": 3}, "missing key(s) ['initial'] in config"),
+    (_with(representation="lagrange"), "representation must be euler|toda|both, got 'lagrange'"),
+    (_with(render="svg"), "render must be ascii|json|none, got 'svg'"),
+    (_with(steps="3"), "steps must be an integer, got '3'"),
+    (_with(profile={"capacities": 2}), "profile.capacities must be an array of integers"),
+    (_with(profile={"capacities": ["a"]}), "profile.capacities[0] must be an integer, got 'a'"),
+    (_with(schedule={"entries": [3]}), "schedule.entries must be an object mapping t to M"),
+    (_with(schedule={"entries": {"a": 3}}), "schedule.entries key 'a' is not an integer"),
+    (_with(initial={"euler": {"counts": [1], "time": 1.5}}),
+     "initial.euler.time must be an integer, got 1.5"),
+    (_toda(X0="a"), "initial.toda.X0 must be an integer, got 'a'"),
+    (_toda(Q=[0]), "initial.toda: sizes and gaps must be >= 1"),
+    (_solution("euler", P=[1], Xi=[0], N=2, n_range=[0, 9]),
+     "initial.solution.params.N does not match len(P)"),
+    (_solution("tau", **TAU, N=2), "initial.solution.params.N does not match len(P)"),
+    (_solution("tau", **{**TAU, "Delta": "x"}),
+     "initial.solution.params.Delta must be an integer, got 'x'"),
+    # a call into the package, and the error it raises
+    (lambda: EulerState(counts=[[1]], profile=CapacityProfile()),
+     (ValueError, "counts must be one-dimensional")),
+    (lambda: TauParams(P=(), W=(), Delta=1, schedule=SCHEDULE),
+     (ValueError, "need 1..64 solitons")),
+    (lambda: TauParams(P=(1,), W=(0, 0), Delta=1, schedule=SCHEDULE),
+     (ValueError, "P and W must have equal length")),
+    (lambda: TauParams(P=(-1,), W=(0,), Delta=1, schedule=SCHEDULE),
+     (ValueError, "speeds P_i must be >= 0")),
+    (lambda: utoda_step((1, 2), ()), (ValueError, "E lists the interior gaps only")),
+    (lambda: utoda_step_sumform((1, 2), ()), (ValueError, "E lists the interior gaps only")),
+    (lambda: lagrange_to_toda((0,), ()),
+     (InconsistentPositions, "X and Y must both have N entries")),
+])
+def test_each_error_names_its_cause_once(tmp_path, capsys, case, expected):
+    if callable(case):
+        error, message = expected
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            case()
+        return
+    path = tmp_path / "bad.json"
+    path.write_text(case if isinstance(case, str) else json.dumps(case))
+    assert main(["simulate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {expected.replace('{path}', str(path))}\n")

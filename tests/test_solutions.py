@@ -90,6 +90,18 @@ def test_verify_rejects_a_reversed_box_range():
     assert verify_euler_solution(params, 5, 4, 0, 2).ok
 
 
+@pytest.mark.parametrize("entry", [
+    lambda p, n_lo, n_hi: list(euler_slices(p, n_lo, n_hi, 0, 2)),
+    lambda p, n_lo, n_hi: euler_nsoliton(p, n_lo, n_hi, 0),
+    lambda p, n_lo, n_hi: verify_euler_solution(p, n_lo, n_hi, 0, 2),
+], ids=["euler_slices", "euler_nsoliton", "verify_euler_solution"])
+def test_every_euler_entry_point_rejects_a_reversed_box_range(entry):
+    params = EulerSolitonParams(P=(2, 4), Xi=(0, 5), profile=UNIT, schedule=FREE)
+    with pytest.raises(ValueError, match=r"^box range \[n_lo, n_hi\] = \[5, 0\] is reversed$"):
+        entry(params, 5, 0)
+    entry(params, 5, 4)  # the empty range
+
+
 def test_pair_weight_convention_solves_bilinear_lattice():
     """Exact-rational oracle for the interaction-weight convention: the
     subset-sum ansatz with one w_ij factor per unordered pair satisfies
@@ -863,5 +875,24 @@ def test_closed_forms_refuse_to_wrap_int64():
     heavy = TauParams(P=(1,), W=(2**63 - 1,), Delta=1, schedule=FREE)
     with pytest.raises(FiniteOverflow):
         tau_toda_state(heavy, 0)
-    with pytest.raises(FiniteOverflow):
-        _tau_rows(heavy, [(0, 0, False)])
+
+
+def test_tau_speeds_near_2_62_stop_at_the_carrier_sum():
+    # `_tau_headroom` reads the carrier sums of the range's two end rows;
+    # `_signed_prefix` refuses them before they can wrap
+    fast = TauParams(P=(2**62,), W=(0,), Delta=1, schedule=CarrierSchedule())
+    message = r"^sums of 4 terms up to 4611686018427387904 leave int64$"
+    with pytest.raises(FiniteOverflow, match=message):
+        tau_states(fast, 0, 3)
+    with pytest.raises(FiniteOverflow, match=message):
+        verify_tau_solution(fast, 0, 3)
+
+
+def test_an_empty_tau_range_checks_nothing():
+    params = TauParams(P=(2, 5), W=(0, 1), Delta=2, schedule=FREE)
+    for t_lo, t_hi in ((3, 3), (5, 2)):
+        rep = verify_tau_solution(params, t_lo, t_hi)
+        assert rep.residuals == dict.fromkeys(
+            ("qbar", "ebar", "cbar", "dbar", "cbar0_boundary", "q_recovery", "e_recovery"), 0
+        )
+        assert (rep.min_q, rep.min_interior_e, rep.boundary_failures) == (0, None, 0)

@@ -240,7 +240,24 @@ def test_only_xint_lowers_a_carrier_capacity():
     assert not {"is_pos_inf", "finite", "as_xint"} & set(vars(XInt))
     # an order on XInt would be a lowering that never reads bound
     assert not {"__lt__", "__le__", "__gt__", "__ge__"} & set(vars(XInt))
-    # the kernels module, and the segment-boundary overflow error
+    # the kernels module, the trusted-record helper, and the segment-boundary overflow error
     assert private == [
-        ("euler.py", "_kernels"), ("expansion.py", "_past_int64"), ("toda.py", "_past_int64"),
+        ("euler.py", "_kernels"), ("expansion.py", "_past_int64"), ("toda.py", "_record"),
+        ("toda.py", "_past_int64"),
     ]
+
+
+def test_one_helper_builds_records_past_their_constructors():
+    # entry points validate and the maps behind them build their outputs
+    # through euler._record; a second way past a validating constructor
+    # would be a second place to keep in step with the invariants
+    src = Path(boxball.__file__).parent
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for stmt in ast.parse(path.read_text(), str(path)).body:
+            name = getattr(stmt, "name", None) or ast.unparse(getattr(stmt, "targets", [stmt])[0])
+            found += [
+                (path.name, name) for node in ast.walk(stmt)
+                if isinstance(node, ast.Attribute) and node.attr == "__new__"
+            ]
+    assert found == [("euler.py", "_record"), ("xint.py", "POS_INF")]
