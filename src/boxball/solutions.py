@@ -166,23 +166,45 @@ def _count_dp(h: np.ndarray, p: Sequence[int]) -> np.ndarray:
     return best
 
 
-def _first_above(
-    p: Tuple[int, ...], profile: CapacityProfile, v: np.ndarray, r0: int, r1: int
-) -> np.ndarray:
-    """x[i, k] = the smallest x with S_i(x) > v[i, k], clipped to [r0, r1],
-    for S_i the capacity prefix sum of `_signed_prefix` and every P_i >= 1.
+def _prefix_knots(
+    p: Tuple[int, ...], profile: CapacityProfile, r0: int, r1: int
+) -> Tuple[int, np.ndarray, np.ndarray]:
+    """(k0, knots, slope): the capacity prefix sum S_i of `_signed_prefix`
+    at boxes x = k0 .. k1, the profile's listed boxes clipped to [r0, r1],
+    and its rise min(P_i, default) per box outside them.
 
-    S_i rises by min(P_i, cap_j) >= 1 at box j, so it is strictly
-    increasing; outside the profile's listed boxes it rises by the constant
-    min(P_i, default).  It is read at the listed boxes inside [r0, r1] and
-    searched there; beyond them the answer is a floor division.  Past
-    [r0, r1] that straight continuation may differ from S_i, but it stays
-    on the same side of [r0, r1] as the exact answer, which the clip keeps.
+    Every box of [r0, r1] outside [k0, k1] holds the default, so on
+    [r0, r1] S_i is the table, continued by lines of that slope
+    (`_knot_prefix`).
     """
     ws = profile.window_start
     k0, k1 = (min(max(x, r0), r1) for x in (ws, ws + len(profile.capacities)))
     knots = _signed_prefix(p, *_profile_terms(profile), np.arange(k0, k1 + 1))
     slope = np.minimum(np.asarray(p, dtype=np.int64), profile.default_capacity)[:, None]
+    return k0, knots, slope
+
+
+def _knot_prefix(k0: int, knots: np.ndarray, slope: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """S[i, k] = S_i(xs[k]) from `_prefix_knots`, for xs inside its [r0, r1]."""
+    at = np.clip(xs, k0, k0 + knots.shape[1] - 1)
+    return knots[:, at - k0] + (xs - at) * slope
+
+
+def _first_above(
+    k0: int, knots: np.ndarray, slope: np.ndarray, v: np.ndarray, r0: int, r1: int
+) -> np.ndarray:
+    """x[i, k] = the smallest x with S_i(x) > v[i, k], clipped to [r0, r1],
+    for S_i the capacity prefix sum of `_prefix_knots` over [r0, r1] and
+    every P_i >= 1.
+
+    S_i rises by min(P_i, cap_j) >= 1 at box j, so it is strictly
+    increasing; outside the knots it rises by the constant slope.  It is
+    searched at the knots; beyond them the answer is a floor division.
+    Past [r0, r1] that straight continuation may differ from S_i, but it
+    stays on the same side of [r0, r1] as the exact answer, which the clip
+    keeps.
+    """
+    k1 = k0 + knots.shape[1] - 1
     found = np.stack([np.searchsorted(row, vals, side="right") for row, vals in zip(knots, v)])
     x = np.where(found == 0, k0 + (v - knots[:, :1]) // slope + 1, k0 + found)
     x = np.where(found == knots.shape[1], k1 + (v - knots[:, -1:]) // slope + 1, x)
@@ -211,9 +233,9 @@ def _columns(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 # slices per `_euler_fields` call of `euler_slices`, transitions per call
-# of `verify_euler_solution`: a call's dynamic program spans the live
-# columns of at most _BLOCK + 1 slices and its output holds 3 (_BLOCK + 1) W
-# entries, so memory follows the block, not the length of the time range.
+# of `verify_euler_solution`: a call's dynamic program and its entries span
+# the live columns of at most _BLOCK + 1 slices, so memory follows the
+# block, not the length of the time range.
 # The tau family runs in blocks of the same length: states per
 # `_tau_fields` call of `tau_states`, transitions per call of
 # `verify_tau_solution`.
@@ -229,16 +251,20 @@ def _euler_range_fits(params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: in
         params.N * params.N * max(params.P)
         + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, params.P))
     )
-    # numpy sizes no array past INT64_MAX bytes; a block holds 3 (_BLOCK + 1) per box
+    # numpy sizes no array past INT64_MAX bytes; a dense block of
+    # `euler_slices` holds 3 (_BLOCK + 1) per box
     if 24 * (_BLOCK + 1) * (n_hi - n_lo + 1) > INT64_MAX:
         raise MemoryError(f"a closed-form block over boxes [{n_lo}, {n_hi}] cannot be sized")
 
 
 def _euler_fields(
     params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
-) -> np.ndarray:
-    """U, Ubar and Zbar at t = t_lo .. t_hi over boxes [n_lo, n_hi], as a
-    (3, time, box) int64 array, from the potentials
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """U, Ubar and Zbar at t = t_lo .. t_hi over boxes [n_lo, n_hi] as live
+    entries (row, box, values): row t - t_lo and box n of each live column,
+    ordered by row then box, and its (U, Ubar, Zbar) as the columns of a
+    (3, column) int64 array.  Every other field is 0.  They come from the
+    potentials
 
         F^{k,t}_n = min(0, min over nonempty J of pair weight of J
                            + sum_{i in J} H^{k,t}_{i,n}),
@@ -273,9 +299,10 @@ def _euler_fields(
     As H_i is monotone in n, the boxes where soliton i fails both tests
     form one interval per t, whose ends invert the capacity prefix sum
     (`_first_above`).  `_count_dp` runs once per call, over the potentials
-    that the live boxes of every slice read; quiet boxes stay 0.  The cost
-    is O(N^2) per live (box, time) column and O(W) per slice for the
-    output, so a late slice costs what its solitons do.
+    that the live boxes of every slice read; quiet boxes stay 0.  The band
+    search and the potentials read the capacity prefix sum from one knot
+    table (`_prefix_knots`).  The cost is O(N^2) per live (box, time)
+    column, so a late slice costs what its solitons do.
 
     Callers check a range holding this one with `_euler_range_fits` first.
     """
@@ -288,6 +315,8 @@ def _euler_fields(
     width = max(n_hi - n_lo + 1, 0)
     rows = max(t_hi - t_lo + 1, 0)
     s_car = _signed_prefix(p, *_carrier_terms(params.schedule), np.arange(t_lo, t_hi + 2))
+    # the band ends reach n_hi + 2, the potentials n_hi + 1
+    knots = _prefix_knots(p, params.profile, n_lo, n_hi + 2)
 
     # box n of slice t is column (t - t_lo) * stride + n - n_lo, and the
     # potential F^{k,t}_n the same; the gap keeps two rows from merging
@@ -298,9 +327,11 @@ def _euler_fields(
         pair_bound = 2 * (np.minimum.outer(pa, pa).sum(axis=1) - pa)
         # H^{0,t}_{i,n} = shift[i, t - t_lo] - (capacity prefix sum at n)
         shift = xi[:moving, None] + s_car[:moving]
+        k0, table, slope = knots
         x = _first_above(
-            p[:moving],
-            params.profile,
+            k0,
+            table[:moving],
+            slope[:moving],
             np.concatenate([
                 shift[:, :-1] - pa[:moving, None],  # the first test fails from x - 1 on
                 shift[:, 1:] + pair_bound[:moving, None] - 1,  # the second up to x - 1
@@ -314,41 +345,42 @@ def _euler_fields(
             np.minimum(x[:, rows:] - 1, n_hi) + offset,
         )
     live = _columns(live_lo, live_hi)
-    out = np.zeros((3, rows, width), dtype=np.int64)
-    if len(live):
-        pot = _columns(*_merge(
-            np.concatenate([live_lo, live_lo + stride]),
-            np.concatenate([live_hi, live_hi + stride]) + 1,
-        ))
-        t_of, n_of = np.divmod(pot, stride)
-        h0 = (
-            xi[:, None]
-            - _signed_prefix(p, *_profile_terms(params.profile), n_of + n_lo)
-            + s_car[:, t_of]
-        )
-        f = _count_dp(np.concatenate([h0, h0 - pa[:, None]], axis=1), p).min(axis=0)
-        f0, f1 = f[: len(pot)], f[len(pot) :]
-        # F at (t, n) and (t + 1, n); n + 1 is the next column of each
-        now = np.searchsorted(pot, live)
-        nxt = np.searchsorted(pot, live + stride)
-        r, n = np.divmod(live, stride)
-        out[0, r, n] = f0[nxt + 1] - f0[nxt] + f1[nxt] - f1[nxt + 1]
-        out[1, r, n] = f0[now] - f0[now + 1] + f0[nxt + 1] - f0[nxt]
-        out[2, r, n] = f0[now] - f0[nxt] + f1[nxt] - f1[now]
-    return out
+    r, n = np.divmod(live, stride)
+    if not len(live):
+        return r, n, np.empty((3, 0), dtype=np.int64)
+    pot = _columns(*_merge(
+        np.concatenate([live_lo, live_lo + stride]),
+        np.concatenate([live_hi, live_hi + stride]) + 1,
+    ))
+    t_of, n_of = np.divmod(pot, stride)
+    h0 = xi[:, None] - _knot_prefix(*knots, n_of + n_lo) + s_car[:, t_of]
+    f = _count_dp(np.concatenate([h0, h0 - pa[:, None]], axis=1), p).min(axis=0)
+    f0, f1 = f[: len(pot)], f[len(pot) :]
+    # F at (t, n) and (t + 1, n); n + 1 is the next column of each
+    now = np.searchsorted(pot, live)
+    nxt = np.searchsorted(pot, live + stride)
+    return r, n + n_lo, np.stack([
+        f0[nxt + 1] - f0[nxt] + f1[nxt] - f1[nxt + 1],
+        f0[now] - f0[now + 1] + f0[nxt + 1] - f0[nxt],
+        f0[now] - f0[nxt] + f1[nxt] - f1[now],
+    ])
 
 
 def euler_slices(
     params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int
 ) -> Iterator[EulerFieldSlice]:
     """The fields of `_euler_fields` at t = t_lo .. t_hi over boxes
-    [n_lo, n_hi], evaluated a block of at most _BLOCK slices at a time, as
-    row views of the block.  Raises before the first slice: ValueError if
-    n_hi < n_lo - 1, FiniteOverflow if a potential can leave int64,
-    MemoryError if a block cannot be sized."""
+    [n_lo, n_hi], evaluated a block of at most _BLOCK slices at a time and
+    scattered into a dense (3, slice, box) block, as row views of it.
+    Raises before the first slice: ValueError if n_hi < n_lo - 1,
+    FiniteOverflow if a potential can leave int64, MemoryError if a block
+    cannot be sized."""
     _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
     for b_lo in range(t_lo, t_hi + 1, _BLOCK):
-        block = _euler_fields(params, n_lo, n_hi, b_lo, min(b_lo + _BLOCK - 1, t_hi))
+        b_hi = min(b_lo + _BLOCK - 1, t_hi)
+        rows, boxes, values = _euler_fields(params, n_lo, n_hi, b_lo, b_hi)
+        block = np.zeros((3, b_hi - b_lo + 1, n_hi - n_lo + 1), dtype=np.int64)
+        block[:, rows, boxes - n_lo] = values
         for r, (u, ubar, zbar) in enumerate(block.swapaxes(0, 1)):
             yield EulerFieldSlice(time=b_lo + r, n_start=n_lo, U=u, Ubar=ubar, Zbar=zbar)
 
@@ -390,26 +422,42 @@ def verify_euler_solution(
     every transition t -> t+1, t in [t_lo, t_hi), a block of transitions
     at a time as (transition, box) arrays.
 
-    The rules are local in n, so they are checked pointwise wherever all
+    The rules are local in n, so they hold pointwise wherever all
     referenced neighbours lie inside the window, quiet boxes included; no
-    support assumption is needed.  Raises before the first block what
-    `euler_slices` raises for the range.
+    support assumption is needed.  A block's entries are placed over their
+    box span [a, b] only.  Outside it every field is 0, which every rule
+    satisfies (capacities and M are >= 0), except at the two boxes that
+    read into the span: box a - 1 reads Zbar_a, and box b reads
+    Zbar_{b+1} = 0.  So the report is the one over the whole window, for
+    any entries.  Raises before the first block what `euler_slices` raises
+    for the range.
     """
     _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
-    caps = params.profile.caps_array(n_lo, n_hi - n_lo + 1)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
     for b_lo in range(t_lo, t_hi, _BLOCK):
         b_hi = min(b_lo + _BLOCK, t_hi)
-        u, ub, zb = _euler_fields(params, n_lo, n_hi, b_lo, b_hi)
+        rows, boxes, values = _euler_fields(params, n_lo, n_hi, b_lo, b_hi)
+        if not len(boxes):
+            continue
+        a, b = int(boxes.min()), int(boxes.max())
+        u, ub, zb = block = np.zeros((3, b_hi - b_lo + 1, b - a + 1), dtype=np.int64)
+        block[:, rows, boxes - a] = values
         u0, u1, ub, zb = u[:-1], u[1:], ub[1:], zb[1:]
         m = np.array([[int64_bound(params.schedule.at(t))] for t in range(b_lo + 1, b_hi + 1)])
         held = np.minimum(zb[:, :-1] + u0[:, :-1], m)
-        for key, diff in (
-            ("size_limit", ub - np.minimum(caps - u0, zb)),
-            ("carrier_load", zb[:, 1:] - (held - ub[:, :-1])),
-            ("recovery", u1[:, :-1] - (u0[:, :-1] + zb[:, :-1] - zb[:, 1:])),
-        ):
-            res[key] = max(res[key], int(np.abs(diff).max(initial=0)))
+        diffs = {
+            "size_limit": [ub - np.minimum(params.profile.caps_array(a, b - a + 1) - u0, zb)],
+            "carrier_load": [zb[:, 1:] - (held - ub[:, :-1])],
+            "recovery": [u1[:, :-1] - (u0[:, :-1] + zb[:, :-1] - zb[:, 1:])],
+        }
+        if a > n_lo:  # both rules at box a - 1 reduce to |Zbar_a|
+            diffs["carrier_load"].append(zb[:, 0])
+            diffs["recovery"].append(zb[:, 0])
+        if b < n_hi:  # both rules at box b, with Zbar_{b+1} = 0
+            diffs["carrier_load"].append(np.minimum(zb[:, -1] + u0[:, -1], m[:, 0]) - ub[:, -1])
+            diffs["recovery"].append(u1[:, -1] - (u0[:, -1] + zb[:, -1]))
+        for key, parts in diffs.items():
+            res[key] = max(res[key], *(int(np.abs(diff).max(initial=0)) for diff in parts))
     return EulerVerifyReport(residuals=res)
 
 

@@ -613,6 +613,21 @@ def test_long_euler_slices_hold_one_block_at_a_time():
     assert len(balls) == 201 and balls[:101] == [sum(p)] * 101 and balls[-1] < sum(p)
 
 
+def test_wide_euler_verify_holds_the_span_of_its_entries():
+    # the soliton_pair parameters over 200,021 boxes: a block is checked
+    # over the few hundred boxes its live entries span, not over the
+    # window (dense (3, 65, 200021) blocks peaked at 885 MiB)
+    params = EulerSolitonParams(P=(1, 3), Xi=(4, -2), profile=UNIT, schedule=FREE)
+    tracemalloc.start()
+    try:
+        report = verify_euler_solution(params, -20, 200_000, 0, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.ok
+    assert peak < 8 * 2**20
+
+
 def test_long_tau_ranges_hold_one_block_at_a_time(monkeypatch):
     # one dynamic program over the whole range held about 394 KiB per step
     # at N = 64 (154 MiB over t = 0 .. 400); a block of states or
@@ -657,17 +672,30 @@ def test_long_tau_ranges_hold_one_block_at_a_time(monkeypatch):
 
 
 def _injecting_euler(monkeypatch, field, time, box):
+    # bump the entry of (time, box), or add one there if the box is quiet
     from boxball import solutions as solutions_mod
 
     real = solutions_mod._euler_fields
 
     def fields(params, n_lo, n_hi, t_lo, t_hi):
-        out = real(params, n_lo, n_hi, t_lo, t_hi)
+        rows, boxes, values = real(params, n_lo, n_hi, t_lo, t_hi)
         if t_lo <= time <= t_hi:
-            out[("U", "Ubar", "Zbar").index(field), time - t_lo, box - n_lo] += 1
-        return out
+            at = np.flatnonzero((rows == time - t_lo) & (boxes == box))
+            if not len(at):
+                at = [len(boxes)]
+                rows, boxes = np.append(rows, time - t_lo), np.append(boxes, box)
+                values = np.concatenate([values, np.zeros((3, 1), dtype=np.int64)], axis=1)
+            values[("U", "Ubar", "Zbar").index(field), at[0]] += 1
+        return rows, boxes, values
 
     monkeypatch.setattr(solutions_mod, "_euler_fields", fields)
+
+
+FAULT_PARAMS = EulerSolitonParams(
+    P=(2, 5), Xi=(3, -4),
+    profile=CapacityProfile(capacities=(3, 1, 4, 2) * 6, default_capacity=2),
+    schedule=CarrierSchedule(entries={t: 3 + t % 3 for t in range(1, 12)}),
+)
 
 
 @pytest.mark.parametrize("field, key", [
@@ -675,11 +703,7 @@ def _injecting_euler(monkeypatch, field, time, box):
 ])
 @pytest.mark.parametrize("where", ["live", "quiet-left", "quiet-right"])
 def test_euler_verifier_catches_a_field_fault(monkeypatch, field, key, where):
-    params = EulerSolitonParams(
-        P=(2, 5), Xi=(3, -4),
-        profile=CapacityProfile(capacities=(3, 1, 4, 2) * 6, default_capacity=2),
-        schedule=CarrierSchedule(entries={t: 3 + t % 3 for t in range(1, 12)}),
-    )
+    params = FAULT_PARAMS
     assert verify_euler_solution(params, -25, 70, 0, 10).ok
     sl = euler_nsoliton(params, -25, 70, 4)
     box = {
@@ -776,6 +800,48 @@ def loop_tau_report(params, states):
     return res, (0 if min_q is None else min_q), min_e
 
 
+def _entries_of(fields):
+    """An `_euler_fields` stand-in that reads every nonzero cell of the
+    dense (3, time, box) fields, time 0 and box n_lo first, as entries."""
+
+    def entries(params, n_lo, n_hi, t_lo, t_hi):
+        block = fields[:, t_lo : t_hi + 1]
+        rows, cols = np.nonzero(block.any(axis=0))
+        return rows, cols + n_lo, block[:, rows, cols]
+
+    return entries
+
+
+@pytest.mark.parametrize("field", ["U", "Ubar", "Zbar"])
+@pytest.mark.parametrize("where", ["span-first", "span-last", "n_lo", "n_hi"])
+def test_euler_verifier_equals_the_loop_on_faults_at_the_span_ends(monkeypatch, field, where):
+    # the verifier checks a block over its entries' box span [a, b] and
+    # adds the terms of boxes a - 1 and b; a fault at an end of the span
+    # or of the window must give the report of the dense loop
+    from boxball import solutions as solutions_mod
+
+    rows, boxes, values = solutions_mod._euler_fields(FAULT_PARAMS, -25, 70, 0, 10)
+    fields = np.zeros((3, 11, 96), dtype=np.int64)
+    fields[:, rows, boxes + 25] = values
+    a, b = int(boxes.min()), int(boxes.max())
+    assert -25 < a - 1 and b + 1 < 70  # both extra terms are read
+    box = {"span-first": a, "span-last": b, "n_lo": -25, "n_hi": 70}[where]
+    rng = np.random.default_rng([len(where), ord(where[-1]), len(field)])
+    # t = 1 .. 9: U at n_hi of the last slice is read by no rule
+    time, bump = int(rng.integers(1, 10)), int(rng.choice([-2, -1, 1, 2]))
+    fields[("U", "Ubar", "Zbar").index(field), time, box + 25] += bump
+    monkeypatch.setattr(solutions_mod, "_euler_fields", _entries_of(fields))
+    rep = verify_euler_solution(FAULT_PARAMS, -25, 70, 0, 10)
+    slices = [
+        EulerFieldSlice(time=t, n_start=-25, U=u, Ubar=ub, Zbar=zb)
+        for t, (u, ub, zb) in enumerate(fields.swapaxes(0, 1))
+    ]
+    assert rep.residuals == loop_euler_residuals(FAULT_PARAMS, slices)
+    # U at the window's last box enters only size_limit, as
+    # min(cap - U, Zbar) with Zbar = 0 there: a bump below cap is unseen
+    assert rep.ok == ((where, field) == ("n_hi", "U"))
+
+
 def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
     # random faults of random size in random fields, slices and boxes: the
     # batched residuals must equal those of a transition-by-transition loop
@@ -798,17 +864,16 @@ def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
             ),
         )
         t_hi = 70 if case % 3 == 0 else 9  # several verify blocks, or one
-        fields = real_euler(params, -15, 40, 0, t_hi)
+        rows, boxes, values = real_euler(params, -15, 40, 0, t_hi)
+        fields = np.zeros((3, t_hi + 1, 56), dtype=np.int64)
+        fields[:, rows, boxes + 15] = values
         if t_hi == 70:
             fields[1, 64, 5] += 1  # Ubar at t = 64, read only by the transition that ends a block
         for _ in range(int(rng.integers(0, 6))):
             row = fields[:, int(rng.choice([0, -1, rng.integers(0, fields.shape[1])]))]
             field = row[names.index(str(rng.choice(names)))]
             field[int(rng.choice([0, -1, rng.integers(0, len(field))]))] += int(rng.integers(-3, 4))
-        monkeypatch.setattr(
-            solutions_mod, "_euler_fields",
-            lambda params, n_lo, n_hi, t_lo, t_hi: fields[:, t_lo : t_hi + 1],
-        )
+        monkeypatch.setattr(solutions_mod, "_euler_fields", _entries_of(fields))
         rep = verify_euler_solution(params, -15, 40, 0, t_hi)
         slices = [
             EulerFieldSlice(time=t, n_start=-15, U=u, Ubar=ub, Zbar=zb)
