@@ -295,8 +295,10 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
 @contextmanager
 def n_range_fits(key: str, lo: int, hi: int):
     """Turn a MemoryError raised while a closed form is evaluated over
-    boxes lo .. hi into a ConfigError naming the n_range key: the
-    evaluators hold dense arrays over the whole range."""
+    boxes lo .. hi into a ConfigError naming the n_range key: the listing
+    and the simulate initial hold dense arrays over the whole range, and
+    every evaluator refuses a range whose dense block numpy cannot size.
+    The verifier holds only the span of the live entries."""
     try:
         yield
     except MemoryError as exc:

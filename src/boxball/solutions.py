@@ -424,13 +424,13 @@ def verify_euler_solution(
 
     The rules are local in n, so they hold pointwise wherever all
     referenced neighbours lie inside the window, quiet boxes included; no
-    support assumption is needed.  A block's entries are placed over their
-    box span [a, b] only.  Outside it every field is 0, which every rule
-    satisfies (capacities and M are >= 0), except at the two boxes that
-    read into the span: box a - 1 reads Zbar_a, and box b reads
-    Zbar_{b+1} = 0.  So the report is the one over the whole window, for
-    any entries.  Raises before the first block what `euler_slices` raises
-    for the range.
+    support assumption is needed.  A block's entries are placed over the
+    boxes [a, b] they span, and one more box on each side inside the
+    window.  Outside [a, b] every field is 0, which every rule satisfies
+    (capacities and M are >= 0), except at the two boxes that read into
+    it: box a - 1 reads Zbar_a, and box b reads Zbar_{b+1} = 0.  So the
+    report is the one over the whole window, for any entries.  Raises
+    before the first block what `euler_slices` raises for the range.
     """
     _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
@@ -439,25 +439,19 @@ def verify_euler_solution(
         rows, boxes, values = _euler_fields(params, n_lo, n_hi, b_lo, b_hi)
         if not len(boxes):
             continue
-        a, b = int(boxes.min()), int(boxes.max())
-        u, ub, zb = block = np.zeros((3, b_hi - b_lo + 1, b - a + 1), dtype=np.int64)
-        block[:, rows, boxes - a] = values
+        lo, hi = max(int(boxes.min()) - 1, n_lo), min(int(boxes.max()) + 1, n_hi)
+        u, ub, zb = block = np.zeros((3, b_hi - b_lo + 1, hi - lo + 1), dtype=np.int64)
+        block[:, rows, boxes - lo] = values
+        caps = params.profile.caps_array(lo, hi - lo + 1)
         u0, u1, ub, zb = u[:-1], u[1:], ub[1:], zb[1:]
         m = np.array([[int64_bound(params.schedule.at(t))] for t in range(b_lo + 1, b_hi + 1)])
         held = np.minimum(zb[:, :-1] + u0[:, :-1], m)
-        diffs = {
-            "size_limit": [ub - np.minimum(params.profile.caps_array(a, b - a + 1) - u0, zb)],
-            "carrier_load": [zb[:, 1:] - (held - ub[:, :-1])],
-            "recovery": [u1[:, :-1] - (u0[:, :-1] + zb[:, :-1] - zb[:, 1:])],
-        }
-        if a > n_lo:  # both rules at box a - 1 reduce to |Zbar_a|
-            diffs["carrier_load"].append(zb[:, 0])
-            diffs["recovery"].append(zb[:, 0])
-        if b < n_hi:  # both rules at box b, with Zbar_{b+1} = 0
-            diffs["carrier_load"].append(np.minimum(zb[:, -1] + u0[:, -1], m[:, 0]) - ub[:, -1])
-            diffs["recovery"].append(u1[:, -1] - (u0[:, -1] + zb[:, -1]))
-        for key, parts in diffs.items():
-            res[key] = max(res[key], *(int(np.abs(diff).max(initial=0)) for diff in parts))
+        for key, diff in (
+            ("size_limit", ub - np.minimum(caps - u0, zb)),
+            ("carrier_load", zb[:, 1:] - (held - ub[:, :-1])),
+            ("recovery", u1[:, :-1] - (u0[:, :-1] + zb[:, :-1] - zb[:, 1:])),
+        ):
+            res[key] = max(res[key], int(np.abs(diff).max(initial=0)))
     return EulerVerifyReport(residuals=res)
 
 

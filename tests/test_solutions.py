@@ -816,8 +816,8 @@ def _entries_of(fields):
 @pytest.mark.parametrize("where", ["span-first", "span-last", "n_lo", "n_hi"])
 def test_euler_verifier_equals_the_loop_on_faults_at_the_span_ends(monkeypatch, field, where):
     # the verifier checks a block over its entries' box span [a, b] and
-    # adds the terms of boxes a - 1 and b; a fault at an end of the span
-    # or of the window must give the report of the dense loop
+    # the box on each side, which reads into it; a fault at an end of the
+    # span or of the window must give the report of the dense loop
     from boxball import solutions as solutions_mod
 
     rows, boxes, values = solutions_mod._euler_fields(FAULT_PARAMS, -25, 70, 0, 10)
