@@ -812,34 +812,59 @@ def _entries_of(fields):
     return entries
 
 
-@pytest.mark.parametrize("field", ["U", "Ubar", "Zbar"])
-@pytest.mark.parametrize("where", ["span-first", "span-last", "n_lo", "n_hi"])
-def test_euler_verifier_equals_the_loop_on_faults_at_the_span_ends(monkeypatch, field, where):
-    # the verifier checks a block over its entries' box span [a, b] and
-    # the box on each side, which reads into it; a fault at an end of the
-    # span or of the window must give the report of the dense loop
+def _span_fault_reports(monkeypatch, inject):
+    """The verifier's report and the dense loop's on the FAULT_PARAMS
+    fields over boxes [-25, 70] and t = 0 .. 10, after inject(fields, a, b)
+    changes the dense (3, time, box) fields, a and b the first and last
+    box of their live entries."""
     from boxball import solutions as solutions_mod
 
     rows, boxes, values = solutions_mod._euler_fields(FAULT_PARAMS, -25, 70, 0, 10)
     fields = np.zeros((3, 11, 96), dtype=np.int64)
     fields[:, rows, boxes + 25] = values
     a, b = int(boxes.min()), int(boxes.max())
-    assert -25 < a - 1 and b + 1 < 70  # both extra terms are read
-    box = {"span-first": a, "span-last": b, "n_lo": -25, "n_hi": 70}[where]
-    rng = np.random.default_rng([len(where), ord(where[-1]), len(field)])
-    # t = 1 .. 9: U at n_hi of the last slice is read by no rule
-    time, bump = int(rng.integers(1, 10)), int(rng.choice([-2, -1, 1, 2]))
-    fields[("U", "Ubar", "Zbar").index(field), time, box + 25] += bump
+    assert -25 < a - 1 and b + 1 < 70  # boxes a - 1 and b + 1 are checked
+    inject(fields, a, b)
     monkeypatch.setattr(solutions_mod, "_euler_fields", _entries_of(fields))
-    rep = verify_euler_solution(FAULT_PARAMS, -25, 70, 0, 10)
     slices = [
         EulerFieldSlice(time=t, n_start=-25, U=u, Ubar=ub, Zbar=zb)
         for t, (u, ub, zb) in enumerate(fields.swapaxes(0, 1))
     ]
-    assert rep.residuals == loop_euler_residuals(FAULT_PARAMS, slices)
+    rep = verify_euler_solution(FAULT_PARAMS, -25, 70, 0, 10)
+    return rep.residuals, loop_euler_residuals(FAULT_PARAMS, slices)
+
+
+@pytest.mark.parametrize("field", ["U", "Ubar", "Zbar"])
+@pytest.mark.parametrize("where", ["span-first", "span-last", "n_lo", "n_hi"])
+def test_euler_verifier_equals_the_loop_on_faults_at_the_span_ends(monkeypatch, field, where):
+    # the verifier checks a block over its entries' box span [a, b] and
+    # the box on each side, which reads into it; a fault at an end of the
+    # span or of the window must give the report of the dense loop
+    rng = np.random.default_rng([len(where), ord(where[-1]), len(field)])
+    # t = 1 .. 9: U at n_hi of the last slice is read by no rule
+    time, bump = int(rng.integers(1, 10)), int(rng.choice([-2, -1, 1, 2]))
+
+    def inject(fields, a, b):
+        box = {"span-first": a, "span-last": b, "n_lo": -25, "n_hi": 70}[where]
+        fields[("U", "Ubar", "Zbar").index(field), time, box + 25] += bump
+
+    residuals, dense = _span_fault_reports(monkeypatch, inject)
+    assert residuals == dense
     # U at the window's last box enters only size_limit, as
     # min(cap - U, Zbar) with Zbar = 0 there: a bump below cap is unseen
-    assert rep.ok == ((where, field) == ("n_hi", "U"))
+    assert (max(residuals.values()) == 0) == ((where, field) == ("n_hi", "U"))
+
+
+def test_euler_verifier_reads_the_span_from_the_box_left_of_it(monkeypatch):
+    # U and Zbar of the span's first box raised by 3 in the last slice:
+    # the recovery rule at box a still holds, U of the last slice is read
+    # by no later transition, and only box a - 1, where recovery reads
+    # |Zbar_a|, shows the fault in that rule
+    def inject(fields, a, b):
+        fields[[0, 2], 10, a + 25] += 3
+
+    residuals, dense = _span_fault_reports(monkeypatch, inject)
+    assert residuals == dense and residuals["recovery"] == 3
 
 
 def test_batched_verifiers_equal_the_loops_on_faulty_fields(monkeypatch):
