@@ -150,7 +150,7 @@ def cmd_simulate(args) -> int:
                     first = begin + i == 0
                     fields = []
                     if euler is not None:
-                        text = euler_state_json(state, schedule if first else None, profile=first)
+                        text = euler_state_json(state, schedule if first else None)
                         fields.append(f'"euler":{text}')
                     fields.append(f'"t":{t}')
                     if toda is not None:

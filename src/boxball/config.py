@@ -143,11 +143,9 @@ def parse_euler_state(obj, profile: CapacityProfile, where: str = "initial.euler
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def euler_state_json(
-    state: EulerState, schedule: Optional[CarrierSchedule] = None, profile: bool = True
-) -> str:
-    """The state as record text: counts dense from window_start, the
-    profile when `profile`, the schedule when given.
+def euler_state_json(state: EulerState, schedule: Optional[CarrierSchedule] = None) -> str:
+    """The state as record text: counts dense from window_start, and the
+    profile and the schedule when the schedule is given.
 
     The counts are written from the occupied boxes, one "0," string per run
     of empty ones, so the Python work follows the balls, not the window."""
@@ -158,9 +156,8 @@ def euler_state_json(
         box = n + 1
     parts.append("0," * (state.window_end - box))
     text = f'{{"counts":[{"".join(parts)[:-1]}]'
-    if profile:
-        text += f',"profile":{dump(profile_json(state.profile))}'
     if schedule is not None:
+        text += f',"profile":{dump(profile_json(state.profile))}'
         text += f',"schedule":{dump(schedule_json(schedule))}'
     return f'{text},"time":{state.time},"window_start":{state.window_start}}}'
 
@@ -219,23 +216,17 @@ class TodaText:
             setattr(self, name, _FieldText())
 
 
-def toda_state_json(
-    state: TodaState, profile: bool = True, last: Optional[TodaText] = None
-) -> str:
+def toda_state_json(state: TodaState, profile: bool, last: TodaText) -> str:
     """The state as record text, with the profile when `profile`; `last`
-    is the run's TodaText, a fresh one when not given."""
-    if last is None:
-        last = TodaText()
+    is the run's TodaText."""
     text = f'{{"E":{last.E.of(state.E)},"N":{state.N},"Q":{last.Q.of(state.Q)},"X0":{state.X0}'
     if profile:
         text += f',"profile":{dump(profile_json(state.profile))}'
     return f'{text},"time":{state.time}}}'
 
 
-def toda_trace_json(trace: TodaStepTrace, last: Optional[TodaText] = None) -> str:
-    """The trace as record text; `last` as for toda_state_json."""
-    if last is None:
-        last = TodaText()
+def toda_trace_json(trace: TodaStepTrace, last: TodaText) -> str:
+    """The trace as record text; `last` is the run's TodaText."""
     return (
         f'{{"Cbar":{last.Cbar.of(trace.Cbar)},"Dbar":{last.Dbar.of(trace.Dbar)},'
         f'"Ebar":{last.Ebar.of(trace.Ebar)},"K":{last.K.of(trace.K)},'

@@ -245,8 +245,8 @@ _BLOCK = 64
 def _euler_range_fits(params: EulerSolitonParams, n_lo: int, n_hi: int, t_lo: int, t_hi: int):
     if n_hi < n_lo - 1:  # [n_lo, n_lo - 1] is the empty range
         raise ValueError(f"box range [n_lo, n_hi] = [{n_lo}, {n_hi}] is reversed")
-    # |sum_{j<x} min(P_i, .)| <= P_i |x|
-    reach = 1 + max(abs(n_lo), abs(n_hi + 1)) + max(abs(t_lo), abs(t_hi + 1))
+    # |sum_{j<x} min(P_i, .)| <= P_i |x|, up to the verifier's box n_hi + 2
+    reach = 1 + max(abs(n_lo), abs(n_hi + 2)) + max(abs(t_lo), abs(t_hi + 1))
     _require_headroom(
         params.N * params.N * max(params.P)
         + sum(abs(x) + pi * reach for x, pi in zip(params.Xi, params.P))
@@ -298,13 +298,13 @@ def _euler_fields(
     with P_i = 0 has a constant H_i and B_i = 0, so it passes everywhere.
     As H_i is monotone in n, the boxes where soliton i fails both tests
     form one interval per t, whose ends invert the capacity prefix sum
-    (`_first_above`).  `_count_dp` runs once per call, over the potentials
-    that the live boxes of every slice read; quiet boxes stay 0.  The band
-    search and the potentials read the capacity prefix sum from one knot
-    table (`_prefix_knots`).  The cost is O(N^2) per live (box, time)
-    column, so a late slice costs what its solitons do.
+    (`_first_above`).  `_count_dp` runs once per call for each k, over the
+    potentials that the live boxes of every slice read; quiet boxes stay
+    0.  The band search and the potentials read the capacity prefix sum
+    from one knot table (`_prefix_knots`).  The cost is O(N^2) per live
+    (box, time) column, so a late slice costs what its solitons do.
 
-    Callers check a range holding this one with `_euler_range_fits` first.
+    Callers check the range, or one a box shorter, with `_euler_range_fits`.
     """
     big_n = params.N
     # tied speeds may come in either order: their pair weighs 2 P both ways
@@ -354,8 +354,9 @@ def _euler_fields(
     ))
     t_of, n_of = np.divmod(pot, stride)
     h0 = xi[:, None] - _knot_prefix(*knots, n_of + n_lo) + s_car[:, t_of]
-    f = _count_dp(np.concatenate([h0, h0 - pa[:, None]], axis=1), p).min(axis=0)
-    f0, f1 = f[: len(pot)], f[len(pot) :]
+    f0 = _count_dp(h0, p).min(axis=0)
+    np.subtract(h0, pa[:, None], out=h0)  # in place: H^{1,t} = H^{0,t} - P
+    f1 = _count_dp(h0, p).min(axis=0)
     # F at (t, n) and (t + 1, n); n + 1 is the next column of each
     now = np.searchsorted(pot, live)
     nxt = np.searchsorted(pot, live + stride)
@@ -422,34 +423,35 @@ def verify_euler_solution(
     every transition t -> t+1, t in [t_lo, t_hi), a block of transitions
     at a time as (transition, box) arrays.
 
-    The rules are local in n, so they hold pointwise wherever all
-    referenced neighbours lie inside the window, quiet boxes included; no
-    support assumption is needed.  A block's entries are placed over the
-    boxes [a, b] they span, and one more box on each side inside the
-    window.  Outside [a, b] every field is 0, which every rule satisfies
-    (capacities and M are >= 0), except at the two boxes that read into
-    it: box a - 1 reads Zbar_a, and box b reads Zbar_{b+1} = 0.  So the
-    report is the one over the whole window, for any entries.  Raises
-    before the first block what `euler_slices` raises for the range.
+    The rules are local in n: each holds pointwise at every box of the
+    window, quiet boxes included, and carrier_load and recovery at box n
+    read Zbar_{n+1}.  So the fields are evaluated one box past the window,
+    over [n_lo, n_hi + 1], and every rule is checked at n_lo .. n_hi.  A
+    block's entries are placed over the boxes [a, b] they span, and one
+    more box on each side inside that range.  Outside [a, b] every field
+    is 0, which every rule satisfies (capacities and M are >= 0), except
+    at box a - 1, which reads Zbar_a.  So the report is the one over the
+    whole window, for any entries.  Raises before the first block what
+    `euler_slices` raises for the range.
     """
     _euler_range_fits(params, n_lo, n_hi, t_lo, t_hi)
     res = {"size_limit": 0, "carrier_load": 0, "recovery": 0}
     for b_lo in range(t_lo, t_hi, _BLOCK):
         b_hi = min(b_lo + _BLOCK, t_hi)
-        rows, boxes, values = _euler_fields(params, n_lo, n_hi, b_lo, b_hi)
+        rows, boxes, values = _euler_fields(params, n_lo, n_hi + 1, b_lo, b_hi)
         if not len(boxes):
             continue
-        lo, hi = max(int(boxes.min()) - 1, n_lo), min(int(boxes.max()) + 1, n_hi)
+        lo, hi = max(int(boxes.min()) - 1, n_lo), min(int(boxes.max()) + 1, n_hi + 1)
         u, ub, zb = block = np.zeros((3, b_hi - b_lo + 1, hi - lo + 1), dtype=np.int64)
         block[:, rows, boxes - lo] = values
-        caps = params.profile.caps_array(lo, hi - lo + 1)
-        u0, u1, ub, zb = u[:-1], u[1:], ub[1:], zb[1:]
+        # the rules at boxes lo .. hi - 1; box hi is past the window or 0
+        caps = params.profile.caps_array(lo, hi - lo)
+        u0, u1, ub, zb, zb1 = u[:-1, :-1], u[1:, :-1], ub[1:, :-1], zb[1:, :-1], zb[1:, 1:]
         m = np.array([[int64_bound(params.schedule.at(t))] for t in range(b_lo + 1, b_hi + 1)])
-        held = np.minimum(zb[:, :-1] + u0[:, :-1], m)
         for key, diff in (
             ("size_limit", ub - np.minimum(caps - u0, zb)),
-            ("carrier_load", zb[:, 1:] - (held - ub[:, :-1])),
-            ("recovery", u1[:, :-1] - (u0[:, :-1] + zb[:, :-1] - zb[:, 1:])),
+            ("carrier_load", zb1 - (np.minimum(zb + u0, m) - ub)),
+            ("recovery", u1 - (u0 + zb - zb1)),
         ):
             res[key] = max(res[key], int(np.abs(diff).max(initial=0)))
     return EulerVerifyReport(residuals=res)

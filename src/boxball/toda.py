@@ -189,24 +189,13 @@ def lagrange_step(
 
 
 def capacities_for_state(state: TodaState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Box capacities at each run start (K) and gap start (Lam), sampled
-    from the segment geometry at the state's current positions, walked as
-    Y_n = X_n + Q_n, X_{n+1} = Y_n + E_n (the positions of toda_to_lagrange).
-    extoda_step reads them here; enutoda_step, which extoda_step checks,
-    samples them in its own loop."""
+    """Box capacities K_n at each run start X_n and Lam_n at each gap start
+    Y_n, read off the segment geometry at the positions toda_to_lagrange
+    gives.  extoda_step reads them here; enutoda_step, which extoda_step
+    checks, samples them in its own loop."""
     cap = state.profile.segment_capacity
-    q, e = state.Q, state.E
-    x = state.X0
-    k = []
-    lam = []
-    for n in range(len(e)):
-        y = x + q[n]
-        k.append(cap(x))
-        lam.append(cap(y))
-        x = y + e[n]
-    k.append(cap(x))
-    lam.append(cap(x + q[-1]))
-    return tuple(k), tuple(lam)
+    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+    return tuple(map(cap, x)), tuple(map(cap, y))
 
 
 def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState, TodaStepTrace]:

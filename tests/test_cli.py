@@ -204,12 +204,13 @@ def step_by_step_simulate(args):
             first = step == 0
             fields = []
             if euler is not None:
-                text = c.euler_state_json(euler, cfg.schedule if first else None, profile=first)
+                text = c.euler_state_json(euler, cfg.schedule if first else None)
                 fields.append(f'"euler":{text}')
             fields.append(f'"t":{t}')
             if toda is not None:
-                fields.append(f'"toda":{c.toda_state_json(toda, profile=first)}')
-                fields.append(f'"toda_trace":{c.toda_trace_json(ttrace)}')
+                # a fresh text state per record: every field rendered anew
+                fields.append(f'"toda":{c.toda_state_json(toda, first, c.TodaText())}')
+                fields.append(f'"toda_trace":{c.toda_trace_json(ttrace, c.TodaText())}')
             if euler is not None:
                 fields.append(f'"trace":{c.euler_trace_json(etrace)}')
             if verdict is not None:

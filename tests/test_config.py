@@ -7,6 +7,7 @@ from boxball import POS_INF, CapacityProfile, EulerState, TauParams, TodaState, 
 from boxball.cli import main
 from boxball.config import (
     ConfigError,
+    TodaText,
     euler_state_json,
     parse_config_dict,
     parse_euler_state,
@@ -126,7 +127,7 @@ def test_solution_initial_owns_profile_and_schedule():
 def test_toda_state_round_trip():
     p = CapacityProfile(capacities=(2, 3))
     st = parse_toda_state({"time": 1, "N": 2, "Q": [2, 1], "E": [3], "X0": 1}, p)
-    out = json.loads(toda_state_json(st))
+    out = json.loads(toda_state_json(st, True, TodaText()))
     assert out["Q"] == [2, 1] and out["N"] == 2 and out["profile"]["capacities"] == [2, 3]
     again = parse_toda_state(
         {k: out[k] for k in ("time", "N", "Q", "E", "X0")}, p

@@ -70,8 +70,8 @@ def reference_euler_state(state, schedule=None, profile=True):
     return out
 
 
-def reference_euler_state_json(state, schedule=None, profile=True):
-    return reference_dump(reference_euler_state(state, schedule, profile))
+def reference_euler_state_json(state, schedule=None):
+    return reference_dump(reference_euler_state(state, schedule, schedule is not None))
 
 
 def reference_euler_trace(trace):
@@ -192,14 +192,12 @@ schedules = st.one_of(
 )
 
 
-@given(states(), schedules, st.booleans())
-@example(state_from(0, 0, [], 0), None, True)  # empty window
-@example(state_from(4, 3, [], 2), CarrierSchedule(), False)  # nothing but empty boxes
-@example(state_from(6, 2, [2**62, 0, 10], 3), None, False)
-def test_euler_state_json_matches_the_dense_writer(state, schedule, profile):
-    assert euler_state_json(state, schedule, profile) == reference_euler_state_json(
-        state, schedule, profile
-    )
+@given(states(), schedules)
+@example(state_from(0, 0, [], 0), None)  # empty window
+@example(state_from(4, 3, [], 2), CarrierSchedule())  # nothing but empty boxes
+@example(state_from(6, 2, [2**62, 0, 10], 3), None)
+def test_euler_state_json_matches_the_dense_writer(state, schedule):
+    assert euler_state_json(state, schedule) == reference_euler_state_json(state, schedule)
 
 
 @given(states(), st.integers(0, 6))
@@ -257,7 +255,9 @@ def toda_states(draw):
 @example(TodaState(Q=(3,), E=(), X0=0, profile=CapacityProfile()), True)  # empty E
 @example(TodaState(Q=(1, 2), E=(4,), X0=2**62 - 3, profile=CapacityProfile()), False)
 def test_toda_state_json_matches_the_dict_writer(state, profile):
-    assert toda_state_json(state, profile) == reference_dump(reference_toda_state(state, profile))
+    assert toda_state_json(state, profile, TodaText()) == reference_dump(
+        reference_toda_state(state, profile)
+    )
 
 
 @given(
@@ -275,7 +275,7 @@ def test_toda_trace_json_matches_the_dict_writer(qbar, ebar, cbar, dbar, xbar0, 
         Qbar=tuple(qbar), Ebar=tuple(ebar), Cbar=tuple(cbar), Dbar=tuple(dbar), Xbar0=xbar0,
         K=tuple(k), Lam=tuple(lam),
     )
-    assert toda_trace_json(trace) == reference_dump(reference_toda_trace(trace))
+    assert toda_trace_json(trace, TodaText()) == reference_dump(reference_toda_trace(trace))
 
 
 field_pools = st.lists(st.lists(ints, max_size=4).map(tuple), min_size=1, max_size=3)
@@ -334,7 +334,7 @@ def test_a_toda_field_is_rendered_again_only_when_its_tuple_changes(monkeypatch)
     for state, trace in (ONE, TWO, TWO, ONE):
         # a copy, whose Q is an equal tuple but not the same object, is not
         # rendered again
-        toda_state_json(replace(state), last=text)
+        toda_state_json(replace(state), profile=True, last=text)
         toda_trace_json(trace, last=text)
     # in writing order; E = () is the text a fresh field starts from
     assert rendered == [
