@@ -598,8 +598,9 @@ def test_long_euler_slices_hold_one_block_at_a_time():
     # the N = 20 unit-capacity parameters of
     # test_twenty_solitons_follow_euler_step_for_100_steps over t = 0 .. 200,
     # consumed slice by slice: one dynamic program over the whole range
-    # peaked at 228 MB (tracemalloc), one per block of slices at 96 MB with
-    # k = 0 and 1 in one dynamic program, and at 48 MB with one per k
+    # peaked at 228 MB (tracemalloc), one per block of slices at 95.4 MiB
+    # with k = 0 and 1 in one dynamic program, and one per k per block
+    # peaks at 47.2 MiB
     rng = np.random.default_rng(20)
     p = rng.choice(np.arange(1, 21), size=20, replace=False).tolist()
     xi = [int(x) + 60 * (20 - pi) for x, pi in zip(rng.integers(0, 30, size=20), p)]
