@@ -36,16 +36,11 @@ from .toda import (
     InconsistentPositions,
     TodaState,
     TodaStepTrace,
-    capacities_for_state,
     enutoda_step,
-    extoda_step,
     from_euler,
-    lagrange_step,
     lagrange_to_toda,
     to_euler,
     toda_to_lagrange,
-    utoda_step,
-    utoda_step_sumform,
 )
 from .xint import POS_INF, FiniteOverflow, XInt
 
@@ -69,17 +64,14 @@ __all__ = [
     "TodaStepTrace",
     "WindowOverflow",
     "XInt",
-    "capacities_for_state",
     "carrier_oracle_step",
     "enutoda_step",
     "euler_nsoliton",
     "euler_slices",
     "euler_step",
     "expand",
-    "extoda_step",
     "first_difference",
     "from_euler",
-    "lagrange_step",
     "lagrange_to_toda",
     "same_occupancy",
     "tau_states",
@@ -87,8 +79,6 @@ __all__ = [
     "to_euler",
     "toda_to_lagrange",
     "umkdv_residual",
-    "utoda_step",
-    "utoda_step_sumform",
     "verify_euler_solution",
     "verify_tau_solution",
 ]

@@ -321,7 +321,7 @@ def _solution_initial(spec: SolutionSpec, where: str) -> Union[EulerState, TodaS
         state = EulerState(counts=counts, profile=params.profile, window_start=lo)
     except ValueError as exc:
         raise ConfigError(f"{where}.n_range: the state at t=0 is not valid: {exc}") from exc
-    if len(counts) >= 2 and (counts[0] != 0 or counts[-1] != 0):
+    if counts[0] != 0 or counts[-1] != 0:
         raise ConfigError(f"{where}.n_range: the state at t=0 has a ball at an end; widen it")
     return state
 

@@ -2,13 +2,15 @@
 picture) of the box-ball system.
 
 The Toda picture evolves soliton sizes Q_n and interior gap sizes E_n with
-the implicit boundary gaps E_0 = E_N = +inf.  The classical recurrence
-(all capacities 1) is extended first to per-box capacities, where the box
-capacities K_n / Lam_n sampled at each run start and gap start enter the
-update, and then to a bounded carrier, where the carrier loads Cbar/Dbar
-carry the size-limit bookkeeping and a recovery stage restores the trimmed
-balls.  Capacities are resampled from the profile's segment geometry
-every step, since the positions move.
+the implicit boundary gaps E_0 = E_N = +inf.  enutoda_step is the step with
+per-box capacities and a bounded carrier: the box capacities K_n / Lam_n
+sampled at each run start and gap start enter the update, the carrier loads
+Cbar/Dbar carry the size-limit bookkeeping, and a recovery stage restores
+the trimmed balls.  Capacities are resampled from the profile's segment
+geometry every step, since the positions move.  The stages the step is
+built from (the classical recurrence with all capacities 1, its Lagrange
+form, and per-box capacities under an unbounded carrier) are kept as
+oracles in tests/oracles.py.
 """
 
 from __future__ import annotations
@@ -27,8 +29,9 @@ class EmptySequence(ValueError):
 
 
 class CapacityViolation(ValueError):
-    """Some run-start box capacity exceeds the step's carrier capacity; the
-    size coordinates are only faithful under K_n <= M."""
+    """A box capacity at a run start (K_n) or at a gap start (Lam_n) exceeds
+    the step's carrier capacity M; the size coordinates are only faithful
+    when every K_n and every Lam_n is at most M."""
 
 
 class DegenerateState(ValueError):
@@ -87,53 +90,6 @@ class TodaStepTrace:
     Lam: Tuple[int, ...]
 
 
-def utoda_step(
-    Q: Sequence[int], E: Sequence[int]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...], Tuple[int, ...]]:
-    """Classical recurrence (all capacities 1, unbounded carrier):
-
-        D_0 = Q_0,  D_n = D_{n-1} - Q'_{n-1} + Q_n,
-        Q'_n = min(E_{n+1}, D_n),   E'_n = E_n - Q'_{n-1} + Q_n,
-
-    with E_N = +inf so the last run takes the whole carrier load.
-    Returns (Q', E', D).
-    """
-    n_runs = len(Q)
-    if len(E) != n_runs - 1:
-        raise ValueError("E lists the interior gaps only")
-    d_list = []
-    qp = []
-    for n in range(n_runs):
-        d = Q[0] if n == 0 else d_list[n - 1] - qp[n - 1] + Q[n]
-        d_list.append(d)
-        qp.append(d if n == n_runs - 1 else min(E[n], d))
-    ep = [E[i] - qp[i] + Q[i + 1] for i in range(n_runs - 1)]
-    if any(q < 1 for q in qp) or any(e < 1 for e in ep):
-        raise AssertionError("positivity broke in utoda_step (bug)")
-    return tuple(qp), tuple(ep), tuple(d_list)
-
-
-def utoda_step_sumform(
-    Q: Sequence[int], E: Sequence[int]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Same step written with partial sums in place of the carrier load:
-
-        Q'_n = min(E_{n+1}, sum_{j<=n} Q_j - sum_{j<n} Q'_j).
-    """
-    n_runs = len(Q)
-    if len(E) != n_runs - 1:
-        raise ValueError("E lists the interior gaps only")
-    qp = []
-    acc = 0  # sum Q[:n+1] - sum qp[:n]
-    for n in range(n_runs):
-        acc += Q[n]
-        v = acc if n == n_runs - 1 else min(E[n], acc)
-        qp.append(v)
-        acc -= v
-    ep = [E[i] - qp[i] + Q[i + 1] for i in range(n_runs - 1)]
-    return tuple(qp), tuple(ep)
-
-
 def toda_to_lagrange(
     Q: Sequence[int], E: Sequence[int], X0: int
 ) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
@@ -163,41 +119,6 @@ def lagrange_to_toda(
     return q, e, int(X[0])
 
 
-def lagrange_step(
-    X: Sequence[int], Y: Sequence[int]
-) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Advance the start positions one step:
-
-        X'_n = Y_{n+1},
-        Y'_n = Y_n + min(X_n - Y_n, A_n - B_n),
-
-    where A_n = sum_{j<=n}(Y_j - X_{j-1}) and B_n = sum_{j<n}(Y'_j - X'_{j-1});
-    the boundary X_N = +inf makes the last minimum the running sum itself.
-    """
-    lagrange_to_toda(X, Y)  # validates the interleaving
-    n_runs = len(X)
-    xp = tuple(Y)
-    yp = []
-    a = 0
-    b = 0
-    for n in range(1, n_runs + 1):
-        a += Y[n - 1] - X[n - 1]
-        inc = a - b if n == n_runs else min(X[n] - Y[n - 1], a - b)
-        yp.append(Y[n - 1] + inc)
-        b += yp[-1] - xp[n - 1]
-    return xp, tuple(yp)
-
-
-def capacities_for_state(state: TodaState) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """Box capacities K_n at each run start X_n and Lam_n at each gap start
-    Y_n, read off the segment geometry at the positions toda_to_lagrange
-    gives.  extoda_step reads them here; enutoda_step, which extoda_step
-    checks, samples them in its own loop."""
-    cap = state.profile.segment_capacity
-    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
-    return tuple(map(cap, x)), tuple(map(cap, y))
-
-
 def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState, TodaStepTrace]:
     """One step with box capacities and a bounded carrier.
 
@@ -222,8 +143,10 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
 
     K_N is not a real box capacity; any value in [0, M] cancels out of
     every output but the trace's Cbar_N = min(K_N, M), and K_N = 0 here.
-    Requires K_n <= M; with M = +inf the trimming disappears and the step
-    coincides with extoda_step.
+    The domain is every K_n <= M and every Lam_n <= M (K_N aside); outside
+    it the output can be wrong, so the step raises CapacityViolation.  With
+    M = +inf the trimming disappears and the step coincides with the
+    unbounded-carrier oracle extoda_step of tests/oracles.py.
 
     One loop walks the positions X_n and Y_n = X_n + Q_n, reads K_n and
     Lam_n off the segment geometry as it reaches them (K_{n+1} at
@@ -286,10 +209,10 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
         kn = kn1
         s_prev = s
 
-    # the loop only adds and compares, so K checked against M after it
-    # raises what a check before it would
-    if m is not None and max(k) > m:
-        bad = [v for v in k if v > m]
+    # the loop only adds and compares, so K and Lam checked against M after
+    # it raise what a check before it would
+    if m is not None and (max(k) > m or max(lam) > m):
+        bad = [v for v in k + lam if v > m]
         raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m}")
     if sum(qp) != sum(q):
         raise AssertionError("ball count broke in enutoda_step (bug)")
@@ -303,59 +226,6 @@ def enutoda_step(state: TodaState, schedule: CarrierSchedule) -> Tuple[TodaState
     trace = _record(
         TodaStepTrace, Qbar=tuple(qbar), Ebar=tuple(ebar), Cbar=tuple(cbar), Dbar=tuple(dbar),
         Xbar0=xbar0, K=tuple(k), Lam=tuple(lam),
-    )
-    return new_state, trace
-
-
-def extoda_step(state: TodaState) -> Tuple[TodaState, TodaStepTrace]:
-    """One step with box capacities and an unbounded carrier:
-
-        D_0 = Q_0,  D_n = D_{n-1} - Q'_{n-1} + Q_n,
-        Q'_n = min(E_{n+1} - max(0, Lam_{n+1} - D_n), D_n),
-        E'_n = E_n - Q'_{n-1} + Q_n
-               - max(0, Lam_n - D_{n-1}) + max(0, Lam_{n+1} - D_n).
-
-    Equals enutoda_step with carrier capacity +inf; with all capacities 1
-    it reduces to utoda_step.
-    """
-    k, lam = capacities_for_state(state)
-    q, e = state.Q, state.E
-    n_runs = state.N
-
-    d_list = []
-    qp = []
-    for n in range(n_runs):
-        d = q[0] if n == 0 else d_list[n - 1] - qp[n - 1] + q[n]
-        d_list.append(d)
-        qp.append(
-            d if n == n_runs - 1 else min(e[n] - max(0, lam[n] - d), d)
-        )
-    ep = [
-        e[i]
-        - qp[i]
-        + q[i + 1]
-        - max(0, lam[i] - d_list[i])
-        + max(0, lam[i + 1] - d_list[i + 1])
-        for i in range(n_runs - 1)
-    ]
-
-    xbar0 = state.X0 + q[0] + max(0, lam[0] - d_list[0])
-    xp0 = state.X0 + max(d_list[0], lam[0])
-
-    if any(v < 1 for v in qp) or any(v < 1 for v in ep):
-        raise DegenerateState(f"step produced Q'={qp}, E'={ep}")
-
-    new_state = TodaState(
-        Q=tuple(qp), E=tuple(ep), X0=xp0, profile=state.profile, time=state.time + 1
-    )
-    trace = TodaStepTrace(
-        Qbar=tuple(qp),
-        Ebar=tuple(ep),
-        Cbar=tuple(),
-        Dbar=tuple(d_list),
-        Xbar0=xbar0,
-        K=k,
-        Lam=lam,
     )
     return new_state, trace
 

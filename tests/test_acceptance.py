@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from oracles import extoda_step, lagrange_step, utoda_step, utoda_step_sumform
 
 from boxball import (
     POS_INF,
@@ -21,14 +22,10 @@ from boxball import (
     XInt,
     enutoda_step,
     euler_step,
-    extoda_step,
     from_euler,
-    lagrange_step,
     lagrange_to_toda,
     tau_toda_state,
     toda_to_lagrange,
-    utoda_step,
-    utoda_step_sumform,
     verify_euler_solution,
     verify_tau_solution,
 )

@@ -385,6 +385,30 @@ def test_simulate_toda_initial_outside_the_expansion_image_degenerates(
     assert captured.err == "error: DegenerateState: step produced Q'=[-1, 6], E'=[3]\n"
 
 
+@pytest.mark.parametrize("representation", ["toda", "both"])
+def test_simulate_gap_start_capacity_above_the_carrier_exit_code(
+    tmp_path, capsys, representation
+):
+    # Q = (3), K = (2) and Lam = (3) under M = 2: every run-start capacity
+    # fits the carrier, but the gap starts in box 2 of capacity 3; the Toda
+    # step would give `.21` where euler_step gives `..3`
+    cfg = write_json(
+        tmp_path / "gap_start.json",
+        {
+            "representation": representation,
+            "steps": 1,
+            "render": "ascii",
+            "profile": {"capacities": [2, 2, 3], "default": 2},
+            "schedule": {"default": 2},
+            "initial": {"euler": {"counts": [0, 2, 1]}},
+        },
+    )
+    assert main(["simulate", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: CapacityViolation: box capacities [3] exceed carrier capacity 2\n"
+
+
 def test_simulate_memory_does_not_grow_with_the_steps():
     # a block holds at most cli._BLOCK states and traces; a run that kept
     # every step's would peak ten times as high at ten times the steps.
@@ -681,8 +705,10 @@ def test_simulate_steps_flag_below_one_exit_code(sim_config, capsys):
         ([-20, 40], "initial.solution.params.n_range must start at box 0 or later, got -20"),
         # the t=0 slice puts a ball in box 0
         ([0, 40], "initial.solution.params.n_range: the state at t=0 has a ball at an end"),
+        # a one-box window whose box holds a ball: the soliton left of it is lost
+        ([6, 6], "initial.solution.params.n_range: the state at t=0 has a ball at an end"),
     ],
-    ids=["missing", "left-of-box-0", "ball-at-an-end"],
+    ids=["missing", "left-of-box-0", "ball-at-an-end", "one-box-with-a-ball"],
 )
 def test_simulate_bad_solution_initial_exit_code(tmp_path, capsys, n_range, named):
     params = json.loads((ROOT / "configs" / "soliton_pair.json").read_text())

@@ -2,6 +2,7 @@ import json
 import re
 
 import pytest
+from oracles import utoda_step, utoda_step_sumform
 
 from boxball import POS_INF, CapacityProfile, EulerState, TauParams, TodaState, XInt
 from boxball.cli import main
@@ -20,7 +21,7 @@ from boxball.config import (
     toda_state_json,
 )
 from boxball.geometry import CarrierSchedule
-from boxball.toda import InconsistentPositions, lagrange_to_toda, utoda_step, utoda_step_sumform
+from boxball.toda import InconsistentPositions, lagrange_to_toda
 
 
 def minimal_config():

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from oracles import capacities_for_state
 
 from boxball import (
     CapacityProfile,
     EmptySequence,
     EulerState,
     TodaState,
-    capacities_for_state,
     expand,
     from_euler,
     same_occupancy,

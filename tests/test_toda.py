@@ -4,8 +4,9 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
+from oracles import capacities_for_state, extoda_step, lagrange_step, utoda_step, utoda_step_sumform
 
 from boxball import (
     CapacityProfile,
@@ -17,16 +18,13 @@ from boxball import (
     InconsistentPositions,
     TodaState,
     TodaStepTrace,
-    capacities_for_state,
     enutoda_step,
-    extoda_step,
+    euler_step,
     from_euler,
-    lagrange_step,
     lagrange_to_toda,
+    same_occupancy,
     to_euler,
     toda_to_lagrange,
-    utoda_step,
-    utoda_step_sumform,
 )
 from boxball.difftest import DiffBounds, random_case
 
@@ -145,6 +143,44 @@ def test_enutoda_capacity_violation():
     st = TodaState(Q=(2,), E=(), X0=0, profile=CapacityProfile(default_capacity=4))
     with pytest.raises(CapacityViolation):
         enutoda_step(st, CarrierSchedule(default=3))
+
+
+@st.composite
+def euler_states_and_carriers(draw):
+    """A counts-level state with at least one ball on a capacity window
+    (default capacity past it), and M from 1 to one past the largest
+    capacity, or +inf."""
+    default = draw(st.integers(1, 4))
+    caps = draw(st.lists(st.integers(1, 5), min_size=1, max_size=8))
+    profile = CapacityProfile(
+        capacities=caps, window_start=draw(st.integers(0, 3)), default_capacity=default
+    )
+    counts = [draw(st.integers(0, c)) for c in caps]
+    assume(any(counts))
+    state = EulerState(counts=counts, profile=profile, window_start=profile.window_start)
+    m = draw(st.one_of(st.none(), st.integers(1, max(*caps, default) + 1)))
+    return state, CarrierSchedule() if m is None else CarrierSchedule(default=m)
+
+
+@given(euler_states_and_carriers())
+# K = (2) but Lam = (3) > M = 2: the run ends in box 2, where euler_step
+# puts all 3 balls
+@example((EulerState(counts=[0, 2, 1], profile=CapacityProfile(capacities=(2, 2, 3),
+                                                               default_capacity=2)),
+          CarrierSchedule(default=2)))
+def test_enutoda_step_follows_euler_step_on_its_domain(case):
+    # the domain is every K_n and Lam_n <= M: inside it the Toda step maps
+    # back to euler_step's state, outside it the step raises
+    state, schedule = case
+    ts = from_euler(state)
+    k, lam = capacities_for_state(ts)
+    m = schedule.at(ts.time + 1).bound
+    if m is not None and max(k + lam) > m:
+        with pytest.raises(CapacityViolation):
+            enutoda_step(ts, schedule)
+    else:
+        toda, _ = enutoda_step(ts, schedule)
+        assert same_occupancy(to_euler(toda), euler_step(state, schedule)[0])
 
 
 def test_boundary_cap_choice_does_not_matter():
@@ -369,24 +405,15 @@ def test_to_euler_matches_the_per_box_boundary_walk(state):
 # --- the one-pass step and walks against the paper's equations ----------------
 
 
-def staged_capacities(state):
-    """K and Lam sampled at toda_to_lagrange's positions, box by box."""
-    profile = state.profile
-    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
-    k = tuple(profile.capacity(profile.segment_to_box(s)) for s in x)
-    lam = tuple(profile.capacity(profile.segment_to_box(s)) for s in y)
-    return k, lam
-
-
 def staged_enutoda_step(state, schedule, k_boundary=0):
     """enutoda_step written as the equations of its docstring, one list per
     stage: size limit (Dbar, Qbar, Cbar, then Ebar), recovery (Q', E') and
     anchor motion, with validating constructors for the outputs."""
     m = schedule.at(state.time + 1)
     m_val = m.bound
-    k, lam = staged_capacities(state)
+    k, lam = capacities_for_state(state)
     if m_val is not None:
-        bad = [v for v in k if v > m_val]
+        bad = [v for v in k + lam if v > m_val]
         if bad:
             raise CapacityViolation(f"box capacities {bad} exceed carrier capacity {m_val}")
         if not 0 <= k_boundary <= m_val:
@@ -462,7 +489,7 @@ def test_enutoda_step_matches_the_staged_equations():
         st, sched = random_case(rng, bounds)
         ts = from_euler(st)
         for _ in range(bounds.steps):
-            k, _ = staged_capacities(ts)
+            k, _ = capacities_for_state(ts)
             for schedule in (CarrierSchedule(default=max(k) - 1), sched, CarrierSchedule()):
                 got = step_outcome(enutoda_step, ts, schedule)
                 assert got == step_outcome(staged_enutoda_step, ts, schedule)
@@ -521,7 +548,11 @@ def test_enutoda_step_equals_the_staged_equations_on_drawn_inputs(inputs):
     assert step_outcome(enutoda_step, state, schedule) == step_outcome(
         staged_enutoda_step, state, schedule
     )
-    assert capacities_for_state(state) == staged_capacities(state)
+    # the segment_capacity lookup enutoda_step makes, at the positions
+    # toda_to_lagrange gives, against the box-by-box oracle sampler
+    cap = state.profile.segment_capacity
+    x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+    assert (tuple(map(cap, x)), tuple(map(cap, y))) == capacities_for_state(state)
 
 
 def walk_check_states():
@@ -542,7 +573,9 @@ def walk_check_states():
 
 def test_capacities_sample_toda_to_lagrange_positions():
     for state in walk_check_states():
-        assert capacities_for_state(state) == staged_capacities(state)
+        cap = state.profile.segment_capacity
+        x, y = toda_to_lagrange(state.Q, state.E, state.X0)
+        assert (tuple(map(cap, x)), tuple(map(cap, y))) == capacities_for_state(state)
 
 
 def test_to_euler_lays_toda_to_lagrange_runs_box_by_box():
