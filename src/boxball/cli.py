@@ -11,16 +11,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Optional, Tuple
 
 from .config import (
     ConfigError,
-    RunConfig,
     TodaText,
     dump,
     euler_state_json,
     euler_trace_json,
     n_range_fits,
+    parse_capacities,
     parse_config,
     parse_range,
     parse_solution_file,
@@ -28,11 +27,11 @@ from .config import (
     toda_trace_json,
 )
 from .difftest import DiffBounds, run_difftest
-from .euler import EulerState, euler_step, first_difference, same_occupancy
+from .euler import euler_step, first_difference, same_occupancy
 from .render import render_counts
 from .solutions import euler_slices, tau_states, verify_euler_solution, verify_tau_solution
-from .toda import CapacityViolation, DegenerateState, TodaState, enutoda_step, from_euler, to_euler
-from .xint import FiniteOverflow, XInt, decode_xint
+from .toda import CapacityViolation, DegenerateState, enutoda_step, to_euler
+from .xint import FiniteOverflow
 
 
 def _emit(line: str) -> None:
@@ -41,20 +40,6 @@ def _emit(line: str) -> None:
 
 def _diag(line: str) -> None:
     sys.stderr.write(line + "\n")
-
-
-def _initial_states(cfg: RunConfig) -> Tuple[Optional[EulerState], Optional[TodaState]]:
-    """The state(s) the requested representation needs, deriving the
-    missing picture from the initial one."""
-    euler = cfg.initial if isinstance(cfg.initial, EulerState) else None
-    toda = cfg.initial if isinstance(cfg.initial, TodaState) else None
-    need_euler = cfg.representation in ("euler", "both")
-    need_toda = cfg.representation in ("toda", "both")
-    if need_euler and euler is None:
-        euler = to_euler(toda)
-    if need_toda and toda is None:
-        toda = from_euler(euler)
-    return (euler if need_euler else None, toda if need_toda else None)
 
 
 # the steps each pass runs before the next pass starts; a block holds at
@@ -88,7 +73,7 @@ def cmd_simulate(args) -> int:
     steps = args.steps if args.steps is not None else cfg.steps
     render = args.render if args.render is not None else cfg.render
     schedule = cfg.schedule
-    euler, toda = _initial_states(cfg)
+    euler, toda = cfg.euler, cfg.toda
     both = euler is not None and toda is not None
     toda_text = TodaText()
     if render == "ascii":
@@ -147,14 +132,14 @@ def cmd_simulate(args) -> int:
                     # the keys in sorted order; the profile and schedule do
                     # not change along a run, so only the first record
                     # carries them
-                    first = begin + i == 0
+                    first_record = begin + i == 0
                     fields = []
                     if euler is not None:
-                        text = euler_state_json(state, schedule if first else None)
+                        text = euler_state_json(state, schedule if first_record else None)
                         fields.append(f'"euler":{text}')
                     fields.append(f'"t":{t}')
                     if toda is not None:
-                        text = toda_state_json(ts, profile=first, last=toda_text)
+                        text = toda_state_json(ts, profile=first_record, last=toda_text)
                         fields.append(f'"toda":{text}')
                         fields.append(f'"toda_trace":{toda_trace_json(ttrace, last=toda_text)}')
                     if euler is not None:
@@ -176,24 +161,6 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _parse_m_choices(text: str) -> Tuple[XInt, ...]:
-    out = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        try:
-            m = decode_xint(part if part == "inf" else int(part))
-        except (ValueError, FiniteOverflow) as exc:
-            raise ConfigError(
-                f"--m-choices takes integers >= 0 or inf, got {part!r} ({exc})"
-            ) from None
-        out.append(m)
-    if not out:
-        raise ConfigError("--m-choices must name at least one capacity")
-    return tuple(out)
-
-
 def cmd_difftest(args) -> int:
     for flag, value, least in (
         ("--cases", args.cases, 1),
@@ -204,7 +171,7 @@ def cmd_difftest(args) -> int:
     ):
         if value < least:
             raise ConfigError(f"{flag} must be >= {least}, got {value}")
-    m_choices = _parse_m_choices(args.m_choices) if args.m_choices else ()
+    m_choices = parse_capacities(args.m_choices, "--m-choices") if args.m_choices else ()
     try:
         bounds = DiffBounds(
             window=args.window,

@@ -21,12 +21,21 @@ from typing import Optional, Tuple, Union
 from .euler import EulerState, EulerStepTrace
 from .geometry import CapacityProfile, CarrierSchedule
 from .solutions import EulerSolitonParams, TauParams, euler_nsoliton, tau_toda_state
-from .toda import TodaState, TodaStepTrace
+from .toda import TodaState, TodaStepTrace, from_euler, to_euler
 from .xint import INT64_MAX, INT64_MIN, FiniteOverflow, XInt, decode_xint, encode_xint
 
 
 class ConfigError(ValueError):
     """Malformed configuration, with the offending key or field named."""
+
+
+def _named(where: str, build, **fields):
+    """build(**fields), with the ValueError a library constructor raises for
+    a bad value turned into a ConfigError naming where the value came from."""
+    try:
+        return build(**fields)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _check_keys(obj: dict, where: str, allowed: set, required: set) -> None:
@@ -74,6 +83,18 @@ def parse_range(text: str, what: str) -> Tuple[int, int]:
     return lo, hi
 
 
+def parse_capacities(text: str, what: str) -> Tuple[XInt, ...]:
+    """A command-line comma list of carrier capacities, integers or inf."""
+    parts = [part.strip() for part in text.split(",") if part.strip()]
+    if not parts:
+        raise ConfigError(f"{what} must name at least one capacity")
+    try:
+        values = [part if part == "inf" else int(part) for part in parts]
+    except ValueError as exc:
+        raise ConfigError(f"{what} takes integers >= 0 or inf: {exc}") from None
+    return tuple(_capacity(value, what) for value in values)
+
+
 def _int_list(obj, where: str) -> Tuple[int, ...]:
     if not isinstance(obj, list):
         raise ConfigError(f"{where} must be an array of integers")
@@ -85,10 +106,9 @@ def parse_profile(obj, where: str = "profile") -> CapacityProfile:
     caps = _int_list(obj.get("capacities", []), f"{where}.capacities")
     start = _int(obj.get("window_start", 0), f"{where}.window_start")
     default = _int(obj.get("default", 1), f"{where}.default")
-    try:
-        return CapacityProfile(capacities=caps, window_start=start, default_capacity=default)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _named(
+        where, CapacityProfile, capacities=caps, window_start=start, default_capacity=default
+    )
 
 
 def profile_json(profile: CapacityProfile) -> dict:
@@ -137,10 +157,7 @@ def parse_euler_state(obj, profile: CapacityProfile, where: str = "initial.euler
     counts = _int_list(obj["counts"], f"{where}.counts")
     time = _int(obj.get("time", 0), f"{where}.time")
     start = _int(obj.get("window_start", 0), f"{where}.window_start")
-    try:
-        return EulerState(counts=counts, profile=profile, time=time, window_start=start)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _named(where, EulerState, counts=counts, profile=profile, time=time, window_start=start)
 
 
 def euler_state_json(state: EulerState, schedule: Optional[CarrierSchedule] = None) -> str:
@@ -179,10 +196,7 @@ def parse_toda_state(obj, profile: CapacityProfile, where: str = "initial.toda")
         raise ConfigError(f"{where}.N does not match len(Q)")
     x0 = _int(obj["X0"], f"{where}.X0")
     time = _int(obj.get("time", 0), f"{where}.time")
-    try:
-        return TodaState(Q=q, E=e, X0=x0, profile=profile, time=time)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    return _named(where, TodaState, Q=q, E=e, X0=x0, profile=profile, time=time)
 
 
 class _FieldText:
@@ -262,10 +276,7 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
             if len(pair) != 2 or pair[0] > pair[1]:
                 raise ConfigError(f"{where}.n_range must be [lo, hi] with lo <= hi")
             n_range = (pair[0], pair[1])
-        try:
-            params = EulerSolitonParams(P=p, Xi=xi, profile=profile, schedule=schedule)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        params = _named(where, EulerSolitonParams, P=p, Xi=xi, profile=profile, schedule=schedule)
         return SolutionSpec(params=params, n_range=n_range)
     if kind == "tau":
         _check_keys(obj, where, {"N", "P", "W", "Delta", "schedule", "X0"}, {"P", "W", "Delta"})
@@ -275,10 +286,7 @@ def parse_solution_params(obj, kind: str, where: str = "params") -> SolutionSpec
         if "N" in obj and _int(obj["N"], f"{where}.N") != len(p):
             raise ConfigError(f"{where}.N does not match len(P)")
         delta = _int(obj["Delta"], f"{where}.Delta")
-        try:
-            params = TauParams(P=p, W=w, Delta=delta, schedule=schedule)
-        except ValueError as exc:
-            raise ConfigError(f"{where}: {exc}") from exc
+        params = _named(where, TauParams, P=p, W=w, Delta=delta, schedule=schedule)
         return SolutionSpec(params=params, x0=_int(obj.get("X0", 0), f"{where}.X0"))
     raise ConfigError(f"solution type must be \"euler\" or \"tau\", got {kind!r}")
 
@@ -306,10 +314,8 @@ def _solution_initial(spec: SolutionSpec, where: str) -> Union[EulerState, TodaS
     if isinstance(params, TauParams):
         ts = tau_toda_state(params, 0)
         profile = CapacityProfile(default_capacity=params.Delta)
-        try:
-            return TodaState(Q=ts.Q, E=ts.E, X0=spec.x0, profile=profile)
-        except ValueError as exc:  # e.g. a speed P_i = 0 gives a size Q_n = 0
-            raise ConfigError(f"{where}: the state at t=0 is not valid: {exc}") from exc
+        bad = f"{where}: the state at t=0 is not valid"  # e.g. a size Q_n = 0 from P_i = 0
+        return _named(bad, TodaState, Q=ts.Q, E=ts.E, X0=spec.x0, profile=profile)
     if spec.n_range is None:
         raise ConfigError(f"{where}: a counts-level solution initial needs n_range")
     lo, hi = spec.n_range
@@ -317,10 +323,9 @@ def _solution_initial(spec: SolutionSpec, where: str) -> Union[EulerState, TodaS
         raise ConfigError(f"{where}.n_range must start at box 0 or later, got {lo}")
     with n_range_fits(f"{where}.n_range", lo, hi):
         counts = euler_nsoliton(params, lo, hi, 0).U
-    try:  # a count below 0 or above its box's capacity
-        state = EulerState(counts=counts, profile=params.profile, window_start=lo)
-    except ValueError as exc:
-        raise ConfigError(f"{where}.n_range: the state at t=0 is not valid: {exc}") from exc
+    # not valid with a count below 0 or above its box's capacity
+    bad = f"{where}.n_range: the state at t=0 is not valid"
+    state = _named(bad, EulerState, counts=counts, profile=params.profile, window_start=lo)
     if counts[0] != 0 or counts[-1] != 0:
         raise ConfigError(f"{where}.n_range: the state at t=0 has a ball at an end; widen it")
     return state
@@ -332,7 +337,9 @@ class RunConfig:
     steps: int
     render: str  # ascii | json | none
     schedule: CarrierSchedule
-    initial: Union[EulerState, TodaState]
+    # each picture's starting state; None for one the representation does not step
+    euler: Optional[EulerState]
+    toda: Optional[TodaState]
 
 
 _TOP_KEYS = {
@@ -380,8 +387,16 @@ def parse_config_dict(data: dict) -> RunConfig:
         schedule = parse_schedule(data.get("schedule", {}))
         parse_state = parse_euler_state if given[0] == "euler" else parse_toda_state
         state = parse_state(initial[given[0]], profile)
+    euler, toda = (state, None) if isinstance(state, EulerState) else (None, state)
+    if rep != "toda" and euler is None:
+        euler = to_euler(toda)
+    if rep != "euler" and toda is None:
+        if not euler.occupied:  # a Toda state holds at least one soliton
+            raise ConfigError(f"initial: the line holds no ball; representation {rep} needs one")
+        toda = from_euler(euler)
     return RunConfig(
-        representation=rep, steps=steps, render=render, schedule=schedule, initial=state
+        representation=rep, steps=steps, render=render, schedule=schedule,
+        euler=None if rep == "toda" else euler, toda=None if rep == "euler" else toda,
     )
 
 

@@ -47,6 +47,7 @@ from typing import IO, Callable, List, Optional, Tuple
 import numpy as np
 
 from .euler import (
+    MAX_SPAN,
     EulerState,
     carrier_oracle_step,
     euler_step,
@@ -82,6 +83,8 @@ class DiffBounds:
             # as the M rule below
             if value > INT64_MAX:
                 raise FiniteOverflow(f"{name} must be <= {INT64_MAX}, got {value}")
+            if name != "max_delta" and value > MAX_SPAN:  # random_case sizes int64 arrays by it
+                raise FiniteOverflow(f"{name} must be <= {MAX_SPAN} to size an array, got {value}")
         if not self.m_choices and self.max_delta + 5 > INT64_MAX:
             raise FiniteOverflow(
                 f"max_delta must be <= {INT64_MAX - 5} for the default M choices "

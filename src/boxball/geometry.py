@@ -97,7 +97,8 @@ class CapacityProfile:
 
     def boundary(self, n: int) -> int:
         """s_n, the first segment of box n; raises FiniteOverflow when s_n
-        is past the signed 64-bit range, where segment arrays would wrap."""
+        is past the signed 64-bit range: a Toda record writes a segment as
+        X0, and config reads X0 back only inside int64."""
         if n < 0:
             raise ValueError("boxes are indexed from 0")
         s = self._segment(n)

@@ -100,7 +100,7 @@ def test_simulate_records_sparse_trace_and_profile_once(capsys):
         assert "profile" not in rec["toda"]
 
     cfg = parse_config(SHOWCASE)
-    state = cfg.initial
+    state = cfg.euler
     for rec in recs:
         state, trace = euler_step(state, cfg.schedule)
         euler = rec["euler"]
@@ -134,7 +134,7 @@ def test_simulate_mismatch_names_first_box_and_toda_state(monkeypatch, capsys):
     first = next(r for r in recs if r["verdict"] == "mismatch")
     t = first["t"]
     cfg = parse_config(SHOWCASE)
-    state = cfg.initial
+    state = cfg.euler
     for _ in range(t):
         state, _ = euler_step(state, cfg.schedule)
     toda = shifted[t - 1]
@@ -176,7 +176,7 @@ def step_by_step_simulate(args):
     cfg = c.parse_config(args.config)
     steps = args.steps if args.steps is not None else cfg.steps
     render = args.render if args.render is not None else cfg.render
-    euler, toda = c._initial_states(cfg)
+    euler, toda = cfg.euler, cfg.toda
     if render == "ascii":
         first = euler if euler is not None else c.to_euler(toda)
         origin = first.window_start
@@ -690,6 +690,23 @@ def test_simulate_bad_config_exit_code(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("representation", ["euler", "toda", "both"])
+def test_simulate_empty_line_exit_code(tmp_path, capsys, representation):
+    # a Toda state holds at least one soliton: only euler mode steps an empty line
+    cfg = write_json(tmp_path / "empty.json", {
+        "representation": representation, "steps": 2,
+        "initial": {"euler": {"counts": [0, 0, 0]}}})
+    code = main(["simulate", "--config", cfg])
+    captured = capsys.readouterr()
+    if representation == "euler":
+        assert (code, captured.out, captured.err) == (0, "t=  1 ...\nt=  2 ...\n", "")
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err == (
+            f"error: initial: the line holds no ball; representation {representation} needs one\n"
+        )
+
+
 def test_simulate_steps_flag_below_one_exit_code(sim_config, capsys):
     assert main(["simulate", "--config", sim_config, "--steps", "0"]) == 2
     captured = capsys.readouterr()
@@ -707,8 +724,10 @@ def test_simulate_steps_flag_below_one_exit_code(sim_config, capsys):
         ([0, 40], "initial.solution.params.n_range: the state at t=0 has a ball at an end"),
         # a one-box window whose box holds a ball: the soliton left of it is lost
         ([6, 6], "initial.solution.params.n_range: the state at t=0 has a ball at an end"),
+        # a window right of both solitons: no ball, so no Toda picture
+        ([20, 30], "initial: the line holds no ball; representation both needs one"),
     ],
-    ids=["missing", "left-of-box-0", "ball-at-an-end", "one-box-with-a-ball"],
+    ids=["missing", "left-of-box-0", "ball-at-an-end", "one-box-with-a-ball", "no-ball"],
 )
 def test_simulate_bad_solution_initial_exit_code(tmp_path, capsys, n_range, named):
     params = json.loads((ROOT / "configs" / "soliton_pair.json").read_text())
@@ -907,10 +926,21 @@ def test_difftest_bad_arguments_exit_code(capsys, extra, flag):
     assert flag in captured.err and "Traceback" not in captured.err
 
 
-@pytest.mark.parametrize("flag", ["--window", "--max-delta", "--steps"])
-def test_difftest_bound_past_int64_exit_code(capsys, flag):
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        pytest.param("--window", 10**19, id="--window"),
+        pytest.param("--max-delta", 10**19, id="--max-delta"),
+        pytest.param("--steps", 10**19, id="--steps"),
+        # past the longest int64 array, which numpy refuses before it
+        # allocates; never a value below it, which numpy would allocate
+        pytest.param("--window", 2**60, id="--window-past-array-bound"),
+        pytest.param("--steps", 2**60, id="--steps-past-array-bound"),
+    ],
+)
+def test_difftest_bound_past_int64_exit_code(capsys, flag, value):
     # named before any case runs, not numpy's bare error from a worker
-    assert main(["difftest", "--cases", "1", flag, "10000000000000000000"]) == 2
+    assert main(["difftest", "--cases", "1", flag, str(value)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"FiniteOverflow: {flag[2:].replace('-', '_')} must be <=" in captured.err

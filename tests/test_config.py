@@ -37,7 +37,7 @@ def test_minimal_config_parses():
     assert cfg.representation == "euler"
     assert cfg.steps == 3
     assert cfg.render == "ascii"
-    assert cfg.initial.counts.tolist() == [1, 0, 1]
+    assert cfg.euler.counts.tolist() == [1, 0, 1]
     assert cfg.schedule.default == POS_INF
 
 
@@ -122,7 +122,7 @@ def test_solution_initial_owns_profile_and_schedule():
         parse_config_dict(cfg)
     del cfg["profile"]
     parsed = parse_config_dict(cfg)
-    assert isinstance(parsed.initial, TodaState)
+    assert isinstance(parsed.toda, TodaState)
 
 
 def test_toda_state_round_trip():

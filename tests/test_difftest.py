@@ -17,6 +17,7 @@ from boxball import CapacityProfile, CarrierSchedule, EulerState, euler_step, ex
 from boxball import difftest
 from boxball.config import dump
 from boxball.difftest import DiffBounds, DiffReport, random_case, run_difftest
+from boxball.euler import MAX_SPAN
 from boxball.toda import DegenerateState
 from boxball.xint import INT64_MAX, POS_INF, FiniteOverflow, XInt
 
@@ -787,13 +788,26 @@ def test_bad_bounds_name_their_field(kwargs, named):
         DiffBounds(**kwargs)
 
 
-@pytest.mark.parametrize("name", ["window", "max_delta", "steps"])
-def test_bounds_past_int64_name_their_field(name):
+@pytest.mark.parametrize(
+    "name, value, rule",
+    [
+        pytest.param(name, 2**63, f"must be <= {INT64_MAX}", id=name)
+        for name in ("window", "max_delta", "steps")
+    ]
+    + [
+        # past the longest int64 array, which numpy refuses before it
+        # allocates; never a value below it, which numpy would allocate
+        pytest.param(name, 2**60, f"must be <= {MAX_SPAN} to size an array",
+                     id=f"{name}-past-array-bound")
+        for name in ("window", "steps")
+    ],
+)
+def test_bounds_past_int64_name_their_field(name, value, rule):
     # numpy's generator would reject them only inside the first case, with
     # an error that names no field; FiniteOverflow, not the ValueError of
     # the M rule
-    with pytest.raises(FiniteOverflow, match=f"^{name} must be <= {INT64_MAX}, got {2**63}$"):
-        DiffBounds(**{name: 2**63})
+    with pytest.raises(FiniteOverflow, match=f"^{name} {rule}, got {value}$"):
+        DiffBounds(**{name: value})
 
 
 def test_default_m_choices_past_int64_name_max_delta():

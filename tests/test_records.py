@@ -35,7 +35,7 @@ from boxball import (
     to_euler,
 )
 from boxball import config as writers
-from boxball.cli import _initial_states, main
+from boxball.cli import main
 from boxball.config import (
     TodaText,
     euler_state_json,
@@ -110,7 +110,7 @@ def reference_toda_trace(trace):
 def reference_records(cfg, steps):
     """simulate's JSON lines, built as dicts the way cmd_simulate built them,
     up to the step that raises."""
-    euler, toda = _initial_states(cfg)
+    euler, toda = cfg.euler, cfg.toda
     lines = []
     for step in range(steps):
         try:
